@@ -29,8 +29,8 @@ tables = enc.init_embedding_tables(len(vocab), cfg, rng)
 lstm = enc.init_lstm_params(cfg, rng)
 word = wa.init_word_attention(cfg, rng)
 
-embedded = enc.embed_sequence(None, instance, tables, cfg)
-hidden = enc.bilstm_encode(None, embedded, instance.true_length, lstm)
+embedded = enc.embed_batch(None, [instance], tables, cfg)   # a batch of one
+hidden = enc.bilstm_encode_batch(None, embedded, [instance.true_length], lstm)
 valid = np.arange(cfg.time_steps) < instance.true_length
 attn = wa.word_attention_matrix(None, hidden, word, valid_cols=valid)
 

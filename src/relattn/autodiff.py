@@ -208,8 +208,8 @@ def tanh_map(tape: Tape | None, a: Node) -> Node:
 def sigmoid_map(tape: Tape | None, a: Node) -> Node:
     x = a.value
     # two-branch form avoids overflow in exp for large |x|
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Node(y)
     if tape is not None:
         def bwd() -> None:
@@ -342,23 +342,6 @@ def take_cols(tape: Tape | None, a: Node, ids) -> Node:
     if tape is not None:
         def bwd() -> None:
             np.add.at(_ensure_grad(a), (slice(None), idx), out.grad)
-        tape.record(out, bwd)
-    return out
-
-
-def where_cols(tape: Tape | None, mask, a: Node, b: Node) -> Node:
-    """Column-wise select: column j of ``a`` where mask[j], else of ``b``."""
-    m = np.asarray(mask, dtype=bool)
-    if a.shape != b.shape:
-        raise ShapeError(f"where_cols: operand shapes differ, {a.shape} vs {b.shape}")
-    if m.shape != (a.shape[1],):
-        raise ShapeError(f"where_cols: mask must have shape ({a.shape[1]},), got {m.shape}")
-    out = Node(np.where(m[None, :], a.value, b.value))
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-            _ensure_grad(a)[:, m] += g[:, m]
-            _ensure_grad(b)[:, ~m] += g[:, ~m]
         tape.record(out, bwd)
     return out
 

@@ -40,7 +40,6 @@ class ModelConfig:
     adam_eps: float = 1e-8
     epochs: int = 30
     seed: int = 0
-    mask_padding: bool = True        # hide padded positions from the encoder and attention
     precision: str = "float32"       # "float64" for gradient checking
     dropout: float = 0.0             # drop probability on instance representations; 0 = off
     grad_clip: float = 0.0           # global-norm clip; 0 = off

@@ -3,7 +3,9 @@
 Sequences are laid out time-major when several instances are encoded at
 once: the embedded batch has one column per (time step, instance) pair with
 time varying slowest, so every LSTM step is a single column slice across the
-whole batch.
+whole batch. The BiLSTM is always masked by true length: both directions
+stop at the batch's longest sentence, and every padded column of the output
+is exactly zero.
 """
 
 from __future__ import annotations
@@ -109,12 +111,6 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     return ad.vconcat(tape, parts)                        # [(word+pos dims) x T*n]
 
 
-def embed_sequence(tape: Tape | None, instance: Instance, tables: EmbeddingTables,
-                   config: ModelConfig) -> Node:
-    """Column t is word embedding + head/tail position embeddings of token t."""
-    return embed_batch(tape, [instance], tables, config)
-
-
 def lstm_step(tape: Tape | None, x: Node, h_prev: Node, c_prev: Node,
               direction: LstmDirection) -> tuple[Node, Node]:
     """One LSTM cell update; columns of x are independent batch lanes."""
@@ -131,61 +127,48 @@ def lstm_step(tape: Tape | None, x: Node, h_prev: Node, c_prev: Node,
     return h, c
 
 
-def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
-                        params: LstmParams, mask_padding: bool = True) -> Node:
-    """Bidirectional encoding of a time-major embedded batch.
+def _run_direction(tape: Tape | None, embedded: Node, lengths: np.ndarray,
+                   direction: LstmDirection, reverse: bool) -> list[Node]:
+    """States of one direction for steps 0..max(lengths)-1, in time order.
 
-    The forward direction runs over every step. With ``mask_padding`` the
-    reverse direction carries its state unchanged through padded steps and
-    padded output columns are zeroed; without it both directions run over
-    padding and all columns are kept.
+    After each step the lanes past their true length are multiplied by 0, so
+    they hold the zero state: padding never reaches a real output, and the
+    reverse direction enters every lane at its last real token from zero.
+    """
+    n = lengths.size
+    dtype = embedded.value.dtype
+    h = c = Node(np.zeros((direction.hidden_size, n), dtype=dtype))
+    steps = range(int(lengths.max()))
+    states = []
+    for t in (reversed(steps) if reverse else steps):
+        x = ad.slice_cols(tape, embedded, t * n, (t + 1) * n)
+        h, c = lstm_step(tape, x, h, c, direction)
+        active = lengths > t
+        if not active.all():
+            keep = active.astype(dtype)
+            h, c = ad.mul_const(tape, h, keep), ad.mul_const(tape, c, keep)
+        states.append(h)
+    return states[::-1] if reverse else states
+
+
+def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
+                        params: LstmParams) -> Node:
+    """Bidirectional encoding of a time-major embedded batch, masked by length.
+
+    Both directions run only to the batch's longest true length; every column
+    of a padded position is exactly zero, and the output keeps its
+    ``[2u x T*n]`` shape.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = lengths.size
     total = embedded.shape[1]
     if total % n != 0:
         raise ad.ShapeError(f"embedded width {total} is not a multiple of batch size {n}")
-    t_steps = total // n
     u = params.fwd.hidden_size
-    dtype = embedded.value.dtype
-
-    h = Node(np.zeros((u, n), dtype=dtype))
-    c = Node(np.zeros((u, n), dtype=dtype))
-    fwd_states = []
-    for t in range(t_steps):
-        x = ad.slice_cols(tape, embedded, t * n, (t + 1) * n)
-        h, c = lstm_step(tape, x, h, c, params.fwd)
-        fwd_states.append(h)
-
-    h = Node(np.zeros((u, n), dtype=dtype))
-    c = Node(np.zeros((u, n), dtype=dtype))
-    bwd_states: list[Node | None] = [None] * t_steps
-    for t in reversed(range(t_steps)):
-        x = ad.slice_cols(tape, embedded, t * n, (t + 1) * n)
-        h_new, c_new = lstm_step(tape, x, h, c, params.bwd)
-        if mask_padding:
-            active = lengths > t
-            if active.all():
-                h, c = h_new, c_new
-            else:
-                h = ad.where_cols(tape, active, h_new, h)
-                c = ad.where_cols(tape, active, c_new, c)
-        else:
-            h, c = h_new, c_new
-        bwd_states[t] = h
-
-    hidden = ad.vconcat(tape, [ad.hconcat(tape, fwd_states),
-                               ad.hconcat(tape, bwd_states)])
-    if mask_padding:
-        keep = (np.arange(t_steps)[:, None] < lengths[None, :]).reshape(1, total)
-        hidden = ad.mul_const(tape, hidden, keep.astype(dtype))
-    return hidden
-
-
-def bilstm_encode(tape: Tape | None, embedded: Node, true_length: int,
-                  params: LstmParams, mask_padding: bool = True) -> Node:
-    """Single-sequence encoding: column t holds forward and reverse states."""
-    return bilstm_encode_batch(tape, embedded, [true_length], params, mask_padding)
+    tail = [Node(np.zeros((u, total - int(lengths.max()) * n), dtype=embedded.value.dtype))]
+    fwd = _run_direction(tape, embedded, lengths, params.fwd, reverse=False)
+    bwd = _run_direction(tape, embedded, lengths, params.bwd, reverse=True)
+    return ad.vconcat(tape, [ad.hconcat(tape, fwd + tail), ad.hconcat(tape, bwd + tail)])
 
 
 def instance_columns(batch_size: int, t_steps: int, j: int) -> np.ndarray:

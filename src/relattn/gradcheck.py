@@ -122,10 +122,6 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
     check("take_cols", [a],
           lambda t: (t, _sum(t, ad.mul(t, ad.take_cols(t, a, col_ids), col_probe))))
 
-    wmask = np.array([True, False, True, False])
-    check("where_cols", [a, c],
-          lambda t: (t, _sum(t, ad.mul(t, ad.where_cols(t, wmask, a, c), c))))
-
     mean_probe = Node(rng.uniform(-1, 1, (1, 4)))
     check("mean_rows", [a],
           lambda t: (t, _sum(t, ad.mul(t, ad.mean_rows(t, a), mean_probe))))

@@ -124,12 +124,11 @@ class Model:
         t_steps = cfg.time_steps
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
         lengths = [inst.true_length for inst in instances]
-        hidden_all = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm,
-                                             mask_padding=cfg.mask_padding)
+        hidden_all = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)
         reps, attns, penalties = [], [], []
         for j, inst in enumerate(instances):
             hidden = ad.take_cols(tape, hidden_all, enc.instance_columns(n, t_steps, j))
-            valid = np.arange(t_steps) < inst.true_length if cfg.mask_padding else None
+            valid = np.arange(t_steps) < inst.true_length
             attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
             weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
             rep = wa.flatten_project(tape, weighted, self.word_attn)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .data import Bag, Dataset, Vocab, make_batches
 from .model import Model
 
@@ -28,7 +28,7 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite."""
+    """Loss or gradient norm became non-finite."""
 
 
 class CheckpointError(ValueError):
@@ -139,8 +139,9 @@ def train(dataset: Dataset, config: ModelConfig,
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
             ad.backward(tape, loss)
-            if config.grad_clip > 0:
-                clip_gradients(model.parameters(), config.grad_clip)
+            norm = clip_gradients(model.parameters(), config.grad_clip)
+            if not np.isfinite(norm):
+                raise TrainingDiverged(f"non-finite gradient at epoch {epoch}, batch {b}")
             adam_step(model.parameters(), config)
             rows.append(LogRow(epoch, b, value, parts["penalty"], parts["ce"], parts["l2"]))
         if log_every and (epoch + 1) % log_every == 0:
@@ -185,7 +186,10 @@ def checkpoint_from(model: Model, vocab: Vocab, relations: Sequence[str],
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Vocab]:
     vocab = Vocab({t: i for i, t in enumerate(ckpt.tokens)}, list(ckpt.tokens))
-    model = Model(ckpt.config, len(vocab), len(ckpt.relations), tensors=ckpt.tensors)
+    try:
+        model = Model(ckpt.config, len(vocab), len(ckpt.relations), tensors=ckpt.tensors)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not fit its own header: {exc}") from exc
     return model, vocab
 
 
@@ -209,7 +213,17 @@ def _read_line(fh, path: Path) -> str:
     raw = fh.readline()
     if not raw:
         raise CheckpointError(f"{path}: truncated checkpoint (unexpected end of file)")
-    return raw.decode("utf-8").rstrip("\n")
+    try:
+        return raw.decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: header line is not UTF-8 text") from exc
+
+
+def _read_json(text: str, path: Path, kind: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: bad JSON in {kind!r} header line: {exc.msg}") from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -232,13 +246,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 break
             if kind == "config":
                 key, _, value = rest.partition(" ")
-                config_values[key] = json.loads(value)
+                config_values[key] = _read_json(value, path, kind)
             elif kind == "relations":
-                relations = json.loads(rest)
+                relations = _read_json(rest, path, kind)
             elif kind == "tokens":
-                tokens = json.loads(rest)
+                tokens = _read_json(rest, path, kind)
             elif kind == "rng":
-                rng_state = json.loads(rest)
+                rng_state = _read_json(rest, path, kind)
             elif kind == "tensor":
                 try:
                     name, rows_s, cols_s = rest.split()
@@ -254,5 +268,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"{path}: unrecognized section {kind!r}")
         if relations is None or tokens is None or rng_state is None or not config_values:
             raise CheckpointError(f"{path}: incomplete checkpoint header")
-    config = ModelConfig.from_dict(config_values)
+    # version-1 files written before the encoder was always masked carry
+    # "mask_padding true"; unmasked models cannot be reproduced any more
+    if config_values.pop("mask_padding", True) is not True:
+        raise CheckpointError(f"{path}: unmasked models (mask_padding false) are not supported")
+    try:
+        config = ModelConfig.from_dict(config_values)
+    except (ConfigError, TypeError) as exc:
+        raise CheckpointError(f"{path}: bad config in header: {exc}") from exc
     return Checkpoint(config, tensors, relations, tokens, rng_state)

@@ -1,11 +1,19 @@
 """End-to-end command-line tests: profiles, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relattn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from relattn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from relattn.config import ModelConfig
+from relattn.model import Model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_TRAIN = [
     "--set", "word_dim=6", "--set", "position_dim=4", "--set", "max_distance=5",
@@ -192,6 +200,18 @@ class TestTrainEval:
                      "--config", str(cfg_path), "--set", "epochs=1"])
         assert code == EXIT_OK
 
+    def test_non_finite_gradient_exit_code(self, synth_file, tmp_path, monkeypatch, capsys):
+        real_zero_grad = Model.zero_grad
+
+        def poisoned_zero_grad(self):
+            real_zero_grad(self)
+            self.sent_attn.class_bias.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(Model, "zero_grad", poisoned_zero_grad)
+        code = main(["train", "--data", str(synth_file), "--out", str(tmp_path)] + SMALL_TRAIN)
+        assert code == EXIT_VERIFY
+        assert "non-finite gradient at epoch 0, batch 0" in capsys.readouterr().err
+
     def test_train_determinism_bit_identical(self, synth_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--data", str(synth_file)] + SMALL_TRAIN + ["--set", "epochs=1"]
@@ -199,3 +219,35 @@ class TestTrainEval:
         assert main(args + ["--out", str(out_b)]) == EXIT_OK
         assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
         assert (out_a / "loss_log.csv").read_text() == (out_b / "loss_log.csv").read_text()
+
+
+def _replace_header_line(blob: bytes, kind: bytes, new_line: bytes) -> bytes:
+    start = blob.index(b"\n" + kind + b" ") + 1
+    end = blob.index(b"\n", start)
+    return blob[:start] + new_line + blob[end:]
+
+
+CORRUPTIONS = {
+    "vocab_disagrees_with_tensors": lambda blob: _replace_header_line(
+        blob, b"tokens", b'tokens ["<BLANK>", "<UNK>", "only"]'),
+    "broken_json": lambda blob: _replace_header_line(blob, b"relations", b'relations ["r0", '),
+    "not_utf8": lambda blob: _replace_header_line(blob, b"relations", b'relations ["\xff\xfe"]'),
+    "bad_config_value": lambda blob: _replace_header_line(
+        blob, b"config word_dim", b"config word_dim 0"),
+}
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
+    def test_eval_exits_3_with_one_line(self, mode, trained_dir, synth_file, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CORRUPTIONS[mode]((trained_dir / "model.ckpt").read_bytes()))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", "eval", "--checkpoint", str(bad),
+             "--data", str(synth_file), "--metric", "pr", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relattn import autodiff as ad
 from relattn import encoder as enc
@@ -29,19 +31,23 @@ def tables_for(cfg, vocab_size=6, seed=0):
     return enc.init_embedding_tables(vocab_size, cfg, rng)
 
 
+def embed_one(tape, instance, tables, cfg):
+    return enc.embed_batch(tape, [instance], tables, cfg)
+
+
 class TestEmbeddings:
     def test_output_shape(self):
         cfg = tiny_config()
         tables = tables_for(cfg)
         inst = make_instance([2, 3, 4], true_length=3)
-        out = enc.embed_sequence(None, inst, tables, cfg)
+        out = embed_one(None, inst, tables, cfg)
         assert out.shape == (6, 3)   # word_dim + position_dim rows, T columns
 
     def test_all_blank_columns_identical(self):
         cfg = tiny_config()
         tables = tables_for(cfg)
         inst = make_instance([BLANK_ID] * 3, true_length=0)
-        out = enc.embed_sequence(None, inst, tables, cfg).value
+        out = embed_one(None, inst, tables, cfg).value
         np.testing.assert_array_equal(out[:, 0], out[:, 1])
         np.testing.assert_array_equal(out[:, 0], out[:, 2])
         np.testing.assert_array_equal(out[:4, 0], tables.word.value[BLANK_ID])
@@ -49,8 +55,8 @@ class TestEmbeddings:
     def test_head_position_separates_otherwise_equal_instances(self):
         cfg = tiny_config()
         tables = tables_for(cfg)
-        a = enc.embed_sequence(None, make_instance([2, 3, 4], head=0, tail=2), tables, cfg).value
-        b = enc.embed_sequence(None, make_instance([2, 3, 4], head=1, tail=2), tables, cfg).value
+        a = embed_one(None, make_instance([2, 3, 4], head=0, tail=2), tables, cfg).value
+        b = embed_one(None, make_instance([2, 3, 4], head=1, tail=2), tables, cfg).value
         np.testing.assert_array_equal(a[:4], b[:4])          # word rows agree
         assert not np.array_equal(a[4:5], b[4:5])            # head-position row differs
         np.testing.assert_array_equal(a[5:], b[5:])          # tail-position row agrees
@@ -59,7 +65,7 @@ class TestEmbeddings:
         cfg = tiny_config()
         tables = tables_for(cfg, vocab_size=4)
         with pytest.raises(IndexError):
-            enc.embed_sequence(None, make_instance([2, 3, 9]), tables, cfg)
+            embed_one(None, make_instance([2, 3, 9]), tables, cfg)
 
     def test_pretrained_substitution(self):
         cfg = tiny_config()
@@ -127,12 +133,11 @@ class TestLstmStep:
 
 
 class TestBilstm:
-    def encode(self, cfg, instance, seed=0, mask_padding=True):
+    def encode(self, cfg, instance, seed=0):
         tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = enc.init_lstm_params(cfg, np.random.default_rng(seed + 1))
-        embedded = enc.embed_sequence(None, instance, tables, cfg)
-        return enc.bilstm_encode(None, embedded, instance.true_length, lstm,
-                                 mask_padding=mask_padding)
+        embedded = embed_one(None, instance, tables, cfg)
+        return enc.bilstm_encode_batch(None, embedded, [instance.true_length], lstm)
 
     def test_output_shape(self):
         cfg = tiny_config(time_steps=4)
@@ -153,12 +158,6 @@ class TestBilstm:
         assert np.abs(out[:, 0]).max() > 0
         np.testing.assert_array_equal(out[:, 1:], np.zeros((6, 3)))
 
-    def test_unmasked_keeps_padding_states(self):
-        cfg = tiny_config(time_steps=4)
-        inst = make_instance([2, 3, BLANK_ID, BLANK_ID], true_length=2)
-        out = self.encode(cfg, inst, mask_padding=False).value
-        assert np.abs(out[:, 2:]).max() > 0
-
     def test_more_padding_leaves_real_columns_unchanged(self):
         ids = [2, 3, 4]
         short_cfg = tiny_config(time_steps=3)
@@ -167,22 +166,55 @@ class TestBilstm:
         long = self.encode(long_cfg, make_instance(ids + [BLANK_ID] * 5, true_length=3))
         np.testing.assert_allclose(short.value, long.value[:, :3], atol=1e-6)
 
-    def test_batch_matches_single(self):
-        cfg = tiny_config(time_steps=4)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_batch_matches_single(self, t_steps, data):
+        # BLAS runs a one-column product (gemv) with another summation order
+        # than a wider one (gemm), so a lone instance agrees to rounding; the
+        # same instance repeated across a batch of equal width agrees exactly
+        cfg = tiny_config(time_steps=t_steps)
         tables = tables_for(cfg, vocab_size=8)
         lstm = enc.init_lstm_params(cfg, np.random.default_rng(1))
-        instances = [make_instance([2, 3, 4, 5], true_length=4),
-                     make_instance([5, 2, BLANK_ID, BLANK_ID], true_length=2),
-                     make_instance([3, BLANK_ID, BLANK_ID, BLANK_ID], true_length=1)]
-        batch_embedded = enc.embed_batch(None, instances, tables, cfg)
-        batched = enc.bilstm_encode_batch(None, batch_embedded,
-                                          [i.true_length for i in instances], lstm)
+        lengths = data.draw(st.lists(st.integers(1, t_steps), min_size=1, max_size=5))
+        instances = []
+        for length in lengths:
+            ids = data.draw(st.lists(st.integers(2, 7), min_size=length, max_size=length))
+            instances.append(make_instance(ids + [BLANK_ID] * (t_steps - length)))
+
+        def encode(batch):
+            embedded = enc.embed_batch(None, batch, tables, cfg)
+            return enc.bilstm_encode_batch(None, embedded,
+                                           [i.true_length for i in batch], lstm).value
+
+        batched = encode(instances)
         n = len(instances)
         for j, inst in enumerate(instances):
-            single = enc.bilstm_encode(None, enc.embed_sequence(None, inst, tables, cfg),
-                                       inst.true_length, lstm)
-            cols = enc.instance_columns(n, cfg.time_steps, j)
-            np.testing.assert_allclose(batched.value[:, cols], single.value, atol=1e-12)
+            cols = enc.instance_columns(n, t_steps, j)
+            np.testing.assert_array_equal(batched[:, cols], encode([inst] * n)[:, cols])
+            np.testing.assert_allclose(batched[:, cols], encode([inst]), rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(batched[:, cols[inst.true_length:]], 0.0)
+
+    def test_steps_stop_at_longest_true_length(self, monkeypatch):
+        cfg = tiny_config(time_steps=6)
+        tables = tables_for(cfg, vocab_size=8)
+        lstm = enc.init_lstm_params(cfg, np.random.default_rng(1))
+        instances = [make_instance([2, 3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
+                     make_instance([4, 5, 6, 7, BLANK_ID, BLANK_ID]),
+                     make_instance([3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID])]
+        lengths = [inst.true_length for inst in instances]
+        calls = []
+        real_step = enc.lstm_step
+
+        def counting_step(*args):
+            calls.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(enc, "lstm_step", counting_step)
+        out = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, tables, cfg),
+                                      lengths, lstm)
+        assert len(calls) == 2 * max(lengths)
+        assert out.shape == (2 * cfg.hidden_size, cfg.time_steps * len(instances))
+        np.testing.assert_array_equal(out.value[:, max(lengths) * len(instances):], 0.0)
 
     def test_full_encoder_gradient(self):
         cfg = tiny_config(word_dim=3, position_dim=2, hidden_size=2, time_steps=5,
@@ -194,15 +226,20 @@ class TestBilstm:
             p.value[...] = rng.uniform(0.2, 0.6, p.value.shape) * rng.choice([-1, 1], p.value.shape)
         lstm = enc.init_lstm_params(cfg, rng)
         inst = make_instance([2, 3, 4, BLANK_ID, BLANK_ID], true_length=3)
-        probe = Node(rng.uniform(-1, 1, (4, 5)))
-
-        def f():
-            tape = Tape()
-            embedded = enc.embed_sequence(tape, inst, tables, cfg)
-            hidden = enc.bilstm_encode(tape, embedded, inst.true_length, lstm)
-            return tape, ad.sum_all(tape, ad.mul(tape, hidden, probe))
-
+        # a batch with mixed lengths also sends gradients through the lane masks
+        mixed = [inst, make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
+                 make_instance([4, 2, 5, 3, BLANK_ID])]
         params = [tables.word, tables.head_position, tables.tail_position,
                   lstm.fwd.w_in, lstm.fwd.w_rec, lstm.fwd.bias,
                   lstm.bwd.w_in, lstm.bwd.w_rec, lstm.bwd.bias]
-        assert finite_diff_check(f, params) < 1e-5
+        for batch in ([inst], mixed):
+            probe = Node(rng.uniform(-1, 1, (4, 5 * len(batch))))
+
+            def f():
+                tape = Tape()
+                embedded = enc.embed_batch(tape, batch, tables, cfg)
+                hidden = enc.bilstm_encode_batch(tape, embedded,
+                                                 [i.true_length for i in batch], lstm)
+                return tape, ad.sum_all(tape, ad.mul(tape, hidden, probe))
+
+            assert finite_diff_check(f, params) < 1e-5

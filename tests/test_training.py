@@ -1,5 +1,7 @@
 """Loss assembly, Adam, the training loop, determinism, and checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
             train(ds, cfg)
 
+    def test_non_finite_gradient_aborts_with_location(self, monkeypatch):
+        cfg = small_config(epochs=1)
+        ds = small_dataset(cfg)
+        real_zero_grad = Model.zero_grad
+
+        def poisoned_zero_grad(self):   # backward adds onto the NaN, the loss stays finite
+            real_zero_grad(self)
+            self.lstm.fwd.w_in.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(Model, "zero_grad", poisoned_zero_grad)
+        with pytest.raises(TrainingDiverged, match="gradient at epoch 0, batch 0"):
+            train(ds, cfg)
+
     def test_loss_decreases_over_early_epochs_for_most_seeds(self):
         # smoke property: epoch-mean loss strictly decreases over the first
         # 5 epochs in at least 9 of 10 seeds
@@ -250,6 +265,29 @@ class TestCheckpoint:
                            ckpt.tokens, ckpt.rng_state)
         with pytest.raises(ValueError, match="class_weight"):
             model_from_checkpoint(wrong)
+
+    def test_v1_header_with_mask_padding_true_loads(self, tmp_path):
+        ds, model, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes()
+        assert b"mask_padding" not in blob   # new checkpoints no longer write the key
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(blob.replace(b"\nconfig ", b"\nconfig mask_padding true\nconfig ", 1))
+        loaded, _ = model_from_checkpoint(load_checkpoint(old))
+        for bag in ds.bags[:3]:
+            np.testing.assert_array_equal(model.predict_bag(bag), loaded.predict_bag(bag))
+
+    def test_shipped_v1_checkpoint_loads(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "assets" / "synth_model.ckpt"
+        assert b"config mask_padding true\n" in path.read_bytes()
+        model, vocab = model_from_checkpoint(load_checkpoint(path))
+        assert len(vocab) == model.vocab_size
+
+    def test_mask_padding_false_rejected(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes().replace(b"\nconfig ", b"\nconfig mask_padding false\nconfig ", 1)
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="mask_padding false"):
+            load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
