@@ -5,7 +5,9 @@ once: the embedded batch has one column per (time step, instance) pair with
 time varying slowest, so every LSTM step is a single column slice across the
 whole batch. The BiLSTM is always masked by true length: both directions
 stop at the batch's longest sentence, and every padded column of the output
-is exactly zero.
+is exactly zero. Each direction computes its input projection ``W_in·X +
+bias`` for all steps in one matmul, and each step then adds the recurrent
+product and runs one fused :func:`autodiff.lstm_cell`.
 """
 
 from __future__ import annotations
@@ -113,35 +115,35 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
 
 def lstm_step(tape: Tape | None, x: Node, h_prev: Node, c_prev: Node,
               direction: LstmDirection) -> tuple[Node, Node]:
-    """One LSTM cell update; columns of x are independent batch lanes."""
-    u = direction.hidden_size
-    pre = ad.add(tape, ad.add(tape, ad.matmul(tape, direction.w_in, x),
-                              ad.matmul(tape, direction.w_rec, h_prev)),
-                 direction.bias)
-    i = ad.sigmoid_map(tape, ad.slice_rows(tape, pre, 0, u))
-    f = ad.sigmoid_map(tape, ad.slice_rows(tape, pre, u, 2 * u))
-    g = ad.tanh_map(tape, ad.slice_rows(tape, pre, 2 * u, 3 * u))
-    o = ad.sigmoid_map(tape, ad.slice_rows(tape, pre, 3 * u, 4 * u))
-    c = ad.add(tape, ad.mul(tape, f, c_prev), ad.mul(tape, i, g))
-    h = ad.mul(tape, o, ad.tanh_map(tape, c))
-    return h, c
+    """One LSTM cell update on the projected step input ``x = W_in·x_t + bias``.
+
+    Columns of x are independent batch lanes; only the recurrent product is
+    computed here, then one fused cell.
+    """
+    pre = ad.add(tape, x, ad.matmul(tape, direction.w_rec, h_prev))
+    return ad.lstm_cell(tape, pre, c_prev)
 
 
 def _run_direction(tape: Tape | None, embedded: Node, lengths: np.ndarray,
                    direction: LstmDirection, reverse: bool) -> list[Node]:
     """States of one direction for steps 0..max(lengths)-1, in time order.
 
-    After each step the lanes past their true length are multiplied by 0, so
-    they hold the zero state: padding never reaches a real output, and the
-    reverse direction enters every lane at its last real token from zero.
+    The input projection of every step is one matmul over the columns that
+    run. After each step the lanes past their true length are multiplied by
+    0, so they hold the zero state: padding never reaches a real output, and
+    the reverse direction enters every lane at its last real token from zero.
     """
     n = lengths.size
     dtype = embedded.value.dtype
+    t_run = int(lengths.max())
+    projected = ad.add(tape, ad.matmul(tape, direction.w_in,
+                                       ad.slice_cols(tape, embedded, 0, t_run * n)),
+                       direction.bias)
     h = c = Node(np.zeros((direction.hidden_size, n), dtype=dtype))
-    steps = range(int(lengths.max()))
+    steps = range(t_run)
     states = []
     for t in (reversed(steps) if reverse else steps):
-        x = ad.slice_cols(tape, embedded, t * n, (t + 1) * n)
+        x = ad.slice_cols(tape, projected, t * n, (t + 1) * n)
         h, c = lstm_step(tape, x, h, c, direction)
         active = lengths > t
         if not active.all():

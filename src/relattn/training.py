@@ -226,6 +226,13 @@ def _read_json(text: str, path: Path, kind: str):
         raise CheckpointError(f"{path}: bad JSON in {kind!r} header line: {exc.msg}") from exc
 
 
+def _read_string_list(text: str, path: Path, kind: str) -> list[str]:
+    value = _read_json(text, path, kind)
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise CheckpointError(f"{path}: {kind!r} header line must hold a JSON list of strings")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     with path.open("rb") as fh:
@@ -248,11 +255,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 key, _, value = rest.partition(" ")
                 config_values[key] = _read_json(value, path, kind)
             elif kind == "relations":
-                relations = _read_json(rest, path, kind)
+                relations = _read_string_list(rest, path, kind)
             elif kind == "tokens":
-                tokens = _read_json(rest, path, kind)
+                tokens = _read_string_list(rest, path, kind)
             elif kind == "rng":
                 rng_state = _read_json(rest, path, kind)
+                if not isinstance(rng_state, dict):
+                    raise CheckpointError(f"{path}: 'rng' header line must hold a JSON object")
             elif kind == "tensor":
                 try:
                     name, rows_s, cols_s = rest.split()

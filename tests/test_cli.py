@@ -234,6 +234,9 @@ CORRUPTIONS = {
     "not_utf8": lambda blob: _replace_header_line(blob, b"relations", b'relations ["\xff\xfe"]'),
     "bad_config_value": lambda blob: _replace_header_line(
         blob, b"config word_dim", b"config word_dim 0"),
+    "tokens_not_a_list": lambda blob: _replace_header_line(blob, b"tokens", b"tokens 5"),
+    "relations_not_a_list": lambda blob: _replace_header_line(blob, b"relations", b"relations 7"),
+    "rng_not_an_object": lambda blob: _replace_header_line(blob, b"rng", b"rng [1, 2]"),
 }
 
 

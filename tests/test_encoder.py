@@ -77,6 +77,50 @@ class TestEmbeddings:
         assert np.abs(tables.word.value[2]).max() < 0.5   # untouched rows stay small
 
 
+def project(direction, x, tape=None):
+    """The step input lstm_step expects: W_in·x + bias."""
+    return ad.add(tape, ad.matmul(tape, direction.w_in, x), direction.bias)
+
+
+def _sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def reference_bilstm(embedded, lengths, params):
+    """Plain-numpy BiLSTM in the per-gate formulation, for pinning the fast path.
+
+    Every step projects its own input column block, squashes each gate
+    separately and zeroes the lanes past their true length afterwards; both
+    directions run over all T steps and padded output columns stay zero.
+    """
+    lengths = np.asarray(lengths)
+    n = lengths.size
+    t_steps = embedded.shape[1] // n
+    out = []
+    for direction, steps in ((params.fwd, range(t_steps)),
+                             (params.bwd, reversed(range(t_steps)))):
+        u = direction.hidden_size
+        w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
+        h = np.zeros((u, n))
+        c = np.zeros((u, n))
+        states = np.zeros((u, t_steps * n))
+        for t in steps:
+            x = embedded[:, t * n:(t + 1) * n]
+            pre = w_in @ x + w_rec @ h + bias
+            i = _sigmoid(pre[:u])
+            f = _sigmoid(pre[u:2 * u])
+            g = np.tanh(pre[2 * u:3 * u])
+            o = _sigmoid(pre[3 * u:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            keep = (lengths > t).astype(float)
+            h, c = h * keep, c * keep
+            states[:, t * n:(t + 1) * n] = h
+        out.append(states)
+    return np.vstack(out)
+
+
 class TestLstmStep:
     def zero_direction(self, u=3, d=4):
         return enc.LstmDirection(
@@ -88,7 +132,7 @@ class TestLstmStep:
 
     def test_zero_weights_give_zero_state(self):
         d = self.zero_direction()
-        x = Node(np.ones((4, 1)))
+        x = project(d, Node(np.ones((4, 1))))
         h, c = enc.lstm_step(None, x, Node(np.zeros((3, 1))), Node(np.zeros((3, 1))), d)
         np.testing.assert_array_equal(h.value, np.zeros((3, 1)))
 
@@ -96,7 +140,8 @@ class TestLstmStep:
         d = self.zero_direction()
         d.bias.value[3:6] = 10.0   # forget slice
         c_prev = Node(np.random.default_rng(0).uniform(-1, 1, (3, 1)))
-        _, c = enc.lstm_step(None, Node(np.ones((4, 1))), Node(np.zeros((3, 1))), c_prev, d)
+        x = project(d, Node(np.ones((4, 1))))
+        _, c = enc.lstm_step(None, x, Node(np.zeros((3, 1))), c_prev, d)
         assert np.abs(c.value - c_prev.value).max() < 1e-3
 
     def test_three_chained_steps_match_finite_differences(self):
@@ -115,7 +160,7 @@ class TestLstmStep:
             tape = Tape()
             h, c = Node(np.zeros((u, 1))), Node(np.zeros((u, 1)))
             for x in xs:
-                h, c = enc.lstm_step(tape, x, h, c, direction)
+                h, c = enc.lstm_step(tape, project(direction, x, tape), h, c, direction)
             return tape, ad.sum_all(tape, ad.mul(tape, h, probe))
 
         err = finite_diff_check(f, [direction.w_in, direction.w_rec, direction.bias])
@@ -193,6 +238,23 @@ class TestBilstm:
             np.testing.assert_array_equal(batched[:, cols], encode([inst] * n)[:, cols])
             np.testing.assert_allclose(batched[:, cols], encode([inst]), rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(batched[:, cols[inst.true_length:]], 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_per_gate_reference(self, t_steps, seed, data):
+        cfg = tiny_config(time_steps=t_steps)
+        rng = np.random.default_rng(seed)
+        lstm = enc.init_lstm_params(cfg, rng)
+        for d in (lstm.fwd, lstm.bwd):   # weights large enough to saturate some gates
+            for p in (d.w_in, d.w_rec, d.bias):
+                p.value[...] = rng.uniform(-1.5, 1.5, p.value.shape)
+        lengths = data.draw(st.lists(st.integers(1, t_steps), min_size=1, max_size=5))
+        embedded = rng.uniform(-1, 1, (cfg.word_dim + cfg.position_dim,
+                                       t_steps * len(lengths)))
+        fast = enc.bilstm_encode_batch(None, Node(embedded), lengths, lstm).value
+        ref = reference_bilstm(embedded, lengths, lstm)
+        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(fast[ref == 0.0], 0.0)
 
     def test_steps_stop_at_longest_true_length(self, monkeypatch):
         cfg = tiny_config(time_steps=6)
