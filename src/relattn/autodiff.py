@@ -1,11 +1,13 @@
 """Dense-matrix reverse-mode differentiation on a replayable tape.
 
-Every graph value is a 2-D float array (scalars are 1x1 matrices). Each
-operation computes its result eagerly and records a backward closure on an
-explicit :class:`Tape`; :func:`backward` replays the tape in exact reverse
-execution order and *accumulates* gradients into the inputs, so leaves keep
-collecting contributions until they are zeroed. :func:`finite_diff_check` is
-the numerical oracle used to validate every backward rule.
+Every graph value is a 2-D float array (scalars are 1x1 matrices), or a 3-D
+stack of them along a leading batch axis; a 2-D operand of a batched op is
+shared by the whole batch. Each operation computes its result eagerly and
+records a backward closure on an explicit :class:`Tape`; :func:`backward`
+replays the tape in exact reverse execution order and *accumulates*
+gradients into the inputs, so leaves keep collecting contributions until
+they are zeroed. :func:`finite_diff_check` is the numerical oracle used to
+validate every backward rule.
 """
 
 from __future__ import annotations
@@ -23,19 +25,19 @@ class ShapeError(ValueError):
 
 
 class Node:
-    """A value in the computation graph: a 2-D array plus its gradient."""
+    """A value in the computation graph: a 2-D or 3-D array plus its gradient."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value) -> None:
         arr = np.asarray(value)
-        if arr.ndim != 2:
-            raise ShapeError(f"graph values must be 2-D, got shape {arr.shape}")
+        if arr.ndim not in (2, 3):
+            raise ShapeError(f"graph values must be 2-D or 3-D, got shape {arr.shape}")
         self.value = arr
         self.grad: np.ndarray | None = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
@@ -86,16 +88,22 @@ def _ensure_grad(node: Node) -> np.ndarray:
     return node.grad
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Collapse gradient of a broadcast result back onto the operand's shape.
     if g.shape == shape:
         return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, size in enumerate(shape)
+                                      if size == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
+
+
+def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
+    # x @ y, summed over the batch for a 2-D operand; one tensordot never
+    # materializes the stack of per-entry products
+    if ndim == 2 and x.ndim == 3:
+        return np.tensordot(x, y, axes=([0, 2], [0, 1]))
+    return x @ y
 
 
 def backward(tape: Tape, loss: Node) -> None:
@@ -121,14 +129,15 @@ def backward(tape: Tape, loss: Node) -> None:
 
 
 def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
-    if a.shape[1] != b.shape[0]:
+    """Matrix product; a 2-D operand broadcasts against a batched one."""
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     out = Node(a.value @ b.value)
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, g @ b.value.T)
-            _accum(b, a.value.T @ g)
+            _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
+            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
         tape.record(out, bwd)
     return out
 
@@ -140,25 +149,6 @@ def add(tape: Tape | None, a: Node, b: Node) -> Node:
             g = out.grad
             _accum(a, _unbroadcast(g, a.shape))
             _accum(b, _unbroadcast(g, b.shape))
-        tape.record(out, bwd)
-    return out
-
-
-def add_n(tape: Tape | None, nodes: Sequence[Node]) -> Node:
-    """Sum of same-shaped nodes."""
-    if not nodes:
-        raise ValueError("add_n needs at least one node")
-    total = nodes[0].value.copy()
-    for n in nodes[1:]:
-        if n.shape != nodes[0].shape:
-            raise ShapeError(f"add_n: mixed shapes {nodes[0].shape} and {n.shape}")
-        total += n.value
-    out = Node(total)
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-            for n in nodes:
-                _accum(n, g)
         tape.record(out, bwd)
     return out
 
@@ -262,45 +252,47 @@ def relu_map(tape: Tape | None, a: Node) -> Node:
 
 
 def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None) -> Node:
-    """Softmax over each row, with max-subtraction for stability.
+    """Softmax over the last axis, with max-subtraction for stability.
 
-    ``valid_cols`` is an optional boolean mask over columns; logits of masked
-    columns are replaced by a large negative fill so they get zero weight and
-    zero gradient.
+    ``valid_cols`` is an optional boolean mask that broadcasts against the
+    logits and may add a batch axis; logits of masked columns are replaced by
+    a large negative fill so they get zero weight and zero gradient.
     """
     z = a.value
     if valid_cols is not None:
         valid = np.asarray(valid_cols, dtype=bool)
-        if valid.shape != (z.shape[1],):
-            raise ShapeError(f"valid_cols must have shape ({z.shape[1]},), got {valid.shape}")
-        if not valid.any():
+        if not valid.any(axis=-1).all():
             raise ValueError("row_softmax: every column is masked out")
-        z = np.where(valid[None, :], z, z.dtype.type(MASK_FILL))
-    shifted = z - z.max(axis=1, keepdims=True)
+        z = np.where(valid, z, z.dtype.type(MASK_FILL))
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Node(p)
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            dot = (g * p).sum(axis=1, keepdims=True)
-            _accum(a, p * (g - dot))
+            dot = (g * p).sum(axis=-1, keepdims=True)
+            _accum(a, _unbroadcast(p * (g - dot), a.shape))
         tape.record(out, bwd)
     return out
 
 
-def transpose(tape: Tape | None, a: Node) -> Node:
-    out = Node(a.value.T)
+def transpose(tape: Tape | None, a: Node, axes: Sequence[int] | None = None) -> Node:
+    """Swap the last two axes, or permute all axes by ``axes`` into a contiguous
+    copy (numpy's batched matmul runs a slow non-BLAS loop on strided views)."""
+    out = Node(np.swapaxes(a.value, -1, -2) if axes is None
+               else np.ascontiguousarray(a.value.transpose(axes)))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad.T)
+            g = out.grad
+            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)))
         tape.record(out, bwd)
     return out
 
 
-def reshape(tape: Tape | None, a: Node, rows: int, cols: int) -> Node:
-    """Row-major reshape."""
-    out = Node(a.value.reshape(rows, cols))
+def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
+    """Row-major reshape to ``shape`` (one entry may be -1)."""
+    out = Node(a.value.reshape(shape))
     if tape is not None:
         def bwd() -> None:
             _accum(a, out.grad.reshape(a.shape))
@@ -360,20 +352,10 @@ def take_rows(tape: Tape | None, a: Node, ids) -> Node:
     return out
 
 
-def take_cols(tape: Tape | None, a: Node, ids) -> Node:
-    idx = np.asarray(ids, dtype=np.intp)
-    out = Node(a.value[:, idx])
-    if tape is not None:
-        def bwd() -> None:
-            np.add.at(_ensure_grad(a), (slice(None), idx), out.grad)
-        tape.record(out, bwd)
-    return out
-
-
 def mean_rows(tape: Tape | None, a: Node) -> Node:
-    """Column-wise mean over rows, keeping a 1-row matrix."""
-    rows = a.shape[0]
-    out = Node(a.value.mean(axis=0, keepdims=True))
+    """Column-wise mean over the rows (axis -2) of each matrix, kept as 1 row."""
+    rows = a.shape[-2]
+    out = Node(a.value.mean(axis=-2, keepdims=True))
     if tape is not None:
         def bwd() -> None:
             _accum(a, np.broadcast_to(out.grad / rows, a.shape))
@@ -390,19 +372,22 @@ def sum_all(tape: Tape | None, a: Node) -> Node:
     return out
 
 
-def sum_squares(tape: Tape | None, a: Node) -> Node:
-    out = Node(np.array([[(a.value * a.value).sum()]], dtype=a.value.dtype))
+def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
+    """Sum of the squared entries of all ``nodes``."""
+    total = sum((n.value * n.value).sum() for n in nodes)
+    out = Node(np.array([[total]], dtype=nodes[0].value.dtype))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, 2.0 * a.value * out.grad)
+            for n in nodes:
+                _accum(n, 2.0 * n.value * out.grad)
         tape.record(out, bwd)
     return out
 
 
 def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
-    """Squared Frobenius norm of (A A^T - I): zero iff rows are orthonormal."""
-    s = a.value @ a.value.T
-    s[np.diag_indices_from(s)] -= 1.0
+    """Squared Frobenius norm of (A A^T - I), batch-summed: zero iff rows are orthonormal."""
+    s = a.value @ np.swapaxes(a.value, -1, -2)
+    s -= np.eye(s.shape[-1], dtype=s.dtype)
     out = Node(np.array([[(s * s).sum()]], dtype=a.value.dtype))
     if tape is not None:
         def bwd() -> None:
@@ -411,28 +396,31 @@ def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
     return out
 
 
-def cross_entropy(tape: Tape | None, probabilities: Node, label: int) -> Node:
-    """Negative log-probability of ``label``, clamped below at LOG_FLOOR.
+def cross_entropy(tape: Tape | None, probabilities: Node, labels) -> Node:
+    """Summed negative log-probability of one label per row, each clamped at LOG_FLOOR.
 
-    ``probabilities`` must be a row or column vector summing to 1 within 1e-6.
-    """
+    ``probabilities`` is ``[labels x classes]``, or a row or column vector for
+    one label; every row must sum to 1 within 1e-6."""
     v = probabilities.value
-    if v.shape[0] != 1 and v.shape[1] != 1:
-        raise ShapeError(f"cross_entropy expects a vector, got shape {v.shape}")
-    flat = v.reshape(-1)
-    if not 0 <= label < flat.size:
-        raise IndexError(f"label {label} out of range for {flat.size} classes")
-    total = flat.sum().item()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities must sum to 1 within 1e-6, got {total}")
-    p = flat[label].item()
-    out = Node(np.array([[-np.log(max(p, LOG_FLOOR))]], dtype=v.dtype))
+    labels = np.atleast_1d(labels)
+    if v.ndim != 2 or not (v.shape[0] == labels.size or labels.size == 1 == v.shape[1]):
+        raise ShapeError(f"cross_entropy expects one row per label, got shape {v.shape} "
+                         f"for {labels.size} labels")
+    rows = v.reshape(labels.size, -1)
+    if ((labels < 0) | (labels >= rows.shape[1])).any():
+        raise IndexError(f"labels {labels.tolist()} out of range for {rows.shape[1]} classes")
+    totals = rows.sum(axis=1)
+    if np.abs(totals - 1.0).max() > 1e-6:
+        raise ValueError(f"probabilities must sum to 1 within 1e-6, got {totals}")
+    idx = np.arange(labels.size)
+    p = rows[idx, labels]
+    out = Node(np.array([[-np.log(np.maximum(p, LOG_FLOOR)).sum()]], dtype=v.dtype))
     if tape is not None:
         def bwd() -> None:
-            if p >= LOG_FLOOR:   # below the clamp the loss is locally constant
-                g = np.zeros_like(v)
-                g.reshape(-1)[label] = -out.grad.item() / p
-                _accum(probabilities, g)
+            live = p >= LOG_FLOOR   # below the clamp the loss is locally constant
+            g = np.zeros_like(rows)
+            g[idx[live], labels[live]] = -out.grad.item() / p[live]
+            _accum(probabilities, g.reshape(v.shape))
         tape.record(out, bwd)
     return out
 

@@ -113,14 +113,15 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     return ad.vconcat(tape, parts)                        # [(word+pos dims) x T*n]
 
 
-def lstm_step(tape: Tape | None, x: Node, h_prev: Node, c_prev: Node,
+def lstm_step(tape: Tape | None, x: Node, h_prev: Node | None, c_prev: Node,
               direction: LstmDirection) -> tuple[Node, Node]:
     """One LSTM cell update on the projected step input ``x = W_in·x_t + bias``.
 
     Columns of x are independent batch lanes; only the recurrent product is
-    computed here, then one fused cell.
+    computed here, then one fused cell. ``h_prev=None`` is the all-zero
+    initial state, whose recurrent product is skipped.
     """
-    pre = ad.add(tape, x, ad.matmul(tape, direction.w_rec, h_prev))
+    pre = x if h_prev is None else ad.add(tape, x, ad.matmul(tape, direction.w_rec, h_prev))
     return ad.lstm_cell(tape, pre, c_prev)
 
 
@@ -139,7 +140,7 @@ def _run_direction(tape: Tape | None, embedded: Node, lengths: np.ndarray,
     projected = ad.add(tape, ad.matmul(tape, direction.w_in,
                                        ad.slice_cols(tape, embedded, 0, t_run * n)),
                        direction.bias)
-    h = c = Node(np.zeros((direction.hidden_size, n), dtype=dtype))
+    h, c = None, Node(np.zeros((direction.hidden_size, n), dtype=dtype))
     steps = range(t_run)
     states = []
     for t in (reversed(steps) if reverse else steps):
@@ -172,7 +173,3 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
     bwd = _run_direction(tape, embedded, lengths, params.bwd, reverse=True)
     return ad.vconcat(tape, [ad.hconcat(tape, fwd + tail), ad.hconcat(tape, bwd + tail)])
 
-
-def instance_columns(batch_size: int, t_steps: int, j: int) -> np.ndarray:
-    """Column indices of instance j inside a time-major batch matrix."""
-    return j + batch_size * np.arange(t_steps)

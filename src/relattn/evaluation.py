@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Bag, Dataset, Vocab
+from .data import Bag, Dataset, Instance, Vocab
 from .model import Model
 
 PN_MODES = ("one", "two", "all")
@@ -54,6 +54,17 @@ def gold_facts(dataset: Dataset) -> set[tuple[str, str, int]]:
             if bag.relation_id != dataset.none_relation_id}
 
 
+def _bag_probabilities(dataset: Dataset, model: Model,
+                       instance_lists: Sequence[list[Instance]]) -> list[np.ndarray]:
+    """Class probabilities of each bag, ``config.batch_size`` bags per forward pass."""
+    if model.num_classes != len(dataset.relations):
+        raise EvalError(f"model predicts {model.num_classes} classes but the dataset "
+                        f"has {len(dataset.relations)} relations")
+    step = model.config.batch_size
+    chunks = (instance_lists[i:i + step] for i in range(0, len(instance_lists), step))
+    return [row for chunk in chunks for row in model.forward(None, chunk).probabilities.value]
+
+
 def score_test_set(dataset: Dataset, model: Model,
                    pn: PnSetting | None = None) -> list[PredictionRecord]:
     """One record per (bag, non-none relation) from the full forward pass.
@@ -61,11 +72,8 @@ def score_test_set(dataset: Dataset, model: Model,
     Under a PnSetting only bags with more than one instance are scored, on a
     without-replacement sample of their instances (deterministic per seed).
     """
-    if model.num_classes != len(dataset.relations):
-        raise EvalError(f"model predicts {model.num_classes} classes but the dataset "
-                        f"has {len(dataset.relations)} relations")
     rng = np.random.default_rng(pn.seed) if pn is not None else None
-    records = []
+    scored = []
     for bag in dataset.bags:
         instances = bag.instances
         if pn is not None:
@@ -75,7 +83,10 @@ def score_test_set(dataset: Dataset, model: Model,
                 count = 1 if pn.mode == "one" else 2
                 picked = rng.choice(len(instances), size=count, replace=False)
                 instances = [instances[i] for i in picked]
-        probs = model.predict_bag(bag, instances)
+        scored.append((bag, instances))
+    probabilities = _bag_probabilities(dataset, model, [instances for _, instances in scored])
+    records = []
+    for (bag, _), probs in zip(scored, probabilities):
         for rel in range(len(dataset.relations)):
             if rel == dataset.none_relation_id:
                 continue
@@ -126,10 +137,9 @@ def p_at_n(records: Sequence[PredictionRecord],
 
 def hard_predictions(dataset: Dataset, model: Model) -> list[tuple[str, int]]:
     """Argmax class per bag, none included."""
-    if model.num_classes != len(dataset.relations):
-        raise EvalError(f"model predicts {model.num_classes} classes but the dataset "
-                        f"has {len(dataset.relations)} relations")
-    return [(bag.bag_id, int(np.argmax(model.predict_bag(bag)))) for bag in dataset.bags]
+    probabilities = _bag_probabilities(dataset, model, [bag.instances for bag in dataset.bags])
+    return [(bag.bag_id, int(np.argmax(probs)))
+            for bag, probs in zip(dataset.bags, probabilities)]
 
 
 def accuracy(predictions: Sequence[tuple[str, int]], dataset: Dataset) -> float:
@@ -215,25 +225,24 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab,
     stem = f"{prefix}{_safe_name(bag.bag_id)}"
     written = []
 
-    for j, (inst, attn) in enumerate(zip(bag.instances, forward.word_attentions)):
+    for j, (inst, attn) in enumerate(zip(bag.instances, forward.word_attentions.value)):
         tokens = vocab.decode(inst.token_ids, strip_blank=False)
         path = out_dir / f"{stem}_word_attn_{j}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row"] + tokens)
-            matrix = attn.value
-            for r in range(matrix.shape[0]):
-                writer.writerow([f"r{r}"] + [repr(float(x)) for x in matrix[r]])
-            writer.writerow(["sum"] + [repr(float(x)) for x in matrix.sum(axis=0)])
+            for r in range(attn.shape[0]):
+                writer.writerow([f"r{r}"] + [repr(float(x)) for x in attn[r]])
+            writer.writerow(["sum"] + [repr(float(x)) for x in attn.sum(axis=0)])
         written.append(path)
 
     path = out_dir / f"{stem}_sent_attn.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row"] + [f"instance_{j}" for j in range(len(bag.instances))])
-        matrix = forward.attention.value
+        matrix = forward.attention.value[0]
         for r in range(matrix.shape[0]):
             writer.writerow([f"r{r}"] + [repr(float(x)) for x in matrix[r]])
-        writer.writerow(["mean"] + [repr(float(x)) for x in forward.averaged.value[0]])
+        writer.writerow(["mean"] + [repr(float(x)) for x in forward.averaged.value.ravel()])
     written.append(path)
     return written

@@ -1,12 +1,13 @@
 """The full bag-level model: encoder, word attention, sentence attention.
 
 Instances of a batch are encoded together (time-major lockstep through the
-BiLSTM), then attention and classification run per instance / per bag.
+BiLSTM); word attention then runs once over all instances, and sentence
+attention once over all bags, each masked to its own instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +22,13 @@ from .data import Bag, Instance
 
 @dataclass
 class BagForward:
-    """Everything the bag-level pass produces, kept for inspection/export."""
+    """Everything a pass over B bags of N instances produces, for export."""
 
-    stacked: Node        # [mlp_size x J] instance representations
-    attention: Node      # [rows x J] sentence-level attention
-    averaged: Node       # [1 x J] mean attention row
-    selection: Node      # [mlp_size x 1] weighted bag representation
-    probabilities: Node  # [1 x num_classes]
-    word_attentions: list[Node] = field(default_factory=list)
+    attention: Node         # [B x rows x N] sentence-level attention
+    averaged: Node          # [B x 1 x N] mean attention row per bag
+    probabilities: Node     # [B x num_classes]
+    word_attentions: Node | None = None   # [N x rows x T]
+    penalty: Node | None = None           # word-attention penalty, summed
 
 
 class Model:
@@ -117,49 +117,54 @@ class Model:
 
     def instance_outputs(self, tape: Tape | None, instances: list[Instance],
                          dropout_rng: np.random.Generator | None = None,
-                         ) -> tuple[list[Node], list[Node], list[Node]]:
-        """Per-instance representations, attention matrices, and penalties."""
+                         ) -> tuple[Node, Node, Node]:
+        """Representations ``[mlp x n]``, word attention ``[n x r x T]`` and
+        the summed attention penalty of n instances, in one batched pass."""
         cfg = self.config
         n = len(instances)
-        t_steps = cfg.time_steps
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
-        lengths = [inst.true_length for inst in instances]
+        lengths = np.array([inst.true_length for inst in instances])
         hidden_all = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)
-        reps, attns, penalties = [], [], []
-        for j, inst in enumerate(instances):
-            hidden = ad.take_cols(tape, hidden_all, enc.instance_columns(n, t_steps, j))
-            valid = np.arange(t_steps) < inst.true_length
-            attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
-            weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
-            rep = wa.flatten_project(tape, weighted, self.word_attn)
-            if dropout_rng is not None and cfg.dropout > 0.0:
-                keep = (dropout_rng.random(rep.shape) >= cfg.dropout)
-                rep = ad.mul_const(tape, rep, keep.astype(cfg.dtype) / (1.0 - cfg.dropout))
-            reps.append(rep)
-            attns.append(attn)
-            penalties.append(wa.attention_penalty(tape, attn))
-        return reps, attns, penalties
+        # time-major column t*n + j -> instance j's [2u x T] matrix
+        hidden = ad.transpose(tape, ad.reshape(tape, hidden_all, -1, cfg.time_steps, n),
+                              axes=(2, 0, 1))
+        valid = (np.arange(cfg.time_steps) < lengths[:, None])[:, None, :]
+        attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
+        weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
+        reps = wa.flatten_project(tape, weighted, self.word_attn)
+        if dropout_rng is not None and cfg.dropout > 0.0:
+            # instance by instance, the same draws as one (mlp, 1) draw each
+            keep = (dropout_rng.random((n, cfg.mlp_size)) >= cfg.dropout).T
+            reps = ad.mul_const(tape, reps, keep.astype(cfg.dtype) / (1.0 - cfg.dropout))
+        return reps, attn, wa.attention_penalty(tape, attn)
 
-    def bag_outputs(self, tape: Tape | None, representations: list[Node]) -> BagForward:
-        stacked = sa.stack_bag(tape, representations)
-        attention = sa.sentence_attention_matrix(tape, stacked, self.sent_attn)
+    def bag_outputs(self, tape: Tape | None, representations: Node, sizes) -> BagForward:
+        """Sentence attention and class probabilities of every bag at once; bag
+        b owns the next ``sizes[b]`` columns of ``representations``."""
+        membership = sa.stack_bag(sizes)
+        attention = sa.sentence_attention_matrix(tape, representations, self.sent_attn,
+                                                 membership)
         averaged = sa.average_attention(tape, attention)
-        selection = sa.selection_representation(tape, averaged, stacked)
+        selection = sa.selection_representation(tape, averaged, representations)
         probabilities = sa.classify(tape, selection, self.sent_attn)
-        return BagForward(stacked, attention, averaged, selection, probabilities)
+        return BagForward(attention, averaged, probabilities)
+
+    def forward(self, tape: Tape | None, instance_lists: list[list[Instance]],
+                dropout_rng: np.random.Generator | None = None) -> BagForward:
+        """One batched pass over bags given as their lists of instances."""
+        instances = [inst for group in instance_lists for inst in group]
+        reps, attns, penalty = self.instance_outputs(tape, instances, dropout_rng)
+        out = self.bag_outputs(tape, reps, [len(group) for group in instance_lists])
+        out.word_attentions, out.penalty = attns, penalty
+        return out
 
     def forward_bag(self, tape: Tape | None, bag: Bag) -> BagForward:
-        reps, attns, _ = self.instance_outputs(tape, bag.instances)
-        out = self.bag_outputs(tape, reps)
-        out.word_attentions = attns
-        return out
+        return self.forward(tape, [bag.instances])
 
     def predict_bag(self, bag: Bag, instances: list[Instance] | None = None) -> np.ndarray:
         """Class probabilities without recording a tape."""
-        if instances is None:
-            instances = bag.instances
-        reps, _, _ = self.instance_outputs(None, instances)
-        return self.bag_outputs(None, reps).probabilities.value.reshape(-1)
+        return self.forward(None, [bag.instances if instances is None else instances]
+                            ).probabilities.value[0]
 
 
 def expected_shapes(config: ModelConfig, vocab_size: int,

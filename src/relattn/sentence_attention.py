@@ -1,9 +1,10 @@
-"""Structured sentence-level attention over a bag of instance representations.
+"""Structured sentence-level attention over bags of instance representations.
 
 The same structured-attention shape as the word level, applied across the
-instances of one bag: attention rows are averaged into a single selection
+instances of a bag: attention rows are averaged into a single selection
 weighting, which mixes the instance representations into one vector for
-relation classification.
+relation classification. All bags of a batch run at once over its
+``[mlp x N]`` representations, each bag's rows masked to its own columns.
 """
 
 from __future__ import annotations
@@ -41,33 +42,42 @@ def init_sent_attention(config: ModelConfig, num_classes: int,
     )
 
 
-def stack_bag(tape: Tape | None, representations: list[Node]) -> Node:
-    """Column j is instance j's representation."""
-    if not representations:
-        raise ValueError("a bag must contain at least one instance representation")
-    return ad.hconcat(tape, representations)
+def stack_bag(sizes) -> np.ndarray:
+    """Membership mask ``[bags x 1 x N]``: bag b owns the next ``sizes[b]`` columns."""
+    if len(sizes) == 0 or min(sizes) < 1:
+        raise ValueError(f"every bag needs at least one instance, got sizes {list(sizes)}")
+    bags = np.arange(len(sizes))
+    return np.repeat(bags, sizes) == bags[:, None, None]
 
 
-def sentence_attention_matrix(tape: Tape | None, stacked: Node,
-                              params: SentAttentionParams) -> Node:
-    """Attention rows over the bag's instances; each row sums to 1."""
+def sentence_attention_matrix(tape: Tape | None, representations: Node,
+                              params: SentAttentionParams,
+                              membership: np.ndarray | None = None) -> Node:
+    """Attention rows over instances, ``[r x N]`` for one bag or ``[bags x r x N]``
+    under a :func:`stack_bag` mask; each row sums to 1."""
     logits = ad.matmul(tape, params.attn_rows,
-                       ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, stacked)))
-    return ad.row_softmax(tape, logits)
+                       ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, representations)))
+    return ad.row_softmax(tape, logits, valid_cols=membership)
 
 
 def average_attention(tape: Tape | None, attention: Node) -> Node:
-    """Mean of the attention rows: still a distribution over instances."""
+    """Mean of each bag's attention rows: still a distribution over instances."""
     return ad.mean_rows(tape, attention)
 
 
-def selection_representation(tape: Tape | None, averaged: Node, stacked: Node) -> Node:
-    """Attention-weighted sum of the instance representations, as a column."""
-    return ad.matmul(tape, stacked, ad.transpose(tape, averaged))
+def selection_representation(tape: Tape | None, averaged: Node, representations: Node) -> Node:
+    """Attention-weighted sum of each bag's representations: ``[bags x mlp]``."""
+    weights = ad.reshape(tape, averaged, -1, representations.shape[1])
+    return ad.matmul(tape, weights, ad.transpose(tape, representations))
 
 
 def classify(tape: Tape | None, selection: Node, params: SentAttentionParams) -> Node:
-    """Probability row over relation classes."""
-    logits = ad.add(tape, ad.matmul(tape, params.class_weight, ad.tanh_map(tape, selection)),
-                    params.class_bias)
-    return ad.row_softmax(tape, ad.transpose(tape, logits))
+    """Probability rows ``[bags x classes]`` from the ``[bags x mlp]`` selections.
+
+    The class axis stays contiguous: numpy sums a strided float32 axis
+    sequentially, not pairwise, which can miss cross_entropy's 1e-6 check.
+    """
+    logits = ad.add(tape, ad.matmul(tape, ad.tanh_map(tape, selection),
+                                    ad.transpose(tape, params.class_weight)),
+                    ad.transpose(tape, params.class_bias))
+    return ad.row_softmax(tape, logits)

@@ -60,28 +60,18 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
         raise ValueError("total_loss needs a non-empty batch")
     cfg = model.config
     ordered = sorted(bags, key=lambda b: b.bag_id)
-    instances = [inst for bag in ordered for inst in bag.instances]
-    reps, _, penalties = model.instance_outputs(tape, instances, dropout_rng=dropout_rng)
-
-    ce_terms = []
-    offset = 0
-    for bag in ordered:
-        j = len(bag.instances)
-        out = model.bag_outputs(tape, reps[offset:offset + j])
-        ce_terms.append(ad.cross_entropy(tape, out.probabilities, bag.relation_id))
-        offset += j
-
+    out = model.forward(tape, [bag.instances for bag in ordered], dropout_rng=dropout_rng)
     n_bags = len(ordered)
-    ce = ad.scale(tape, ad.add_n(tape, ce_terms), 1.0 / n_bags)
+    ce = ad.scale(tape, ad.cross_entropy(tape, out.probabilities,
+                                         [bag.relation_id for bag in ordered]), 1.0 / n_bags)
     loss = ce
     parts = {"ce": ce.value.item(), "penalty": 0.0, "l2": 0.0}
     if cfg.penalty_coef != 0.0:
-        penalty = ad.scale(tape, ad.add_n(tape, penalties), cfg.penalty_coef / n_bags)
+        penalty = ad.scale(tape, out.penalty, cfg.penalty_coef / n_bags)
         loss = ad.add(tape, loss, penalty)
         parts["penalty"] = penalty.value.item()
     if cfg.l2_coef != 0.0:
-        l2 = ad.scale(tape, ad.add_n(tape, [ad.sum_squares(tape, w)
-                                            for w in model.l2_parameters()]), cfg.l2_coef)
+        l2 = ad.scale(tape, ad.sum_squares(tape, *model.l2_parameters()), cfg.l2_coef)
         loss = ad.add(tape, loss, l2)
         parts["l2"] = l2.value.item()
     return loss, parts

@@ -3,6 +3,7 @@
 A learned matrix of attention rows, each a distribution over token
 positions, turns the encoder output into a fixed number of differently
 focused sentence views; the orthogonality penalty pushes those rows apart.
+Each function takes one instance's ``[2u x T]`` states or a batch ``[n x 2u x T]``.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def init_word_attention(config: ModelConfig, rng: np.random.Generator) -> WordAt
 
 def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttentionParams,
                           valid_cols: np.ndarray | None = None) -> Node:
-    """Attention rows over token positions; each row sums to 1.
+    """Attention rows over token positions ``[(n x) r x T]``; each row sums to 1.
 
-    ``valid_cols`` masks padded positions out of the distributions.
+    ``valid_cols`` (``[T]``, or ``[n x 1 x T]``) masks padded positions out.
     """
     logits = ad.matmul(tape, params.attn_rows,
                        ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, hidden)))
@@ -57,14 +58,16 @@ def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttention
 
 
 def weighted_sentence_matrix(tape: Tape | None, attention: Node, hidden: Node) -> Node:
-    """One weighted combination of encoder states per attention row."""
+    """One weighted combination of encoder states per attention row: ``[(n x) r x 2u]``."""
     return ad.matmul(tape, attention, ad.transpose(tape, hidden))
 
 
 def flatten_project(tape: Tape | None, weighted: Node, params: WordAttentionParams) -> Node:
-    """Concatenate the weighted rows and project through the ReLU MLP."""
-    rows, cols = weighted.shape
-    flat = ad.reshape(tape, weighted, rows * cols, 1)   # row-major: row blocks stay contiguous
+    """Concatenate each instance's weighted rows and project them through the
+    ReLU MLP, one column of ``[mlp x n]`` per instance."""
+    rows, cols = weighted.shape[-2:]
+    # row-major: row blocks stay contiguous
+    flat = ad.transpose(tape, ad.reshape(tape, weighted, -1, rows * cols))
     return ad.relu_map(tape, ad.add(tape, ad.matmul(tape, params.mlp_weight, flat),
                                     params.mlp_bias))
 

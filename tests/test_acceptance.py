@@ -118,12 +118,11 @@ class TestCriterion4DegenerateBag:
                 class_bias=Parameter("cb", rng.normal(size=(4, 1))),
             )
             rep = Node(rng.uniform(0, 1, (v, 1)))
-            stacked = sa.stack_bag(None, [rep])
             averaged = sa.average_attention(
-                None, sa.sentence_attention_matrix(None, stacked, sent))
-            selection = sa.selection_representation(None, averaged, stacked)
-            np.testing.assert_array_equal(averaged.value, [[1.0]])
-            assert np.abs(selection.value - rep.value).max() < 1e-6
+                None, sa.sentence_attention_matrix(None, rep, sent, sa.stack_bag([1])))
+            selection = sa.selection_representation(None, averaged, rep)
+            np.testing.assert_array_equal(averaged.value, [[[1.0]]])
+            assert np.abs(selection.value - rep.value.T).max() < 1e-6
         report(4, "J=1: averaged attention exactly [1.0], selection equals the instance")
 
     def test_structured_with_one_row_equals_plain_1d_attention(self):
@@ -139,8 +138,8 @@ class TestCriterion4DegenerateBag:
             )
             j = int(rng.integers(1, 7))
             reps = [Node(rng.uniform(0, 1, (v, 1))) for _ in range(j)]
-            stacked = sa.stack_bag(None, reps)
-            attn = sa.sentence_attention_matrix(None, stacked, sent)
+            stacked = Node(np.hstack([r.value for r in reps]))
+            attn = sa.sentence_attention_matrix(None, stacked, sent, sa.stack_bag([j]))
             averaged = sa.average_attention(None, attn)
             selection = sa.selection_representation(None, averaged, stacked)
             probs = sa.classify(None, selection, sent).value.ravel()
@@ -179,7 +178,7 @@ class TestCriterion5PermutationLaw:
             perm = rng.permutation(j)
             base = model.forward_bag(None, bag)
             reps, _, _ = model.instance_outputs(None, [bag.instances[i] for i in perm])
-            shuffled = model.bag_outputs(None, reps)
+            shuffled = model.bag_outputs(None, reps, [j])
             worst_prob = max(worst_prob, np.abs(shuffled.probabilities.value
                                                 - base.probabilities.value).max())
             worst_attn = max(worst_attn, np.abs(shuffled.averaged.value.ravel()

@@ -234,7 +234,7 @@ class TestBilstm:
         batched = encode(instances)
         n = len(instances)
         for j, inst in enumerate(instances):
-            cols = enc.instance_columns(n, t_steps, j)
+            cols = j + n * np.arange(t_steps)   # instance j's time-major columns
             np.testing.assert_array_equal(batched[:, cols], encode([inst] * n)[:, cols])
             np.testing.assert_allclose(batched[:, cols], encode([inst]), rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(batched[:, cols[inst.true_length:]], 0.0)

@@ -15,6 +15,7 @@ from relattn.data import SynthSpec, generate_synthetic
 from relattn.evaluation import (EvalError, PnSetting, PredictionRecord, accuracy,
                                 export_attention, gold_facts, hard_predictions, macro_f1,
                                 p_at_n, pr_curve, score_test_set)
+from relattn.model import Model
 from relattn.training import train
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,68 @@ class TestScoreTestSet:
         assert len(preds) == len(ds.bags)
         acc = accuracy(preds, ds)
         assert 0.0 <= acc <= 1.0
+
+
+def per_bag_records(ds, model, pn=None):
+    """The per-bag loop: one forward pass per bag, instances drawn bag by bag."""
+    rng = np.random.default_rng(pn.seed) if pn is not None else None
+    out = []
+    for bag in ds.bags:
+        instances = bag.instances
+        if pn is not None:
+            if len(instances) < 2:
+                continue
+            if pn.mode != "all":
+                count = 1 if pn.mode == "one" else 2
+                picked = rng.choice(len(instances), size=count, replace=False)
+                instances = [instances[i] for i in picked]
+        probs = model.predict_bag(bag, instances)
+        out += [(bag.bag_id, rel, probs[rel]) for rel in range(len(ds.relations))
+                if rel != ds.none_relation_id]
+    return out
+
+
+class TestBatchedScoring:
+    """Scoring runs ``batch_size`` bags per pass and matches the per-bag loop."""
+
+    def fixture(self):
+        ds, model = trained_fixture(epochs=0)
+        cfg = model.config.replace(precision="float64")
+        model = Model(cfg, len(ds.vocab), len(ds.relations), rng=np.random.default_rng(4))
+        assert len(ds.bags) > 2 * cfg.batch_size
+        return ds, model
+
+    def count_passes(self, model, monkeypatch):
+        sizes = []
+        forward = model.forward
+
+        def counted(tape, instance_lists, *args, **kwargs):
+            sizes.append(len(instance_lists))
+            return forward(tape, instance_lists, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        return sizes
+
+    @pytest.mark.parametrize("mode", [None, "one", "two", "all"])
+    def test_score_test_set_matches_per_bag_loop(self, mode, monkeypatch):
+        ds, model = self.fixture()
+        pn = None if mode is None else PnSetting(mode=mode, seed=3)
+        expected = per_bag_records(ds, model, pn)
+        sizes = self.count_passes(model, monkeypatch)
+        got = score_test_set(ds, model, pn=pn)
+        assert [(r.bag_id, r.relation_id) for r in got] == [e[:2] for e in expected]
+        np.testing.assert_allclose([r.confidence for r in got], [e[2] for e in expected],
+                                   rtol=1e-12, atol=0)
+        scored = len({r.bag_id for r in got})
+        batch = model.config.batch_size
+        assert sizes == [min(batch, scored - i) for i in range(0, scored, batch)]
+
+    def test_hard_predictions_match_per_bag_loop(self, monkeypatch):
+        ds, model = self.fixture()
+        expected = [(bag.bag_id, int(np.argmax(model.predict_bag(bag)))) for bag in ds.bags]
+        sizes = self.count_passes(model, monkeypatch)
+        assert hard_predictions(ds, model) == expected
+        assert len(sizes) == -(-len(ds.bags) // model.config.batch_size)
 
 
 class TestExportAttention:

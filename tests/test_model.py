@@ -1,0 +1,167 @@
+"""The batched model pass pinned to a plain-numpy per-instance/per-bag reference.
+
+The reference below runs word attention one instance at a time and sentence
+attention one bag at a time, with hand-written backward rules and no
+autodiff. Only the BiLSTM output comes from the package: its gradient is
+pushed back through the encoder's own tape (the encoder is pinned to its
+own per-gate reference in test_encoder.py).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relattn import autodiff as ad
+from relattn import encoder as enc
+from relattn.autodiff import Tape, backward
+from relattn.config import ModelConfig
+from relattn.data import Bag, Instance
+from relattn.model import Model
+from relattn.training import total_loss
+
+
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward(p, dp):
+    return p * (dp - (dp * p).sum(axis=1, keepdims=True))
+
+
+def reference_loss_and_grads(model, bags, dropout_rng=None):
+    """Loss of ``total_loss`` and d(loss)/d(parameter), instance by instance."""
+    cfg = model.config
+    ordered = sorted(bags, key=lambda b: b.bag_id)
+    instances = [inst for bag in ordered for inst in bag.instances]
+    n, n_bags = len(instances), len(ordered)
+    wa_p, sa_p = model.word_attn, model.sent_attn
+    wh, wr, wm, bm = (p.value for p in (wa_p.attn_hidden, wa_p.attn_rows,
+                                        wa_p.mlp_weight, wa_p.mlp_bias))
+    sh, sr, cw, cb = (p.value for p in (sa_p.attn_hidden, sa_p.attn_rows,
+                                        sa_p.class_weight, sa_p.class_bias))
+    grads = {name: np.zeros_like(p.value) for name, p in model.named_parameters().items()}
+
+    tape = Tape()
+    embedded = enc.embed_batch(tape, instances, model.embeddings, cfg)
+    hidden_node = enc.bilstm_encode_batch(tape, embedded,
+                                          [inst.true_length for inst in instances], model.lstm)
+    hidden_all = hidden_node.value
+
+    # word attention, one instance at a time; column t*n + j is step t of j
+    word = []
+    for j, inst in enumerate(instances):
+        h = hidden_all[:, j::n]
+        t1 = np.tanh(wh @ h)
+        attn = np.zeros((wr.shape[0], h.shape[1]))
+        attn[:, :inst.true_length] = softmax_rows((wr @ t1)[:, :inst.true_length])
+        flat = (attn @ h.T).reshape(-1, 1)
+        pre = wm @ flat + bm
+        keep = np.ones_like(pre)
+        if dropout_rng is not None and cfg.dropout > 0.0:
+            keep = (dropout_rng.random(pre.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+        gram = attn @ attn.T - np.eye(attn.shape[0])
+        word.append(dict(h=h, t1=t1, attn=attn, flat=flat, pre=pre, keep=keep, gram=gram,
+                         rep=np.maximum(pre, 0.0) * keep))
+    reps = np.hstack([w["rep"] for w in word])
+
+    # sentence attention and classification, one bag at a time
+    loss = 0.0
+    d_reps = np.zeros_like(reps)
+    offset = 0
+    for bag in ordered:
+        cols = slice(offset, offset + len(bag.instances))
+        offset += len(bag.instances)
+        s = reps[:, cols]
+        t2 = np.tanh(sh @ s)
+        b_attn = softmax_rows(sr @ t2)
+        avg = b_attn.mean(axis=0)
+        sel = s @ avg[:, None]
+        ts = np.tanh(sel)
+        probs = softmax_rows((cw @ ts + cb).T)[0]
+        loss += -np.log(probs[bag.relation_id]) / n_bags
+
+        d_logits = probs.copy()
+        d_logits[bag.relation_id] -= 1.0
+        d_logits = d_logits[:, None] / n_bags
+        grads["class_weight"] += d_logits @ ts.T
+        grads["class_bias"] += d_logits
+        d_sel = (cw.T @ d_logits) * (1.0 - ts * ts)
+        d_s = d_sel @ avg[None, :]
+        d_b_attn = np.repeat((s.T @ d_sel).T, b_attn.shape[0], axis=0) / b_attn.shape[0]
+        d_lg2 = softmax_backward(b_attn, d_b_attn)
+        grads["sent_attn_rows"] += d_lg2 @ t2.T
+        d_b1 = (sr.T @ d_lg2) * (1.0 - t2 * t2)
+        grads["sent_attn_hidden"] += d_b1 @ s.T
+        d_reps[:, cols] = d_s + sh.T @ d_b1
+
+    # back through word attention, instance by instance
+    pen_scale = cfg.penalty_coef / n_bags
+    loss += pen_scale * sum((w["gram"] ** 2).sum() for w in word)
+    d_hidden = np.zeros_like(hidden_all)
+    for j, w in enumerate(word):
+        d_pre = d_reps[:, j:j + 1] * w["keep"] * (w["pre"] > 0)
+        grads["word_mlp_weight"] += d_pre @ w["flat"].T
+        grads["word_mlp_bias"] += d_pre
+        d_weighted = (wm.T @ d_pre).reshape(w["attn"].shape[0], -1)
+        d_attn = d_weighted @ w["h"] + pen_scale * 4.0 * (w["gram"] @ w["attn"])
+        d_h = d_weighted.T @ w["attn"]
+        d_lg = softmax_backward(w["attn"], d_attn)
+        grads["word_attn_rows"] += d_lg @ w["t1"].T
+        d_a1 = (wr.T @ d_lg) * (1.0 - w["t1"] ** 2)
+        grads["word_attn_hidden"] += d_a1 @ w["h"].T
+        d_hidden[:, j::n] = d_h + wh.T @ d_a1
+
+    for p in model.l2_parameters():
+        loss += cfg.l2_coef * (p.value ** 2).sum()
+        grads[p.name] += 2.0 * cfg.l2_coef * p.value
+
+    # embedding and BiLSTM gradients: the encoder's own tape, fed d_hidden
+    for p in model.parameters():
+        p.zero_grad()
+    backward(tape, ad.sum_all(tape, ad.mul_const(tape, hidden_node, d_hidden)))
+    for name, p in model.named_parameters().items():
+        grads[name] += p.grad
+    return loss, grads
+
+
+@st.composite
+def batches(draw):
+    t_steps = draw(st.integers(2, 6))
+    cfg = ModelConfig(word_dim=3, position_dim=2, max_distance=3, time_steps=t_steps,
+                      hidden_size=2, word_attention_hidden=3,
+                      word_attention_rows=draw(st.integers(1, 3)), mlp_size=4,
+                      sent_attention_hidden=3, sent_attention_rows=draw(st.integers(1, 3)),
+                      num_classes=3, precision="float64", l2_coef=1e-3,
+                      dropout=draw(st.sampled_from([0.0, 0.3])))
+    bags = []
+    for b in range(draw(st.integers(1, 4))):
+        instances = []
+        for _ in range(draw(st.integers(1, 5))):
+            length = draw(st.integers(1, t_steps))
+            ids = draw(st.lists(st.integers(2, 9), min_size=length, max_size=length))
+            head, tail = draw(st.integers(0, length - 1)), draw(st.integers(0, length - 1))
+            instances.append(Instance(np.array(ids + [0] * (t_steps - length)),
+                                      head, tail, length))
+        bags.append(Bag(f"bag{draw(st.integers(0, 99)):02d}-{b}", "h", "t",
+                        draw(st.integers(0, 2)), instances))
+    return cfg, bags, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedPassMatchesPerInstanceReference:
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_total_loss_and_every_gradient(self, batch):
+        cfg, bags, seed = batch
+        model = Model(cfg, 10, 3, rng=np.random.default_rng(seed))
+        ref_loss, ref_grads = reference_loss_and_grads(model, bags,
+                                                       np.random.default_rng(seed + 1))
+        model.zero_grad()
+        tape = Tape()
+        loss, _ = total_loss(tape, bags, model, dropout_rng=np.random.default_rng(seed + 1))
+        backward(tape, loss)
+
+        assert abs(loss.value.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, p in model.named_parameters().items():
+            scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+            assert np.abs(p.grad - ref_grads[name]).max() <= 1e-12 * scale, name
