@@ -352,6 +352,23 @@ def take_rows(tape: Tape | None, a: Node, ids) -> Node:
     return out
 
 
+def take_cols(tape: Tape | None, a: Node, ids) -> Node:
+    """Gather columns by index; duplicate indices accumulate on backward."""
+    idx = np.asarray(ids, dtype=np.intp)
+    out = Node(a.value[:, idx])
+    if tape is not None:
+        unique = np.unique(idx).size == idx.size
+
+        def bwd() -> None:
+            grad = _ensure_grad(a)
+            if unique:   # a plain scatter, far faster than np.add.at
+                grad[:, idx] += out.grad
+            else:
+                np.add.at(grad, (slice(None), idx), out.grad)
+        tape.record(out, bwd)
+    return out
+
+
 def mean_rows(tape: Tape | None, a: Node) -> Node:
     """Column-wise mean over the rows (axis -2) of each matrix, kept as 1 row."""
     rows = a.shape[-2]

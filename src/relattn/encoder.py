@@ -2,12 +2,13 @@
 
 Sequences are laid out time-major when several instances are encoded at
 once: the embedded batch has one column per (time step, instance) pair with
-time varying slowest, so every LSTM step is a single column slice across the
-whole batch. The BiLSTM is always masked by true length: both directions
-stop at the batch's longest sentence, and every padded column of the output
-is exactly zero. Each direction computes its input projection ``W_in·X +
-bias`` for all steps in one matmul, and each step then adds the recurrent
-product and runs one fused :func:`autodiff.lstm_cell`.
+time varying slowest. The BiLSTM computes real tokens only. Its lanes are
+sorted longest first, so the lanes still running at step t are a prefix of
+width ``#(lengths > t)``; one column gather packs the real tokens step by
+step, each direction projects them with one matmul ``W_in·X + bias``, and
+each step adds the recurrent product and runs one fused
+:func:`autodiff.lstm_cell` on its prefix. One more gather puts the states
+back at their time-major columns, and every padded column is exactly zero.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
 from .config import ModelConfig
-from .data import Instance, relative_positions
+from .data import Instance
 
 
 @dataclass
@@ -96,18 +97,21 @@ def init_lstm_params(config: ModelConfig, rng: np.random.Generator) -> LstmParam
 def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingTables,
                 config: ModelConfig) -> Node:
     """Embed several instances time-major: column t*n + j is step t of instance j."""
-    n = len(instances)
     t_steps = len(instances[0].token_ids)
     word_ids = np.stack([inst.token_ids for inst in instances])          # [n x T]
-    head_ids = np.empty((n, t_steps), dtype=np.int64)
-    tail_ids = np.empty((n, t_steps), dtype=np.int64)
-    for j, inst in enumerate(instances):
-        head_ids[j], tail_ids[j] = relative_positions(inst, config.max_distance)
+    # data.relative_positions of every instance at once
+    d = config.max_distance
+    steps = np.arange(t_steps)
+    padded = steps >= np.array([inst.true_length for inst in instances])[:, None]
+    position_ids = []
+    for pos in ([inst.head_pos for inst in instances], [inst.tail_pos for inst in instances]):
+        buckets = np.clip(steps - np.array(pos)[:, None], -d, d) + d   # [n x T]
+        buckets[padded] = 2 * d + 1
+        position_ids.append(buckets)
 
     parts = []
-    for table, ids in ((tables.word, word_ids),
-                       (tables.head_position, head_ids),
-                       (tables.tail_position, tail_ids)):
+    for table, ids in zip((tables.word, tables.head_position, tables.tail_position),
+                          [word_ids] + position_ids):
         rows = ad.take_rows(tape, table, ids.T.ravel())   # [(T*n) x dim], time-major
         parts.append(ad.transpose(tape, rows))
     return ad.vconcat(tape, parts)                        # [(word+pos dims) x T*n]
@@ -125,51 +129,62 @@ def lstm_step(tape: Tape | None, x: Node, h_prev: Node | None, c_prev: Node,
     return ad.lstm_cell(tape, pre, c_prev)
 
 
-def _run_direction(tape: Tape | None, embedded: Node, lengths: np.ndarray,
+def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
                    direction: LstmDirection, reverse: bool) -> list[Node]:
-    """States of one direction for steps 0..max(lengths)-1, in time order.
+    """States of one direction for steps 0..len(widths)-1, in time order.
 
-    The input projection of every step is one matmul over the columns that
-    run. After each step the lanes past their true length are multiplied by
-    0, so they hold the zero state: padding never reaches a real output, and
-    the reverse direction enters every lane at its last real token from zero.
+    ``packed`` holds the real tokens only, step by step, with step t's
+    ``widths[t]`` active lanes first. The input projection of every token is
+    one matmul. Going forward, ``h`` and ``c`` drop the lanes that have
+    ended; going backward, zero columns are appended for the lanes that
+    start, so every lane enters at its last real token from the zero state.
     """
-    n = lengths.size
-    dtype = embedded.value.dtype
-    t_run = int(lengths.max())
-    projected = ad.add(tape, ad.matmul(tape, direction.w_in,
-                                       ad.slice_cols(tape, embedded, 0, t_run * n)),
-                       direction.bias)
-    h, c = None, Node(np.zeros((direction.hidden_size, n), dtype=dtype))
-    steps = range(t_run)
+    projected = ad.add(tape, ad.matmul(tape, direction.w_in, packed), direction.bias)
+    offsets = np.concatenate([[0], np.cumsum(widths)]).tolist()
+    u, dtype = direction.hidden_size, packed.value.dtype
+    h, c = None, None
+    steps = range(len(widths))
     states = []
     for t in (reversed(steps) if reverse else steps):
-        x = ad.slice_cols(tape, projected, t * n, (t + 1) * n)
+        k = widths[t]
+        if c is None:
+            c = Node(np.zeros((u, k), dtype=dtype))
+        elif k < c.shape[1]:
+            h, c = ad.slice_cols(tape, h, 0, k), ad.slice_cols(tape, c, 0, k)
+        elif k > c.shape[1]:
+            zeros = Node(np.zeros((u, k - c.shape[1]), dtype=dtype))
+            h, c = ad.hconcat(tape, [h, zeros]), ad.hconcat(tape, [c, zeros])
+        x = ad.slice_cols(tape, projected, offsets[t], offsets[t + 1])
         h, c = lstm_step(tape, x, h, c, direction)
-        active = lengths > t
-        if not active.all():
-            keep = active.astype(dtype)
-            h, c = ad.mul_const(tape, h, keep), ad.mul_const(tape, c, keep)
         states.append(h)
     return states[::-1] if reverse else states
 
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
                         params: LstmParams) -> Node:
-    """Bidirectional encoding of a time-major embedded batch, masked by length.
+    """Bidirectional encoding of a time-major embedded batch, packed by length.
 
-    Both directions run only to the batch's longest true length; every column
-    of a padded position is exactly zero, and the output keeps its
-    ``[2u x T*n]`` shape.
+    Only real tokens are computed: both directions run to the batch's longest
+    true length over lanes sorted longest first. Every column of a padded
+    position is exactly zero, and the output keeps its ``[2u x T*n]`` shape.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = lengths.size
     total = embedded.shape[1]
     if total % n != 0:
         raise ad.ShapeError(f"embedded width {total} is not a multiple of batch size {n}")
-    u = params.fwd.hidden_size
-    tail = [Node(np.zeros((u, total - int(lengths.max()) * n), dtype=embedded.value.dtype))]
-    fwd = _run_direction(tape, embedded, lengths, params.fwd, reverse=False)
-    bwd = _run_direction(tape, embedded, lengths, params.bwd, reverse=True)
-    return ad.vconcat(tape, [ad.hconcat(tape, fwd + tail), ad.hconcat(tape, bwd + tail)])
-
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())[:, None]
+    active = steps < lengths[order]                   # [t_run x n], each row a prefix
+    real = (steps * n + order)[active]                # time-major column of each token
+    packed = ad.take_cols(tape, embedded, real)
+    widths = active.sum(axis=1).tolist()
+    fwd = _run_direction(tape, packed, widths, params.fwd, reverse=False)
+    bwd = _run_direction(tape, packed, widths, params.bwd, reverse=True)
+    pad = np.flatnonzero(np.arange(total // n)[:, None] >= lengths)   # time-major
+    zeros = [Node(np.zeros((params.fwd.hidden_size, pad.size), dtype=embedded.value.dtype))]
+    states = ad.vconcat(tape, [ad.hconcat(tape, fwd + zeros), ad.hconcat(tape, bwd + zeros)])
+    # one permutation moves each state to its time-major column, padding to zeros
+    where = np.empty(total, dtype=np.intp)
+    where[np.concatenate([real, pad])] = np.arange(total)
+    return ad.take_cols(tape, states, where)

@@ -227,6 +227,8 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab,
 
     for j, (inst, attn) in enumerate(zip(bag.instances, forward.word_attentions.value)):
         tokens = vocab.decode(inst.token_ids, strip_blank=False)
+        # word attention stops at the batch's longest true length; the rest is 0
+        attn = np.pad(attn, ((0, 0), (0, model.config.time_steps - attn.shape[1])))
         path = out_dir / f"{stem}_word_attn_{j}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

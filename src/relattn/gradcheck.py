@@ -141,6 +141,12 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
 
     check("lstm_cell", [gate_pre, cell_prev], cell_loss)
 
+    # a repeats column 3 and skips column 2 (accumulating rule); c is permuted
+    # (plain scatter)
+    check("take_cols", [a, c],
+          lambda t: (t, _sum(t, ad.mul(t, ad.take_cols(t, a, [3, 0, 3, 1]),
+                                       ad.take_cols(t, c, [2, 0, 3, 1])))))
+
     results.extend(pipeline_checks(seed))
     return results
 

@@ -27,7 +27,7 @@ class BagForward:
     attention: Node         # [B x rows x N] sentence-level attention
     averaged: Node          # [B x 1 x N] mean attention row per bag
     probabilities: Node     # [B x num_classes]
-    word_attentions: Node | None = None   # [N x rows x T]
+    word_attentions: Node | None = None   # [N x rows x longest true length]
     penalty: Node | None = None           # word-attention penalty, summed
 
 
@@ -118,17 +118,20 @@ class Model:
     def instance_outputs(self, tape: Tape | None, instances: list[Instance],
                          dropout_rng: np.random.Generator | None = None,
                          ) -> tuple[Node, Node, Node]:
-        """Representations ``[mlp x n]``, word attention ``[n x r x T]`` and
-        the summed attention penalty of n instances, in one batched pass."""
+        """Representations ``[mlp x n]``, word attention ``[n x r x t_run]`` up
+        to the longest true length, and the summed attention penalty of n
+        instances, in one batched pass."""
         cfg = self.config
         n = len(instances)
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
         lengths = np.array([inst.true_length for inst in instances])
         hidden_all = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)
-        # time-major column t*n + j -> instance j's [2u x T] matrix
-        hidden = ad.transpose(tape, ad.reshape(tape, hidden_all, -1, cfg.time_steps, n),
-                              axes=(2, 0, 1))
-        valid = (np.arange(cfg.time_steps) < lengths[:, None])[:, None, :]
+        # time-major column t*n + j -> instance j's [2u x t_run] matrix; the
+        # columns from the longest true length on are all padding
+        t_run = int(lengths.max())
+        run_cols = ad.slice_cols(tape, hidden_all, 0, t_run * n)
+        hidden = ad.transpose(tape, ad.reshape(tape, run_cols, -1, t_run, n), axes=(2, 0, 1))
+        valid = (np.arange(t_run) < lengths[:, None])[:, None, :]
         attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
         reps = wa.flatten_project(tape, weighted, self.word_attn)

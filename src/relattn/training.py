@@ -25,6 +25,7 @@ from .model import Model
 
 CHECKPOINT_MAGIC = "relattn-checkpoint"
 CHECKPOINT_VERSION = 1
+ADAM_CHUNK = 1 << 16   # entries Adam updates at a time, so its scratch stays in cache
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,18 +90,31 @@ def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:
 
 
 def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
-    """Adam with bias correction; each parameter advances its own step count."""
+    """Adam with bias correction; each parameter advances its own step count.
+
+    The update runs in place over row blocks of about ``ADAM_CHUNK`` entries
+    through two scratch buffers, in the operation order of the plain formula
+    ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``, so results match it
+    bit for bit.
+    """
     b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
     for p in parameters:
         p.step += 1
-        g = p.grad
-        p.m *= b1
-        p.m += (1.0 - b1) * g
-        p.s *= b2
-        p.s += (1.0 - b2) * g * g
-        m_hat = p.m / (1.0 - b1 ** p.step)
-        s_hat = p.s / (1.0 - b2 ** p.step)
-        p.value -= lr * m_hat / (np.sqrt(s_hat) + eps)
+        m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
+        rows = max(1, ADAM_CHUNK // p.value[0].size)
+        for lo in range(0, p.value.shape[0], rows):
+            g, m, s, value = (x[lo:lo + rows] for x in (p.grad, p.m, p.s, p.value))
+            work, denom = np.empty_like(g), np.empty_like(g)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=work)
+            s *= b2
+            np.multiply(g, 1.0 - b2, out=work)
+            s += np.multiply(work, g, out=work)
+            np.sqrt(np.divide(s, s_corr, out=denom), out=denom)
+            denom += eps
+            np.divide(m, m_corr, out=work)
+            work *= lr
+            value -= np.divide(work, denom, out=work)
 
 
 def train(dataset: Dataset, config: ModelConfig,

@@ -97,6 +97,24 @@ class TestElementwise:
         np.testing.assert_array_equal(p.grad, [[0.0, 0.0, 1.0]])
 
 
+class TestTakeCols:
+    def test_gather_and_scatter_add(self):
+        a = param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        tape = Tape()
+        out = ad.take_cols(tape, a, [2, 0, 2, 2])
+        np.testing.assert_array_equal(out.value, [[3.0, 1.0, 3.0, 3.0], [6.0, 4.0, 6.0, 6.0]])
+        weights = Node(np.array([[1.0, 10.0, 100.0, 1000.0], [2.0, 20.0, 200.0, 2000.0]]))
+        backward(tape, ad.sum_all(tape, ad.mul(tape, out, weights)))
+        # repeated column 2 collects all three shares; column 1 is never read
+        np.testing.assert_array_equal(a.grad, [[10.0, 0.0, 1101.0], [20.0, 0.0, 2202.0]])
+
+    def test_permutation_round_trip(self):
+        a = param(np.arange(10.0).reshape(2, 5))
+        perm = np.array([3, 0, 4, 1, 2])
+        back = ad.take_cols(None, ad.take_cols(None, a, perm), np.argsort(perm))
+        np.testing.assert_array_equal(back.value, a.value)
+
+
 class TestFrobeniusPenalty:
     def test_orthonormal_rows_padded(self):
         a = np.zeros((2, 5))

@@ -9,7 +9,7 @@ from relattn import autodiff as ad
 from relattn import encoder as enc
 from relattn.autodiff import Node, Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
-from relattn.data import BLANK_ID, Instance
+from relattn.data import BLANK_ID, Instance, relative_positions
 
 
 def tiny_config(**kw):
@@ -66,6 +66,28 @@ class TestEmbeddings:
         tables = tables_for(cfg, vocab_size=4)
         with pytest.raises(IndexError):
             embed_one(None, make_instance([2, 3, 9]), tables, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.data())
+    def test_position_buckets_match_relative_positions(self, t_steps, max_distance, data):
+        # every table row differs, so each embedded position column names its bucket
+        cfg = tiny_config(time_steps=t_steps, max_distance=max_distance, position_dim=4)
+        tables = tables_for(cfg)
+        n = data.draw(st.integers(1, 4))
+        instances = [make_instance(np.full(t_steps, 2),
+                                   head=data.draw(st.integers(0, t_steps - 1)),
+                                   tail=data.draw(st.integers(0, t_steps - 1)),
+                                   true_length=data.draw(st.integers(0, t_steps)))
+                     for _ in range(n)]
+        out = enc.embed_batch(None, instances, tables, cfg).value
+        word, half = cfg.word_dim, cfg.position_table_dim
+        for j, inst in enumerate(instances):
+            head_ids, tail_ids = relative_positions(inst, max_distance)
+            cols = out[:, j::n]   # instance j's time-major columns
+            np.testing.assert_array_equal(cols[word:word + half],
+                                          tables.head_position.value[head_ids].T)
+            np.testing.assert_array_equal(cols[word + half:],
+                                          tables.tail_position.value[tail_ids].T)
 
     def test_pretrained_substitution(self):
         cfg = tiny_config()
@@ -177,6 +199,19 @@ class TestLstmStep:
             assert np.abs(d.w_rec.value).max() <= 0.1
 
 
+def length_lists(t_steps):
+    """Lane lengths in 1..T: any order, strictly descending, strictly ascending,
+    all equal, or a single lane."""
+    distinct = st.lists(st.integers(1, t_steps), min_size=1, max_size=5, unique=True)
+    return st.one_of(
+        st.lists(st.integers(1, t_steps), min_size=1, max_size=5),
+        distinct.map(lambda xs: sorted(xs, reverse=True)),
+        distinct.map(sorted),
+        st.tuples(st.integers(1, t_steps), st.integers(2, 5)).map(lambda p: [p[0]] * p[1]),
+        st.integers(1, t_steps).map(lambda length: [length]),
+    )
+
+
 class TestBilstm:
     def encode(self, cfg, instance, seed=0):
         tables = tables_for(cfg, vocab_size=8, seed=seed)
@@ -214,28 +249,33 @@ class TestBilstm:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.data())
     def test_batch_matches_single(self, t_steps, data):
-        # BLAS runs a one-column product (gemv) with another summation order
-        # than a wider one (gemm), so a lone instance agrees to rounding; the
-        # same instance repeated across a batch of equal width agrees exactly
+        # lanes are packed by length, so each step's products span the lanes
+        # still running. Redrawing the other lanes' tokens at the same lengths
+        # keeps every product's width and this lane's place in it, so its
+        # columns agree exactly. Encoded alone it agrees to rounding: a
+        # one-column product (gemv) sums in another order than gemm
         cfg = tiny_config(time_steps=t_steps)
         tables = tables_for(cfg, vocab_size=8)
         lstm = enc.init_lstm_params(cfg, np.random.default_rng(1))
-        lengths = data.draw(st.lists(st.integers(1, t_steps), min_size=1, max_size=5))
-        instances = []
-        for length in lengths:
+        lengths = data.draw(length_lists(t_steps))
+
+        def draw_instance(length):
             ids = data.draw(st.lists(st.integers(2, 7), min_size=length, max_size=length))
-            instances.append(make_instance(ids + [BLANK_ID] * (t_steps - length)))
+            return make_instance(ids + [BLANK_ID] * (t_steps - length))
 
         def encode(batch):
             embedded = enc.embed_batch(None, batch, tables, cfg)
             return enc.bilstm_encode_batch(None, embedded,
                                            [i.true_length for i in batch], lstm).value
 
+        instances = [draw_instance(length) for length in lengths]
         batched = encode(instances)
         n = len(instances)
         for j, inst in enumerate(instances):
             cols = j + n * np.arange(t_steps)   # instance j's time-major columns
-            np.testing.assert_array_equal(batched[:, cols], encode([inst] * n)[:, cols])
+            neighbours = [inst if k == j else draw_instance(length)
+                          for k, length in enumerate(lengths)]
+            np.testing.assert_array_equal(batched[:, cols], encode(neighbours)[:, cols])
             np.testing.assert_allclose(batched[:, cols], encode([inst]), rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(batched[:, cols[inst.true_length:]], 0.0)
 
@@ -248,7 +288,7 @@ class TestBilstm:
         for d in (lstm.fwd, lstm.bwd):   # weights large enough to saturate some gates
             for p in (d.w_in, d.w_rec, d.bias):
                 p.value[...] = rng.uniform(-1.5, 1.5, p.value.shape)
-        lengths = data.draw(st.lists(st.integers(1, t_steps), min_size=1, max_size=5))
+        lengths = data.draw(length_lists(t_steps))
         embedded = rng.uniform(-1, 1, (cfg.word_dim + cfg.position_dim,
                                        t_steps * len(lengths)))
         fast = enc.bilstm_encode_batch(None, Node(embedded), lengths, lstm).value
@@ -288,9 +328,14 @@ class TestBilstm:
             p.value[...] = rng.uniform(0.2, 0.6, p.value.shape) * rng.choice([-1, 1], p.value.shape)
         lstm = enc.init_lstm_params(cfg, rng)
         inst = make_instance([2, 3, 4, BLANK_ID, BLANK_ID], true_length=3)
-        # a batch with mixed lengths also sends gradients through the lane masks
+        # mixed lengths 3, 1, 4: sorting reorders the lanes, the forward
+        # direction drops lanes after steps 0 and 2, and the reverse direction
+        # starts lanes at steps 3, 2 and 0, so gradients pass through every
+        # narrowing and widening of the packed state
         mixed = [inst, make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
                  make_instance([4, 2, 5, 3, BLANK_ID])]
+        lengths = [i.true_length for i in mixed]
+        assert len(set(lengths)) == len(mixed) and lengths != sorted(lengths, reverse=True)
         params = [tables.word, tables.head_position, tables.tail_position,
                   lstm.fwd.w_in, lstm.fwd.w_rec, lstm.fwd.bias,
                   lstm.bwd.w_in, lstm.bwd.w_rec, lstm.bwd.bias]

@@ -10,6 +10,9 @@ import csv
 import numpy as np
 import pytest
 
+from relattn import encoder as enc
+from relattn import word_attention as wa
+from relattn.autodiff import Node
 from relattn.config import ModelConfig
 from relattn.data import SynthSpec, generate_synthetic
 from relattn.evaluation import (EvalError, PnSetting, PredictionRecord, accuracy,
@@ -399,6 +402,35 @@ class TestExportAttention:
         assert len(rows[0]) - 1 == len(bag.instances)
         mean_row = np.array([float(x) for x in rows[-1][1:]])
         assert mean_row.sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_word_csv_keeps_every_position(self, tmp_path):
+        # word attention stops at the bag's longest true length; the export
+        # must still hold all T token columns, with the values of attention
+        # taken over all T positions and exact zeros on padding
+        ds, model = trained_fixture(epochs=1)
+        cfg, t_steps = model.config, model.config.time_steps
+        bag = next(bag for bag in ds.bags if len(bag.instances) >= 2
+                   and max(i.true_length for i in bag.instances) < t_steps)
+        paths = export_attention(model, bag, ds.vocab, tmp_path)
+
+        instances, n = bag.instances, len(bag.instances)
+        lengths = np.array([inst.true_length for inst in instances])
+        embedded = enc.embed_batch(None, instances, model.embeddings, cfg)
+        hidden = enc.bilstm_encode_batch(None, embedded, lengths, model.lstm).value
+        hidden = hidden.reshape(-1, t_steps, n).transpose(2, 0, 1)   # [n x 2u x T]
+        valid = (np.arange(t_steps) < lengths[:, None])[:, None, :]
+        full = wa.word_attention_matrix(None, Node(hidden), model.word_attn, valid).value
+
+        for j, inst in enumerate(instances):
+            with paths[j].open() as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["row"] + ds.vocab.decode(inst.token_ids, strip_blank=False)
+            assert [len(row) for row in rows] == [t_steps + 1] * (len(full[j]) + 2)
+            body = rows[1:-1]
+            assert [row[0] for row in body] == [f"r{r}" for r in range(len(full[j]))]
+            matrix = np.array([[float(x) for x in row[1:]] for row in body])
+            np.testing.assert_array_equal(matrix, full[j])
+            assert all(x == "0.0" for row in rows[1:] for x in row[1 + inst.true_length:])
 
     def test_single_instance_bag_mean_is_exactly_one(self, tmp_path):
         ds, model = trained_fixture(epochs=0)

@@ -111,6 +111,36 @@ class TestAdam:
         adam_step([p], cfg)
         assert p.value.item() == 3.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_matches_plain_formula_bit_for_bit(self, dtype):
+        # shapes that split into uneven row blocks, one row per block, and one block
+        cfg = small_config()
+        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+        rng = np.random.default_rng(4)
+        shapes = [(300, 500), (2, tr.ADAM_CHUNK + 3), (1200, 1), (3, 4)]
+        params = [Parameter(f"p{i}", rng.normal(size=shape).astype(dtype))
+                  for i, shape in enumerate(shapes)]
+        plain = [dict(value=p.value.copy(), m=np.zeros_like(p.value),
+                      s=np.zeros_like(p.value)) for p in params]
+        for step in range(1, 5):
+            for p, ref in zip(params, plain):
+                g = (rng.normal(size=p.value.shape) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                g[rng.random(g.shape) < 0.1] = 0.0
+                p.grad[...] = g
+                # the update as written before it ran in place
+                ref["m"] *= b1
+                ref["m"] += (1.0 - b1) * g
+                ref["s"] *= b2
+                ref["s"] += (1.0 - b2) * g * g
+                m_hat = ref["m"] / (1.0 - b1 ** step)
+                s_hat = ref["s"] / (1.0 - b2 ** step)
+                ref["value"] -= lr * m_hat / (np.sqrt(s_hat) + eps)
+            adam_step(params, cfg)
+            for p, ref in zip(params, plain):
+                assert p.value.dtype == dtype and p.step == step
+                for key in ("value", "m", "s"):
+                    np.testing.assert_array_equal(getattr(p, key), ref[key])
+
     def test_clip_gradients_scales_to_norm(self):
         p = Parameter("p", np.zeros((1, 2)))
         p.grad[...] = [[3.0, 4.0]]
