@@ -333,6 +333,8 @@ def vconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
 
 
 def slice_cols(tape: Tape | None, a: Node, start: int, stop: int) -> Node:
+    if slice(start, stop).indices(a.shape[1]) == (0, a.shape[1], 1):
+        return a   # the whole matrix: nothing to copy or record
     out = Node(a.value[:, start:stop])
     if tape is not None:
         def bwd() -> None:
@@ -353,18 +355,14 @@ def take_rows(tape: Tape | None, a: Node, ids) -> Node:
 
 
 def take_cols(tape: Tape | None, a: Node, ids) -> Node:
-    """Gather columns by index; duplicate indices accumulate on backward."""
+    """Gather columns by distinct indices; backward scatters the gradient back."""
     idx = np.asarray(ids, dtype=np.intp)
     out = Node(a.value[:, idx])
+    if idx.size and np.bincount(idx % a.shape[1]).max() > 1:
+        raise ValueError("take_cols needs distinct column indices")
     if tape is not None:
-        unique = np.unique(idx).size == idx.size
-
         def bwd() -> None:
-            grad = _ensure_grad(a)
-            if unique:   # a plain scatter, far faster than np.add.at
-                grad[:, idx] += out.grad
-            else:
-                np.add.at(grad, (slice(None), idx), out.grad)
+            _ensure_grad(a)[:, idx] += out.grad
         tape.record(out, bwd)
     return out
 

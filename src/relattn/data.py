@@ -201,22 +201,29 @@ def save_records_jsonl(records: Sequence[dict], path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def relative_positions(instance: Instance, max_distance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids of each token's distance to the head and tail entities.
+def position_buckets(positions, true_lengths, time_steps: int,
+                     max_distance: int) -> np.ndarray:
+    """Bucket ids ``[n x time_steps]`` of each token's distance to an entity.
 
-    Distance i - entity_pos is clipped to [-max_distance, +max_distance] and
-    shifted into [0, 2*max_distance]; padded positions get the dedicated
-    bucket 2*max_distance + 1.
+    Row j measures against the entity at ``positions[j]``: distance
+    i - positions[j] is clipped to [-max_distance, +max_distance] and shifted
+    into [0, 2*max_distance]; positions at or past ``true_lengths[j]`` get the
+    dedicated padding bucket 2*max_distance + 1.
     """
-    t = len(instance.token_ids)
-    idx = np.arange(t)
-    pad_bucket = 2 * max_distance + 1
-    out = []
-    for pos in (instance.head_pos, instance.tail_pos):
-        buckets = np.clip(idx - pos, -max_distance, max_distance) + max_distance
-        buckets[idx >= instance.true_length] = pad_bucket
-        out.append(buckets.astype(np.int64))
-    return out[0], out[1]
+    steps = np.arange(time_steps, dtype=np.int64)
+    buckets = np.clip(steps - np.asarray(positions, dtype=np.int64)[:, None],
+                      -max_distance, max_distance) + max_distance
+    buckets[steps >= np.asarray(true_lengths)[:, None]] = 2 * max_distance + 1
+    return buckets
+
+
+def relative_positions(instance: Instance, max_distance: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids of each token's distance to the head and tail entities
+    (see :func:`position_buckets`)."""
+    head, tail = position_buckets([instance.head_pos, instance.tail_pos],
+                                  [instance.true_length] * 2, len(instance.token_ids),
+                                  max_distance)
+    return head, tail
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[list[Bag]]:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
 from .config import ModelConfig
-from .data import Instance
+from .data import Instance, position_buckets
 
 
 @dataclass
@@ -99,15 +99,10 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     """Embed several instances time-major: column t*n + j is step t of instance j."""
     t_steps = len(instances[0].token_ids)
     word_ids = np.stack([inst.token_ids for inst in instances])          # [n x T]
-    # data.relative_positions of every instance at once
-    d = config.max_distance
-    steps = np.arange(t_steps)
-    padded = steps >= np.array([inst.true_length for inst in instances])[:, None]
-    position_ids = []
-    for pos in ([inst.head_pos for inst in instances], [inst.tail_pos for inst in instances]):
-        buckets = np.clip(steps - np.array(pos)[:, None], -d, d) + d   # [n x T]
-        buckets[padded] = 2 * d + 1
-        position_ids.append(buckets)
+    lengths = [inst.true_length for inst in instances]
+    position_ids = [position_buckets(pos, lengths, t_steps, config.max_distance)   # [n x T]
+                    for pos in ([inst.head_pos for inst in instances],
+                                [inst.tail_pos for inst in instances])]
 
     parts = []
     for table, ids in zip((tables.word, tables.head_position, tables.tail_position),

@@ -98,21 +98,37 @@ class TestElementwise:
 
 
 class TestTakeCols:
-    def test_gather_and_scatter_add(self):
+    def test_gather_and_scatter(self):
         a = param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         tape = Tape()
-        out = ad.take_cols(tape, a, [2, 0, 2, 2])
-        np.testing.assert_array_equal(out.value, [[3.0, 1.0, 3.0, 3.0], [6.0, 4.0, 6.0, 6.0]])
-        weights = Node(np.array([[1.0, 10.0, 100.0, 1000.0], [2.0, 20.0, 200.0, 2000.0]]))
+        out = ad.take_cols(tape, a, [2, 0])
+        np.testing.assert_array_equal(out.value, [[3.0, 1.0], [6.0, 4.0]])
+        weights = Node(np.array([[1.0, 10.0], [2.0, 20.0]]))
         backward(tape, ad.sum_all(tape, ad.mul(tape, out, weights)))
-        # repeated column 2 collects all three shares; column 1 is never read
-        np.testing.assert_array_equal(a.grad, [[10.0, 0.0, 1101.0], [20.0, 0.0, 2202.0]])
+        # each gathered column gets its own share back; column 1 is never read
+        np.testing.assert_array_equal(a.grad, [[10.0, 0.0, 1.0], [20.0, 0.0, 2.0]])
+
+    def test_duplicate_indices_raise(self):
+        a = param(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            ad.take_cols(None, a, [1, 0, 1])
+        with pytest.raises(ValueError):
+            ad.take_cols(None, a, [2, -1])   # the same column counted from the end
 
     def test_permutation_round_trip(self):
         a = param(np.arange(10.0).reshape(2, 5))
         perm = np.array([3, 0, 4, 1, 2])
         back = ad.take_cols(None, ad.take_cols(None, a, perm), np.argsort(perm))
         np.testing.assert_array_equal(back.value, a.value)
+
+
+class TestSliceCols:
+    def test_whole_matrix_is_the_input_node(self):
+        a = param(np.ones((2, 3)))
+        tape = Tape()
+        assert ad.slice_cols(tape, a, 0, 3) is a
+        assert ad.slice_cols(tape, a, 1, 3) is not a
+        assert len(tape) == 1
 
 
 class TestFrobeniusPenalty:

@@ -11,7 +11,8 @@ from relattn.config import ModelConfig
 from relattn.data import (BLANK_ID, UNK_ID, DataError, SynthSpec, Vocab, contains_pattern,
                           dataset_from_records, generate_synthetic, generate_synthetic_records,
                           instance_tokens, load_dataset, make_batches, read_embedding_file,
-                          relation_patterns, relative_positions, save_records_jsonl)
+                          position_buckets, relation_patterns, relative_positions,
+                          save_records_jsonl)
 
 CFG = ModelConfig(num_classes=None, time_steps=70)
 
@@ -158,6 +159,11 @@ class TestRelativePositions:
         ds = dataset_from_records([bag_record()], CFG)   # length 3, T=70
         head_b, tail_b = relative_positions(ds.bags[0].instances[0], max_distance=30)
         assert (head_b[3:] == 61).all() and (tail_b[3:] == 61).all()
+
+    def test_batched_hand_oracle(self):
+        # one row per entity: padding after the true length, and a row of length 0
+        buckets = position_buckets([1, 4, 0], [3, 5, 0], time_steps=5, max_distance=2)
+        assert buckets.tolist() == [[1, 2, 3, 5, 5], [0, 0, 0, 1, 2], [5, 5, 5, 5, 5]]
 
     @settings(max_examples=40)
     @given(st.integers(1, 12), st.integers(1, 30), st.data())
