@@ -195,52 +195,6 @@ def tanh_map(tape: Tape | None, a: Node) -> Node:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form avoids overflow in exp for large |x|
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def lstm_cell(tape: Tape | None, pre: Node, c_prev: Node) -> tuple[Node, Node]:
-    """Fused LSTM cell: ``(h, c)`` from gate pre-activations and the old cell.
-
-    ``pre`` is ``[4u x n]`` with row blocks in gate order i, f, g, o;
-    ``c_prev`` is ``[u x n]``. With i, f, o squashed by the sigmoid and g by
-    tanh, ``c = f*c_prev + i*g`` and ``h = o*tanh(c)``. Two tape records, c
-    then h: the reverse replay runs h's rule first, which adds its share into
-    ``c.grad`` before c's rule passes the total on to ``pre`` and ``c_prev``.
-    """
-    u, n = c_prev.shape
-    if pre.shape != (4 * u, n):
-        raise ShapeError(f"lstm_cell: pre-activations {pre.shape} do not fit "
-                         f"a cell state of shape {c_prev.shape}")
-    z = pre.value
-    gates = _sigmoid(z)   # the g block is unused; one call beats three slices
-    i, f, o = gates[:u], gates[u:2 * u], gates[3 * u:]
-    g = np.tanh(z[2 * u:3 * u])
-    c = Node(f * c_prev.value + i * g)
-    tc = np.tanh(c.value)
-    h = Node(o * tc)
-    if tape is not None:
-        def bwd_c() -> None:
-            gc = c.grad
-            dpre = _ensure_grad(pre)
-            dpre[:u] += gc * g * i * (1.0 - i)
-            dpre[u:2 * u] += gc * c_prev.value * f * (1.0 - f)
-            dpre[2 * u:3 * u] += gc * i * (1.0 - g * g)
-            _accum(c_prev, gc * f)
-
-        def bwd_h() -> None:
-            gh = h.grad
-            _ensure_grad(pre)[3 * u:] += gh * tc * o * (1.0 - o)
-            _accum(c, gh * o * (1.0 - tc * tc))
-
-        tape.record(c, bwd_c)
-        tape.record(h, bwd_h)
-    return h, c
-
-
 def relu_map(tape: Tape | None, a: Node) -> Node:
     out = Node(np.maximum(a.value, 0.0))
     if tape is not None:
@@ -296,22 +250,6 @@ def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
     if tape is not None:
         def bwd() -> None:
             _accum(a, out.grad.reshape(a.shape))
-        tape.record(out, bwd)
-    return out
-
-
-def hconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
-    if not nodes:
-        raise ValueError("hconcat needs at least one node")
-    out = Node(np.concatenate([n.value for n in nodes], axis=1))
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-            offset = 0
-            for n in nodes:
-                w = n.shape[1]
-                _accum(n, g[:, offset:offset + w])
-                offset += w
         tape.record(out, bwd)
     return out
 

@@ -5,14 +5,15 @@ once: the embedded batch has one column per (time step, instance) pair with
 time varying slowest. The BiLSTM computes real tokens only. Its lanes are
 sorted longest first, so the lanes still running at step t are a prefix of
 width ``#(lengths > t)``; one column gather packs the real tokens step by
-step, each direction projects them with one matmul ``W_in·X + bias``, and
-each step adds the recurrent product and runs one fused
-:func:`autodiff.lstm_cell` on its prefix. One more gather puts the states
-back at their time-major columns, and every padded column is exactly zero.
+step. Each direction is one tape record: it projects every token with one
+matmul, runs :func:`lstm_step` once per step on plain arrays, and writes its
+states straight to their time-major columns, so every padded column is
+exactly zero. Its backward pass is hand-written backpropagation through time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,47 +113,111 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     return ad.vconcat(tape, parts)                        # [(word+pos dims) x T*n]
 
 
-def lstm_step(tape: Tape | None, x: Node, h_prev: Node | None, c_prev: Node,
-              direction: LstmDirection) -> tuple[Node, Node]:
-    """One LSTM cell update on the projected step input ``x = W_in·x_t + bias``.
+@functools.lru_cache(maxsize=None)
+def _gate_affine(u: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    # sigmoid(z) = tanh(z/2)/2 + 1/2, so tanh(z*scale)*scale + shift is the
+    # sigmoid on the i, f and o blocks and tanh on g: four whole-row passes
+    # in place of one per block, and exact, as scaling by 1/2 rounds nothing
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), u)
+    shift = np.where(scale == 1.0, 0.0, 0.5).astype(dtype)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
-    Columns of x are independent batch lanes; only the recurrent product is
-    computed here, then one fused cell. ``h_prev=None`` is the all-zero
-    initial state, whose recurrent product is skipped.
+
+def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+    """One LSTM cell update on token-major arrays, in place.
+
+    ``gates`` is ``[k x 4u]``, one row of pre-activations per lane in gate
+    order i, f, g, o; it is activated in place, g by tanh and i, f, o by the
+    sigmoid written as ``(1 + tanh(z/2)) / 2``. ``c_prev`` holds the cells
+    of the first ``m <= k`` lanes; the other lanes start from zero. The new
+    cell ``f*c_prev + i*g`` is written to ``c`` and ``o*tanh(c)`` to ``h``.
     """
-    pre = x if h_prev is None else ad.add(tape, x, ad.matmul(tape, direction.w_rec, h_prev))
-    return ad.lstm_cell(tape, pre, c_prev)
+    u = h.shape[1]
+    scale, shift = _gate_affine(u, gates.dtype)
+    gates *= scale
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    np.multiply(gates[:, :u], gates[:, 2 * u:3 * u], out=c)
+    m = c_prev.shape[0]
+    c[:m] += gates[:m, u:2 * u] * c_prev
+    np.tanh(c, out=h)
+    h *= gates[:, 3 * u:]
 
 
 def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
-                   direction: LstmDirection, reverse: bool) -> list[Node]:
-    """States of one direction for steps 0..len(widths)-1, in time order.
+                   direction: LstmDirection, reverse: bool, columns: np.ndarray,
+                   total: int) -> Node:
+    """States ``[u x total]`` of one direction, recorded as one tape entry.
 
     ``packed`` holds the real tokens only, step by step, with step t's
-    ``widths[t]`` active lanes first. The input projection of every token is
-    one matmul. Going forward, ``h`` and ``c`` drop the lanes that have
-    ended; going backward, zero columns are appended for the lanes that
-    start, so every lane enters at its last real token from the zero state.
+    ``widths[t]`` active lanes first, and ``columns`` names each token's
+    output column; every other column is zero. Going forward, a step's lanes
+    continue the first lanes of the step before; going backward, the lanes
+    that start enter at their last real token from the zero state.
+
+    Buffers are token-major, so each step's lanes are contiguous rows. The
+    backward pass runs BPTT over the saved gates and cells, and then forms
+    the input and recurrent weight gradients with one product each.
     """
-    projected = ad.add(tape, ad.matmul(tape, direction.w_in, packed), direction.bias)
+    w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
+    u, x = direction.hidden_size, packed.value
+    z = x.T @ w_in.T                          # [P x 4u] pre-activations, then gates
+    z += bias.T
+    cells = np.empty((z.shape[0], u), dtype=z.dtype)
+    states = np.empty_like(cells)
     offsets = np.concatenate([[0], np.cumsum(widths)]).tolist()
-    u, dtype = direction.hidden_size, packed.value.dtype
-    h, c = None, None
-    steps = range(len(widths))
-    states = []
-    for t in (reversed(steps) if reverse else steps):
-        k = widths[t]
-        if c is None:
-            c = Node(np.zeros((u, k), dtype=dtype))
-        elif k < c.shape[1]:
-            h, c = ad.slice_cols(tape, h, 0, k), ad.slice_cols(tape, c, 0, k)
-        elif k > c.shape[1]:
-            zeros = Node(np.zeros((u, k - c.shape[1]), dtype=dtype))
-            h, c = ad.hconcat(tape, [h, zeros]), ad.hconcat(tape, [c, zeros])
-        x = ad.slice_cols(tape, projected, offsets[t], offsets[t + 1])
-        h, c = lstm_step(tape, x, h, c, direction)
-        states.append(h)
-    return states[::-1] if reverse else states
+    steps = list(range(len(widths)))[::-1 if reverse else 1]
+    schedule = []   # (first row, end row, previous step's first row, lanes carried over)
+    for before, t in zip([None] + steps[:-1], steps):
+        a, b = offsets[t], offsets[t + 1]
+        p, m = (a, 0) if before is None else (offsets[before], min(widths[t], widths[before]))
+        if m:
+            z[a:a + m] += states[p:p + m] @ w_rec.T
+        lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
+        schedule.append((a, b, p, m))
+    out = Node(np.zeros((u, total), dtype=z.dtype))
+    out.value[:, columns] = states.T
+    if tape is not None:
+        # token t of lane j follows token t-1 of the same lane: pair every
+        # token after step 0 with its row at the step before
+        first = widths[0] if widths else 0
+        earlier = np.arange(first, len(z)) - np.repeat(np.array(widths[:-1], dtype=int),
+                                                       widths[1:])
+        later = slice(first, None)
+        rec_rows, prev_rows = (earlier, later) if reverse else (later, earlier)
+
+        def bwd() -> None:
+            # every token's local derivatives at once; the loop then carries
+            # only the hidden and cell gradients from step to step
+            z3 = z.reshape(-1, 4, u)              # [P x gate x u]
+            i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
+            tc = np.tanh(cells)
+            c_prev = np.zeros_like(cells)
+            c_prev[rec_rows] = cells[prev_rows]
+            dh_dc = o * (1.0 - tc * tc)
+            dc_dz = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)],
+                             axis=1)             # [P x 3 x u], pre-activations of i, f, g
+            dh_dz = tc * o * (1.0 - o)            # pre-activation of o
+            dz = np.empty_like(z3)
+            dh = out.grad.T[columns]              # [P x u], a fresh array
+            dc = np.zeros_like(cells)
+            for a, b, p, m in reversed(schedule):
+                dc_t = dc[a:b]
+                dc_t += dh[a:b] * dh_dc[a:b]
+                np.multiply(dc_t[:, None], dc_dz[a:b], out=dz[a:b, :3])
+                np.multiply(dh[a:b], dh_dz[a:b], out=dz[a:b, 3])
+                if m:
+                    dh[p:p + m] += dz[a:a + m].reshape(m, -1) @ w_rec
+                    dc[p:p + m] += dc_t[:m] * f[a:a + m]
+            dz = dz.reshape(z.shape)
+            ad._accum(packed, w_in.T @ dz.T)
+            ad._accum(direction.w_in, dz.T @ x.T)
+            ad._accum(direction.bias, dz.sum(axis=0)[:, None])
+            ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])
+        tape.record(out, bwd)
+    return out
 
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
@@ -174,12 +239,6 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
     real = (steps * n + order)[active]                # time-major column of each token
     packed = ad.take_cols(tape, embedded, real)
     widths = active.sum(axis=1).tolist()
-    fwd = _run_direction(tape, packed, widths, params.fwd, reverse=False)
-    bwd = _run_direction(tape, packed, widths, params.bwd, reverse=True)
-    pad = np.flatnonzero(np.arange(total // n)[:, None] >= lengths)   # time-major
-    zeros = [Node(np.zeros((params.fwd.hidden_size, pad.size), dtype=embedded.value.dtype))]
-    states = ad.vconcat(tape, [ad.hconcat(tape, fwd + zeros), ad.hconcat(tape, bwd + zeros)])
-    # one permutation moves each state to its time-major column, padding to zeros
-    where = np.empty(total, dtype=np.intp)
-    where[np.concatenate([real, pad])] = np.arange(total)
-    return ad.take_cols(tape, states, where)
+    return ad.vconcat(tape, [
+        _run_direction(tape, packed, widths, params.fwd, False, real, total),
+        _run_direction(tape, packed, widths, params.bwd, True, real, total)])

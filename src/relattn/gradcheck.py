@@ -103,9 +103,6 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
     check("reshape", [a],
           lambda t: (t, _sum(t, ad.mul(t, ad.reshape(t, a, 2, 6),
                                        ad.reshape(t, c, 2, 6)))))
-    check("hconcat", [a, c],
-          lambda t: (t, _sum(t, ad.mul(t, ad.hconcat(t, [a, c]),
-                                       ad.hconcat(t, [c, a])))))
     check("vconcat", [a, c],
           lambda t: (t, _sum(t, ad.mul(t, ad.vconcat(t, [a, c]),
                                        ad.vconcat(t, [c, a])))))
@@ -129,18 +126,6 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
     check("cross_entropy", [logits],
           lambda t: (t, ad.cross_entropy(t, ad.row_softmax(t, logits), [2, 0, 3])))
 
-    # pre-activations of both signs up to |z| = 3 reach both sigmoid
-    # branches; probing h and c runs both tape records and both rules
-    gate_pre = _param(rng, "gate_pre", 8, 3, -3.0, 3.0)
-    cell_prev = _param(rng, "cell_prev", 2, 3)
-    h_probe, c_probe = Node(rng.uniform(-1, 1, (2, 3))), Node(rng.uniform(-1, 1, (2, 3)))
-
-    def cell_loss(t):
-        h, c_new = ad.lstm_cell(t, gate_pre, cell_prev)
-        return t, ad.add(t, _sum(t, ad.mul(t, h, h_probe)), _sum(t, ad.mul(t, c_new, c_probe)))
-
-    check("lstm_cell", [gate_pre, cell_prev], cell_loss)
-
     # both reorder; a never reads column 2 and c never reads column 1
     check("take_cols", [a, c],
           lambda t: (t, _sum(t, ad.mul(t, ad.take_cols(t, a, [3, 0, 1]),
@@ -151,7 +136,7 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
 
 
 def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
-    """Composite checks: chained LSTM steps and both batched attention pipelines."""
+    """Composite checks: both LSTM directions and both batched attention pipelines."""
     from . import encoder as enc
     from . import sentence_attention as sa
     from . import word_attention as wa
@@ -166,21 +151,20 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
         bias=_param(rng, "bias", 4 * u, 1, -0.5, 0.5),
         hidden_size=u,
     )
-    xs = Node(rng.uniform(-1, 1, (d_in, 3)))   # one column per step
-    weight = Node(rng.uniform(-1, 1, (u, 1)))
+    # four steps of widths 3, 3, 2, 1: the forward direction narrows and the
+    # reverse direction widens; outputs land in scattered columns of 11
+    widths = [3, 3, 2, 1]
+    packed = _param(rng, "packed", d_in, sum(widths))
+    columns = rng.permutation(11)[:sum(widths)]
+    lstm_probe = Node(rng.uniform(-1, 1, (u, 11)))
+    for reverse in (False, True):
+        def lstm_direction(tape, reverse=reverse):
+            out = enc._run_direction(tape, packed, widths, direction, reverse, columns, 11)
+            return tape, _sum(tape, ad.mul(tape, out, lstm_probe))
 
-    def lstm_chain(tape):
-        # W_in and bias reach the cells through the hoisted projection
-        projected = ad.add(tape, ad.matmul(tape, direction.w_in, xs), direction.bias)
-        h, c = None, Node(np.zeros((u, 1)))
-        for t in range(xs.shape[1]):
-            x = ad.slice_cols(tape, projected, t, t + 1)
-            h, c = enc.lstm_step(tape, x, h, c, direction)
-        return tape, _sum(tape, ad.mul(tape, h, weight))
-
-    err = finite_diff_check(lambda: lstm_chain(Tape()),
-                            [direction.w_in, direction.w_rec, direction.bias])
-    results.append(CheckResult("lstm_three_steps", err))
+        err = finite_diff_check(lambda: lstm_direction(Tape()),
+                                [direction.w_in, direction.w_rec, direction.bias, packed])
+        results.append(CheckResult("lstm_reverse" if reverse else "lstm_forward", err))
 
     r1, da1, v, t_len = 2, 3, 4, 5
     word = wa.WordAttentionParams(

@@ -99,11 +99,6 @@ class TestEmbeddings:
         assert np.abs(tables.word.value[2]).max() < 0.5   # untouched rows stay small
 
 
-def project(direction, x, tape=None):
-    """The step input lstm_step expects: W_in·x + bias."""
-    return ad.add(tape, ad.matmul(tape, direction.w_in, x), direction.bias)
-
-
 def _sigmoid(z):
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -144,49 +139,37 @@ def reference_bilstm(embedded, lengths, params):
 
 
 class TestLstmStep:
-    def zero_direction(self, u=3, d=4):
-        return enc.LstmDirection(
-            w_in=Parameter("wi", np.zeros((4 * u, d))),
-            w_rec=Parameter("wr", np.zeros((4 * u, u))),
-            bias=Parameter("b", np.zeros((4 * u, 1))),
-            hidden_size=u,
-        )
+    def step(self, gates, c_prev):
+        k, u = gates.shape[0], gates.shape[1] // 4
+        c, h = np.empty((k, u)), np.empty((k, u))
+        enc.lstm_step(gates, c_prev, c, h)
+        return c, h
 
     def test_zero_weights_give_zero_state(self):
-        d = self.zero_direction()
-        x = project(d, Node(np.ones((4, 1))))
-        h, c = enc.lstm_step(None, x, Node(np.zeros((3, 1))), Node(np.zeros((3, 1))), d)
-        np.testing.assert_array_equal(h.value, np.zeros((3, 1)))
+        # zero weights and bias make every pre-activation zero
+        c, h = self.step(np.zeros((2, 12)), np.zeros((2, 3)))
+        np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(h, 0.0)
 
     def test_open_forget_gate_retains_memory(self):
-        d = self.zero_direction()
-        d.bias.value[3:6] = 10.0   # forget slice
-        c_prev = Node(np.random.default_rng(0).uniform(-1, 1, (3, 1)))
-        x = project(d, Node(np.ones((4, 1))))
-        _, c = enc.lstm_step(None, x, Node(np.zeros((3, 1))), c_prev, d)
-        assert np.abs(c.value - c_prev.value).max() < 1e-3
+        gates = np.zeros((1, 12))
+        gates[:, 3:6] = 10.0   # forget slice
+        c_prev = np.random.default_rng(0).uniform(-1, 1, (1, 3))
+        c, _ = self.step(gates, c_prev)
+        assert np.abs(c - c_prev).max() < 1e-3
 
-    def test_three_chained_steps_match_finite_differences(self):
-        rng = np.random.default_rng(1)
-        u, d_in = 2, 3
-        direction = enc.LstmDirection(
-            w_in=Parameter("wi", rng.uniform(-0.5, 0.5, (4 * u, d_in))),
-            w_rec=Parameter("wr", rng.uniform(-0.5, 0.5, (4 * u, u))),
-            bias=Parameter("b", rng.uniform(-0.5, 0.5, (4 * u, 1))),
-            hidden_size=u,
-        )
-        xs = [Node(rng.uniform(-1, 1, (d_in, 1))) for _ in range(3)]
-        probe = Node(rng.uniform(-1, 1, (u, 1)))
-
-        def f():
-            tape = Tape()
-            h, c = Node(np.zeros((u, 1))), Node(np.zeros((u, 1)))
-            for x in xs:
-                h, c = enc.lstm_step(tape, project(direction, x, tape), h, c, direction)
-            return tape, ad.sum_all(tape, ad.mul(tape, h, probe))
-
-        err = finite_diff_check(f, [direction.w_in, direction.w_rec, direction.bias])
-        assert err < 1e-5
+    def test_matches_per_gate_formula_and_new_lanes_start_from_zero(self):
+        # three lanes, only the first carries a cell; both sigmoid tails are reached
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-12, 12, (3, 8))
+        c_prev = rng.uniform(-1, 1, (1, 2))
+        gates = z.copy()
+        c, h = self.step(gates, c_prev)
+        i, f, g, o = _sigmoid(z[:, :2]), _sigmoid(z[:, 2:4]), np.tanh(z[:, 4:6]), _sigmoid(z[:, 6:])
+        np.testing.assert_allclose(gates, np.hstack([i, f, g, o]), rtol=1e-12, atol=1e-15)
+        want_c = i * g + np.vstack([f[:1] * c_prev, np.zeros((2, 2))])
+        np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h, o * np.tanh(want_c), rtol=1e-12, atol=1e-15)
 
     def test_forget_bias_initialized_to_one(self):
         cfg = tiny_config()
@@ -210,6 +193,85 @@ def length_lists(t_steps):
         st.tuples(st.integers(1, t_steps), st.integers(2, 5)).map(lambda p: [p[0]] * p[1]),
         st.integers(1, t_steps).map(lambda length: [length]),
     )
+
+
+class TestFusedDirection:
+    """``_run_direction``: one tape record per direction, BPTT on backward."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_both_directions_match_finite_differences(self, t_steps, seed, data):
+        # lengths sorted longest first give the step widths; the forward
+        # direction narrows through them and the reverse direction widens
+        lengths = sorted(data.draw(length_lists(t_steps)), reverse=True)
+        widths = [sum(length > t for length in lengths) for t in range(lengths[0])]
+        rng = np.random.default_rng(seed)
+        u, d_in, tokens = 2, 3, sum(lengths)
+        total = tokens + 2   # two output columns no token writes
+        columns = rng.permutation(total)[:tokens]
+        packed = Parameter("packed", rng.uniform(-1, 1, (d_in, tokens)))
+        for reverse in (False, True):
+            direction = enc.LstmDirection(
+                w_in=Parameter("wi", rng.uniform(-0.8, 0.8, (4 * u, d_in))),
+                w_rec=Parameter("wr", rng.uniform(-0.8, 0.8, (4 * u, u))),
+                bias=Parameter("b", rng.uniform(-0.8, 0.8, (4 * u, 1))),
+                hidden_size=u,
+            )
+            probe = Node(rng.uniform(-1, 1, (u, total)))
+
+            def f():
+                tape = Tape()
+                out = enc._run_direction(tape, packed, widths, direction, reverse,
+                                         columns, total)
+                assert len(tape) == 1
+                return tape, ad.sum_all(tape, ad.mul(tape, out, probe))
+
+            err = finite_diff_check(f, [direction.w_in, direction.w_rec, direction.bias,
+                                        packed], h=1e-5)
+            assert err < 1e-5, (reverse, err)
+
+    def encode_with_tape(self, cfg, lengths, seed=0):
+        t_steps = cfg.time_steps
+        tables = tables_for(cfg, vocab_size=8, seed=seed)
+        lstm = enc.init_lstm_params(cfg, np.random.default_rng(seed + 1))
+        instances = [make_instance([2 + t % 5 for t in range(length)]
+                                   + [BLANK_ID] * (t_steps - length)) for length in lengths]
+        tape = Tape()
+        embedded = enc.embed_batch(tape, instances, tables, cfg)
+        hidden = enc.bilstm_encode_batch(tape, embedded, lengths, lstm)
+        probe = np.random.default_rng(seed + 2).uniform(-1, 1, hidden.shape).astype(cfg.dtype)
+        loss = ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
+        params = [tables.word, tables.head_position, tables.tail_position,
+                  *(p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias))]
+        return tape, loss, hidden, params
+
+    def test_second_backward_doubles_every_lstm_gradient(self):
+        # the backward closure must not write into the buffers it saved; the
+        # embedding tables are left out, as np.add.at adds one row at a time
+        tape, loss, _, params = self.encode_with_tape(tiny_config(time_steps=5), [3, 5, 1, 3])
+        ad.backward(tape, loss)
+        once = [p.grad.copy() for p in params[3:]]
+        ad.backward(tape, loss)
+        for p, g in zip(params[3:], once):
+            assert np.abs(g).max() > 0, p.name
+            np.testing.assert_array_equal(p.grad, 2.0 * g, err_msg=p.name)
+
+    def test_float32_stays_float32(self, monkeypatch):
+        cfg = tiny_config(time_steps=5, precision="float32")
+        dtypes = []
+        real_accum = ad._accum
+
+        def recording_accum(node, g):
+            dtypes.append(np.asarray(g).dtype)
+            real_accum(node, g)
+
+        monkeypatch.setattr(ad, "_accum", recording_accum)
+        tape, loss, hidden, params = self.encode_with_tape(cfg, [3, 5, 1, 3])
+        ad.backward(tape, loss)
+        assert hidden.value.dtype == np.float32
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        for p in params:
+            assert p.grad.dtype == np.float32 and np.abs(p.grad).max() > 0, p.name
 
 
 class TestBilstm:
