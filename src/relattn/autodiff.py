@@ -18,6 +18,7 @@ import numpy as np
 
 LOG_FLOOR = 1e-12     # clamp below this before taking log in cross_entropy
 MASK_FILL = -1e9      # logit written into masked-out softmax columns
+ROW_BLOCK = 1 << 16   # entries per block of a parameter-sized update, so scratch stays in cache
 
 
 class ShapeError(ValueError):
@@ -76,10 +77,26 @@ class Tape:
         return len(self._records)
 
 
-def _accum(node: Node, g: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+def _accum(node: Node, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``node.grad``.
+
+    The first gradient into a node is copied once into a buffer laid out like
+    the node's value. ``owned`` says the rule hands ``g`` over: it is a fresh
+    array, or a view of the rule's own output gradient (which ``backward``
+    releases) that no other node receives. Such an array becomes the buffer
+    itself when it has the dtype and C layout that copy would have, so later
+    rules compute exactly as before. Against zero-fill-plus-add, only the sign
+    of a zero can differ (``0.0 + -0.0`` is ``0.0``); Parameter gradients,
+    which start at ``0.0``, come out bit for bit the same.
+    """
+    if node.grad is not None:
+        node.grad += g
+    elif (owned and g.dtype == node.value.dtype and g.shape == node.value.shape
+          and g.flags.c_contiguous and node.value.flags.c_contiguous):
+        node.grad = g
+    else:
+        node.grad = np.empty_like(node.value)
+        np.copyto(node.grad, g)
 
 
 def _ensure_grad(node: Node) -> np.ndarray:
@@ -111,17 +128,23 @@ def backward(tape: Tape, loss: Node) -> None:
 
     Intermediate (non-Parameter) gradients are reset before the replay, so
     calling backward twice on the same tape adds the same leaf contributions
-    twice. Raises if ``loss`` is not scalar.
+    twice. Each record's output gradient is released as soon as its rule has
+    run, so intermediate gradients cannot be read after the replay: every
+    non-Parameter record output holds ``grad is None``. Parameters, and leaf
+    nodes that no record outputs, keep what they collected. Raises if
+    ``loss`` is not scalar.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     for out, _ in tape._records:
         if not isinstance(out, Parameter):
             out.grad = None
-    _accum(loss, np.ones_like(loss.value))
+    _accum(loss, np.ones_like(loss.value), owned=True)
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn()
+            if not isinstance(out, Parameter):
+                out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +159,10 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
-            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
+            _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim),
+                   owned=True)
+            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim),
+                   owned=True)
         tape.record(out, bwd)
     return out
 
@@ -158,8 +183,8 @@ def mul(tape: Tape | None, a: Node, b: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, _unbroadcast(g * b.value, a.shape))
-            _accum(b, _unbroadcast(g * a.value, b.shape))
+            _accum(a, _unbroadcast(g * b.value, a.shape), owned=True)
+            _accum(b, _unbroadcast(g * a.value, b.shape), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -168,7 +193,7 @@ def scale(tape: Tape | None, a: Node, c: float) -> Node:
     out = Node(a.value * c)
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * c)
+            _accum(a, out.grad * c, owned=True)
         tape.record(out, bwd)
     return out
 
@@ -180,7 +205,7 @@ def mul_const(tape: Tape | None, a: Node, const: np.ndarray) -> Node:
         raise ShapeError("mul_const must not broadcast the node operand up")
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * const)
+            _accum(a, out.grad * const, owned=True)
         tape.record(out, bwd)
     return out
 
@@ -190,7 +215,7 @@ def tanh_map(tape: Tape | None, a: Node) -> Node:
     out = Node(y)
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * (1.0 - y * y))
+            _accum(a, out.grad * (1.0 - y * y), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -200,7 +225,7 @@ def relu_map(tape: Tape | None, a: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             # subgradient 0 at exactly x == 0
-            _accum(a, out.grad * (a.value > 0))
+            _accum(a, out.grad * (a.value > 0), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -226,7 +251,7 @@ def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None
         def bwd() -> None:
             g = out.grad
             dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(a, _unbroadcast(p * (g - dot), a.shape))
+            _accum(a, _unbroadcast(p * (g - dot), a.shape), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -239,7 +264,8 @@ def transpose(tape: Tape | None, a: Node, axes: Sequence[int] | None = None) -> 
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)))
+            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)),
+                   owned=True)
         tape.record(out, bwd)
     return out
 
@@ -249,7 +275,7 @@ def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
     out = Node(a.value.reshape(shape))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad.reshape(a.shape))
+            _accum(a, out.grad.reshape(a.shape), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -264,7 +290,7 @@ def vconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
             offset = 0
             for n in nodes:
                 h = n.shape[0]
-                _accum(n, g[offset:offset + h, :])
+                _accum(n, g[offset:offset + h, :], owned=True)   # disjoint views
                 offset += h
         tape.record(out, bwd)
     return out
@@ -326,13 +352,23 @@ def sum_all(tape: Tape | None, a: Node) -> Node:
 
 
 def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
-    """Sum of the squared entries of all ``nodes``."""
+    """Sum of the squared entries of all ``nodes``.
+
+    Backward adds ``value * 2g`` into each gradient over row blocks of about
+    ``ROW_BLOCK`` entries, so its scratch is one block, not a whole tensor.
+    Doubling is exact, so this equals ``(2 * value) * g`` bit for bit."""
     total = sum((n.value * n.value).sum() for n in nodes)
     out = Node(np.array([[total]], dtype=nodes[0].value.dtype))
     if tape is not None:
         def bwd() -> None:
+            g2 = out.grad * 2.0
             for n in nodes:
-                _accum(n, 2.0 * n.value * out.grad)
+                grad, value = _ensure_grad(n), n.value
+                rows = max(1, ROW_BLOCK // value[0].size)
+                scratch = np.empty_like(value[:rows])
+                for lo in range(0, value.shape[0], rows):
+                    block = scratch[:value.shape[0] - lo]
+                    grad[lo:lo + rows] += np.multiply(value[lo:lo + rows], g2, out=block)
         tape.record(out, bwd)
     return out
 
@@ -344,7 +380,7 @@ def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
     out = Node(np.array([[(s * s).sum()]], dtype=a.value.dtype))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, (4.0 * out.grad.item()) * (s @ a.value))
+            _accum(a, (4.0 * out.grad.item()) * (s @ a.value), owned=True)
         tape.record(out, bwd)
     return out
 
@@ -373,7 +409,7 @@ def cross_entropy(tape: Tape | None, probabilities: Node, labels) -> Node:
             live = p >= LOG_FLOOR   # below the clamp the loss is locally constant
             g = np.zeros_like(rows)
             g[idx[live], labels[live]] = -out.grad.item() / p[live]
-            _accum(probabilities, g.reshape(v.shape))
+            _accum(probabilities, g.reshape(v.shape), owned=True)
         tape.record(out, bwd)
     return out
 

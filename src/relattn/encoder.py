@@ -189,30 +189,35 @@ def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
         rec_rows, prev_rows = (earlier, later) if reverse else (later, earlier)
 
         def bwd() -> None:
-            # every token's local derivatives at once; the loop then carries
-            # only the hidden and cell gradients from step to step
+            # every token's local derivatives at once, written into dz: those
+            # of i, f and g by the cell, that of o by the state; the loop then
+            # carries only the hidden and cell gradients from step to step and
+            # scales each step's rows of dz by them in place
             z3 = z.reshape(-1, 4, u)              # [P x gate x u]
             i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
-            tc = np.tanh(cells)
-            c_prev = np.zeros_like(cells)
-            c_prev[rec_rows] = cells[prev_rows]
-            dh_dc = o * (1.0 - tc * tc)
-            dc_dz = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)],
-                             axis=1)             # [P x 3 x u], pre-activations of i, f, g
-            dh_dz = tc * o * (1.0 - o)            # pre-activation of o
             dz = np.empty_like(z3)
+            np.multiply(g * i, 1.0 - i, out=dz[:, 0])
+            dz[:, 1] = 0.0                        # lanes that start from the zero cell
+            dz[rec_rows, 1] = cells[prev_rows] * f[rec_rows] * (1.0 - f[rec_rows])
+            np.multiply(i, 1.0 - g * g, out=dz[:, 2])
+            dh_dc = np.tanh(cells)
+            np.multiply(dh_dc * o, 1.0 - o, out=dz[:, 3])
+            dh_dc *= dh_dc
+            np.subtract(1.0, dh_dc, out=dh_dc)
+            dh_dc *= o                            # o * (1 - tanh(c)^2)
             dh = out.grad.T[columns]              # [P x u], a fresh array
             dc = np.zeros_like(cells)
             for a, b, p, m in reversed(schedule):
                 dc_t = dc[a:b]
                 dc_t += dh[a:b] * dh_dc[a:b]
-                np.multiply(dc_t[:, None], dc_dz[a:b], out=dz[a:b, :3])
-                np.multiply(dh[a:b], dh_dz[a:b], out=dz[a:b, 3])
+                dz[a:b, :3] *= dc_t[:, None]
+                dz[a:b, 3] *= dh[a:b]
                 if m:
                     dh[p:p + m] += dz[a:a + m].reshape(m, -1) @ w_rec
                     dc[p:p + m] += dc_t[:m] * f[a:a + m]
+            del dh, dc, dh_dc                     # freed before the weight products
             dz = dz.reshape(z.shape)
-            ad._accum(packed, w_in.T @ dz.T)
+            ad._accum(packed, w_in.T @ dz.T, owned=True)
             ad._accum(direction.w_in, dz.T @ x.T)
             ad._accum(direction.bias, dz.sum(axis=0)[:, None])
             ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])

@@ -28,7 +28,7 @@ class BagForward:
     averaged: Node          # [B x 1 x N] mean attention row per bag
     probabilities: Node     # [B x num_classes]
     word_attentions: Node | None = None   # [N x rows x longest true length]
-    penalty: Node | None = None           # word-attention penalty, summed
+    penalty: Node | None = None           # word-attention penalty, summed; None untaped
 
 
 class Model:
@@ -120,7 +120,8 @@ class Model:
                          ) -> tuple[Node, Node, Node]:
         """Representations ``[mlp x n]``, word attention ``[n x r x t_run]`` up
         to the longest true length, and the summed attention penalty of n
-        instances, in one batched pass."""
+        instances, in one batched pass. Without a tape nothing is trained, so
+        the penalty is skipped and returned as None."""
         cfg = self.config
         n = len(instances)
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
@@ -139,7 +140,8 @@ class Model:
             # instance by instance, the same draws as one (mlp, 1) draw each
             keep = (dropout_rng.random((n, cfg.mlp_size)) >= cfg.dropout).T
             reps = ad.mul_const(tape, reps, keep.astype(cfg.dtype) / (1.0 - cfg.dropout))
-        return reps, attn, wa.attention_penalty(tape, attn)
+        penalty = wa.attention_penalty(tape, attn) if tape is not None else None
+        return reps, attn, penalty
 
     def bag_outputs(self, tape: Tape | None, representations: Node, sizes) -> BagForward:
         """Sentence attention and class probabilities of every bag at once; bag

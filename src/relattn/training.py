@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 from .config import ConfigError, ModelConfig
 from .data import Bag, Dataset, Vocab, make_batches
@@ -25,7 +26,6 @@ from .model import Model
 
 CHECKPOINT_MAGIC = "relattn-checkpoint"
 CHECKPOINT_VERSION = 1
-ADAM_CHUNK = 1 << 16   # entries Adam updates at a time, so its scratch stays in cache
 
 
 class TrainingDiverged(RuntimeError):
@@ -68,7 +68,10 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
     loss = ce
     parts = {"ce": ce.value.item(), "penalty": 0.0, "l2": 0.0}
     if cfg.penalty_coef != 0.0:
-        penalty = ad.scale(tape, out.penalty, cfg.penalty_coef / n_bags)
+        # an untaped forward skips the penalty; the loss value still needs it
+        word_penalty = (out.penalty if tape is not None
+                        else wa.attention_penalty(None, out.word_attentions))
+        penalty = ad.scale(tape, word_penalty, cfg.penalty_coef / n_bags)
         loss = ad.add(tape, loss, penalty)
         parts["penalty"] = penalty.value.item()
     if cfg.l2_coef != 0.0:
@@ -92,16 +95,16 @@ def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:
 def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
     """Adam with bias correction; each parameter advances its own step count.
 
-    The update runs in place over row blocks of about ``ADAM_CHUNK`` entries
-    through two scratch buffers, in the operation order of the plain formula
-    ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``, so results match it
+    The update runs in place over row blocks of about ``autodiff.ROW_BLOCK``
+    entries through two scratch buffers, in the operation order of the plain
+    formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``, so results match it
     bit for bit.
     """
     b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
     for p in parameters:
         p.step += 1
         m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
-        rows = max(1, ADAM_CHUNK // p.value[0].size)
+        rows = max(1, ad.ROW_BLOCK // p.value[0].size)
         for lo in range(0, p.value.shape[0], rows):
             g, m, s, value = (x[lo:lo + rows] for x in (p.grad, p.m, p.s, p.value))
             work, denom = np.empty_like(g), np.empty_like(g)

@@ -1,5 +1,7 @@
 """Oracle and property tests for the autodiff core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,143 @@ class TestBackward:
             return tape, loss
 
         assert finite_diff_check(f, [w, v]) < 1e-5
+
+
+def plain_accum(node, g, owned=False):
+    # the reference accumulation: every first gradient is a zero fill plus an add
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += g
+
+
+class TestGradientAdoption:
+    """Adopted and copied first gradients give the leaves what zero-fill-plus-add gives."""
+
+    def assert_matches_plain(self, monkeypatch, build, leaves):
+        results = []
+        for accum in (ad._accum, plain_accum):
+            monkeypatch.setattr(ad, "_accum", accum)
+            for leaf in leaves:
+                leaf.grad = np.zeros_like(leaf.value) if isinstance(leaf, Parameter) else None
+            tape = Tape()
+            backward(tape, build(tape))
+            results.append([leaf.grad.copy() for leaf in leaves])
+        for leaf, adopted, plain in zip(leaves, *results):
+            assert np.abs(plain).max() > 0
+            np.testing.assert_array_equal(adopted, plain, err_msg=repr(leaf))
+
+    def test_node_used_twice(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 4)), "v")
+        leaf = Node(rng.uniform(-1, 1, (3, 4)))
+        probe = Node(rng.uniform(-1, 1, (3, 4)))
+
+        def build(t):
+            x = ad.tanh_map(t, ad.matmul(t, w, v))
+            doubled = ad.add(t, ad.add(t, x, x), ad.add(t, leaf, leaf))
+            return ad.add(t, ad.sum_all(t, ad.mul(t, doubled, probe)),
+                          ad.sum_all(t, ad.mul(t, x, x)))
+
+        self.assert_matches_plain(monkeypatch, build, [w, v, leaf])
+
+    def test_disjoint_views_of_one_gradient(self, monkeypatch):
+        # vconcat hands each input a view of its own gradient, one node twice;
+        # two slices of one node write disjoint columns of its gradient
+        rng = np.random.default_rng(21)
+        w, c = param(rng.uniform(-1, 1, (3, 4)), "w"), param(rng.uniform(-1, 1, (2, 4)), "c")
+        leaf = Node(rng.uniform(-1, 1, (1, 4)))
+        probe = Node(rng.uniform(-1, 1, (9, 4)))
+
+        def build(t):
+            y, z = ad.tanh_map(t, w), ad.tanh_map(t, c)
+            stacked = ad.vconcat(t, [y, z, y, leaf])
+            left, right = ad.slice_cols(t, stacked, 0, 1), ad.slice_cols(t, stacked, 1, 4)
+            return ad.add(t, ad.sum_all(t, ad.mul(t, stacked, probe)),
+                          ad.sum_squares(t, ad.vconcat(t, [ad.transpose(t, left),
+                                                          ad.transpose(t, right)])))
+
+        self.assert_matches_plain(monkeypatch, build, [w, c, leaf])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (1, 1), (2, 3, 4)])
+    @pytest.mark.parametrize("first", ["sum_all", "mean_rows"])
+    def test_read_only_broadcast_views(self, monkeypatch, shape, first):
+        # mean_rows and sum_all hand out read-only broadcast views, contiguous
+        # for a single row; the node's next gradients must still add into it
+        rng = np.random.default_rng(22)
+        w = Parameter("w", rng.uniform(-1, 1, shape))
+        probe = Node(rng.uniform(-1, 1, shape))
+
+        def build(t):
+            x = ad.tanh_map(t, w)
+            loss = ad.sum_all(t, ad.mul(t, x, probe))
+            # the op recorded last gives x its first gradient in the replay
+            for op in sorted(("sum_all", "mean_rows"), key=lambda op: op == first):
+                term = (ad.sum_all(t, x) if op == "sum_all"
+                        else ad.sum_squares(t, ad.mean_rows(t, x)))
+                loss = ad.add(t, loss, term)
+            return loss
+
+        self.assert_matches_plain(monkeypatch, build, [w])
+
+    def test_f_ordered_value_through_blocked_sum_squares(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 2)), "v")
+
+        def build(t):
+            p = ad.row_softmax(t, ad.transpose(t, ad.tanh_map(t, ad.matmul(t, w, v))))
+            assert p.value.flags.f_contiguous and not p.value.flags.c_contiguous
+            return ad.sum_squares(t, p, w)
+
+        self.assert_matches_plain(monkeypatch, build, [w, v])
+
+    def test_first_gradient_takes_the_layout_of_the_value(self):
+        g = np.arange(12.0).reshape(3, 4)
+        owned, copied = Node(np.zeros((3, 4))), Node(np.zeros((3, 4)))
+        ad._accum(owned, g, owned=True)
+        ad._accum(copied, g)
+        assert owned.grad is g
+        assert copied.grad is not g and np.array_equal(copied.grad, g)
+        f_ordered = Node(np.zeros((4, 3)).T)
+        ad._accum(f_ordered, g.copy(), owned=True)
+        assert f_ordered.grad.flags.f_contiguous and np.array_equal(f_ordered.grad, g)
+        narrow = Node(np.zeros((3, 4), dtype=np.float32))
+        ad._accum(narrow, g, owned=True)
+        assert narrow.grad.dtype == np.float32 and np.array_equal(narrow.grad, g)
+        ad._accum(narrow, g, owned=True)
+        np.testing.assert_array_equal(narrow.grad, 2.0 * g)
+
+
+class TestGradientRelease:
+    def test_only_parameters_and_untaped_leaves_keep_gradients(self):
+        rng = np.random.default_rng(24)
+        w = param(rng.uniform(-1, 1, (3, 3)), "w")
+        leaf = Node(rng.uniform(-1, 1, (3, 2)))
+        tape = Tape()
+        h = ad.tanh_map(tape, ad.matmul(tape, w, leaf))
+        loss = ad.add(tape, ad.sum_squares(tape, h), ad.sum_all(tape, leaf))
+        backward(tape, loss)
+        assert len(tape) == 5 and all(out.grad is None for out, _ in tape._records)
+        assert np.abs(w.grad).max() > 0 and np.abs(leaf.grad).max() > 0
+
+    @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
+                                             ((1000, 1100), np.float32)])
+    def test_sum_squares_backward_needs_one_row_block(self, shape, dtype):
+        # no parameter-sized temporaries: the scratch is one block of rows,
+        # and the result is still (2 * value) * g bit for bit
+        w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
+        assert w.value.nbytes >= 4 * 2**20
+        tape = Tape()
+        loss = ad.scale(tape, ad.sum_squares(tape, w), 0.3)
+        tracemalloc.start()
+        try:
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = max(1, ad.ROW_BLOCK // w.value[0].size) * w.value[0].nbytes
+        assert block <= w.value.nbytes // 8
+        assert peak < block + 16 * 1024
+        np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
 
 
 class TestFiniteDiffCheck:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relattn import autodiff as ad
 from relattn import training as tr
-from relattn.autodiff import Parameter
+from relattn.autodiff import Parameter, Tape
 from relattn.config import ModelConfig
 from relattn.data import SynthSpec, generate_synthetic
 from relattn.model import Model
@@ -68,6 +69,18 @@ class TestTotalLoss:
         assert loss.value.item() == pytest.approx(parts["ce"] + parts["penalty"] + parts["l2"],
                                                   abs=1e-9)
 
+    def test_untaped_forward_skips_the_penalty_but_not_its_loss_term(self):
+        cfg = small_config()   # penalty_coef 1.0
+        ds = small_dataset(cfg)
+        model = fresh_model(cfg, ds)
+        groups = [bag.instances for bag in ds.bags[:3]]
+        assert model.forward(None, groups).penalty is None
+        assert model.forward(Tape(), groups).penalty is not None
+        untaped, untaped_parts = total_loss(None, ds.bags[:3], model)
+        taped, taped_parts = total_loss(Tape(), ds.bags[:3], model)
+        assert untaped_parts["penalty"] > 0.0
+        assert untaped.value.item() == taped.value.item() and untaped_parts == taped_parts
+
     def test_invariant_under_bag_order(self):
         cfg = small_config()
         ds = small_dataset(cfg)
@@ -117,7 +130,7 @@ class TestAdam:
         cfg = small_config()
         b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
         rng = np.random.default_rng(4)
-        shapes = [(300, 500), (2, tr.ADAM_CHUNK + 3), (1200, 1), (3, 4)]
+        shapes = [(300, 500), (2, ad.ROW_BLOCK + 3), (1200, 1), (3, 4)]
         params = [Parameter(f"p{i}", rng.normal(size=shape).astype(dtype))
                   for i, shape in enumerate(shapes)]
         plain = [dict(value=p.value.copy(), m=np.zeros_like(p.value),
