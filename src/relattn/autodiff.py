@@ -12,7 +12,7 @@ validate every backward rule.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,26 +77,26 @@ class Tape:
         return len(self._records)
 
 
-def _accum(node: Node, g: np.ndarray, owned: bool = False) -> None:
+def _accum(node: Node, g: np.ndarray) -> None:
     """Add ``g`` into ``node.grad``.
 
     The first gradient into a node is copied once into a buffer laid out like
-    the node's value. ``owned`` says the rule hands ``g`` over: it is a fresh
-    array, or a view of the rule's own output gradient (which ``backward``
-    releases) that no other node receives. Such an array becomes the buffer
-    itself when it has the dtype and C layout that copy would have, so later
-    rules compute exactly as before. Against zero-fill-plus-add, only the sign
-    of a zero can differ (``0.0 + -0.0`` is ``0.0``); Parameter gradients,
-    which start at ``0.0``, come out bit for bit the same.
+    the node's value, so later rules compute exactly as with a zero-filled
+    buffer. Against zero-fill-plus-add, only the sign of a zero can differ
+    (``0.0 + -0.0`` is ``0.0``); Parameter gradients, which start at ``0.0``,
+    come out bit for bit the same.
     """
-    if node.grad is not None:
-        node.grad += g
-    elif (owned and g.dtype == node.value.dtype and g.shape == node.value.shape
-          and g.flags.c_contiguous and node.value.flags.c_contiguous):
-        node.grad = g
-    else:
+    if node.grad is None:
         node.grad = np.empty_like(node.value)
         np.copyto(node.grad, g)
+    else:
+        node.grad += g
+
+
+def row_blocks(a: np.ndarray) -> Iterator[slice]:
+    """Slices of ``a``'s leading axis, each of about ``ROW_BLOCK`` entries."""
+    rows = max(1, ROW_BLOCK // a[0].size)
+    return (slice(lo, lo + rows) for lo in range(0, a.shape[0], rows))
 
 
 def _ensure_grad(node: Node) -> np.ndarray:
@@ -139,7 +139,7 @@ def backward(tape: Tape, loss: Node) -> None:
     for out, _ in tape._records:
         if not isinstance(out, Parameter):
             out.grad = None
-    _accum(loss, np.ones_like(loss.value), owned=True)
+    _accum(loss, np.ones_like(loss.value))
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn()
@@ -159,10 +159,8 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim),
-                   owned=True)
-            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim),
-                   owned=True)
+            _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
+            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
         tape.record(out, bwd)
     return out
 
@@ -183,8 +181,8 @@ def mul(tape: Tape | None, a: Node, b: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, _unbroadcast(g * b.value, a.shape), owned=True)
-            _accum(b, _unbroadcast(g * a.value, b.shape), owned=True)
+            _accum(a, _unbroadcast(g * b.value, a.shape))
+            _accum(b, _unbroadcast(g * a.value, b.shape))
         tape.record(out, bwd)
     return out
 
@@ -193,7 +191,7 @@ def scale(tape: Tape | None, a: Node, c: float) -> Node:
     out = Node(a.value * c)
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * c, owned=True)
+            _accum(a, out.grad * c)
         tape.record(out, bwd)
     return out
 
@@ -205,7 +203,7 @@ def mul_const(tape: Tape | None, a: Node, const: np.ndarray) -> Node:
         raise ShapeError("mul_const must not broadcast the node operand up")
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * const, owned=True)
+            _accum(a, out.grad * const)
         tape.record(out, bwd)
     return out
 
@@ -215,7 +213,7 @@ def tanh_map(tape: Tape | None, a: Node) -> Node:
     out = Node(y)
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad * (1.0 - y * y), owned=True)
+            _accum(a, out.grad * (1.0 - y * y))
         tape.record(out, bwd)
     return out
 
@@ -225,7 +223,7 @@ def relu_map(tape: Tape | None, a: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             # subgradient 0 at exactly x == 0
-            _accum(a, out.grad * (a.value > 0), owned=True)
+            _accum(a, out.grad * (a.value > 0))
         tape.record(out, bwd)
     return out
 
@@ -251,7 +249,7 @@ def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None
         def bwd() -> None:
             g = out.grad
             dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(a, _unbroadcast(p * (g - dot), a.shape), owned=True)
+            _accum(a, _unbroadcast(p * (g - dot), a.shape))
         tape.record(out, bwd)
     return out
 
@@ -264,8 +262,7 @@ def transpose(tape: Tape | None, a: Node, axes: Sequence[int] | None = None) -> 
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)),
-                   owned=True)
+            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)))
         tape.record(out, bwd)
     return out
 
@@ -275,7 +272,7 @@ def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
     out = Node(a.value.reshape(shape))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, out.grad.reshape(a.shape), owned=True)
+            _accum(a, out.grad.reshape(a.shape))
         tape.record(out, bwd)
     return out
 
@@ -290,7 +287,7 @@ def vconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
             offset = 0
             for n in nodes:
                 h = n.shape[0]
-                _accum(n, g[offset:offset + h, :], owned=True)   # disjoint views
+                _accum(n, g[offset:offset + h, :])
                 offset += h
         tape.record(out, bwd)
     return out
@@ -363,12 +360,9 @@ def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
         def bwd() -> None:
             g2 = out.grad * 2.0
             for n in nodes:
-                grad, value = _ensure_grad(n), n.value
-                rows = max(1, ROW_BLOCK // value[0].size)
-                scratch = np.empty_like(value[:rows])
-                for lo in range(0, value.shape[0], rows):
-                    block = scratch[:value.shape[0] - lo]
-                    grad[lo:lo + rows] += np.multiply(value[lo:lo + rows], g2, out=block)
+                grad = _ensure_grad(n)
+                for rows in row_blocks(n.value):
+                    grad[rows] += n.value[rows] * g2
         tape.record(out, bwd)
     return out
 
@@ -380,7 +374,7 @@ def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
     out = Node(np.array([[(s * s).sum()]], dtype=a.value.dtype))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, (4.0 * out.grad.item()) * (s @ a.value), owned=True)
+            _accum(a, (4.0 * out.grad.item()) * (s @ a.value))
         tape.record(out, bwd)
     return out
 
@@ -409,7 +403,7 @@ def cross_entropy(tape: Tape | None, probabilities: Node, labels) -> Node:
             live = p >= LOG_FLOOR   # below the clamp the loss is locally constant
             g = np.zeros_like(rows)
             g[idx[live], labels[live]] = -out.grad.item() / p[live]
-            _accum(probabilities, g.reshape(v.shape), owned=True)
+            _accum(probabilities, g.reshape(v.shape))
         tape.record(out, bwd)
     return out
 

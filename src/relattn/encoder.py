@@ -217,7 +217,7 @@ def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
                     dc[p:p + m] += dc_t[:m] * f[a:a + m]
             del dh, dc, dh_dc                     # freed before the weight products
             dz = dz.reshape(z.shape)
-            ad._accum(packed, w_in.T @ dz.T, owned=True)
+            ad._accum(packed, w_in.T @ dz.T)
             ad._accum(direction.w_in, dz.T @ x.T)
             ad._accum(direction.bias, dz.sum(axis=0)[:, None])
             ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])

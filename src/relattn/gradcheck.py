@@ -140,13 +140,17 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
 
     Each pipeline draws its test point from its own generator, keyed by
     ``seed`` and a number of its own, so adding or changing one check moves
-    no other check's point.
+    no other check's point. The step ``h=1e-5`` keeps central-difference
+    rounding far below the tolerance on the smallest true gradients: the
+    worst check, ``sentence_attention_pipeline`` at seed 12345, errs by
+    1.7e-7 at ``h=1e-5`` and by 5.0e-6 at ``h=1e-6``, both on a
+    ``sent_attn_hidden`` entry of 2.6e-5.
     """
     from . import encoder as enc
     from . import sentence_attention as sa
     from . import word_attention as wa
 
-    results = []
+    results, h = [], 1e-5
     rng = np.random.default_rng([seed, 0])   # one point for both LSTM directions
     u, d_in = 2, 3
 
@@ -168,7 +172,7 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
             return tape, _sum(tape, ad.mul(tape, out, lstm_probe))
 
         err = finite_diff_check(lambda: lstm_direction(Tape()),
-                                [direction.w_in, direction.w_rec, direction.bias, packed])
+                                [direction.w_in, direction.w_rec, direction.bias, packed], h=h)
         results.append(CheckResult("lstm_reverse" if reverse else "lstm_forward", err))
 
     rng = np.random.default_rng([seed, 1])
@@ -193,7 +197,8 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
         return tape, loss
 
     err = finite_diff_check(lambda: word_pipeline(Tape()),
-                            [word.attn_hidden, word.attn_rows, word.mlp_weight, word.mlp_bias])
+                            [word.attn_hidden, word.attn_rows, word.mlp_weight, word.mlp_bias],
+                            h=h)
     results.append(CheckResult("word_attention_pipeline", err))
 
     rng = np.random.default_rng([seed, 2])
@@ -214,7 +219,8 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
         return tape, ad.cross_entropy(tape, probs, [1, 3, 0])
 
     err = finite_diff_check(lambda: sent_pipeline(Tape()),
-                            [sent.attn_hidden, sent.attn_rows, sent.class_weight, sent.class_bias])
+                            [sent.attn_hidden, sent.attn_rows, sent.class_weight, sent.class_bias],
+                            h=h)
     results.append(CheckResult("sentence_attention_pipeline", err))
     return results
 

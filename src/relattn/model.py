@@ -28,7 +28,6 @@ class BagForward:
     averaged: Node          # [B x 1 x N] mean attention row per bag
     probabilities: Node     # [B x num_classes]
     word_attentions: Node | None = None   # [N x rows x longest true length]
-    penalty: Node | None = None           # word-attention penalty, summed; None untaped
 
 
 class Model:
@@ -117,11 +116,9 @@ class Model:
 
     def instance_outputs(self, tape: Tape | None, instances: list[Instance],
                          dropout_rng: np.random.Generator | None = None,
-                         ) -> tuple[Node, Node, Node]:
-        """Representations ``[mlp x n]``, word attention ``[n x r x t_run]`` up
-        to the longest true length, and the summed attention penalty of n
-        instances, in one batched pass. Without a tape nothing is trained, so
-        the penalty is skipped and returned as None."""
+                         ) -> tuple[Node, Node]:
+        """Representations ``[mlp x n]`` and word attention ``[n x r x t_run]``
+        up to the longest true length of n instances, in one batched pass."""
         cfg = self.config
         n = len(instances)
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
@@ -140,8 +137,7 @@ class Model:
             # instance by instance, the same draws as one (mlp, 1) draw each
             keep = (dropout_rng.random((n, cfg.mlp_size)) >= cfg.dropout).T
             reps = ad.mul_const(tape, reps, keep.astype(cfg.dtype) / (1.0 - cfg.dropout))
-        penalty = wa.attention_penalty(tape, attn) if tape is not None else None
-        return reps, attn, penalty
+        return reps, attn
 
     def bag_outputs(self, tape: Tape | None, representations: Node, sizes) -> BagForward:
         """Sentence attention and class probabilities of every bag at once; bag
@@ -158,9 +154,9 @@ class Model:
                 dropout_rng: np.random.Generator | None = None) -> BagForward:
         """One batched pass over bags given as their lists of instances."""
         instances = [inst for group in instance_lists for inst in group]
-        reps, attns, penalty = self.instance_outputs(tape, instances, dropout_rng)
+        reps, attns = self.instance_outputs(tape, instances, dropout_rng)
         out = self.bag_outputs(tape, reps, [len(group) for group in instance_lists])
-        out.word_attentions, out.penalty = attns, penalty
+        out.word_attentions = attns
         return out
 
     def forward_bag(self, tape: Tape | None, bag: Bag) -> BagForward:

@@ -68,10 +68,8 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
     loss = ce
     parts = {"ce": ce.value.item(), "penalty": 0.0, "l2": 0.0}
     if cfg.penalty_coef != 0.0:
-        # an untaped forward skips the penalty; the loss value still needs it
-        word_penalty = (out.penalty if tape is not None
-                        else wa.attention_penalty(None, out.word_attentions))
-        penalty = ad.scale(tape, word_penalty, cfg.penalty_coef / n_bags)
+        penalty = ad.scale(tape, wa.attention_penalty(tape, out.word_attentions),
+                           cfg.penalty_coef / n_bags)
         loss = ad.add(tape, loss, penalty)
         parts["penalty"] = penalty.value.item()
     if cfg.l2_coef != 0.0:
@@ -104,9 +102,8 @@ def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
     for p in parameters:
         p.step += 1
         m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
-        rows = max(1, ad.ROW_BLOCK // p.value[0].size)
-        for lo in range(0, p.value.shape[0], rows):
-            g, m, s, value = (x[lo:lo + rows] for x in (p.grad, p.m, p.s, p.value))
+        for rows in ad.row_blocks(p.value):
+            g, m, s, value = (x[rows] for x in (p.grad, p.m, p.s, p.value))
             work, denom = np.empty_like(g), np.empty_like(g)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=work)

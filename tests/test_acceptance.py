@@ -177,7 +177,7 @@ class TestCriterion5PermutationLaw:
             j = len(bag.instances)
             perm = rng.permutation(j)
             base = model.forward_bag(None, bag)
-            reps, _, _ = model.instance_outputs(None, [bag.instances[i] for i in perm])
+            reps, _ = model.instance_outputs(None, [bag.instances[i] for i in perm])
             shuffled = model.bag_outputs(None, reps, [j])
             worst_prob = max(worst_prob, np.abs(shuffled.probabilities.value
                                                 - base.probabilities.value).max())

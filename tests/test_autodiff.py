@@ -248,15 +248,15 @@ class TestBackward:
         assert finite_diff_check(f, [w, v]) < 1e-5
 
 
-def plain_accum(node, g, owned=False):
+def plain_accum(node, g):
     # the reference accumulation: every first gradient is a zero fill plus an add
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
     node.grad += g
 
 
-class TestGradientAdoption:
-    """Adopted and copied first gradients give the leaves what zero-fill-plus-add gives."""
+class TestFirstGradientCopy:
+    """First gradients copied into a fresh buffer give the leaves what zero-fill-plus-add gives."""
 
     def assert_matches_plain(self, monkeypatch, build, leaves):
         results = []
@@ -267,9 +267,9 @@ class TestGradientAdoption:
             tape = Tape()
             backward(tape, build(tape))
             results.append([leaf.grad.copy() for leaf in leaves])
-        for leaf, adopted, plain in zip(leaves, *results):
+        for leaf, copied, plain in zip(leaves, *results):
             assert np.abs(plain).max() > 0
-            np.testing.assert_array_equal(adopted, plain, err_msg=repr(leaf))
+            np.testing.assert_array_equal(copied, plain, err_msg=repr(leaf))
 
     def test_node_used_twice(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -285,45 +285,6 @@ class TestGradientAdoption:
 
         self.assert_matches_plain(monkeypatch, build, [w, v, leaf])
 
-    def test_disjoint_views_of_one_gradient(self, monkeypatch):
-        # vconcat hands each input a view of its own gradient, one node twice;
-        # two slices of one node write disjoint columns of its gradient
-        rng = np.random.default_rng(21)
-        w, c = param(rng.uniform(-1, 1, (3, 4)), "w"), param(rng.uniform(-1, 1, (2, 4)), "c")
-        leaf = Node(rng.uniform(-1, 1, (1, 4)))
-        probe = Node(rng.uniform(-1, 1, (9, 4)))
-
-        def build(t):
-            y, z = ad.tanh_map(t, w), ad.tanh_map(t, c)
-            stacked = ad.vconcat(t, [y, z, y, leaf])
-            left, right = ad.slice_cols(t, stacked, 0, 1), ad.slice_cols(t, stacked, 1, 4)
-            return ad.add(t, ad.sum_all(t, ad.mul(t, stacked, probe)),
-                          ad.sum_squares(t, ad.vconcat(t, [ad.transpose(t, left),
-                                                          ad.transpose(t, right)])))
-
-        self.assert_matches_plain(monkeypatch, build, [w, c, leaf])
-
-    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (1, 1), (2, 3, 4)])
-    @pytest.mark.parametrize("first", ["sum_all", "mean_rows"])
-    def test_read_only_broadcast_views(self, monkeypatch, shape, first):
-        # mean_rows and sum_all hand out read-only broadcast views, contiguous
-        # for a single row; the node's next gradients must still add into it
-        rng = np.random.default_rng(22)
-        w = Parameter("w", rng.uniform(-1, 1, shape))
-        probe = Node(rng.uniform(-1, 1, shape))
-
-        def build(t):
-            x = ad.tanh_map(t, w)
-            loss = ad.sum_all(t, ad.mul(t, x, probe))
-            # the op recorded last gives x its first gradient in the replay
-            for op in sorted(("sum_all", "mean_rows"), key=lambda op: op == first):
-                term = (ad.sum_all(t, x) if op == "sum_all"
-                        else ad.sum_squares(t, ad.mean_rows(t, x)))
-                loss = ad.add(t, loss, term)
-            return loss
-
-        self.assert_matches_plain(monkeypatch, build, [w])
-
     def test_f_ordered_value_through_blocked_sum_squares(self, monkeypatch):
         rng = np.random.default_rng(23)
         w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 2)), "v")
@@ -337,18 +298,16 @@ class TestGradientAdoption:
 
     def test_first_gradient_takes_the_layout_of_the_value(self):
         g = np.arange(12.0).reshape(3, 4)
-        owned, copied = Node(np.zeros((3, 4))), Node(np.zeros((3, 4)))
-        ad._accum(owned, g, owned=True)
+        copied = Node(np.zeros((3, 4)))
         ad._accum(copied, g)
-        assert owned.grad is g
         assert copied.grad is not g and np.array_equal(copied.grad, g)
         f_ordered = Node(np.zeros((4, 3)).T)
-        ad._accum(f_ordered, g.copy(), owned=True)
+        ad._accum(f_ordered, g)
         assert f_ordered.grad.flags.f_contiguous and np.array_equal(f_ordered.grad, g)
         narrow = Node(np.zeros((3, 4), dtype=np.float32))
-        ad._accum(narrow, g, owned=True)
-        assert narrow.grad.dtype == np.float32 and np.array_equal(narrow.grad, g)
-        ad._accum(narrow, g, owned=True)
+        ad._accum(narrow, g)
+        ad._accum(narrow, g)
+        assert narrow.grad.dtype == np.float32
         np.testing.assert_array_equal(narrow.grad, 2.0 * g)
 
 

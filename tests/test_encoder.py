@@ -261,9 +261,9 @@ class TestFusedDirection:
         dtypes = []
         real_accum = ad._accum
 
-        def recording_accum(node, g, owned=False):
+        def recording_accum(node, g):
             dtypes.append(np.asarray(g).dtype)
-            real_accum(node, g, owned)
+            real_accum(node, g)
 
         monkeypatch.setattr(ad, "_accum", recording_accum)
         tape, loss, hidden, params = self.encode_with_tape(cfg, [3, 5, 1, 3])

@@ -69,13 +69,10 @@ class TestTotalLoss:
         assert loss.value.item() == pytest.approx(parts["ce"] + parts["penalty"] + parts["l2"],
                                                   abs=1e-9)
 
-    def test_untaped_forward_skips_the_penalty_but_not_its_loss_term(self):
+    def test_taped_and_untaped_loss_agree(self):
         cfg = small_config()   # penalty_coef 1.0
         ds = small_dataset(cfg)
         model = fresh_model(cfg, ds)
-        groups = [bag.instances for bag in ds.bags[:3]]
-        assert model.forward(None, groups).penalty is None
-        assert model.forward(Tape(), groups).penalty is not None
         untaped, untaped_parts = total_loss(None, ds.bags[:3], model)
         taped, taped_parts = total_loss(Tape(), ds.bags[:3], model)
         assert untaped_parts["penalty"] > 0.0
