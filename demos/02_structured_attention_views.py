@@ -1,8 +1,8 @@
 """What the matrix-valued word attention buys over a single vector.
 
-Encodes one toy sentence, prints each attention row as a distribution over
-tokens, and shows the orthogonality penalty pushing the rows to focus on
-different positions.
+Encodes a toy sentence beside a longer one, prints each of its attention
+rows as a distribution over tokens, and shows the orthogonality penalty
+pushing the rows to focus on different positions.
 """
 
 import numpy as np
@@ -23,29 +23,36 @@ sentence = "acme_corp hired jane_doe as chief engineer".split()
 vocab = Vocab.build(sentence)
 instance = encode_instance(sentence, head_index=0, tail_index=2, vocab=vocab,
                            time_steps=cfg.time_steps)
+# a longer sentence of the same bag keeps the batch running past the first
+# one's end, so its padded positions show up, masked
+other = encode_instance("jane_doe joined acme_corp as chief engineer last year".split(),
+                        head_index=2, tail_index=0, vocab=vocab, time_steps=cfg.time_steps)
 
 rng = np.random.default_rng(4)
 tables = enc.init_embedding_tables(len(vocab), cfg, rng)
 lstm = enc.init_lstm_params(cfg, rng)
 word = wa.init_word_attention(cfg, rng)
 
-embedded = enc.embed_batch(None, [instance], tables, cfg)   # a batch of one
-hidden = enc.bilstm_encode_batch(None, embedded, [instance.true_length], lstm)
-valid = np.arange(cfg.time_steps) < instance.true_length
+batch = [instance, other]
+lengths = np.array([inst.true_length for inst in batch])
+embedded = enc.embed_batch(None, batch, tables, cfg)             # real tokens only
+hidden = enc.bilstm_encode_batch(None, embedded, lengths, lstm)  # [n x 2u x longest length]
+valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
 attn = wa.word_attention_matrix(None, hidden, word, valid_cols=valid)
+first = attn.value[0]   # the first sentence's rows
 
-tokens = sentence + ["<BLANK>"] * (cfg.time_steps - len(sentence))
+tokens = sentence + ["<BLANK>"] * (first.shape[1] - len(sentence))
 print("tokens: ", "  ".join(f"{t:>10.10}" for t in tokens))
 for r in range(cfg.word_attention_rows):
-    row = "  ".join(f"{x:10.3f}" for x in attn.value[r])
+    row = "  ".join(f"{x:10.3f}" for x in first[r])
     print(f"row {r}:  {row}")
-print(f"summed:  " + "  ".join(f"{x:10.3f}" for x in attn.value.sum(axis=0)))
-print(f"\npadded positions carry {attn.value[:, instance.true_length:].sum():.2e} "
+print(f"summed:  " + "  ".join(f"{x:10.3f}" for x in first.sum(axis=0)))
+print(f"\npadded positions carry {first[:, instance.true_length:].sum():.2e} "
       f"total attention mass (masked out)")
 
 weighted = wa.weighted_sentence_matrix(None, attn, hidden)
 rep = wa.flatten_project(None, weighted, word)
-print(f"each row weights the encoder states -> {weighted.shape} matrix, "
+print(f"each row weights the encoder states -> {weighted.shape[1:]} matrix per sentence, "
       f"flattened and projected to a length-{rep.shape[0]} instance vector")
 
 print("\nthe penalty ||A A^T - I||_F^2 rewards rows that are distinct and sharp;")

@@ -187,17 +187,9 @@ def mul(tape: Tape | None, a: Node, b: Node) -> Node:
     return out
 
 
-def scale(tape: Tape | None, a: Node, c: float) -> Node:
-    out = Node(a.value * c)
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, out.grad * c)
-        tape.record(out, bwd)
-    return out
-
-
-def mul_const(tape: Tape | None, a: Node, const: np.ndarray) -> Node:
-    """Elementwise product with a non-differentiated array (masks, dropout)."""
+def mul_const(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
+    """Elementwise product with a non-differentiated array (masks, dropout) or
+    scalar (loss weights)."""
     out = Node(a.value * const)
     if out.shape != a.shape:
         raise ShapeError("mul_const must not broadcast the node operand up")
@@ -254,15 +246,12 @@ def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None
     return out
 
 
-def transpose(tape: Tape | None, a: Node, axes: Sequence[int] | None = None) -> Node:
-    """Swap the last two axes, or permute all axes by ``axes`` into a contiguous
-    copy (numpy's batched matmul runs a slow non-BLAS loop on strided views)."""
-    out = Node(np.swapaxes(a.value, -1, -2) if axes is None
-               else np.ascontiguousarray(a.value.transpose(axes)))
+def transpose(tape: Tape | None, a: Node) -> Node:
+    """Swap the last two axes."""
+    out = Node(np.swapaxes(a.value, -1, -2))
     if tape is not None:
         def bwd() -> None:
-            g = out.grad
-            _accum(a, np.swapaxes(g, -1, -2) if axes is None else g.transpose(np.argsort(axes)))
+            _accum(a, np.swapaxes(out.grad, -1, -2))
         tape.record(out, bwd)
     return out
 
@@ -278,28 +267,18 @@ def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
 
 
 def vconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
+    """Stack along the rows (axis -2) of each matrix."""
     if not nodes:
         raise ValueError("vconcat needs at least one node")
-    out = Node(np.concatenate([n.value for n in nodes], axis=0))
+    out = Node(np.concatenate([n.value for n in nodes], axis=-2))
     if tape is not None:
         def bwd() -> None:
             g = out.grad
             offset = 0
             for n in nodes:
-                h = n.shape[0]
-                _accum(n, g[offset:offset + h, :])
+                h = n.shape[-2]
+                _accum(n, g[..., offset:offset + h, :])
                 offset += h
-        tape.record(out, bwd)
-    return out
-
-
-def slice_cols(tape: Tape | None, a: Node, start: int, stop: int) -> Node:
-    if slice(start, stop).indices(a.shape[1]) == (0, a.shape[1], 1):
-        return a   # the whole matrix: nothing to copy or record
-    out = Node(a.value[:, start:stop])
-    if tape is not None:
-        def bwd() -> None:
-            _ensure_grad(a)[:, start:stop] += out.grad
         tape.record(out, bwd)
     return out
 
@@ -311,19 +290,6 @@ def take_rows(tape: Tape | None, a: Node, ids) -> Node:
     if tape is not None:
         def bwd() -> None:
             np.add.at(_ensure_grad(a), idx, out.grad)
-        tape.record(out, bwd)
-    return out
-
-
-def take_cols(tape: Tape | None, a: Node, ids) -> Node:
-    """Gather columns by distinct indices; backward scatters the gradient back."""
-    idx = np.asarray(ids, dtype=np.intp)
-    out = Node(a.value[:, idx])
-    if idx.size and np.bincount(idx % a.shape[1]).max() > 1:
-        raise ValueError("take_cols needs distinct column indices")
-    if tape is not None:
-        def bwd() -> None:
-            _ensure_grad(a)[:, idx] += out.grad
         tape.record(out, bwd)
     return out
 

@@ -47,6 +47,14 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _positive_ints(text: str) -> list[int]:
+    parts = text.split(",")
+    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
+    return [int(part) for part in parts]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="relattn",
                      description="Bag-level relation extraction with two-level "
@@ -69,7 +77,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--data", required=True, help="test bags (JSONL)")
     p_eval.add_argument("--metric", required=True, choices=["pr", "pn", "f1"])
     p_eval.add_argument("--pn-mode", choices=list(ev.PN_MODES), default="all")
-    p_eval.add_argument("--n", default="100,200,300",
+    p_eval.add_argument("--n", type=_positive_ints, default="100,200,300",
                         help="comma-separated N values for --metric pn")
     p_eval.add_argument("--seed", type=int, default=0, help="instance-sampling seed")
     p_eval.add_argument("--out", required=True, help="output directory")
@@ -127,7 +135,8 @@ def _load_config(args) -> ModelConfig:
 def cmd_train(args) -> int:
     config = _load_config(args)
     dataset = load_dataset(args.data, config)
-    pretrained = read_embedding_file(args.embeddings) if args.embeddings else None
+    pretrained = (read_embedding_file(args.embeddings, config.word_dim)
+                  if args.embeddings else None)
     result = train(dataset, config, pretrained=pretrained, log_every=1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,8 +164,7 @@ def cmd_eval(args) -> int:
         records = ev.score_test_set(dataset, model, pn=setting)
         gold = ev.gold_facts(dataset)
         rows = []
-        for n_str in args.n.split(","):
-            n = int(n_str)
+        for n in args.n:
             rows.append((args.pn_mode, n, ev.p_at_n(records, gold, n)))
         ev.write_pn_csv(rows, out / "p_at_n.csv")
         for setting_name, n, precision in rows:

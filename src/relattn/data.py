@@ -104,16 +104,25 @@ def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
 
 
 def _check_record(rec: dict, where: str) -> None:
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: a bag must be a JSON object")
     for key in ("bag_id", "head", "tail", "relation", "sentences"):
         if key not in rec:
             raise DataError(f"{where}: missing key {key!r}")
+    for key in ("bag_id", "head", "tail", "relation"):
+        if not isinstance(rec[key], str):
+            raise DataError(f"{where}: {key!r} must be a string")
     if not isinstance(rec["sentences"], list) or not rec["sentences"]:
         raise DataError(f"{where}: 'sentences' must be a non-empty list")
     for k, sent in enumerate(rec["sentences"]):
         place = f"{where}, sentence {k}"
+        if not isinstance(sent, dict):
+            raise DataError(f"{place}: a sentence must be a JSON object")
         tokens = sent.get("tokens")
         if not isinstance(tokens, list) or not tokens:
             raise DataError(f"{place}: 'tokens' must be a non-empty list")
+        if not all(isinstance(token, str) for token in tokens):
+            raise DataError(f"{place}: every token must be a string")
         for idx_key in ("head_index", "tail_index"):
             idx = sent.get(idx_key)
             if not isinstance(idx, int):
@@ -357,8 +366,9 @@ def instance_tokens(instance: Instance, vocab: Vocab) -> list[str]:
     return vocab.decode(instance.token_ids[:instance.true_length], strip_blank=False)
 
 
-def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse 'count dim' header then 'token v1 ... vdim' lines."""
+def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[str, np.ndarray]:
+    """Parse 'count dim' header then 'token v1 ... vdim' lines; ``dim`` must
+    equal ``word_dim`` when that is given."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -368,12 +378,17 @@ def read_embedding_file(path: str | Path) -> dict[str, np.ndarray]:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: first line must be 'count dim'") from exc
+        if word_dim is not None and dim != word_dim:
+            raise DataError(f"{path}: vectors have dim {dim}, but word_dim is {word_dim}")
         table: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: line {lineno}: expected token plus {dim} values")
-            table[parts[0]] = np.array([float(x) for x in parts[1:]])
+            try:
+                table[parts[0]] = np.array([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from exc
     if len(table) != count:
         raise DataError(f"{path}: header claims {count} vectors, found {len(table)}")
     return table

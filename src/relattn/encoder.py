@@ -1,14 +1,16 @@
 """Sentence encoder: word + relative-position embeddings into a BiLSTM.
 
-Sequences are laid out time-major when several instances are encoded at
-once: the embedded batch has one column per (time step, instance) pair with
-time varying slowest. The BiLSTM computes real tokens only. Its lanes are
-sorted longest first, so the lanes still running at step t are a prefix of
-width ``#(lengths > t)``; one column gather packs the real tokens step by
-step. Each direction is one tape record: it projects every token with one
-matmul, runs :func:`lstm_step` once per step on plain arrays, and writes its
-states straight to their time-major columns, so every padded column is
-exactly zero. Its backward pass is hand-written backpropagation through time.
+A batch is packed once, by :func:`_pack`: lanes are sorted longest first,
+so the lanes still running at step t are a prefix of width
+``#(lengths > t)``, and the real tokens are laid out step by step. The
+embedding gathers only the real tokens' table rows, in that packed order,
+into ``[D x P]`` (``P = sum(lengths)``). Each BiLSTM direction is one tape
+record: it projects every token with one matmul, runs :func:`lstm_step` once
+per step on plain arrays, and writes each state straight to its place in
+``[n x u x t_run]``, so the encoder returns the word-attention input
+``[n x 2u x t_run]`` up to the longest true length, with every padded
+position exactly zero. Its backward pass is hand-written backpropagation
+through time.
 """
 
 from __future__ import annotations
@@ -95,12 +97,23 @@ def init_lstm_params(config: ModelConfig, rng: np.random.Generator) -> LstmParam
     )
 
 
+def _pack(lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Lane and step of each real token, listed step by step over the lanes
+    sorted longest first (a stable sort), and how many lanes run at each step:
+    at step t, the first ``widths[t]`` sorted lanes."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    steps, ranks = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+    return order[ranks], steps, np.bincount(steps).tolist()
+
+
 def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingTables,
                 config: ModelConfig) -> Node:
-    """Embed several instances time-major: column t*n + j is step t of instance j."""
+    """Embed the real tokens of several instances ``[D x P]``, in packed order."""
     t_steps = len(instances[0].token_ids)
-    word_ids = np.stack([inst.token_ids for inst in instances])          # [n x T]
     lengths = [inst.true_length for inst in instances]
+    lanes, steps, _ = _pack(lengths)
+    word_ids = np.stack([inst.token_ids for inst in instances])          # [n x T]
     position_ids = [position_buckets(pos, lengths, t_steps, config.max_distance)   # [n x T]
                     for pos in ([inst.head_pos for inst in instances],
                                 [inst.tail_pos for inst in instances])]
@@ -108,9 +121,9 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     parts = []
     for table, ids in zip((tables.word, tables.head_position, tables.tail_position),
                           [word_ids] + position_ids):
-        rows = ad.take_rows(tape, table, ids.T.ravel())   # [(T*n) x dim], time-major
+        rows = ad.take_rows(tape, table, ids[lanes, steps])   # [P x dim]
         parts.append(ad.transpose(tape, rows))
-    return ad.vconcat(tape, parts)                        # [(word+pos dims) x T*n]
+    return ad.vconcat(tape, parts)                            # [(word+pos dims) x P]
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,16 +159,17 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
-                   direction: LstmDirection, reverse: bool, columns: np.ndarray,
-                   total: int) -> Node:
-    """States ``[u x total]`` of one direction, recorded as one tape entry.
+def _run_direction(tape: Tape | None, packed: Node, lanes: np.ndarray, steps: np.ndarray,
+                   widths: list[int], n: int, direction: LstmDirection,
+                   reverse: bool) -> Node:
+    """States ``[n x u x t_run]`` of one direction, recorded as one tape entry.
 
-    ``packed`` holds the real tokens only, step by step, with step t's
-    ``widths[t]`` active lanes first, and ``columns`` names each token's
-    output column; every other column is zero. Going forward, a step's lanes
-    continue the first lanes of the step before; going backward, the lanes
-    that start enter at their last real token from the zero state.
+    ``packed`` holds the real tokens only, as :func:`_pack` lays them out:
+    step by step, with step t's ``widths[t]`` active lanes first. Token k's
+    state goes to ``(lanes[k], :, steps[k])``; every other position is zero.
+    Going forward, a step's lanes continue the first lanes of the step
+    before; going backward, the lanes that start enter at their last real
+    token from the zero state.
 
     Buffers are token-major, so each step's lanes are contiguous rows. The
     backward pass runs BPTT over the saved gates and cells, and then forms
@@ -168,17 +182,17 @@ def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
     cells = np.empty((z.shape[0], u), dtype=z.dtype)
     states = np.empty_like(cells)
     offsets = np.concatenate([[0], np.cumsum(widths)]).tolist()
-    steps = list(range(len(widths)))[::-1 if reverse else 1]
+    order = list(range(len(widths)))[::-1 if reverse else 1]
     schedule = []   # (first row, end row, previous step's first row, lanes carried over)
-    for before, t in zip([None] + steps[:-1], steps):
+    for before, t in zip([None] + order[:-1], order):
         a, b = offsets[t], offsets[t + 1]
         p, m = (a, 0) if before is None else (offsets[before], min(widths[t], widths[before]))
         if m:
             z[a:a + m] += states[p:p + m] @ w_rec.T
         lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
         schedule.append((a, b, p, m))
-    out = Node(np.zeros((u, total), dtype=z.dtype))
-    out.value[:, columns] = states.T
+    out = Node(np.zeros((n, u, len(widths)), dtype=z.dtype))
+    out.value[lanes, :, steps] = states
     if tape is not None:
         # token t of lane j follows token t-1 of the same lane: pair every
         # token after step 0 with its row at the step before
@@ -205,7 +219,7 @@ def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
             dh_dc *= dh_dc
             np.subtract(1.0, dh_dc, out=dh_dc)
             dh_dc *= o                            # o * (1 - tanh(c)^2)
-            dh = out.grad.T[columns]              # [P x u], a fresh array
+            dh = out.grad[lanes, :, steps]        # [P x u], a fresh array
             dc = np.zeros_like(cells)
             for a, b, p, m in reversed(schedule):
                 dc_t = dc[a:b]
@@ -227,23 +241,17 @@ def _run_direction(tape: Tape | None, packed: Node, widths: list[int],
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
                         params: LstmParams) -> Node:
-    """Bidirectional encoding of a time-major embedded batch, packed by length.
+    """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch.
 
-    Only real tokens are computed: both directions run to the batch's longest
-    true length over lanes sorted longest first. Every column of a padded
-    position is exactly zero, and the output keeps its ``[2u x T*n]`` shape.
+    ``embedded`` is ``[D x sum(lengths)]`` in :func:`_pack`'s order, as
+    :func:`embed_batch` returns it. Only real tokens are computed: both
+    directions run to the batch's longest true length ``t_run`` over lanes
+    sorted longest first, and every padded position is exactly zero.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n = lengths.size
-    total = embedded.shape[1]
-    if total % n != 0:
-        raise ad.ShapeError(f"embedded width {total} is not a multiple of batch size {n}")
-    order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(lengths.max())[:, None]
-    active = steps < lengths[order]                   # [t_run x n], each row a prefix
-    real = (steps * n + order)[active]                # time-major column of each token
-    packed = ad.take_cols(tape, embedded, real)
-    widths = active.sum(axis=1).tolist()
+    lanes, steps, widths = _pack(lengths)
+    if embedded.shape[1] != lanes.size:
+        raise ad.ShapeError(f"embedded width {embedded.shape[1]} != {lanes.size} real tokens")
+    n = len(lengths)
     return ad.vconcat(tape, [
-        _run_direction(tape, packed, widths, params.fwd, False, real, total),
-        _run_direction(tape, packed, widths, params.bwd, True, real, total)])
+        _run_direction(tape, embedded, lanes, steps, widths, n, params.fwd, False),
+        _run_direction(tape, embedded, lanes, steps, widths, n, params.bwd, True)])

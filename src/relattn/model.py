@@ -1,7 +1,8 @@
 """The full bag-level model: encoder, word attention, sentence attention.
 
-Instances of a batch are encoded together (time-major lockstep through the
-BiLSTM); word attention then runs once over all instances, and sentence
+Instances of a batch are encoded together: the encoder packs their real
+tokens and returns their states as ``[n x 2u x t_run]``, up to the longest
+true length. Word attention then runs once over all instances, and sentence
 attention once over all bags, each masked to its own instances.
 """
 
@@ -123,13 +124,8 @@ class Model:
         n = len(instances)
         embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
         lengths = np.array([inst.true_length for inst in instances])
-        hidden_all = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)
-        # time-major column t*n + j -> instance j's [2u x t_run] matrix; the
-        # columns from the longest true length on are all padding
-        t_run = int(lengths.max())
-        run_cols = ad.slice_cols(tape, hidden_all, 0, t_run * n)
-        hidden = ad.transpose(tape, ad.reshape(tape, run_cols, -1, t_run, n), axes=(2, 0, 1))
-        valid = (np.arange(t_run) < lengths[:, None])[:, None, :]
+        hidden = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)   # [n x 2u x t_run]
+        valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
         attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
         reps = wa.flatten_project(tape, weighted, self.word_attn)

@@ -63,17 +63,18 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
     ordered = sorted(bags, key=lambda b: b.bag_id)
     out = model.forward(tape, [bag.instances for bag in ordered], dropout_rng=dropout_rng)
     n_bags = len(ordered)
-    ce = ad.scale(tape, ad.cross_entropy(tape, out.probabilities,
-                                         [bag.relation_id for bag in ordered]), 1.0 / n_bags)
+    ce = ad.mul_const(tape, ad.cross_entropy(tape, out.probabilities,
+                                             [bag.relation_id for bag in ordered]),
+                      1.0 / n_bags)
     loss = ce
     parts = {"ce": ce.value.item(), "penalty": 0.0, "l2": 0.0}
     if cfg.penalty_coef != 0.0:
-        penalty = ad.scale(tape, wa.attention_penalty(tape, out.word_attentions),
-                           cfg.penalty_coef / n_bags)
+        penalty = ad.mul_const(tape, wa.attention_penalty(tape, out.word_attentions),
+                               cfg.penalty_coef / n_bags)
         loss = ad.add(tape, loss, penalty)
         parts["penalty"] = penalty.value.item()
     if cfg.l2_coef != 0.0:
-        l2 = ad.scale(tape, ad.sum_squares(tape, *model.l2_parameters()), cfg.l2_coef)
+        l2 = ad.mul_const(tape, ad.sum_squares(tape, *model.l2_parameters()), cfg.l2_coef)
         loss = ad.add(tape, loss, l2)
         parts["l2"] = l2.value.item()
     return loss, parts
@@ -272,6 +273,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     rows, cols = int(rows_s), int(cols_s)
                 except ValueError as exc:
                     raise CheckpointError(f"{path}: bad tensor header {line!r}") from exc
+                if min(rows, cols) < 0:
+                    raise CheckpointError(f"{path}: negative size in tensor header {line!r}")
                 nbytes = rows * cols * struct.calcsize("<f")
                 blob = fh.read(nbytes)
                 if len(blob) != nbytes:

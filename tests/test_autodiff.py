@@ -1,5 +1,6 @@
 """Oracle and property tests for the autodiff core."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from relattn import autodiff as ad
+from relattn import gradcheck
 from relattn.autodiff import Node, Parameter, ShapeError, Tape, backward, finite_diff_check
 
 
@@ -97,40 +99,6 @@ class TestElementwise:
         loss = ad.sum_all(tape, ad.relu_map(tape, p))
         backward(tape, loss)
         np.testing.assert_array_equal(p.grad, [[0.0, 0.0, 1.0]])
-
-
-class TestTakeCols:
-    def test_gather_and_scatter(self):
-        a = param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        tape = Tape()
-        out = ad.take_cols(tape, a, [2, 0])
-        np.testing.assert_array_equal(out.value, [[3.0, 1.0], [6.0, 4.0]])
-        weights = Node(np.array([[1.0, 10.0], [2.0, 20.0]]))
-        backward(tape, ad.sum_all(tape, ad.mul(tape, out, weights)))
-        # each gathered column gets its own share back; column 1 is never read
-        np.testing.assert_array_equal(a.grad, [[10.0, 0.0, 1.0], [20.0, 0.0, 2.0]])
-
-    def test_duplicate_indices_raise(self):
-        a = param(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            ad.take_cols(None, a, [1, 0, 1])
-        with pytest.raises(ValueError):
-            ad.take_cols(None, a, [2, -1])   # the same column counted from the end
-
-    def test_permutation_round_trip(self):
-        a = param(np.arange(10.0).reshape(2, 5))
-        perm = np.array([3, 0, 4, 1, 2])
-        back = ad.take_cols(None, ad.take_cols(None, a, perm), np.argsort(perm))
-        np.testing.assert_array_equal(back.value, a.value)
-
-
-class TestSliceCols:
-    def test_whole_matrix_is_the_input_node(self):
-        a = param(np.ones((2, 3)))
-        tape = Tape()
-        assert ad.slice_cols(tape, a, 0, 3) is a
-        assert ad.slice_cols(tape, a, 1, 3) is not a
-        assert len(tape) == 1
 
 
 class TestFrobeniusPenalty:
@@ -331,7 +299,7 @@ class TestGradientRelease:
         w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
         assert w.value.nbytes >= 4 * 2**20
         tape = Tape()
-        loss = ad.scale(tape, ad.sum_squares(tape, w), 0.3)
+        loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
         tracemalloc.start()
         try:
             backward(tape, loss)
@@ -354,7 +322,7 @@ class TestFiniteDiffCheck:
 
         def f():
             tape = Tape()
-            return tape, ad.scale(tape, ad.sum_all(tape, w), 0.0)
+            return tape, ad.mul_const(tape, ad.sum_all(tape, w), 0.0)
 
         assert finite_diff_check(f, [w]) == 0.0
 
@@ -396,3 +364,47 @@ class TestParameter:
     def test_adam_slots_match_shape(self):
         p = param(np.ones((2, 3)))
         assert p.m.shape == (2, 3) and p.s.shape == (2, 3) and p.step == 0
+
+
+class TestGradcheckCoverage:
+    """``relattn gradcheck`` keeps one entry per taped op.
+
+    A taped op is a public ``autodiff`` function that takes the tape first and
+    returns a Node (``backward`` takes the tape too, but replays it). Its
+    entries are named ``<op>`` or ``<op>_<variant>``; ``sum_all`` needs none,
+    as every entry reduces its graph through it.
+    """
+
+    EXEMPT = {"sum_all"}
+
+    @staticmethod
+    def taped_ops():
+        ops = set()
+        for name, fn in vars(ad).items():
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != ad.__name__:
+                continue
+            sig = inspect.signature(fn)
+            if list(sig.parameters)[:1] == ["tape"] and sig.return_annotation == "Node":
+                ops.add(name)
+        return ops
+
+    @staticmethod
+    def op_of_entry():
+        """Each op entry's op: the longest op name it equals or extends by ``_``."""
+        ops = TestGradcheckCoverage.taped_ops()
+        pipelines = {r.name for r in gradcheck.pipeline_checks()}
+        entries = {r.name for r in gradcheck.op_checks()} - pipelines
+        return {entry: max((op for op in ops if entry == op or entry.startswith(op + "_")),
+                           key=len, default=None)
+                for entry in entries}
+
+    def test_taped_ops_found(self):
+        assert {"matmul", "mul_const", "take_rows", "sum_all"} <= self.taped_ops()
+        assert "backward" not in self.taped_ops()
+
+    def test_every_op_has_an_entry(self):
+        covered = set(self.op_of_entry().values())
+        assert sorted(self.taped_ops() - self.EXEMPT - covered) == []
+
+    def test_every_entry_names_an_op(self):
+        assert sorted(e for e, op in self.op_of_entry().items() if op is None) == []

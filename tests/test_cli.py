@@ -160,6 +160,16 @@ class TestTrainEval:
         assert len(lines) == 4
         assert all(line.startswith("all,") for line in lines[1:])
 
+    @pytest.mark.parametrize("bad", ["abc", "5,x", "0,10", ""])
+    def test_eval_pn_bad_n_is_usage_error(self, trained_dir, synth_file, tmp_path, capsys,
+                                          bad):
+        code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(synth_file), "--metric", "pn", "--n", bad,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --n") and len(err.splitlines()) == 1
+
     def test_eval_f1(self, trained_dir, synth_file, tmp_path):
         out = tmp_path / "f1"
         code = main(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
@@ -237,6 +247,8 @@ CORRUPTIONS = {
     "tokens_not_a_list": lambda blob: _replace_header_line(blob, b"tokens", b"tokens 5"),
     "relations_not_a_list": lambda blob: _replace_header_line(blob, b"relations", b"relations 7"),
     "rng_not_an_object": lambda blob: _replace_header_line(blob, b"rng", b"rng [1, 2]"),
+    "negative_tensor_size": lambda blob: _replace_header_line(
+        blob, b"tensor word_emb", b"tensor word_emb -1 32"),
 }
 
 
@@ -249,6 +261,36 @@ class TestBadCheckpoint:
         proc = subprocess.run(
             [sys.executable, "-m", "relattn", "eval", "--checkpoint", str(bad),
              "--data", str(synth_file), "--metric", "pr", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+BAD_TRAIN_INPUTS = {
+    # (data line replacing the first bag, embeddings file text)
+    "record_not_an_object": ("5", None),
+    "embedding_not_numeric": (None, "2 6\nw001 1 2 3 4 5 6\nw002 1 2 3 x 5 6\n"),
+    "embedding_dim_not_word_dim": (None, "1 3\nw001 1 2 3\n"),
+}
+
+
+class TestBadTrainInput:
+    @pytest.mark.parametrize("mode", sorted(BAD_TRAIN_INPUTS))
+    def test_train_exits_3_with_one_line(self, mode, synth_file, tmp_path):
+        line, embeddings = BAD_TRAIN_INPUTS[mode]
+        data = tmp_path / "train.jsonl"
+        lines = synth_file.read_text().splitlines()
+        data.write_text("\n".join([line or lines[0]] + lines[1:]) + "\n")
+        extra = []
+        if embeddings is not None:
+            (tmp_path / "emb.txt").write_text(embeddings)
+            extra = ["--embeddings", str(tmp_path / "emb.txt")]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", "train", "--data", str(data),
+             "--out", str(tmp_path / "out")] + SMALL_TRAIN + extra,
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr

@@ -80,6 +80,18 @@ class TestLoader:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, CFG)
 
+    @pytest.mark.parametrize("line", [
+        "5",
+        json.dumps({**bag_record(), "sentences": ["oops"]}),
+        json.dumps(bag_record(tokens=["x", 3, "y"])),
+        json.dumps(bag_record(relation=["r"])),
+    ], ids=["number", "sentence_not_object", "token_not_string", "relation_not_string"])
+    def test_malformed_record_reports_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(bag_record()) + "\n" + line + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_dataset(path, CFG)
+
     def test_missing_index_rejected(self, tmp_path):
         rec = bag_record()
         del rec["sentences"][0]["tail_index"]
@@ -287,6 +299,19 @@ class TestEmbeddingFile:
         path.write_text("1 3\nfoo 1.0 2.0\n")
         with pytest.raises(DataError, match="line 2"):
             read_embedding_file(path)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nfoo 1.0 2.0\nbar 1.0 abc\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_embedding_file(path)
+
+    def test_dimension_other_than_word_dim_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 3\nfoo 1.0 2.0 3.0\n")
+        assert read_embedding_file(path, word_dim=3)["foo"].shape == (3,)
+        with pytest.raises(DataError, match="dim 3, but word_dim is 4"):
+            read_embedding_file(path, word_dim=4)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"

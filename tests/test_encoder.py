@@ -41,16 +41,18 @@ class TestEmbeddings:
         tables = tables_for(cfg)
         inst = make_instance([2, 3, 4], true_length=3)
         out = embed_one(None, inst, tables, cfg)
-        assert out.shape == (6, 3)   # word_dim + position_dim rows, T columns
+        assert out.shape == (6, 3)   # word_dim + position_dim rows, one column per token
 
-    def test_all_blank_columns_identical(self):
-        cfg = tiny_config()
+    def test_one_column_per_real_token(self):
+        # padding is not embedded: the columns are the sum(lengths) real tokens
+        cfg = tiny_config(time_steps=4)
         tables = tables_for(cfg)
-        inst = make_instance([BLANK_ID] * 3, true_length=0)
-        out = embed_one(None, inst, tables, cfg).value
-        np.testing.assert_array_equal(out[:, 0], out[:, 1])
-        np.testing.assert_array_equal(out[:, 0], out[:, 2])
-        np.testing.assert_array_equal(out[:4, 0], tables.word.value[BLANK_ID])
+        instances = [make_instance([2, 3, BLANK_ID, BLANK_ID]),
+                     make_instance([BLANK_ID] * 4, true_length=0),
+                     make_instance([4, 5, 2, 3]),
+                     make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID])]
+        out = enc.embed_batch(None, instances, tables, cfg)
+        assert out.shape == (6, 2 + 0 + 4 + 1)
 
     def test_head_position_separates_otherwise_equal_instances(self):
         cfg = tiny_config()
@@ -80,14 +82,16 @@ class TestEmbeddings:
                                    true_length=data.draw(st.integers(0, t_steps)))
                      for _ in range(n)]
         out = enc.embed_batch(None, instances, tables, cfg).value
+        lanes, _, _ = enc._pack([inst.true_length for inst in instances])
         word, half = cfg.word_dim, cfg.position_table_dim
         for j, inst in enumerate(instances):
             head_ids, tail_ids = relative_positions(inst, max_distance)
-            cols = out[:, j::n]   # instance j's time-major columns
+            real = slice(inst.true_length)
+            cols = out[:, lanes == j]   # instance j's tokens, step by step
             np.testing.assert_array_equal(cols[word:word + half],
-                                          tables.head_position.value[head_ids].T)
+                                          tables.head_position.value[head_ids[real]].T)
             np.testing.assert_array_equal(cols[word + half:],
-                                          tables.tail_position.value[tail_ids].T)
+                                          tables.tail_position.value[tail_ids[real]].T)
 
     def test_pretrained_substitution(self):
         cfg = tiny_config()
@@ -104,16 +108,27 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def padded_embedding(instances, tables, cfg):
+    """Every position's table rows, padding included, ``[n x D x T]``."""
+    out = []
+    for inst in instances:
+        head_ids, tail_ids = relative_positions(inst, cfg.max_distance)
+        out.append(np.hstack([tables.word.value[inst.token_ids],
+                              tables.head_position.value[head_ids],
+                              tables.tail_position.value[tail_ids]]).T)
+    return np.stack(out)
+
+
 def reference_bilstm(embedded, lengths, params):
     """Plain-numpy BiLSTM in the per-gate formulation, for pinning the fast path.
 
-    Every step projects its own input column block, squashes each gate
-    separately and zeroes the lanes past their true length afterwards; both
-    directions run over all T steps and padded output columns stay zero.
+    ``embedded`` is the padded ``[n x D x T]``. Every step projects its own
+    input columns, squashes each gate separately and zeroes the lanes past
+    their true length afterwards; both directions run over all T steps, and
+    the ``[n x 2u x T]`` output is zero at every padded position.
     """
     lengths = np.asarray(lengths)
-    n = lengths.size
-    t_steps = embedded.shape[1] // n
+    n, _, t_steps = embedded.shape
     out = []
     for direction, steps in ((params.fwd, range(t_steps)),
                              (params.bwd, reversed(range(t_steps)))):
@@ -121,9 +136,9 @@ def reference_bilstm(embedded, lengths, params):
         w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
         h = np.zeros((u, n))
         c = np.zeros((u, n))
-        states = np.zeros((u, t_steps * n))
+        states = np.zeros((n, u, t_steps))
         for t in steps:
-            x = embedded[:, t * n:(t + 1) * n]
+            x = embedded[:, :, t].T
             pre = w_in @ x + w_rec @ h + bias
             i = _sigmoid(pre[:u])
             f = _sigmoid(pre[u:2 * u])
@@ -133,9 +148,9 @@ def reference_bilstm(embedded, lengths, params):
             h = o * np.tanh(c)
             keep = (lengths > t).astype(float)
             h, c = h * keep, c * keep
-            states[:, t * n:(t + 1) * n] = h
+            states[:, :, t] = h.T
         out.append(states)
-    return np.vstack(out)
+    return np.concatenate(out, axis=1)
 
 
 class TestLstmStep:
@@ -201,15 +216,15 @@ class TestFusedDirection:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
     def test_both_directions_match_finite_differences(self, t_steps, seed, data):
-        # lengths sorted longest first give the step widths; the forward
-        # direction narrows through them and the reverse direction widens
-        lengths = sorted(data.draw(length_lists(t_steps)), reverse=True)
-        widths = [sum(length > t for length in lengths) for t in range(lengths[0])]
+        # lanes sorted longest first give the step widths; the forward
+        # direction narrows through them and the reverse direction widens.
+        # An empty lane adds positions no token writes
+        lengths = data.draw(length_lists(t_steps)) + [0]
+        lanes, steps, widths = enc._pack(lengths)
+        assert widths == [sum(length > t for length in lengths) for t in range(max(lengths))]
         rng = np.random.default_rng(seed)
-        u, d_in, tokens = 2, 3, sum(lengths)
-        total = tokens + 2   # two output columns no token writes
-        columns = rng.permutation(total)[:tokens]
-        packed = Parameter("packed", rng.uniform(-1, 1, (d_in, tokens)))
+        u, d_in, n = 2, 3, len(lengths)
+        packed = Parameter("packed", rng.uniform(-1, 1, (d_in, sum(lengths))))
         for reverse in (False, True):
             direction = enc.LstmDirection(
                 w_in=Parameter("wi", rng.uniform(-0.8, 0.8, (4 * u, d_in))),
@@ -217,12 +232,12 @@ class TestFusedDirection:
                 bias=Parameter("b", rng.uniform(-0.8, 0.8, (4 * u, 1))),
                 hidden_size=u,
             )
-            probe = Node(rng.uniform(-1, 1, (u, total)))
+            probe = Node(rng.uniform(-1, 1, (n, u, len(widths))))
 
             def f():
                 tape = Tape()
-                out = enc._run_direction(tape, packed, widths, direction, reverse,
-                                         columns, total)
+                out = enc._run_direction(tape, packed, lanes, steps, widths, n,
+                                         direction, reverse)
                 assert len(tape) == 1
                 return tape, ad.sum_all(tape, ad.mul(tape, out, probe))
 
@@ -275,28 +290,29 @@ class TestFusedDirection:
 
 
 class TestBilstm:
-    def encode(self, cfg, instance, seed=0):
+    def encode(self, cfg, instances, seed=0):
         tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = enc.init_lstm_params(cfg, np.random.default_rng(seed + 1))
-        embedded = embed_one(None, instance, tables, cfg)
-        return enc.bilstm_encode_batch(None, embedded, [instance.true_length], lstm)
+        embedded = enc.embed_batch(None, instances, tables, cfg)
+        return enc.bilstm_encode_batch(None, embedded, [i.true_length for i in instances], lstm)
 
     def test_output_shape(self):
         cfg = tiny_config(time_steps=4)
-        out = self.encode(cfg, make_instance([2, 3, 4, 5], true_length=4))
-        assert out.shape == (6, 4)   # 2u rows
+        out = self.encode(cfg, [make_instance([2, 3, 4, 5], true_length=4)])
+        assert out.shape == (1, 6, 4)   # n x 2u x longest true length
 
     def test_padded_columns_exactly_zero(self):
+        # a longer neighbour keeps the batch running past this lane's length
         cfg = tiny_config(time_steps=4)
         inst = make_instance([2, 3, BLANK_ID, BLANK_ID], true_length=2)
-        out = self.encode(cfg, inst).value
+        out = self.encode(cfg, [inst, make_instance([4, 5, 2, 3])]).value[0]
         np.testing.assert_array_equal(out[:, 2:], np.zeros((6, 2)))
         assert np.abs(out[:, :2]).max() > 0
 
     def test_single_real_token(self):
         cfg = tiny_config(time_steps=4)
         inst = make_instance([2, BLANK_ID, BLANK_ID, BLANK_ID], true_length=1)
-        out = self.encode(cfg, inst).value
+        out = self.encode(cfg, [inst, make_instance([4, 5, 2, 3])]).value[0]
         assert np.abs(out[:, 0]).max() > 0
         np.testing.assert_array_equal(out[:, 1:], np.zeros((6, 3)))
 
@@ -304,9 +320,9 @@ class TestBilstm:
         ids = [2, 3, 4]
         short_cfg = tiny_config(time_steps=3)
         long_cfg = tiny_config(time_steps=8)
-        short = self.encode(short_cfg, make_instance(ids, true_length=3))
-        long = self.encode(long_cfg, make_instance(ids + [BLANK_ID] * 5, true_length=3))
-        np.testing.assert_allclose(short.value, long.value[:, :3], atol=1e-6)
+        short = self.encode(short_cfg, [make_instance(ids, true_length=3)])
+        long = self.encode(long_cfg, [make_instance(ids + [BLANK_ID] * 5, true_length=3)])
+        np.testing.assert_allclose(short.value, long.value, atol=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.data())
@@ -332,29 +348,42 @@ class TestBilstm:
 
         instances = [draw_instance(length) for length in lengths]
         batched = encode(instances)
-        n = len(instances)
         for j, inst in enumerate(instances):
-            cols = j + n * np.arange(t_steps)   # instance j's time-major columns
+            real = slice(inst.true_length)
             neighbours = [inst if k == j else draw_instance(length)
                           for k, length in enumerate(lengths)]
-            np.testing.assert_array_equal(batched[:, cols], encode(neighbours)[:, cols])
-            np.testing.assert_allclose(batched[:, cols], encode([inst]), rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(batched[:, cols[inst.true_length:]], 0.0)
+            np.testing.assert_array_equal(batched[j], encode(neighbours)[j])
+            np.testing.assert_allclose(batched[j, :, real], encode([inst])[0],
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(batched[j, :, inst.true_length:], 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
     def test_matches_per_gate_reference(self, t_steps, seed, data):
+        # embed_batch + bilstm_encode_batch against a padded embedding built
+        # in plain numpy from the same tables and the per-gate reference
         cfg = tiny_config(time_steps=t_steps)
         rng = np.random.default_rng(seed)
+        tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = enc.init_lstm_params(cfg, rng)
+        for p in (tables.word, tables.head_position, tables.tail_position):
+            p.value[...] = rng.uniform(-1, 1, p.value.shape)
         for d in (lstm.fwd, lstm.bwd):   # weights large enough to saturate some gates
             for p in (d.w_in, d.w_rec, d.bias):
                 p.value[...] = rng.uniform(-1.5, 1.5, p.value.shape)
         lengths = data.draw(length_lists(t_steps))
-        embedded = rng.uniform(-1, 1, (cfg.word_dim + cfg.position_dim,
-                                       t_steps * len(lengths)))
-        fast = enc.bilstm_encode_batch(None, Node(embedded), lengths, lstm).value
-        ref = reference_bilstm(embedded, lengths, lstm)
+        instances = [make_instance(list(rng.integers(2, 8, length))
+                                   + [BLANK_ID] * (t_steps - length),
+                                   head=int(rng.integers(t_steps)),
+                                   tail=int(rng.integers(t_steps)))
+                     for length in lengths]
+        fast = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, tables, cfg),
+                                       lengths, lstm).value
+        ref = reference_bilstm(padded_embedding(instances, tables, cfg), lengths, lstm)
+        t_run = max(lengths)
+        assert fast.shape == (len(lengths), 2 * cfg.hidden_size, t_run)
+        np.testing.assert_array_equal(ref[:, :, t_run:], 0.0)
+        ref = ref[:, :, :t_run]
         np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(fast[ref == 0.0], 0.0)
 
@@ -377,8 +406,7 @@ class TestBilstm:
         out = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, tables, cfg),
                                       lengths, lstm)
         assert len(calls) == 2 * max(lengths)
-        assert out.shape == (2 * cfg.hidden_size, cfg.time_steps * len(instances))
-        np.testing.assert_array_equal(out.value[:, max(lengths) * len(instances):], 0.0)
+        assert out.shape == (len(instances), 2 * cfg.hidden_size, max(lengths))
 
     def test_full_encoder_gradient(self):
         cfg = tiny_config(word_dim=3, position_dim=2, hidden_size=2, time_steps=5,
@@ -402,7 +430,7 @@ class TestBilstm:
                   lstm.fwd.w_in, lstm.fwd.w_rec, lstm.fwd.bias,
                   lstm.bwd.w_in, lstm.bwd.w_rec, lstm.bwd.bias]
         for batch in ([inst], mixed):
-            probe = Node(rng.uniform(-1, 1, (4, 5 * len(batch))))
+            probe = Node(rng.uniform(-1, 1, (len(batch), 4, max(i.true_length for i in batch))))
 
             def f():
                 tape = Tape()

@@ -413,11 +413,12 @@ class TestExportAttention:
                    and max(i.true_length for i in bag.instances) < t_steps)
         paths = export_attention(model, bag, ds.vocab, tmp_path)
 
-        instances, n = bag.instances, len(bag.instances)
+        instances = bag.instances
         lengths = np.array([inst.true_length for inst in instances])
         embedded = enc.embed_batch(None, instances, model.embeddings, cfg)
-        hidden = enc.bilstm_encode_batch(None, embedded, lengths, model.lstm).value
-        hidden = hidden.reshape(-1, t_steps, n).transpose(2, 0, 1)   # [n x 2u x T]
+        run = enc.bilstm_encode_batch(None, embedded, lengths, model.lstm).value
+        hidden = np.zeros(run.shape[:2] + (t_steps,), run.dtype)   # [n x 2u x T], zero past t_run
+        hidden[:, :, :run.shape[2]] = run
         valid = (np.arange(t_steps) < lengths[:, None])[:, None, :]
         full = wa.word_attention_matrix(None, Node(hidden), model.word_attn, valid).value
 

@@ -40,7 +40,7 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
     cfg = model.config
     ordered = sorted(bags, key=lambda b: b.bag_id)
     instances = [inst for bag in ordered for inst in bag.instances]
-    n, n_bags = len(instances), len(ordered)
+    n_bags = len(ordered)
     wa_p, sa_p = model.word_attn, model.sent_attn
     wh, wr, wm, bm = (p.value for p in (wa_p.attn_hidden, wa_p.attn_rows,
                                         wa_p.mlp_weight, wa_p.mlp_bias))
@@ -59,10 +59,10 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
                                           [inst.true_length for inst in instances], model.lstm)
     hidden_all = hidden_node.value
 
-    # word attention, one instance at a time; column t*n + j is step t of j
+    # word attention, one instance at a time on its [2u x t_run] states
     word = []
     for j, inst in enumerate(instances):
-        h = hidden_all[:, j::n]
+        h = hidden_all[j]
         t1 = np.tanh(wh @ h)
         attn = np.zeros((wr.shape[0], h.shape[1]))
         attn[:, :inst.true_length] = softmax_rows((wr @ t1)[:, :inst.true_length])
@@ -121,7 +121,7 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         add("word_attn_rows", d_lg @ w["t1"].T)
         d_a1 = (wr.T @ d_lg) * (1.0 - w["t1"] ** 2)
         add("word_attn_hidden", d_a1 @ w["h"].T)
-        d_hidden[:, j::n] = d_h + wh.T @ d_a1
+        d_hidden[j] = d_h + wh.T @ d_a1
 
     for p in model.l2_parameters():
         loss += cfg.l2_coef * (p.value ** 2).sum()
