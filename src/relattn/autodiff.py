@@ -12,7 +12,7 @@ validate every backward rule.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -176,17 +176,6 @@ def add(tape: Tape | None, a: Node, b: Node) -> Node:
     return out
 
 
-def mul(tape: Tape | None, a: Node, b: Node) -> Node:
-    out = Node(a.value * b.value)
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-            _accum(a, _unbroadcast(g * b.value, a.shape))
-            _accum(b, _unbroadcast(g * a.value, b.shape))
-        tape.record(out, bwd)
-    return out
-
-
 def mul_const(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
     """Elementwise product with a non-differentiated array (masks, dropout) or
     scalar (loss weights)."""
@@ -262,34 +251,6 @@ def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
     if tape is not None:
         def bwd() -> None:
             _accum(a, out.grad.reshape(a.shape))
-        tape.record(out, bwd)
-    return out
-
-
-def vconcat(tape: Tape | None, nodes: Sequence[Node]) -> Node:
-    """Stack along the rows (axis -2) of each matrix."""
-    if not nodes:
-        raise ValueError("vconcat needs at least one node")
-    out = Node(np.concatenate([n.value for n in nodes], axis=-2))
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-            offset = 0
-            for n in nodes:
-                h = n.shape[-2]
-                _accum(n, g[..., offset:offset + h, :])
-                offset += h
-        tape.record(out, bwd)
-    return out
-
-
-def take_rows(tape: Tape | None, a: Node, ids) -> Node:
-    """Gather rows by index; duplicate indices accumulate on backward."""
-    idx = np.asarray(ids, dtype=np.intp)
-    out = Node(a.value[idx, :])
-    if tape is not None:
-        def bwd() -> None:
-            np.add.at(_ensure_grad(a), idx, out.grad)
         tape.record(out, bwd)
     return out
 

@@ -367,8 +367,8 @@ def instance_tokens(instance: Instance, vocab: Vocab) -> list[str]:
 
 
 def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[str, np.ndarray]:
-    """Parse 'count dim' header then 'token v1 ... vdim' lines; ``dim`` must
-    equal ``word_dim`` when that is given."""
+    """Parse 'count dim' header then 'token v1 ... vdim' lines of finite
+    values; ``dim`` must equal ``word_dim`` when that is given."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -389,6 +389,8 @@ def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[s
                 table[parts[0]] = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: non-numeric value ({exc})") from exc
+            if not np.isfinite(table[parts[0]]).all():
+                raise DataError(f"{path}: line {lineno}: non-finite value")
     if len(table) != count:
         raise DataError(f"{path}: header claims {count} vectors, found {len(table)}")
     return table

@@ -4,19 +4,20 @@ A batch is packed once, by :func:`_pack`: lanes are sorted longest first,
 so the lanes still running at step t are a prefix of width
 ``#(lengths > t)``, and the real tokens are laid out step by step. The
 embedding gathers only the real tokens' table rows, in that packed order,
-into ``[D x P]`` (``P = sum(lengths)``). Each BiLSTM direction is one tape
-record: it projects every token with one matmul, runs :func:`lstm_step` once
-per step on plain arrays, and writes each state straight to its place in
-``[n x u x t_run]``, so the encoder returns the word-attention input
-``[n x 2u x t_run]`` up to the longest true length, with every padded
+into one token-major ``[P x D]`` (``P = sum(lengths)``) and one tape record.
+The BiLSTM is one more record: each direction projects every token with one
+matmul, runs :func:`lstm_step` once per step on plain arrays, and writes each
+state straight to its place in its half of the word-attention input
+``[n x 2u x t_run]``, up to the longest true length, with every padded
 position exactly zero. Its backward pass is hand-written backpropagation
-through time.
+through time, one direction after the other.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +39,6 @@ class LstmDirection:
     w_in: Parameter    # [4u x input_dim], gate order i, f, g, o
     w_rec: Parameter   # [4u x u]
     bias: Parameter    # [4u x 1], forget slice initialized to 1
-    hidden_size: int
 
 
 @dataclass
@@ -84,7 +84,6 @@ def _init_direction(name: str, input_dim: int, u: int, rng: np.random.Generator,
         w_in=Parameter(f"{name}_w_in", w_in.astype(dtype)),
         w_rec=Parameter(f"{name}_w_rec", w_rec.astype(dtype)),
         bias=Parameter(f"{name}_bias", bias.astype(dtype)),
-        hidden_size=u,
     )
 
 
@@ -109,7 +108,11 @@ def _pack(lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingTables,
                 config: ModelConfig) -> Node:
-    """Embed the real tokens of several instances ``[D x P]``, in packed order."""
+    """Embed the real tokens of several instances ``[P x D]``, in packed order.
+
+    Each row is a token's word, head-position and tail-position table rows
+    side by side. Backward adds each table's column slice of the gradient
+    into its rows, so repeated ids accumulate."""
     t_steps = len(instances[0].token_ids)
     lengths = [inst.true_length for inst in instances]
     lanes, steps, _ = _pack(lengths)
@@ -117,13 +120,19 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     position_ids = [position_buckets(pos, lengths, t_steps, config.max_distance)   # [n x T]
                     for pos in ([inst.head_pos for inst in instances],
                                 [inst.tail_pos for inst in instances])]
-
-    parts = []
-    for table, ids in zip((tables.word, tables.head_position, tables.tail_position),
-                          [word_ids] + position_ids):
-        rows = ad.take_rows(tape, table, ids[lanes, steps])   # [P x dim]
-        parts.append(ad.transpose(tape, rows))
-    return ad.vconcat(tape, parts)                            # [(word+pos dims) x P]
+    parts = [(table, ids[lanes, steps])
+             for table, ids in zip((tables.word, tables.head_position, tables.tail_position),
+                                   [word_ids] + position_ids)]
+    out = Node(np.concatenate([table.value[ids] for table, ids in parts], axis=1))
+    if tape is not None:
+        def bwd() -> None:
+            offset = 0
+            for table, ids in parts:
+                width = table.shape[1]
+                np.add.at(table.grad, ids, out.grad[:, offset:offset + width])
+                offset += width
+        tape.record(out, bwd)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,25 +168,25 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-def _run_direction(tape: Tape | None, packed: Node, lanes: np.ndarray, steps: np.ndarray,
-                   widths: list[int], n: int, direction: LstmDirection,
-                   reverse: bool) -> Node:
-    """States ``[n x u x t_run]`` of one direction, recorded as one tape entry.
+def _run_direction(x: np.ndarray, lanes: np.ndarray, steps: np.ndarray, widths: list[int],
+                   direction: LstmDirection, reverse: bool,
+                   out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Run one direction over the packed tokens ``x`` ``[P x D]``.
 
-    ``packed`` holds the real tokens only, as :func:`_pack` lays them out:
-    step by step, with step t's ``widths[t]`` active lanes first. Token k's
-    state goes to ``(lanes[k], :, steps[k])``; every other position is zero.
+    ``x`` holds the real tokens only, as :func:`_pack` lays them out: step by
+    step, with step t's ``widths[t]`` active lanes first. Token k's state is
+    written to ``out[lanes[k], :, steps[k]]`` (``out`` is ``[n x u x t_run]``).
     Going forward, a step's lanes continue the first lanes of the step
     before; going backward, the lanes that start enter at their last real
     token from the zero state.
 
-    Buffers are token-major, so each step's lanes are contiguous rows. The
-    backward pass runs BPTT over the saved gates and cells, and then forms
-    the input and recurrent weight gradients with one product each.
+    Returns the BPTT closure: given the gradient of ``out``, it runs over the
+    saved gates and cells, adds the weight gradients, each formed with one
+    product, and returns the gradient of ``x``.
     """
     w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
-    u, x = direction.hidden_size, packed.value
-    z = x.T @ w_in.T                          # [P x 4u] pre-activations, then gates
+    u = w_rec.shape[1]
+    z = x @ w_in.T                            # [P x 4u] pre-activations, then gates
     z += bias.T
     cells = np.empty((z.shape[0], u), dtype=z.dtype)
     states = np.empty_like(cells)
@@ -191,9 +200,9 @@ def _run_direction(tape: Tape | None, packed: Node, lanes: np.ndarray, steps: np
             z[a:a + m] += states[p:p + m] @ w_rec.T
         lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
         schedule.append((a, b, p, m))
-    out = Node(np.zeros((n, u, len(widths)), dtype=z.dtype))
-    out.value[lanes, :, steps] = states
-    if tape is not None:
+    out[lanes, :, steps] = states
+
+    def bptt(d_out: np.ndarray) -> np.ndarray:
         # token t of lane j follows token t-1 of the same lane: pair every
         # token after step 0 with its row at the step before
         first = widths[0] if widths else 0
@@ -201,57 +210,66 @@ def _run_direction(tape: Tape | None, packed: Node, lanes: np.ndarray, steps: np
                                                        widths[1:])
         later = slice(first, None)
         rec_rows, prev_rows = (earlier, later) if reverse else (later, earlier)
-
-        def bwd() -> None:
-            # every token's local derivatives at once, written into dz: those
-            # of i, f and g by the cell, that of o by the state; the loop then
-            # carries only the hidden and cell gradients from step to step and
-            # scales each step's rows of dz by them in place
-            z3 = z.reshape(-1, 4, u)              # [P x gate x u]
-            i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
-            dz = np.empty_like(z3)
-            np.multiply(g * i, 1.0 - i, out=dz[:, 0])
-            dz[:, 1] = 0.0                        # lanes that start from the zero cell
-            dz[rec_rows, 1] = cells[prev_rows] * f[rec_rows] * (1.0 - f[rec_rows])
-            np.multiply(i, 1.0 - g * g, out=dz[:, 2])
-            dh_dc = np.tanh(cells)
-            np.multiply(dh_dc * o, 1.0 - o, out=dz[:, 3])
-            dh_dc *= dh_dc
-            np.subtract(1.0, dh_dc, out=dh_dc)
-            dh_dc *= o                            # o * (1 - tanh(c)^2)
-            dh = out.grad[lanes, :, steps]        # [P x u], a fresh array
-            dc = np.zeros_like(cells)
-            for a, b, p, m in reversed(schedule):
-                dc_t = dc[a:b]
-                dc_t += dh[a:b] * dh_dc[a:b]
-                dz[a:b, :3] *= dc_t[:, None]
-                dz[a:b, 3] *= dh[a:b]
-                if m:
-                    dh[p:p + m] += dz[a:a + m].reshape(m, -1) @ w_rec
-                    dc[p:p + m] += dc_t[:m] * f[a:a + m]
-            del dh, dc, dh_dc                     # freed before the weight products
-            dz = dz.reshape(z.shape)
-            ad._accum(packed, w_in.T @ dz.T)
-            ad._accum(direction.w_in, dz.T @ x.T)
-            ad._accum(direction.bias, dz.sum(axis=0)[:, None])
-            ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])
-        tape.record(out, bwd)
-    return out
+        # every token's local derivatives at once, written into dz: those of
+        # i, f and g by the cell, that of o by the state; the loop then
+        # carries only the hidden and cell gradients from step to step and
+        # scales each step's rows of dz by them in place
+        z3 = z.reshape(-1, 4, u)                  # [P x gate x u]
+        i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
+        dz = np.empty_like(z3)
+        np.multiply(g * i, 1.0 - i, out=dz[:, 0])
+        dz[:, 1] = 0.0                            # lanes that start from the zero cell
+        dz[rec_rows, 1] = cells[prev_rows] * f[rec_rows] * (1.0 - f[rec_rows])
+        np.multiply(i, 1.0 - g * g, out=dz[:, 2])
+        dh_dc = np.tanh(cells)
+        np.multiply(dh_dc * o, 1.0 - o, out=dz[:, 3])
+        dh_dc *= dh_dc
+        np.subtract(1.0, dh_dc, out=dh_dc)
+        dh_dc *= o                                # o * (1 - tanh(c)^2)
+        dh = d_out[lanes, :, steps]               # [P x u], a fresh array
+        dc = np.zeros_like(cells)
+        for a, b, p, m in reversed(schedule):
+            dc_t = dc[a:b]
+            dc_t += dh[a:b] * dh_dc[a:b]
+            dz[a:b, :3] *= dc_t[:, None]
+            dz[a:b, 3] *= dh[a:b]
+            if m:
+                dh[p:p + m] += dz[a:a + m].reshape(m, -1) @ w_rec
+                dc[p:p + m] += dc_t[:m] * f[a:a + m]
+        del dh, dc, dh_dc                         # freed before the weight products
+        dz = dz.reshape(z.shape)
+        ad._accum(direction.w_in, dz.T @ x)
+        ad._accum(direction.bias, dz.sum(axis=0)[:, None])
+        ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])
+        # not dz @ w_in: OpenBLAS rounds that product differently in float64,
+        # and this one keeps gradients bit-identical to the earlier layout's
+        return (w_in.T @ dz.T).T
+    return bptt
 
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
                         params: LstmParams) -> Node:
     """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch.
 
-    ``embedded`` is ``[D x sum(lengths)]`` in :func:`_pack`'s order, as
+    ``embedded`` is ``[sum(lengths) x D]`` in :func:`_pack`'s order, as
     :func:`embed_batch` returns it. Only real tokens are computed: both
     directions run to the batch's longest true length ``t_run`` over lanes
-    sorted longest first, and every padded position is exactly zero.
+    sorted longest first, and every padded position is exactly zero. Both
+    directions are one tape record; its backward runs the reverse direction's
+    BPTT, then the forward one's.
     """
     lanes, steps, widths = _pack(lengths)
-    if embedded.shape[1] != lanes.size:
-        raise ad.ShapeError(f"embedded width {embedded.shape[1]} != {lanes.size} real tokens")
-    n = len(lengths)
-    return ad.vconcat(tape, [
-        _run_direction(tape, embedded, lanes, steps, widths, n, params.fwd, False),
-        _run_direction(tape, embedded, lanes, steps, widths, n, params.bwd, True)])
+    x = embedded.value
+    if x.shape[0] != lanes.size:
+        raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
+    u = params.fwd.w_rec.shape[1]
+    out = Node(np.zeros((len(lengths), 2 * u, len(widths)), dtype=x.dtype))
+    fwd_bptt = _run_direction(x, lanes, steps, widths, params.fwd, False, out.value[:, :u])
+    bwd_bptt = _run_direction(x, lanes, steps, widths, params.bwd, True, out.value[:, u:])
+    if tape is not None:
+        def bwd() -> None:
+            dx = bwd_bptt(out.grad[:, u:])
+            dx += fwd_bptt(out.grad[:, :u])
+            ad._accum(embedded, dx)
+        tape.record(out, bwd)
+    return out

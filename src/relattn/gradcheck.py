@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape, finite_diff_check
 from .config import ModelConfig
-from .data import SynthSpec, generate_synthetic
+from .data import Instance, SynthSpec, generate_synthetic
 from .model import Model
 from .training import total_loss
 
@@ -62,61 +62,49 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
     # batches of 2, with 2-D operands shared by the batch on either side
     batch = Parameter("batch", rng.uniform(-1, 1, (2, 4, 5)))
     batch2 = Parameter("batch2", rng.uniform(-1, 1, (2, 5, 2)))
-    prod_probe = Node(rng.uniform(-1, 1, (2, 3, 3)))
+    prod_probe = rng.uniform(-1, 1, (2, 3, 3))
     check("matmul", [a, batch, batch2, b],
-          lambda t: (t, _sum(t, ad.mul(t, ad.matmul(t, ad.matmul(t, ad.matmul(t, a, batch),
-                                                                 batch2), b), prod_probe))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.matmul(t, ad.matmul(t, ad.matmul(t, a, batch),
+                                                                       batch2), b), prod_probe))))
 
     c = _param(rng, "c", 3, 4)
     check("add", [a, c], lambda t: (t, _sum(t, ad.add(t, a, c))))
 
     bias = _param(rng, "bias", 3, 1)
     check("add_broadcast_bias", [a, bias],
-          lambda t: (t, _sum(t, ad.mul(t, ad.add(t, a, bias), c))))
-
-    check("mul", [a, c], lambda t: (t, _sum(t, ad.mul(t, ad.mul(t, a, c), a))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.add(t, a, bias), c.value))))
 
     mask_arr = (rng.random((3, 4)) > 0.4).astype(float)
     check("mul_const", [a],
-          lambda t: (t, _sum(t, ad.mul_const(t, ad.mul(t, a, a), mask_arr))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.tanh_map(t, a), mask_arr))))
     check("mul_const_scalar", [a], lambda t: (t, ad.mul_const(t, _sum(t, a), -2.5)))
 
-    check("tanh_map", [a], lambda t: (t, _sum(t, ad.mul(t, ad.tanh_map(t, a), c))))
+    check("tanh_map", [a], lambda t: (t, _sum(t, ad.mul_const(t, ad.tanh_map(t, a), c.value))))
 
     # keep inputs away from the kink at zero
     r_in = Parameter("r_in", np.where(np.abs(z := rng.uniform(-1, 1, (3, 4))) < 0.05,
                                       z + 0.2, z))
-    check("relu_map", [r_in], lambda t: (t, _sum(t, ad.mul(t, ad.relu_map(t, r_in), c))))
+    check("relu_map", [r_in],
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.relu_map(t, r_in), c.value))))
 
     check("row_softmax", [a],
-          lambda t: (t, _sum(t, ad.mul(t, ad.row_softmax(t, a), c))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.row_softmax(t, a), c.value))))
     valid = np.array([[[True, True, False, True]], [[False, False, True, True]]])
-    soft_probe = Node(rng.uniform(-1, 1, (2, 3, 4)))   # the mask adds the batch axis
+    soft_probe = rng.uniform(-1, 1, (2, 3, 4))   # the mask adds the batch axis
     check("row_softmax_masked", [a],
-          lambda t: (t, _sum(t, ad.mul(t, ad.row_softmax(t, a, valid_cols=valid), soft_probe))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.row_softmax(t, a, valid_cols=valid),
+                                             soft_probe))))
 
-    t_probe = Node(rng.uniform(-1, 1, (2, 5, 4)))
+    t_probe = rng.uniform(-1, 1, (2, 5, 4))
     check("transpose", [batch],
-          lambda t: (t, _sum(t, ad.mul(t, ad.transpose(t, batch), t_probe))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.transpose(t, batch), t_probe))))
     check("reshape", [a],
-          lambda t: (t, _sum(t, ad.mul(t, ad.reshape(t, a, 2, 6),
-                                       ad.reshape(t, c, 2, 6)))))
-    check("vconcat", [a, c],
-          lambda t: (t, _sum(t, ad.mul(t, ad.vconcat(t, [a, c]),
-                                       ad.vconcat(t, [c, a])))))
-    stack_probe = Node(rng.uniform(-1, 1, (2, 6, 5)))   # batches stack along axis -2
-    check("vconcat_batched", [batch, batch2],
-          lambda t: (t, _sum(t, ad.mul(t, ad.vconcat(t, [batch, ad.transpose(t, batch2)]),
-                                       stack_probe))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.reshape(t, a, 2, 6),
+                                             c.value.reshape(2, 6)))))
 
-    ids = np.array([0, 2, 2, 1, 0])   # duplicates must accumulate
-    row_probe = Node(rng.uniform(-1, 1, (5, 4)))
-    check("take_rows", [a],
-          lambda t: (t, _sum(t, ad.mul(t, ad.take_rows(t, a, ids), row_probe))))
-
-    mean_probe = Node(rng.uniform(-1, 1, (2, 1, 5)))
+    mean_probe = rng.uniform(-1, 1, (2, 1, 5))
     check("mean_rows", [batch],
-          lambda t: (t, _sum(t, ad.mul(t, ad.mean_rows(t, batch), mean_probe))))
+          lambda t: (t, _sum(t, ad.mul_const(t, ad.mean_rows(t, batch), mean_probe))))
     check("sum_squares", [a, c], lambda t: (t, ad.sum_squares(t, a, c, a)))
 
     check("frobenius_penalty", [batch], lambda t: (t, ad.frobenius_penalty(t, batch)))
@@ -130,7 +118,7 @@ def op_checks(seed: int = 12345) -> list[CheckResult]:
 
 
 def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
-    """Composite checks: both LSTM directions and both batched attention pipelines.
+    """Composite checks: the embedding, the BiLSTM and both batched attention pipelines.
 
     Each pipeline draws its test point from its own generator, keyed by
     ``seed`` and a number of its own, so adding or changing one check moves
@@ -148,28 +136,26 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 0])   # one point for both LSTM directions
     u, d_in = 2, 3
 
-    direction = enc.LstmDirection(
-        w_in=_param(rng, "w_in", 4 * u, d_in, -0.5, 0.5),
-        w_rec=_param(rng, "w_rec", 4 * u, u, -0.5, 0.5),
-        bias=_param(rng, "bias", 4 * u, 1, -0.5, 0.5),
-        hidden_size=u,
-    )
+    lstm = enc.LstmParams(*(enc.LstmDirection(
+        w_in=_param(rng, f"{name}_w_in", 4 * u, d_in, -0.5, 0.5),
+        w_rec=_param(rng, f"{name}_w_rec", 4 * u, u, -0.5, 0.5),
+        bias=_param(rng, f"{name}_bias", 4 * u, 1, -0.5, 0.5),
+    ) for name in ("fwd", "bwd")))
     # lanes of lengths 2, 4, 0 and 3 run four steps of widths 3, 3, 2, 1: the
     # forward direction narrows, the reverse direction widens, and sorting
     # scatters the states across lanes
     lengths = [2, 4, 0, 3]
-    lanes, steps, widths = enc._pack(lengths)
-    packed = _param(rng, "packed", d_in, sum(widths))
-    lstm_probe = Node(rng.uniform(-1, 1, (len(lengths), u, len(widths))))
-    for reverse in (False, True):
-        def lstm_direction(tape, reverse=reverse):
-            out = enc._run_direction(tape, packed, lanes, steps, widths, len(lengths),
-                                     direction, reverse)
-            return tape, _sum(tape, ad.mul(tape, out, lstm_probe))
+    packed = _param(rng, "packed", sum(lengths), d_in)
+    lstm_probe = rng.uniform(-1, 1, (len(lengths), 2 * u, max(lengths)))
 
-        err = finite_diff_check(lambda: lstm_direction(Tape()),
-                                [direction.w_in, direction.w_rec, direction.bias, packed], h=h)
-        results.append(CheckResult("lstm_reverse" if reverse else "lstm_forward", err))
+    def bilstm(tape):
+        out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+        return tape, _sum(tape, ad.mul_const(tape, out, lstm_probe))
+
+    err = finite_diff_check(lambda: bilstm(Tape()),
+                            [p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
+                            + [packed], h=h)
+    results.append(CheckResult("bilstm", err))
 
     rng = np.random.default_rng([seed, 1])
     r1, da1, v, t_len = 2, 3, 4, 5
@@ -181,14 +167,14 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
     )
     n = 3   # a batch of three instances with true lengths 3, 5 and 1
     hidden_const = Node(rng.uniform(-1, 1, (n, 2 * u, t_len)))
-    probe = Node(rng.uniform(-1, 1, (v, n)))
+    probe = rng.uniform(-1, 1, (v, n))
     valid = (np.arange(t_len) < np.array([3, 5, 1])[:, None])[:, None, :]
 
     def word_pipeline(tape):
         attn = wa.word_attention_matrix(tape, hidden_const, word, valid_cols=valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, hidden_const)
         rep = wa.flatten_project(tape, weighted, word)
-        loss = ad.add(tape, _sum(tape, ad.mul(tape, rep, probe)),
+        loss = ad.add(tape, _sum(tape, ad.mul_const(tape, rep, probe)),
                       wa.attention_penalty(tape, attn))
         return tape, loss
 
@@ -218,6 +204,24 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
                             [sent.attn_hidden, sent.attn_rows, sent.class_weight, sent.class_bias],
                             h=h)
     results.append(CheckResult("sentence_attention_pipeline", err))
+
+    rng = np.random.default_rng([seed, 3])
+    tables = enc.init_embedding_tables(6, TINY_CONFIG, rng)
+    # word ids 2 and 3 repeat within and across instances, and so do position
+    # buckets, so duplicate table rows must accumulate
+    instances = [Instance(np.array([2, 3, 2, 0, 0]), 0, 2, 3),
+                 Instance(np.array([3, 3, 4, 5, 2]), 4, 1, 5),
+                 Instance(np.array([2, 0, 0, 0, 0]), 0, 0, 1)]
+    emb_probe = rng.uniform(-1, 1, (sum(inst.true_length for inst in instances),
+                                    TINY_CONFIG.word_dim + TINY_CONFIG.position_dim))
+
+    def embedding(tape):
+        out = enc.embed_batch(tape, instances, tables, TINY_CONFIG)
+        return tape, _sum(tape, ad.mul_const(tape, out, emb_probe))
+
+    err = finite_diff_check(lambda: embedding(Tape()),
+                            [tables.word, tables.head_position, tables.tail_position], h=h)
+    results.append(CheckResult("embedding", err))
     return results
 
 

@@ -66,14 +66,13 @@ class Model:
             if arr.shape != shape:
                 raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
             params[name] = Parameter(name, arr.astype(cfg.dtype))
-        u = cfg.hidden_size
         self.embeddings = enc.EmbeddingTables(params["word_emb"], params["head_pos_emb"],
                                               params["tail_pos_emb"])
         self.lstm = enc.LstmParams(
             fwd=enc.LstmDirection(params["lstm_fwd_w_in"], params["lstm_fwd_w_rec"],
-                                  params["lstm_fwd_bias"], u),
+                                  params["lstm_fwd_bias"]),
             bwd=enc.LstmDirection(params["lstm_bwd_w_in"], params["lstm_bwd_w_rec"],
-                                  params["lstm_bwd_bias"], u),
+                                  params["lstm_bwd_bias"]),
         )
         self.word_attn = wa.WordAttentionParams(params["word_attn_hidden"],
                                                 params["word_attn_rows"],

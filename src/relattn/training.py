@@ -125,8 +125,8 @@ def train(dataset: Dataset, config: ModelConfig,
     config.validate()
     num_classes = config.num_classes or len(dataset.relations)
     if num_classes != len(dataset.relations):
-        raise ValueError(f"config.num_classes={num_classes} but dataset has "
-                         f"{len(dataset.relations)} relations")
+        raise ConfigError(f"config.num_classes={num_classes} but dataset has "
+                          f"{len(dataset.relations)} relations")
     rng = np.random.default_rng(config.seed)
     model = Model(config, len(dataset.vocab), num_classes, rng=rng,
                   pretrained=pretrained, token_ids=dataset.vocab.token_to_id)

@@ -273,6 +273,7 @@ BAD_TRAIN_INPUTS = {
     "record_not_an_object": ("5", None),
     "embedding_not_numeric": (None, "2 6\nw001 1 2 3 4 5 6\nw002 1 2 3 x 5 6\n"),
     "embedding_dim_not_word_dim": (None, "1 3\nw001 1 2 3\n"),
+    "embedding_not_finite": (None, "2 6\nw001 1 2 3 nan inf 6\nw002 1 2 3 4 5 6\n"),
 }
 
 
@@ -295,4 +296,15 @@ class TestBadTrainInput:
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_num_classes_mismatch_is_config_error(self, synth_file, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", "train", "--data", str(synth_file),
+             "--out", str(tmp_path / "out")] + SMALL_TRAIN + ["--set", "num_classes=4"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
         assert len(proc.stderr.strip().splitlines()) == 1

@@ -306,6 +306,13 @@ class TestEmbeddingFile:
         with pytest.raises(DataError, match="line 3"):
             read_embedding_file(path)
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"2 2\nfoo 1.0 2.0\nbar 1.0 {bad}\n")
+            with pytest.raises(DataError, match="line 3: non-finite"):
+                read_embedding_file(path)
+
     def test_dimension_other_than_word_dim_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nfoo 1.0 2.0 3.0\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relattn import autodiff as ad
 from relattn import encoder as enc
-from relattn.autodiff import Node, Parameter, Tape, finite_diff_check
+from relattn.autodiff import Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
 from relattn.data import BLANK_ID, Instance, relative_positions
 
@@ -41,10 +41,10 @@ class TestEmbeddings:
         tables = tables_for(cfg)
         inst = make_instance([2, 3, 4], true_length=3)
         out = embed_one(None, inst, tables, cfg)
-        assert out.shape == (6, 3)   # word_dim + position_dim rows, one column per token
+        assert out.shape == (3, 6)   # one row per token, word_dim + position_dim columns
 
-    def test_one_column_per_real_token(self):
-        # padding is not embedded: the columns are the sum(lengths) real tokens
+    def test_one_row_per_real_token(self):
+        # padding is not embedded: the rows are the sum(lengths) real tokens
         cfg = tiny_config(time_steps=4)
         tables = tables_for(cfg)
         instances = [make_instance([2, 3, BLANK_ID, BLANK_ID]),
@@ -52,16 +52,16 @@ class TestEmbeddings:
                      make_instance([4, 5, 2, 3]),
                      make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID])]
         out = enc.embed_batch(None, instances, tables, cfg)
-        assert out.shape == (6, 2 + 0 + 4 + 1)
+        assert out.shape == (2 + 0 + 4 + 1, 6)
 
     def test_head_position_separates_otherwise_equal_instances(self):
         cfg = tiny_config()
         tables = tables_for(cfg)
         a = embed_one(None, make_instance([2, 3, 4], head=0, tail=2), tables, cfg).value
         b = embed_one(None, make_instance([2, 3, 4], head=1, tail=2), tables, cfg).value
-        np.testing.assert_array_equal(a[:4], b[:4])          # word rows agree
-        assert not np.array_equal(a[4:5], b[4:5])            # head-position row differs
-        np.testing.assert_array_equal(a[5:], b[5:])          # tail-position row agrees
+        np.testing.assert_array_equal(a[:, :4], b[:, :4])        # word columns agree
+        assert not np.array_equal(a[:, 4:5], b[:, 4:5])          # head-position column differs
+        np.testing.assert_array_equal(a[:, 5:], b[:, 5:])        # tail-position column agrees
 
     def test_id_out_of_range(self):
         cfg = tiny_config()
@@ -72,7 +72,7 @@ class TestEmbeddings:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 4), st.data())
     def test_position_buckets_match_relative_positions(self, t_steps, max_distance, data):
-        # every table row differs, so each embedded position column names its bucket
+        # every table row differs, so each embedded position row names its bucket
         cfg = tiny_config(time_steps=t_steps, max_distance=max_distance, position_dim=4)
         tables = tables_for(cfg)
         n = data.draw(st.integers(1, 4))
@@ -87,11 +87,11 @@ class TestEmbeddings:
         for j, inst in enumerate(instances):
             head_ids, tail_ids = relative_positions(inst, max_distance)
             real = slice(inst.true_length)
-            cols = out[:, lanes == j]   # instance j's tokens, step by step
-            np.testing.assert_array_equal(cols[word:word + half],
-                                          tables.head_position.value[head_ids[real]].T)
-            np.testing.assert_array_equal(cols[word + half:],
-                                          tables.tail_position.value[tail_ids[real]].T)
+            rows = out[lanes == j]   # instance j's tokens, step by step
+            np.testing.assert_array_equal(rows[:, word:word + half],
+                                          tables.head_position.value[head_ids[real]])
+            np.testing.assert_array_equal(rows[:, word + half:],
+                                          tables.tail_position.value[tail_ids[real]])
 
     def test_pretrained_substitution(self):
         cfg = tiny_config()
@@ -132,7 +132,7 @@ def reference_bilstm(embedded, lengths, params):
     out = []
     for direction, steps in ((params.fwd, range(t_steps)),
                              (params.bwd, reversed(range(t_steps)))):
-        u = direction.hidden_size
+        u = direction.w_rec.value.shape[1]
         w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
         h = np.zeros((u, n))
         c = np.zeros((u, n))
@@ -211,7 +211,7 @@ def length_lists(t_steps):
 
 
 class TestFusedDirection:
-    """``_run_direction``: one tape record per direction, BPTT on backward."""
+    """``bilstm_encode_batch``: one tape record for both directions, BPTT on backward."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
@@ -220,38 +220,35 @@ class TestFusedDirection:
         # direction narrows through them and the reverse direction widens.
         # An empty lane adds positions no token writes
         lengths = data.draw(length_lists(t_steps)) + [0]
-        lanes, steps, widths = enc._pack(lengths)
+        _, _, widths = enc._pack(lengths)
         assert widths == [sum(length > t for length in lengths) for t in range(max(lengths))]
         rng = np.random.default_rng(seed)
         u, d_in, n = 2, 3, len(lengths)
-        packed = Parameter("packed", rng.uniform(-1, 1, (d_in, sum(lengths))))
-        for reverse in (False, True):
-            direction = enc.LstmDirection(
-                w_in=Parameter("wi", rng.uniform(-0.8, 0.8, (4 * u, d_in))),
-                w_rec=Parameter("wr", rng.uniform(-0.8, 0.8, (4 * u, u))),
-                bias=Parameter("b", rng.uniform(-0.8, 0.8, (4 * u, 1))),
-                hidden_size=u,
-            )
-            probe = Node(rng.uniform(-1, 1, (n, u, len(widths))))
+        packed = Parameter("packed", rng.uniform(-1, 1, (sum(lengths), d_in)))
+        lstm = enc.LstmParams(*(enc.LstmDirection(
+            w_in=Parameter("wi", rng.uniform(-0.8, 0.8, (4 * u, d_in))),
+            w_rec=Parameter("wr", rng.uniform(-0.8, 0.8, (4 * u, u))),
+            bias=Parameter("b", rng.uniform(-0.8, 0.8, (4 * u, 1))),
+        ) for _ in range(2)))
+        probe = rng.uniform(-1, 1, (n, 2 * u, len(widths)))
 
-            def f():
-                tape = Tape()
-                out = enc._run_direction(tape, packed, lanes, steps, widths, n,
-                                         direction, reverse)
-                assert len(tape) == 1
-                return tape, ad.sum_all(tape, ad.mul(tape, out, probe))
+        def f():
+            tape = Tape()
+            out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+            assert len(tape) == 1
+            return tape, ad.sum_all(tape, ad.mul_const(tape, out, probe))
 
-            params = [direction.w_in, direction.w_rec, direction.bias, packed]
-            # central differences at h=1e-5 carry up to ~1e-10 of roundoff on a
-            # loss of order one, so a nonzero gradient entry below 1e-5 cannot
-            # be resolved to the 1e-5 relative tolerance; exact zeros can
-            for p in params:
-                p.zero_grad()
-            ad.backward(*f())
-            grads = np.concatenate([np.abs(p.grad).ravel() for p in params])
-            assume(np.all((grads == 0) | (grads >= 1e-5)))
-            err = finite_diff_check(f, params, h=1e-5)
-            assert err < 1e-5, (reverse, err)
+        params = [p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)] + [packed]
+        # central differences at h=1e-5 carry up to ~1e-10 of roundoff on a
+        # loss of order one, so a nonzero gradient entry below 1e-5 cannot
+        # be resolved to the 1e-5 relative tolerance; exact zeros can
+        for p in params:
+            p.zero_grad()
+        ad.backward(*f())
+        grads = np.concatenate([np.abs(p.grad).ravel() for p in params])
+        assume(np.all((grads == 0) | (grads >= 1e-5)))
+        err = finite_diff_check(f, params, h=1e-5)
+        assert err < 1e-5, err
 
     def encode_with_tape(self, cfg, lengths, seed=0):
         t_steps = cfg.time_steps
@@ -261,7 +258,9 @@ class TestFusedDirection:
                                    + [BLANK_ID] * (t_steps - length)) for length in lengths]
         tape = Tape()
         embedded = enc.embed_batch(tape, instances, tables, cfg)
+        assert len(tape) == 1   # the embedding is one record, and so is the BiLSTM
         hidden = enc.bilstm_encode_batch(tape, embedded, lengths, lstm)
+        assert len(tape) == 2
         probe = np.random.default_rng(seed + 2).uniform(-1, 1, hidden.shape).astype(cfg.dtype)
         loss = ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
         params = [tables.word, tables.head_position, tables.tail_position,
@@ -438,13 +437,13 @@ class TestBilstm:
                   lstm.fwd.w_in, lstm.fwd.w_rec, lstm.fwd.bias,
                   lstm.bwd.w_in, lstm.bwd.w_rec, lstm.bwd.bias]
         for batch in ([inst], mixed):
-            probe = Node(rng.uniform(-1, 1, (len(batch), 4, max(i.true_length for i in batch))))
+            probe = rng.uniform(-1, 1, (len(batch), 4, max(i.true_length for i in batch)))
 
             def f():
                 tape = Tape()
                 embedded = enc.embed_batch(tape, batch, tables, cfg)
                 hidden = enc.bilstm_encode_batch(tape, embedded,
                                                  [i.true_length for i in batch], lstm)
-                return tape, ad.sum_all(tape, ad.mul(tape, hidden, probe))
+                return tape, ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
 
             assert finite_diff_check(f, params) < 1e-5

@@ -173,14 +173,14 @@ class TestPenalty:
         p = params_for(2, 3, 4, 5, seed=13)
         rng = np.random.default_rng(14)
         hidden = Node(rng.uniform(-1, 1, (4, 6)))
-        probe = Node(rng.uniform(-1, 1, (5, 1)))
+        probe = rng.uniform(-1, 1, (5, 1))
 
         def f():
             tape = Tape()
             attn = wa.word_attention_matrix(tape, hidden, p)
             weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
             rep = wa.flatten_project(tape, weighted, p)
-            loss = ad.add(tape, ad.sum_all(tape, ad.mul(tape, rep, probe)),
+            loss = ad.add(tape, ad.sum_all(tape, ad.mul_const(tape, rep, probe)),
                           wa.attention_penalty(tape, attn))
             return tape, loss
 
