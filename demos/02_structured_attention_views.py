@@ -13,6 +13,7 @@ from relattn import word_attention as wa
 from relattn.autodiff import Parameter, Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import Vocab, encode_instance
+from relattn.model import Model
 
 cfg = ModelConfig(word_dim=12, position_dim=6, max_distance=8, time_steps=8,
                   hidden_size=8, word_attention_hidden=10, word_attention_rows=3,
@@ -28,10 +29,8 @@ instance = encode_instance(sentence, head_index=0, tail_index=2, vocab=vocab,
 other = encode_instance("jane_doe joined acme_corp as chief engineer last year".split(),
                         head_index=2, tail_index=0, vocab=vocab, time_steps=cfg.time_steps)
 
-rng = np.random.default_rng(4)
-tables = enc.init_embedding_tables(len(vocab), cfg, rng)
-lstm = enc.init_lstm_params(cfg, rng)
-word = wa.init_word_attention(cfg, rng)
+model = Model(cfg, len(vocab), cfg.num_classes, rng=np.random.default_rng(4))
+tables, lstm, word = model.embeddings, model.lstm, model.word_attn
 
 batch = [instance, other]
 lengths = np.array([inst.true_length for inst in batch])

@@ -178,6 +178,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    if args.relations < 2:
+        raise UsageError("--relations must be at least 2")
     if args.bags % args.relations:
         raise UsageError("--bags must be divisible by --relations")
     spec = SynthSpec(num_relations=args.relations, vocab_size=args.vocab,

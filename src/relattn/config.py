@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -10,6 +11,11 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Bad configuration key or value."""
+
+
+# the values each field annotation admits: an int is a valid float
+_ADMITTED = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+             "int | None": (numbers.Integral, type(None))}
 
 
 @dataclass
@@ -53,6 +59,11 @@ class ModelConfig:
         return self.position_dim // 2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int to Python, but never a size, a count or a rate here
+            if isinstance(value, bool) or not isinstance(value, _ADMITTED[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         dims = (
             "word_dim", "position_dim", "max_distance", "time_steps",
             "hidden_size", "word_attention_hidden", "word_attention_rows",

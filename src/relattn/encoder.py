@@ -38,62 +38,13 @@ class EmbeddingTables:
 class LstmDirection:
     w_in: Parameter    # [4u x input_dim], gate order i, f, g, o
     w_rec: Parameter   # [4u x u]
-    bias: Parameter    # [4u x 1], forget slice initialized to 1
+    bias: Parameter    # [4u x 1]; model.expected_shapes starts the forget slice at 1
 
 
 @dataclass
 class LstmParams:
     fwd: LstmDirection
     bwd: LstmDirection
-
-
-def init_embedding_tables(vocab_size: int, config: ModelConfig,
-                          rng: np.random.Generator,
-                          pretrained: dict[str, np.ndarray] | None = None,
-                          token_ids: dict[str, int] | None = None) -> EmbeddingTables:
-    """Embedding rows drawn from normal(0, 0.05); pretrained rows substituted."""
-    dtype = config.dtype
-    word = rng.normal(0.0, 0.05, size=(vocab_size, config.word_dim))
-    if pretrained:
-        if token_ids is None:
-            raise ValueError("pretrained embeddings need the token -> id map")
-        for token, vec in pretrained.items():
-            if token in token_ids:
-                if vec.shape != (config.word_dim,):
-                    raise ValueError(f"embedding for {token!r} has dim {vec.shape}, "
-                                     f"expected ({config.word_dim},)")
-                word[token_ids[token]] = vec
-    buckets = 2 * config.max_distance + 2
-    half = config.position_table_dim
-    return EmbeddingTables(
-        word=Parameter("word_emb", word.astype(dtype)),
-        head_position=Parameter("head_pos_emb",
-                                rng.normal(0.0, 0.05, size=(buckets, half)).astype(dtype)),
-        tail_position=Parameter("tail_pos_emb",
-                                rng.normal(0.0, 0.05, size=(buckets, half)).astype(dtype)),
-    )
-
-
-def _init_direction(name: str, input_dim: int, u: int, rng: np.random.Generator,
-                    dtype: np.dtype) -> LstmDirection:
-    w_in = rng.uniform(-0.1, 0.1, size=(4 * u, input_dim))
-    w_rec = rng.uniform(-0.1, 0.1, size=(4 * u, u))
-    bias = np.zeros((4 * u, 1))
-    bias[u:2 * u] = 1.0   # forget gate starts open
-    return LstmDirection(
-        w_in=Parameter(f"{name}_w_in", w_in.astype(dtype)),
-        w_rec=Parameter(f"{name}_w_rec", w_rec.astype(dtype)),
-        bias=Parameter(f"{name}_bias", bias.astype(dtype)),
-    )
-
-
-def init_lstm_params(config: ModelConfig, rng: np.random.Generator) -> LstmParams:
-    input_dim = config.word_dim + config.position_dim
-    u = config.hidden_size
-    return LstmParams(
-        fwd=_init_direction("lstm_fwd", input_dim, u, rng, config.dtype),
-        bwd=_init_direction("lstm_bwd", input_dim, u, rng, config.dtype),
-    )
 
 
 def _pack(lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:

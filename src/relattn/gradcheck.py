@@ -206,7 +206,7 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
     results.append(CheckResult("sentence_attention_pipeline", err))
 
     rng = np.random.default_rng([seed, 3])
-    tables = enc.init_embedding_tables(6, TINY_CONFIG, rng)
+    tables = Model(TINY_CONFIG, 6, TINY_CONFIG.num_classes, rng=rng).embeddings
     # word ids 2 and 3 repeat within and across instances, and so do position
     # buckets, so duplicate table rows must accumulate
     instances = [Instance(np.array([2, 3, 2, 0, 0]), 0, 2, 3),

@@ -1,4 +1,9 @@
-"""The full bag-level model: encoder, word attention, sentence attention.
+"""The full bag-level model: its parameter table and batched forward passes.
+
+:func:`expected_shapes` lists every tensor once, with its shape and init
+rule, in the order a fresh model draws them; fresh and checkpoint-loaded
+models are both built by one walk over it. The layer modules take their
+tensors from the model as the dataclasses they define.
 
 Instances of a batch are encoded together: the encoder packs their real
 tokens and returns their states as ``[n x 2u x t_run]``, up to the longest
@@ -39,73 +44,54 @@ class Model:
                  tensors: dict[str, np.ndarray] | None = None,
                  pretrained: dict[str, np.ndarray] | None = None,
                  token_ids: dict[str, int] | None = None) -> None:
+        """A fresh model draws each tensor from ``rng`` by its table rule, with
+        ``pretrained`` rows put into ``word_emb``; a loaded one takes it from
+        ``tensors``, and a missing or misshapen one is a ValueError."""
         config.validate()
         self.config = config
         self.vocab_size = vocab_size
         self.num_classes = num_classes
-        if tensors is None:
-            if rng is None:
-                raise ValueError("need an rng to initialize a fresh model")
-            self.embeddings = enc.init_embedding_tables(vocab_size, config, rng,
-                                                        pretrained, token_ids)
-            self.lstm = enc.init_lstm_params(config, rng)
-            self.word_attn = wa.init_word_attention(config, rng)
-            self.sent_attn = sa.init_sent_attention(config, num_classes, rng)
-        else:
-            self._load_tensors(tensors)
-
-    def _load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        cfg = self.config
-        expected = expected_shapes(cfg, self.vocab_size, self.num_classes)
-        missing = sorted(set(expected) - set(tensors))
+        table = expected_shapes(config, vocab_size, num_classes)
+        if tensors is None and rng is None:
+            raise ValueError("need an rng to initialize a fresh model")
+        missing = [] if tensors is None else sorted(set(table) - set(tensors))
         if missing:
             raise ValueError(f"checkpoint is missing tensors: {missing}")
-        params: dict[str, Parameter] = {}
-        for name, shape in expected.items():
-            arr = tensors[name]
-            if arr.shape != shape:
-                raise ValueError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-            params[name] = Parameter(name, arr.astype(cfg.dtype))
-        self.embeddings = enc.EmbeddingTables(params["word_emb"], params["head_pos_emb"],
-                                              params["tail_pos_emb"])
-        self.lstm = enc.LstmParams(
-            fwd=enc.LstmDirection(params["lstm_fwd_w_in"], params["lstm_fwd_w_rec"],
-                                  params["lstm_fwd_bias"]),
-            bwd=enc.LstmDirection(params["lstm_bwd_w_in"], params["lstm_bwd_w_rec"],
-                                  params["lstm_bwd_bias"]),
-        )
-        self.word_attn = wa.WordAttentionParams(params["word_attn_hidden"],
-                                                params["word_attn_rows"],
-                                                params["word_mlp_weight"],
-                                                params["word_mlp_bias"])
-        self.sent_attn = sa.SentAttentionParams(params["sent_attn_hidden"],
-                                                params["sent_attn_rows"],
-                                                params["class_weight"],
-                                                params["class_bias"])
+        self._params: dict[str, Parameter] = {}
+        for name, (shape, rule) in table.items():
+            if tensors is None:
+                value = _draw(rule, shape, rng)
+                if name == "word_emb" and pretrained:
+                    _substitute_pretrained(value, pretrained, token_ids)
+            else:
+                value = tensors[name]
+                if value.shape != shape:
+                    raise ValueError(f"tensor {name!r} has shape {value.shape}, expected {shape}")
+            # rebinding frees a float64 draw before Parameter allocates its slots
+            value = value.astype(config.dtype)
+            self._params[name] = Parameter(name, value)
+        p = self._params
+        self.embeddings = enc.EmbeddingTables(p["word_emb"], p["head_pos_emb"], p["tail_pos_emb"])
+        self.lstm = enc.LstmParams(*(
+            enc.LstmDirection(p[f"lstm_{d}_w_in"], p[f"lstm_{d}_w_rec"], p[f"lstm_{d}_bias"])
+            for d in ("fwd", "bwd")))
+        self.word_attn = wa.WordAttentionParams(p["word_attn_hidden"], p["word_attn_rows"],
+                                                p["word_mlp_weight"], p["word_mlp_bias"])
+        self.sent_attn = sa.SentAttentionParams(p["sent_attn_hidden"], p["sent_attn_rows"],
+                                                p["class_weight"], p["class_bias"])
 
     def named_parameters(self) -> dict[str, Parameter]:
-        ps = [
-            self.embeddings.word, self.embeddings.head_position, self.embeddings.tail_position,
-            self.lstm.fwd.w_in, self.lstm.fwd.w_rec, self.lstm.fwd.bias,
-            self.lstm.bwd.w_in, self.lstm.bwd.w_rec, self.lstm.bwd.bias,
-            self.word_attn.attn_hidden, self.word_attn.attn_rows,
-            self.word_attn.mlp_weight, self.word_attn.mlp_bias,
-            self.sent_attn.attn_hidden, self.sent_attn.attn_rows,
-            self.sent_attn.class_weight, self.sent_attn.class_bias,
-        ]
-        return {p.name: p for p in ps}
+        return dict(self._params)
 
     def parameters(self) -> list[Parameter]:
-        return list(self.named_parameters().values())
+        return list(self._params.values())
 
     def l2_parameters(self) -> list[Parameter]:
-        """Weight matrices only: biases and embedding tables are not decayed."""
-        return [
-            self.lstm.fwd.w_in, self.lstm.fwd.w_rec,
-            self.lstm.bwd.w_in, self.lstm.bwd.w_rec,
-            self.word_attn.attn_hidden, self.word_attn.attn_rows, self.word_attn.mlp_weight,
-            self.sent_attn.attn_hidden, self.sent_attn.attn_rows, self.sent_attn.class_weight,
-        ]
+        """Weight matrices only, in table order: biases and embedding tables
+        are not decayed."""
+        table = expected_shapes(self.config, self.vocab_size, self.num_classes)
+        return [self._params[name] for name, (_, rule) in table.items()
+                if rule in ("uniform", "glorot_uniform")]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -163,29 +149,64 @@ class Model:
                             ).probabilities.value[0]
 
 
-def expected_shapes(config: ModelConfig, vocab_size: int,
-                    num_classes: int) -> dict[str, tuple[int, int]]:
+def expected_shapes(config: ModelConfig, vocab_size: int, num_classes: int,
+                    ) -> dict[str, tuple[tuple[int, int], str]]:
+    """Every tensor's name, shape and init rule, in the order a fresh model
+    draws them. The rules, applied by :func:`_draw`: ``normal`` rows from
+    normal(0, 0.05), ``uniform`` from uniform(-0.1, 0.1), ``glorot_uniform``
+    Glorot-uniform, ``zeros``, and ``lstm_bias``: zeros with the forget-gate
+    slice at 1, so the forget gate starts open. Only the ``uniform`` and
+    ``glorot_uniform`` weights are L2-decayed."""
     cfg = config
     input_dim = cfg.word_dim + cfg.position_dim
     u = cfg.hidden_size
     buckets = 2 * cfg.max_distance + 2
     half = cfg.position_table_dim
     return {
-        "word_emb": (vocab_size, cfg.word_dim),
-        "head_pos_emb": (buckets, half),
-        "tail_pos_emb": (buckets, half),
-        "lstm_fwd_w_in": (4 * u, input_dim),
-        "lstm_fwd_w_rec": (4 * u, u),
-        "lstm_fwd_bias": (4 * u, 1),
-        "lstm_bwd_w_in": (4 * u, input_dim),
-        "lstm_bwd_w_rec": (4 * u, u),
-        "lstm_bwd_bias": (4 * u, 1),
-        "word_attn_hidden": (cfg.word_attention_hidden, 2 * u),
-        "word_attn_rows": (cfg.word_attention_rows, cfg.word_attention_hidden),
-        "word_mlp_weight": (cfg.mlp_size, cfg.word_attention_rows * 2 * u),
-        "word_mlp_bias": (cfg.mlp_size, 1),
-        "sent_attn_hidden": (cfg.sent_attention_hidden, cfg.mlp_size),
-        "sent_attn_rows": (cfg.sent_attention_rows, cfg.sent_attention_hidden),
-        "class_weight": (num_classes, cfg.mlp_size),
-        "class_bias": (num_classes, 1),
+        "word_emb": ((vocab_size, cfg.word_dim), "normal"),
+        "head_pos_emb": ((buckets, half), "normal"),
+        "tail_pos_emb": ((buckets, half), "normal"),
+        "lstm_fwd_w_in": ((4 * u, input_dim), "uniform"),   # gate order i, f, g, o
+        "lstm_fwd_w_rec": ((4 * u, u), "uniform"),
+        "lstm_fwd_bias": ((4 * u, 1), "lstm_bias"),
+        "lstm_bwd_w_in": ((4 * u, input_dim), "uniform"),
+        "lstm_bwd_w_rec": ((4 * u, u), "uniform"),
+        "lstm_bwd_bias": ((4 * u, 1), "lstm_bias"),
+        "word_attn_hidden": ((cfg.word_attention_hidden, 2 * u), "glorot_uniform"),
+        "word_attn_rows": ((cfg.word_attention_rows, cfg.word_attention_hidden), "glorot_uniform"),
+        "word_mlp_weight": ((cfg.mlp_size, cfg.word_attention_rows * 2 * u), "glorot_uniform"),
+        "word_mlp_bias": ((cfg.mlp_size, 1), "zeros"),
+        "sent_attn_hidden": ((cfg.sent_attention_hidden, cfg.mlp_size), "glorot_uniform"),
+        "sent_attn_rows": ((cfg.sent_attention_rows, cfg.sent_attention_hidden), "glorot_uniform"),
+        "class_weight": ((num_classes, cfg.mlp_size), "glorot_uniform"),
+        "class_bias": ((num_classes, 1), "zeros"),
     }
+
+
+def _draw(rule: str, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """A float64 initial value by one of :func:`expected_shapes`' rules."""
+    if rule == "normal":
+        return rng.normal(0.0, 0.05, size=shape)
+    if rule == "uniform":
+        return rng.uniform(-0.1, 0.1, size=shape)
+    if rule == "glorot_uniform":
+        limit = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
+    value = np.zeros(shape)
+    if rule == "lstm_bias":
+        u = shape[0] // 4
+        value[u:2 * u] = 1.0
+    return value
+
+
+def _substitute_pretrained(word: np.ndarray, pretrained: dict[str, np.ndarray],
+                           token_ids: dict[str, int] | None) -> None:
+    """Overwrite the drawn rows of the tokens that have pretrained vectors."""
+    if token_ids is None:
+        raise ValueError("pretrained embeddings need the token -> id map")
+    for token, vec in pretrained.items():
+        if token in token_ids:
+            if vec.shape != word.shape[1:]:
+                raise ValueError(f"embedding for {token!r} has dim {vec.shape}, "
+                                 f"expected ({word.shape[1]},)")
+            word[token_ids[token]] = vec

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
-from .config import ModelConfig
-from .word_attention import glorot
 
 
 @dataclass
@@ -25,21 +23,6 @@ class SentAttentionParams:
     attn_rows: Parameter     # [rows x attention_hidden]
     class_weight: Parameter  # [num_classes x mlp_size]
     class_bias: Parameter    # [num_classes x 1]
-
-
-def init_sent_attention(config: ModelConfig, num_classes: int,
-                        rng: np.random.Generator) -> SentAttentionParams:
-    dtype = config.dtype
-    return SentAttentionParams(
-        attn_hidden=Parameter("sent_attn_hidden",
-                              glorot(rng, config.sent_attention_hidden, config.mlp_size, dtype)),
-        attn_rows=Parameter("sent_attn_rows",
-                            glorot(rng, config.sent_attention_rows,
-                                   config.sent_attention_hidden, dtype)),
-        class_weight=Parameter("class_weight",
-                               glorot(rng, num_classes, config.mlp_size, dtype)),
-        class_bias=Parameter("class_bias", np.zeros((num_classes, 1), dtype=dtype)),
-    )
 
 
 def stack_bag(sizes) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
-from .config import ModelConfig
 
 
 @dataclass
@@ -23,27 +22,6 @@ class WordAttentionParams:
     attn_rows: Parameter     # [rows x attention_hidden]
     mlp_weight: Parameter    # [mlp_size x rows*2u]
     mlp_bias: Parameter      # [mlp_size x 1]
-
-
-def glorot(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
-
-
-def init_word_attention(config: ModelConfig, rng: np.random.Generator) -> WordAttentionParams:
-    two_u = 2 * config.hidden_size
-    r = config.word_attention_rows
-    dtype = config.dtype
-    return WordAttentionParams(
-        attn_hidden=Parameter("word_attn_hidden",
-                              glorot(rng, config.word_attention_hidden, two_u, dtype)),
-        attn_rows=Parameter("word_attn_rows",
-                            glorot(rng, r, config.word_attention_hidden, dtype)),
-        mlp_weight=Parameter("word_mlp_weight",
-                             glorot(rng, config.mlp_size, r * two_u, dtype)),
-        mlp_bias=Parameter("word_mlp_bias",
-                           np.zeros((config.mlp_size, 1), dtype=dtype)),
-    )
 
 
 def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttentionParams,

@@ -127,6 +127,15 @@ class TestGenSynth:
         assert main(["gen-synth", "--out", str(tmp_path / "x.jsonl"),
                      "--relations", "3", "--bags", "10"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("relations", ["0", "-2"])
+    def test_too_few_relations(self, relations, tmp_path, capsys):
+        # checked before the bag count is divided by it
+        assert main(["gen-synth", "--out", str(tmp_path / "x.jsonl"),
+                     "--relations", relations, "--bags", "10"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.jsonl").exists()
+
 
 class TestTrainEval:
     def test_train_writes_checkpoint_and_log(self, trained_dir):
@@ -298,13 +307,29 @@ class TestBadTrainInput:
         assert proc.stderr.startswith("data error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    def test_num_classes_mismatch_is_config_error(self, synth_file, tmp_path):
+    def _train_with(self, setting, synth_file, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "relattn", "train", "--data", str(synth_file),
-             "--out", str(tmp_path / "out")] + SMALL_TRAIN + ["--set", "num_classes=4"],
+             "--out", str(tmp_path / "out")] + SMALL_TRAIN + ["--set", setting],
             capture_output=True, text=True, env=env, timeout=120)
+
+    def test_num_classes_mismatch_is_config_error(self, synth_file, tmp_path):
+        proc = self._train_with("num_classes=4", synth_file, tmp_path)
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    # --set values are JSON: each has a type its key does not admit
+    @pytest.mark.parametrize("setting", [
+        'word_dim="abc"', "word_dim=2.5", "epochs=null", 'dropout="x"',
+        'learning_rate="0.1"', "seed=1.5", "grad_clip=[1]", "batch_size=true",
+    ])
+    def test_bad_value_type_is_config_error(self, setting, synth_file, tmp_path):
+        proc = self._train_with(setting, synth_file, tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"config error: {setting.partition('=')[0]} must be ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ from relattn import encoder as enc
 from relattn.autodiff import Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
 from relattn.data import BLANK_ID, Instance, relative_positions
+from relattn.model import Model
 
 
 def tiny_config(**kw):
@@ -26,9 +27,13 @@ def make_instance(token_ids, head=0, tail=1, true_length=None):
     return Instance(ids, head, tail, true_length)
 
 
+def fresh_model(cfg, vocab_size=6, seed=0, **kw):
+    """A fresh model to take tables or LSTM weights from; ``seed`` may be a Generator."""
+    return Model(cfg, vocab_size, cfg.num_classes, rng=np.random.default_rng(seed), **kw)
+
+
 def tables_for(cfg, vocab_size=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return enc.init_embedding_tables(vocab_size, cfg, rng)
+    return fresh_model(cfg, vocab_size, seed).embeddings
 
 
 def embed_one(tape, instance, tables, cfg):
@@ -96,9 +101,8 @@ class TestEmbeddings:
     def test_pretrained_substitution(self):
         cfg = tiny_config()
         vec = np.array([9.0, 8.0, 7.0, 6.0])
-        tables = enc.init_embedding_tables(5, cfg, np.random.default_rng(0),
-                                           pretrained={"known": vec, "absent": vec},
-                                           token_ids={"known": 3})
+        tables = fresh_model(cfg, 5, pretrained={"known": vec, "absent": vec},
+                             token_ids={"known": 3}).embeddings
         np.testing.assert_array_equal(tables.word.value[3], vec)
         assert np.abs(tables.word.value[2]).max() < 0.5   # untouched rows stay small
 
@@ -188,7 +192,7 @@ class TestLstmStep:
 
     def test_forget_bias_initialized_to_one(self):
         cfg = tiny_config()
-        params = enc.init_lstm_params(cfg, np.random.default_rng(0))
+        params = fresh_model(cfg).lstm
         u = cfg.hidden_size
         for d in (params.fwd, params.bwd):
             np.testing.assert_array_equal(d.bias.value[u:2 * u], np.ones((u, 1)))
@@ -253,7 +257,7 @@ class TestFusedDirection:
     def encode_with_tape(self, cfg, lengths, seed=0):
         t_steps = cfg.time_steps
         tables = tables_for(cfg, vocab_size=8, seed=seed)
-        lstm = enc.init_lstm_params(cfg, np.random.default_rng(seed + 1))
+        lstm = fresh_model(cfg, 8, seed + 1).lstm
         instances = [make_instance([2 + t % 5 for t in range(length)]
                                    + [BLANK_ID] * (t_steps - length)) for length in lengths]
         tape = Tape()
@@ -299,7 +303,7 @@ class TestFusedDirection:
 class TestBilstm:
     def encode(self, cfg, instances, seed=0):
         tables = tables_for(cfg, vocab_size=8, seed=seed)
-        lstm = enc.init_lstm_params(cfg, np.random.default_rng(seed + 1))
+        lstm = fresh_model(cfg, 8, seed + 1).lstm
         embedded = enc.embed_batch(None, instances, tables, cfg)
         return enc.bilstm_encode_batch(None, embedded, [i.true_length for i in instances], lstm)
 
@@ -341,7 +345,7 @@ class TestBilstm:
         # one-column product (gemv) sums in another order than gemm
         cfg = tiny_config(time_steps=t_steps)
         tables = tables_for(cfg, vocab_size=8)
-        lstm = enc.init_lstm_params(cfg, np.random.default_rng(1))
+        lstm = fresh_model(cfg, 8, 1).lstm
         lengths = data.draw(length_lists(t_steps))
 
         def draw_instance(length):
@@ -372,7 +376,7 @@ class TestBilstm:
         cfg = tiny_config(time_steps=t_steps)
         rng = np.random.default_rng(seed)
         tables = tables_for(cfg, vocab_size=8, seed=seed)
-        lstm = enc.init_lstm_params(cfg, rng)
+        lstm = fresh_model(cfg, 8, rng).lstm
         for p in (tables.word, tables.head_position, tables.tail_position):
             p.value[...] = rng.uniform(-1, 1, p.value.shape)
         for d in (lstm.fwd, lstm.bwd):   # weights large enough to saturate some gates
@@ -397,7 +401,7 @@ class TestBilstm:
     def test_steps_stop_at_longest_true_length(self, monkeypatch):
         cfg = tiny_config(time_steps=6)
         tables = tables_for(cfg, vocab_size=8)
-        lstm = enc.init_lstm_params(cfg, np.random.default_rng(1))
+        lstm = fresh_model(cfg, 8, 1).lstm
         instances = [make_instance([2, 3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
                      make_instance([4, 5, 6, 7, BLANK_ID, BLANK_ID]),
                      make_instance([3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID])]
@@ -423,7 +427,7 @@ class TestBilstm:
         # healthy magnitudes keep the check clear of the fd noise floor
         for p in (tables.word, tables.head_position, tables.tail_position):
             p.value[...] = rng.uniform(0.2, 0.6, p.value.shape) * rng.choice([-1, 1], p.value.shape)
-        lstm = enc.init_lstm_params(cfg, rng)
+        lstm = fresh_model(cfg, 8, rng).lstm
         inst = make_instance([2, 3, 4, BLANK_ID, BLANK_ID], true_length=3)
         # mixed lengths 3, 1, 4: sorting reorders the lanes, the forward
         # direction drops lanes after steps 0 and 2, and the reverse direction

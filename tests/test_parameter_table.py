@@ -1,0 +1,101 @@
+"""The parameter table: every tensor's draw order, init rule and use.
+
+The first test redraws each tensor by the rule the table documents, in the
+documented order, from a generator of its own, so reordering an entry or
+changing its rule changes the bits. The second asks every entry for a
+gradient from the training loss beyond its L2 share, so an entry that no
+layer reads fails.
+"""
+
+import numpy as np
+import pytest
+
+from relattn import gradcheck
+from relattn.autodiff import Tape, backward
+from relattn.config import ModelConfig
+from relattn.model import Model, expected_shapes
+from relattn.training import total_loss
+
+CFG = ModelConfig(word_dim=4, position_dim=6, max_distance=3, time_steps=5, hidden_size=3,
+                  word_attention_hidden=5, word_attention_rows=2, mlp_size=7,
+                  sent_attention_hidden=4, sent_attention_rows=3, num_classes=3)
+VOCAB = 9
+
+
+def documented_draws(cfg, vocab_size, rng, pretrained_rows):
+    """Name, value and whether L2 decays it, in draw order: embedding rows
+    from normal(0, 0.05), LSTM weights from uniform(-0.1, 0.1), the other
+    weights Glorot-uniform, biases zero but for the LSTM forget slice at 1."""
+    u, d = cfg.hidden_size, cfg.word_dim + cfg.position_dim
+    mlp, r = cfg.mlp_size, cfg.word_attention_rows
+
+    def normal(*shape):
+        return rng.normal(0.0, 0.05, size=shape)
+
+    def lstm(*shape):
+        return rng.uniform(-0.1, 0.1, size=shape)
+
+    def glorot_uniform(rows, cols):
+        limit = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    forget_open = np.zeros((4 * u, 1))
+    forget_open[u:2 * u] = 1.0
+    word = normal(vocab_size, cfg.word_dim)
+    for row, vec in pretrained_rows.items():
+        word[row] = vec
+    draws = [("word_emb", word, False),
+             ("head_pos_emb", normal(2 * cfg.max_distance + 2, cfg.position_dim // 2), False),
+             ("tail_pos_emb", normal(2 * cfg.max_distance + 2, cfg.position_dim // 2), False)]
+    for direction in ("fwd", "bwd"):
+        draws += [(f"lstm_{direction}_w_in", lstm(4 * u, d), True),
+                  (f"lstm_{direction}_w_rec", lstm(4 * u, u), True),
+                  (f"lstm_{direction}_bias", forget_open, False)]
+    draws += [("word_attn_hidden", glorot_uniform(cfg.word_attention_hidden, 2 * u), True),
+              ("word_attn_rows", glorot_uniform(r, cfg.word_attention_hidden), True),
+              ("word_mlp_weight", glorot_uniform(mlp, r * 2 * u), True),
+              ("word_mlp_bias", np.zeros((mlp, 1)), False),
+              ("sent_attn_hidden", glorot_uniform(cfg.sent_attention_hidden, mlp), True),
+              ("sent_attn_rows", glorot_uniform(cfg.sent_attention_rows,
+                                                cfg.sent_attention_hidden), True),
+              ("class_weight", glorot_uniform(cfg.num_classes, mlp), True),
+              ("class_bias", np.zeros((cfg.num_classes, 1)), False)]
+    return draws
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("with_pretrained", [False, True])
+def test_fresh_tensors_follow_the_documented_rules_bit_for_bit(precision, with_pretrained):
+    cfg = CFG.replace(precision=precision)
+    vectors = np.random.default_rng(1).normal(size=(2, cfg.word_dim))
+    pretrained = {"known": vectors[0], "also": vectors[1], "absent": vectors[0]}
+    token_ids = {"known": 2, "also": 7}
+    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5),
+                  pretrained=pretrained if with_pretrained else None, token_ids=token_ids)
+    rows = {2: vectors[0], 7: vectors[1]} if with_pretrained else {}
+    draws = documented_draws(cfg, VOCAB, np.random.default_rng(5), rows)
+
+    params = model.named_parameters()
+    assert list(params) == [name for name, _, _ in draws] == list(expected_shapes(
+        cfg, VOCAB, cfg.num_classes))
+    for name, want, _ in draws:
+        got = params[name].value
+        assert got.dtype == np.dtype(precision), name
+        np.testing.assert_array_equal(got, want.astype(precision), err_msg=name)
+    assert [p.name for p in model.l2_parameters()] == [name for name, _, l2 in draws if l2]
+    assert [p.name for p in model.parameters()] == list(params)
+
+
+def test_every_entry_gets_a_gradient_beyond_its_l2_share():
+    model, bags = gradcheck.tiny_model_and_batch()
+    cfg = model.config
+    assert cfg.penalty_coef > 0 and cfg.l2_coef > 0
+    tape = Tape()
+    loss, _ = total_loss(tape, bags, model)
+    backward(tape, loss)
+    decayed = {p.name for p in model.l2_parameters()}
+    params = model.named_parameters()
+    for name in expected_shapes(cfg, model.vocab_size, model.num_classes):
+        p = params[name]
+        l2_share = 2.0 * cfg.l2_coef * p.value if name in decayed else np.zeros_like(p.value)
+        assert not np.allclose(p.grad, l2_share, rtol=1e-9, atol=0.0), name

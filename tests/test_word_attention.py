@@ -7,6 +7,7 @@ from relattn import autodiff as ad
 from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
 from relattn.config import ModelConfig
+from relattn.model import Model
 
 
 def params_for(rows, attn_hidden, two_u, mlp, seed=0):
@@ -40,7 +41,7 @@ class TestAttentionMatrix:
         # the large-corpus profile: 9 rows over 70 steps, each row a distribution
         cfg = ModelConfig.from_profile("nyt", num_classes=53)
         rng = np.random.default_rng(2)
-        p = wa.init_word_attention(cfg.replace(precision="float64"), rng)
+        p = Model(cfg.replace(precision="float64"), 2, 53, rng=rng).word_attn
         hidden = Node(rng.normal(size=(600, 70)))
         attn = wa.word_attention_matrix(None, hidden, p).value
         assert attn.shape == (9, 70)
