@@ -51,7 +51,7 @@ class Parameter(Node):
     __slots__ = ("name", "m", "s", "step")
 
     def __init__(self, name: str, value) -> None:
-        super().__init__(np.array(value))
+        super().__init__(np.asarray(value))
         self.name = name
         self.grad = np.zeros_like(self.value)
         self.m = np.zeros_like(self.value)   # first-moment estimate

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -64,6 +65,8 @@ class ModelConfig:
             # bool is an int to Python, but never a size, a count or a rate here
             if isinstance(value, bool) or not isinstance(value, _ADMITTED[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         dims = (
             "word_dim", "position_dim", "max_distance", "time_steps",
             "hidden_size", "word_attention_hidden", "word_attention_rows",
@@ -79,14 +82,17 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.position_dim % 2 != 0:
             raise ConfigError("position_dim must be even (split over head and tail tables)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.grad_clip < 0:
-            raise ConfigError("grad_clip must be >= 0 (0 disables clipping)")
+        for name in ("dropout", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        for name in ("penalty_coef", "l2_coef", "grad_clip"):   # 0 turns each off
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def replace(self, **changes: Any) -> "ModelConfig":
         cfg = replace(self, **changes)

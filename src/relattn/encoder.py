@@ -5,17 +5,18 @@ so the lanes still running at step t are a prefix of width
 ``#(lengths > t)``, and the real tokens are laid out step by step. The
 embedding gathers only the real tokens' table rows, in that packed order,
 into one token-major ``[P x D]`` (``P = sum(lengths)``) and one tape record.
-The BiLSTM is one more record: each direction projects every token with one
-matmul, runs :func:`lstm_step` once per step on plain arrays, and writes each
-state straight to its place in its half of the word-attention input
-``[n x 2u x t_run]``, up to the longest true length, with every padded
-position exactly zero. Its backward pass is hand-written backpropagation
-through time, one direction after the other.
+The BiLSTM is one more record and one recurrence, :func:`_run_direction`,
+run over the packed rows and, for the reverse direction, over the rows
+mirrored within each lane. It projects every token with one matmul and runs
+:func:`lstm_step` once per step; the states are scattered into the
+word-attention input ``[n x 2u x t_run]``, every padded position exactly
+zero. Its backward pass is hand-written BPTT, one direction after the other.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,21 +120,16 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-def _run_direction(x: np.ndarray, lanes: np.ndarray, steps: np.ndarray, widths: list[int],
-                   direction: LstmDirection, reverse: bool,
-                   out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Run one direction over the packed tokens ``x`` ``[P x D]``.
+def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
+                   ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Run one direction forward over the packed tokens ``x`` ``[P x D]``.
 
     ``x`` holds the real tokens only, as :func:`_pack` lays them out: step by
-    step, with step t's ``widths[t]`` active lanes first. Token k's state is
-    written to ``out[lanes[k], :, steps[k]]`` (``out`` is ``[n x u x t_run]``).
-    Going forward, a step's lanes continue the first lanes of the step
-    before; going backward, the lanes that start enter at their last real
-    token from the zero state.
-
-    Returns the BPTT closure: given the gradient of ``out``, it runs over the
-    saved gates and cells, adds the weight gradients, each formed with one
-    product, and returns the gradient of ``x``.
+    step, step t's ``widths[t]`` lanes continuing the first lanes of step
+    t-1. Returns the states ``[P x u]`` and the BPTT closure, which takes
+    their gradient (a fresh array, overwritten), runs over the saved gates
+    and cells, adds the weight gradients, each formed with one product, and
+    returns the gradient of ``x``.
     """
     w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
     u = w_rec.shape[1]
@@ -141,26 +137,22 @@ def _run_direction(x: np.ndarray, lanes: np.ndarray, steps: np.ndarray, widths: 
     z += bias.T
     cells = np.empty((z.shape[0], u), dtype=z.dtype)
     states = np.empty_like(cells)
-    offsets = np.concatenate([[0], np.cumsum(widths)]).tolist()
-    order = list(range(len(widths)))[::-1 if reverse else 1]
-    schedule = []   # (first row, end row, previous step's first row, lanes carried over)
-    for before, t in zip([None] + order[:-1], order):
-        a, b = offsets[t], offsets[t + 1]
-        p, m = (a, 0) if before is None else (offsets[before], min(widths[t], widths[before]))
+    offsets = list(itertools.accumulate(widths, initial=0))
+    # (first row, end row, previous step's first row, lanes carried over):
+    # step 0 starts every lane from the zero state
+    schedule = [(a, b, p, b - a if t else 0)
+                for t, (p, a, b) in enumerate(zip([0] + offsets, offsets, offsets[1:]))]
+    for a, b, p, m in schedule:
         if m:
-            z[a:a + m] += states[p:p + m] @ w_rec.T
+            z[a:b] += states[p:p + m] @ w_rec.T
         lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
-        schedule.append((a, b, p, m))
-    out[lanes, :, steps] = states
 
-    def bptt(d_out: np.ndarray) -> np.ndarray:
-        # token t of lane j follows token t-1 of the same lane: pair every
-        # token after step 0 with its row at the step before
+    def bptt(dh: np.ndarray) -> np.ndarray:
+        # token t of a lane follows token t-1 of the same lane: pair every
+        # row after step 0 with its row at the step before
         first = widths[0] if widths else 0
         earlier = np.arange(first, len(z)) - np.repeat(np.array(widths[:-1], dtype=int),
                                                        widths[1:])
-        later = slice(first, None)
-        rec_rows, prev_rows = (earlier, later) if reverse else (later, earlier)
         # every token's local derivatives at once, written into dz: those of
         # i, f and g by the cell, that of o by the state; the loop then
         # carries only the hidden and cell gradients from step to step and
@@ -169,15 +161,14 @@ def _run_direction(x: np.ndarray, lanes: np.ndarray, steps: np.ndarray, widths: 
         i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
         dz = np.empty_like(z3)
         np.multiply(g * i, 1.0 - i, out=dz[:, 0])
-        dz[:, 1] = 0.0                            # lanes that start from the zero cell
-        dz[rec_rows, 1] = cells[prev_rows] * f[rec_rows] * (1.0 - f[rec_rows])
+        dz[:first, 1] = 0.0                       # step 0 starts from the zero cell
+        dz[first:, 1] = cells[earlier] * f[first:] * (1.0 - f[first:])
         np.multiply(i, 1.0 - g * g, out=dz[:, 2])
         dh_dc = np.tanh(cells)
         np.multiply(dh_dc * o, 1.0 - o, out=dz[:, 3])
         dh_dc *= dh_dc
         np.subtract(1.0, dh_dc, out=dh_dc)
         dh_dc *= o                                # o * (1 - tanh(c)^2)
-        dh = d_out[lanes, :, steps]               # [P x u], a fresh array
         dc = np.zeros_like(cells)
         for a, b, p, m in reversed(schedule):
             dc_t = dc[a:b]
@@ -185,17 +176,15 @@ def _run_direction(x: np.ndarray, lanes: np.ndarray, steps: np.ndarray, widths: 
             dz[a:b, :3] *= dc_t[:, None]
             dz[a:b, 3] *= dh[a:b]
             if m:
-                dh[p:p + m] += dz[a:a + m].reshape(m, -1) @ w_rec
-                dc[p:p + m] += dc_t[:m] * f[a:a + m]
+                dh[p:p + m] += dz[a:b].reshape(m, -1) @ w_rec
+                dc[p:p + m] += dc_t * f[a:b]
         del dh, dc, dh_dc                         # freed before the weight products
         dz = dz.reshape(z.shape)
         ad._accum(direction.w_in, dz.T @ x)
         ad._accum(direction.bias, dz.sum(axis=0)[:, None])
-        ad._accum(direction.w_rec, dz[rec_rows].T @ states[prev_rows])
-        # not dz @ w_in: OpenBLAS rounds that product differently in float64,
-        # and this one keeps gradients bit-identical to the earlier layout's
-        return (w_in.T @ dz.T).T
-    return bptt
+        ad._accum(direction.w_rec, dz[first:].T @ states[earlier])
+        return dz @ w_in
+    return states, bptt
 
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
@@ -203,24 +192,31 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
     """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch.
 
     ``embedded`` is ``[sum(lengths) x D]`` in :func:`_pack`'s order, as
-    :func:`embed_batch` returns it. Only real tokens are computed: both
-    directions run to the batch's longest true length ``t_run`` over lanes
-    sorted longest first, and every padded position is exactly zero. Both
-    directions are one tape record; its backward runs the reverse direction's
-    BPTT, then the forward one's.
+    :func:`embed_batch` returns it. Only real tokens are computed, up to the
+    batch's longest true length ``t_run``, and every padded position is
+    exactly zero. The reverse direction is the same recurrence run over each
+    lane's tokens mirrored, last first. Both directions are one tape record;
+    its backward runs the reverse direction's BPTT, then the forward one's.
     """
     lanes, steps, widths = _pack(lengths)
     x = embedded.value
     if x.shape[0] != lanes.size:
         raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
-    u = params.fwd.w_rec.shape[1]
+    # each step keeps one lane order, so row k mirrors to the same lane's
+    # token at step ``back``, in row k's place in it; ``rev`` is an involution
+    offsets = np.cumsum([0] + widths)
+    back = np.asarray(lengths)[lanes] - 1 - steps
+    rev = offsets[back] - offsets[steps] + np.arange(lanes.size)
+    fwd_states, fwd_bptt = _run_direction(x, widths, params.fwd)
+    bwd_states, bwd_bptt = _run_direction(x[rev], widths, params.bwd)
+    u = fwd_states.shape[1]
     out = Node(np.zeros((len(lengths), 2 * u, len(widths)), dtype=x.dtype))
-    fwd_bptt = _run_direction(x, lanes, steps, widths, params.fwd, False, out.value[:, :u])
-    bwd_bptt = _run_direction(x, lanes, steps, widths, params.bwd, True, out.value[:, u:])
+    out.value[lanes, :u, steps] = fwd_states
+    out.value[lanes, u:, back] = bwd_states
     if tape is not None:
         def bwd() -> None:
-            dx = bwd_bptt(out.grad[:, u:])
-            dx += fwd_bptt(out.grad[:, :u])
+            dx = bwd_bptt(out.grad[lanes, u:, back])[rev]
+            dx += fwd_bptt(out.grad[lanes, :u, steps])
             ad._accum(embedded, dx)
         tape.record(out, bwd)
     return out

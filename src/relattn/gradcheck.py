@@ -141,9 +141,9 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
         w_rec=_param(rng, f"{name}_w_rec", 4 * u, u, -0.5, 0.5),
         bias=_param(rng, f"{name}_bias", 4 * u, 1, -0.5, 0.5),
     ) for name in ("fwd", "bwd")))
-    # lanes of lengths 2, 4, 0 and 3 run four steps of widths 3, 3, 2, 1: the
-    # forward direction narrows, the reverse direction widens, and sorting
-    # scatters the states across lanes
+    # lanes of lengths 2, 4, 0 and 3 run four steps of widths 3, 3, 2, 1 in
+    # both directions, the reverse one over each lane's mirrored rows, and
+    # sorting scatters the states across lanes
     lengths = [2, 4, 0, 3]
     packed = _param(rng, "packed", sum(lengths), d_in)
     lstm_probe = rng.uniform(-1, 1, (len(lengths), 2 * u, max(lengths)))

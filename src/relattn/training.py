@@ -241,6 +241,7 @@ def _read_string_list(text: str, path: Path, kind: str) -> list[str]:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     with path.open("rb") as fh:
+        size = path.stat().st_size
         head = _read_line(fh, path).split()
         if len(head) != 2 or head[0] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
@@ -276,9 +277,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 if min(rows, cols) < 0:
                     raise CheckpointError(f"{path}: negative size in tensor header {line!r}")
                 nbytes = rows * cols * struct.calcsize("<f")
+                left = size - fh.tell()   # checked before a read of that size is tried
+                if nbytes > left:
+                    raise CheckpointError(f"{path}: truncated tensor {name!r} "
+                                          f"({nbytes} bytes claimed, {left} left)")
                 blob = fh.read(nbytes)
-                if len(blob) != nbytes:
-                    raise CheckpointError(f"{path}: truncated tensor {name!r}")
                 tensors[name] = np.frombuffer(blob, dtype="<f4").reshape(rows, cols).copy()
             else:
                 raise CheckpointError(f"{path}: unrecognized section {kind!r}")

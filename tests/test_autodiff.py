@@ -366,6 +366,11 @@ class TestParameter:
         p = param(np.ones((2, 3)))
         assert p.m.shape == (2, 3) and p.s.shape == (2, 3) and p.step == 0
 
+    def test_value_is_the_callers_array(self):
+        # callers hand over an array they have just made: it is kept, not copied
+        arr = np.ones((2, 3))
+        assert np.shares_memory(Parameter("p", arr).value, arr)
+
 
 class TestGradcheckCoverage:
     """``relattn gradcheck`` keeps one entry per taped op.

@@ -258,6 +258,8 @@ CORRUPTIONS = {
     "rng_not_an_object": lambda blob: _replace_header_line(blob, b"rng", b"rng [1, 2]"),
     "negative_tensor_size": lambda blob: _replace_header_line(
         blob, b"tensor word_emb", b"tensor word_emb -1 32"),
+    "oversized_tensor": lambda blob: _replace_header_line(
+        blob, b"tensor word_emb", b"tensor word_emb 4000000000 1000000"),
 }
 
 
@@ -331,5 +333,18 @@ class TestBadTrainInput:
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"config error: {setting.partition('=')[0]} must be ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    # well-typed values out of range: NaN and Infinity parse as JSON floats
+    @pytest.mark.parametrize("setting", [
+        "learning_rate=NaN", "learning_rate=Infinity", "adam_eps=0", "l2_coef=Infinity",
+        "adam_beta1=2", "adam_beta2=-1", "penalty_coef=-1", "l2_coef=-1", "grad_clip=NaN",
+    ])
+    def test_bad_value_range_is_config_error(self, setting, synth_file, tmp_path):
+        proc = self._train_with(setting, synth_file, tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"config error: {setting.partition('=')[0]} must ")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()

@@ -220,9 +220,9 @@ class TestFusedDirection:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
     def test_both_directions_match_finite_differences(self, t_steps, seed, data):
-        # lanes sorted longest first give the step widths; the forward
-        # direction narrows through them and the reverse direction widens.
-        # An empty lane adds positions no token writes
+        # lanes sorted longest first give the step widths; both directions
+        # narrow through them, the reverse one over each lane's mirrored
+        # rows. An empty lane adds positions no token writes
         lengths = data.draw(length_lists(t_steps)) + [0]
         _, _, widths = enc._pack(lengths)
         assert widths == [sum(length > t for length in lengths) for t in range(max(lengths))]
@@ -298,6 +298,53 @@ class TestFusedDirection:
         assert dtypes and set(dtypes) == {np.dtype(np.float32)}
         for p in params:
             assert p.grad.dtype == np.float32 and np.abs(p.grad).max() > 0, p.name
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mirror_law(self, dtype):
+        # the reverse direction is the forward recurrence over each lane's
+        # tokens mirrored. So encoding the mirrored rows with the directions'
+        # weights swapped swaps each lane's halves and reverses its real
+        # columns, and under mirrored probes every gradient is its swapped or
+        # mirrored counterpart, all bit for bit. At u=64 and D=48 BLAS
+        # rounds each product by its width, so both directions must run the
+        # same products: one schedule, whatever the direction
+        rng = np.random.default_rng(11)
+        u, d_in = 64, 48
+        lengths = rng.permutation(np.append(rng.integers(1, 40, 23), 0))
+        lanes, steps, _ = enc._pack(lengths)
+        row = {(lane, step): k for k, (lane, step) in enumerate(zip(lanes, steps))}
+        rev = np.array([row[lane, lengths[lane] - 1 - step] for lane, step in zip(lanes, steps)])
+        x = rng.uniform(-1, 1, (lanes.size, d_in)).astype(dtype)
+        weights = [[rng.uniform(-0.3, 0.3, shape).astype(dtype)
+                    for shape in ((4 * u, d_in), (4 * u, u), (4 * u, 1))] for _ in range(2)]
+        probe = rng.uniform(-1, 1, (len(lengths), 2 * u, lengths.max())).astype(dtype)
+
+        def mirror(a):
+            m = np.zeros_like(a)
+            for j, length in enumerate(lengths):
+                real = a[j, :, :length][:, ::-1]
+                m[j, :u, :length], m[j, u:, :length] = real[u:], real[:u]
+            return m
+
+        def encode(rows, fwd, bwd, probe):
+            lstm = enc.LstmParams(*(enc.LstmDirection(*(Parameter(name, w) for name, w in
+                                                       zip(("wi", "wr", "b"), ws)))
+                                    for ws in (fwd, bwd)))
+            packed = Parameter("packed", rows)
+            tape = Tape()
+            out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+            ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            grads = [[p.grad for p in (d.w_in, d.w_rec, d.bias)] for d in (lstm.fwd, lstm.bwd)]
+            return out.value, packed.grad, grads
+
+        out, dx, (d_fwd, d_bwd) = encode(x, *weights, probe)
+        out_m, dx_m, (d_fwd_m, d_bwd_m) = encode(x[rev], *weights[::-1], mirror(probe))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out_m, mirror(out))
+        np.testing.assert_array_equal(dx_m, dx[rev])
+        for got, want in zip(d_fwd_m + d_bwd_m, d_bwd + d_fwd):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBilstm:
@@ -429,10 +476,10 @@ class TestBilstm:
             p.value[...] = rng.uniform(0.2, 0.6, p.value.shape) * rng.choice([-1, 1], p.value.shape)
         lstm = fresh_model(cfg, 8, rng).lstm
         inst = make_instance([2, 3, 4, BLANK_ID, BLANK_ID], true_length=3)
-        # mixed lengths 3, 1, 4: sorting reorders the lanes, the forward
-        # direction drops lanes after steps 0 and 2, and the reverse direction
-        # starts lanes at steps 3, 2 and 0, so gradients pass through every
-        # narrowing and widening of the packed state
+        # mixed lengths 3, 1, 4: sorting reorders the lanes, both directions
+        # drop lanes after steps 0 and 2, and the reverse direction's mirrored
+        # rows put each lane's last token first, so gradients pass through
+        # every narrowing of the packed state and both scatters of the output
         mixed = [inst, make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
                  make_instance([4, 2, 5, 3, BLANK_ID])]
         lengths = [i.true_length for i in mixed]

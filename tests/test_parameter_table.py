@@ -86,6 +86,23 @@ def test_fresh_tensors_follow_the_documented_rules_bit_for_bit(precision, with_p
     assert [p.name for p in model.parameters()] == list(params)
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_models_do_not_alias_the_callers_arrays(precision):
+    # Parameter keeps the array it is given, so a model must give it its own:
+    # tensors of the model's dtype and pretrained vectors are not shared
+    cfg = CFG.replace(precision=precision)
+    vector = np.random.default_rng(1).normal(size=cfg.word_dim).astype(precision)
+    fresh = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5),
+                  pretrained={"known": vector}, token_ids={"known": 2})
+    np.testing.assert_array_equal(fresh.embeddings.word.value[2], vector)
+    assert not np.shares_memory(fresh.embeddings.word.value, vector)
+    tensors = {name: p.value for name, p in fresh.named_parameters().items()}
+    loaded = Model(cfg, VOCAB, cfg.num_classes, tensors=tensors)
+    for name, p in loaded.named_parameters().items():
+        np.testing.assert_array_equal(p.value, tensors[name], err_msg=name)
+        assert not np.shares_memory(p.value, tensors[name]), name
+
+
 def test_every_entry_gets_a_gradient_beyond_its_l2_share():
     model, bags = gradcheck.tiny_model_and_batch()
     cfg = model.config
