@@ -12,7 +12,7 @@ from relattn import encoder as enc
 from relattn import word_attention as wa
 from relattn.autodiff import Parameter, Tape, backward
 from relattn.config import ModelConfig
-from relattn.data import Vocab, encode_instance
+from relattn.data import BLANK_TOKEN, Vocab, encode_instance
 from relattn.model import Model
 
 cfg = ModelConfig(word_dim=12, position_dim=6, max_distance=8, time_steps=8,
@@ -24,8 +24,9 @@ sentence = "acme_corp hired jane_doe as chief engineer".split()
 vocab = Vocab.build(sentence)
 instance = encode_instance(sentence, head_index=0, tail_index=2, vocab=vocab,
                            time_steps=cfg.time_steps)
-# a longer sentence of the same bag keeps the batch running past the first
-# one's end, so its padded positions show up, masked
+# an instance holds only its real tokens; a longer sentence of the same bag
+# keeps the batch running past the first one's end, so word attention pads
+# the first one there and masks those positions out
 other = encode_instance("jane_doe joined acme_corp as chief engineer last year".split(),
                         head_index=2, tail_index=0, vocab=vocab, time_steps=cfg.time_steps)
 
@@ -40,7 +41,8 @@ valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
 attn = wa.word_attention_matrix(None, hidden, word, valid_cols=valid)
 first = attn.value[0]   # the first sentence's rows
 
-tokens = sentence + ["<BLANK>"] * (first.shape[1] - len(sentence))
+print(f"instance ids: {instance.token_ids.tolist()}, one per token, no padding")
+tokens = vocab.decode(instance.token_ids) + [BLANK_TOKEN] * (first.shape[1] - len(sentence))
 print("tokens: ", "  ".join(f"{t:>10.10}" for t in tokens))
 for r in range(cfg.word_attention_rows):
     row = "  ".join(f"{x:10.3f}" for x in first[r])

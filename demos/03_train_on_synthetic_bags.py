@@ -9,8 +9,7 @@ weight on the pattern-bearing instances.
 import numpy as np
 
 from relattn.config import ModelConfig
-from relattn.data import (SynthSpec, contains_pattern, generate_synthetic, instance_tokens,
-                          relation_patterns)
+from relattn.data import SynthSpec, contains_pattern, generate_synthetic, relation_patterns
 from relattn.evaluation import accuracy, hard_predictions
 from relattn.training import train
 
@@ -38,7 +37,7 @@ print("\nsentence-level attention on a mixed bag (valid + noise instances):")
 for bag in test_ds.bags:
     if len(bag.instances) < 3:
         continue
-    flags = [contains_pattern(instance_tokens(inst, test_ds.vocab),
+    flags = [contains_pattern(test_ds.vocab.decode(inst.token_ids),
                               patterns[bag.relation_id]) for inst in bag.instances]
     if any(flags) and not all(flags):
         forward = model.forward_bag(None, bag)
@@ -48,7 +47,7 @@ for bag in test_ds.bags:
               f"predicted rel{int(np.argmax(probs))}):")
         for inst, flag, weight in zip(bag.instances, flags, weights):
             kind = "valid" if flag else "noise"
-            text = " ".join(instance_tokens(inst, test_ds.vocab))
+            text = " ".join(test_ds.vocab.decode(inst.token_ids))
             print(f"    weight {weight:.3f}  [{kind}]  {text}")
         break
 
@@ -56,7 +55,7 @@ wins = comparable = 0
 for bag in test_ds.bags:
     if len(bag.instances) < 2:
         continue
-    flags = np.array([contains_pattern(instance_tokens(inst, test_ds.vocab),
+    flags = np.array([contains_pattern(test_ds.vocab.decode(inst.token_ids),
                                        patterns[bag.relation_id])
                       for inst in bag.instances])
     if flags.all() or not flags.any():

@@ -13,7 +13,7 @@ from .autodiff import (Node, Parameter, ShapeError, Tape, backward, cross_entrop
                        row_softmax, tanh_map)
 from .config import ConfigError, ModelConfig, PROFILES
 from .data import (Bag, DataError, Dataset, Instance, SynthSpec, Vocab,
-                   generate_synthetic, load_dataset, make_batches, relative_positions)
+                   generate_synthetic, load_dataset, make_batches)
 from .evaluation import (EvalError, PnSetting, PredictionRecord, export_attention,
                          gold_facts, macro_f1, p_at_n, pr_curve, score_test_set)
 from .model import BagForward, Model
@@ -28,7 +28,7 @@ __all__ = [
     "finite_diff_check", "frobenius_penalty", "matmul", "relu_map", "row_softmax",
     "tanh_map", "ConfigError", "ModelConfig", "PROFILES", "Bag", "DataError",
     "Dataset", "Instance", "SynthSpec", "Vocab", "generate_synthetic", "load_dataset",
-    "make_batches", "relative_positions", "EvalError", "PnSetting", "PredictionRecord",
+    "make_batches", "EvalError", "PnSetting", "PredictionRecord",
     "export_attention", "gold_facts", "macro_f1", "p_at_n", "pr_curve", "score_test_set",
     "BagForward", "Model", "Checkpoint", "CheckpointError", "TrainingDiverged",
     "TrainResult", "adam_step", "checkpoint_from", "load_checkpoint",

@@ -8,13 +8,16 @@ Datasets arrive as JSONL, one bag per line:
 A bag groups every sentence that mentions one (head, tail) pair under one
 relation label; sentence-level labels are unknown and may be wrong, which is
 exactly what the bag-level model is built to tolerate.
+
+Each sentence becomes an :class:`Instance` of its first ``time_steps`` token
+ids, unpadded: the encoder packs real tokens only.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,13 +52,8 @@ class Vocab:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids: Iterable[int], strip_blank: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if strip_blank and i == BLANK_ID:
-                continue
-            out.append(self.id_to_token[i])
-        return out
+    def decode(self, ids: Iterable[int]) -> list[str]:
+        return [self.id_to_token[i] for i in ids]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -63,13 +61,17 @@ class Vocab:
 
 @dataclass(eq=False)
 class Instance:
-    """One sentence, already padded/truncated to the fixed length."""
+    """One sentence: the ids of the tokens kept after truncation to
+    ``time_steps``, and the entity positions clipped into that range."""
 
-    token_ids: np.ndarray        # int array of length time_steps
+    token_ids: np.ndarray        # int64, at most time_steps ids, no padding
     head_pos: int
     tail_pos: int
-    true_length: int
-    degenerate: bool = False     # head and tail landed on the same index
+    degenerate: bool = field(default=False, kw_only=True)   # head and tail on one index
+
+    @property
+    def true_length(self) -> int:
+        return len(self.token_ids)
 
 
 @dataclass(eq=False)
@@ -94,13 +96,10 @@ class Dataset:
 
 def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
                     vocab: Vocab, time_steps: int) -> Instance:
-    ids = vocab.encode(tokens[:time_steps])
-    true_length = len(ids)
-    padded = np.full(time_steps, BLANK_ID, dtype=np.int64)
-    padded[:true_length] = ids
+    ids = np.array(vocab.encode(tokens[:time_steps]), dtype=np.int64)
     head = int(np.clip(head_index, 0, time_steps - 1))
     tail = int(np.clip(tail_index, 0, time_steps - 1))
-    return Instance(padded, head, tail, true_length, degenerate=head == tail)
+    return Instance(ids, head, tail, degenerate=head == tail)
 
 
 def _check_record(rec: dict, where: str) -> None:
@@ -210,29 +209,11 @@ def save_records_jsonl(records: Sequence[dict], path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def position_buckets(positions, true_lengths, time_steps: int,
-                     max_distance: int) -> np.ndarray:
-    """Bucket ids ``[n x time_steps]`` of each token's distance to an entity.
-
-    Row j measures against the entity at ``positions[j]``: distance
-    i - positions[j] is clipped to [-max_distance, +max_distance] and shifted
-    into [0, 2*max_distance]; positions at or past ``true_lengths[j]`` get the
-    dedicated padding bucket 2*max_distance + 1.
-    """
-    steps = np.arange(time_steps, dtype=np.int64)
-    buckets = np.clip(steps - np.asarray(positions, dtype=np.int64)[:, None],
-                      -max_distance, max_distance) + max_distance
-    buckets[steps >= np.asarray(true_lengths)[:, None]] = 2 * max_distance + 1
-    return buckets
-
-
-def relative_positions(instance: Instance, max_distance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids of each token's distance to the head and tail entities
-    (see :func:`position_buckets`)."""
-    head, tail = position_buckets([instance.head_pos, instance.tail_pos],
-                                  [instance.true_length] * 2, len(instance.token_ids),
-                                  max_distance)
-    return head, tail
+def position_buckets(distances, max_distance: int) -> np.ndarray:
+    """Bucket ids of token-to-entity distances (token index minus entity
+    index): each is clipped to [-max_distance, +max_distance] and shifted
+    into [0, 2*max_distance]."""
+    return np.clip(distances, -max_distance, max_distance) + max_distance
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[list[Bag]]:
@@ -359,11 +340,6 @@ def generate_synthetic(spec: SynthSpec, config: ModelConfig | None = None) -> Da
     relations = [f"rel{k}" for k in range(spec.num_relations)]
     return dataset_from_records(records, config, vocab=vocab, relations=relations,
                                 source=f"<synthetic seed={spec.seed}>")
-
-
-def instance_tokens(instance: Instance, vocab: Vocab) -> list[str]:
-    """Decode an instance back to tokens, dropping padding."""
-    return vocab.decode(instance.token_ids[:instance.true_length], strip_blank=False)
 
 
 def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[str, np.ndarray]:

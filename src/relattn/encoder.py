@@ -63,18 +63,20 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     """Embed the real tokens of several instances ``[P x D]``, in packed order.
 
     Each row is a token's word, head-position and tail-position table rows
-    side by side. Backward adds each table's column slice of the gradient
-    into its rows, so repeated ids accumulate."""
-    t_steps = len(instances[0].token_ids)
+    side by side. Packed row k is lane ``lanes[k]``'s token at step
+    ``steps[k]``: its word id sits at that offset in the lane's ids, and its
+    position buckets come from the distances ``steps[k] - head_pos`` and
+    ``steps[k] - tail_pos``. Backward adds each table's column slice of the
+    gradient into its rows, so repeated ids accumulate."""
     lengths = [inst.true_length for inst in instances]
     lanes, steps, _ = _pack(lengths)
-    word_ids = np.stack([inst.token_ids for inst in instances])          # [n x T]
-    position_ids = [position_buckets(pos, lengths, t_steps, config.max_distance)   # [n x T]
+    starts = np.cumsum([0] + lengths[:-1])
+    word_ids = np.concatenate([inst.token_ids for inst in instances])[starts[lanes] + steps]
+    position_ids = [position_buckets(steps - np.array(pos)[lanes], config.max_distance)
                     for pos in ([inst.head_pos for inst in instances],
                                 [inst.tail_pos for inst in instances])]
-    parts = [(table, ids[lanes, steps])
-             for table, ids in zip((tables.word, tables.head_position, tables.tail_position),
-                                   [word_ids] + position_ids)]
+    parts = list(zip((tables.word, tables.head_position, tables.tail_position),
+                     [word_ids] + position_ids))
     out = Node(np.concatenate([table.value[ids] for table, ids in parts], axis=1))
     if tape is not None:
         def bwd() -> None:

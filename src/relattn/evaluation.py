@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Bag, Dataset, Instance, Vocab
+from .data import BLANK_TOKEN, Bag, Dataset, Instance, Vocab
 from .model import Model
 
 PN_MODES = ("one", "two", "all")
@@ -223,12 +223,13 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab,
     out_dir.mkdir(parents=True, exist_ok=True)
     forward = model.forward_bag(None, bag)
     stem = f"{prefix}{_safe_name(bag.bag_id)}"
+    width = model.config.time_steps
     written = []
 
     for j, (inst, attn) in enumerate(zip(bag.instances, forward.word_attentions.value)):
-        tokens = vocab.decode(inst.token_ids, strip_blank=False)
-        # word attention stops at the batch's longest true length; the rest is 0
-        attn = np.pad(attn, ((0, 0), (0, model.config.time_steps - attn.shape[1])))
+        # time_steps columns: past the batch's longest true length, 0 under BLANK
+        tokens = vocab.decode(inst.token_ids) + [BLANK_TOKEN] * (width - inst.true_length)
+        attn = np.pad(attn, ((0, 0), (0, width - attn.shape[1])))
         path = out_dir / f"{stem}_word_attn_{j}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

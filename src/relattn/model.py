@@ -22,7 +22,7 @@ from . import encoder as enc
 from . import sentence_attention as sa
 from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .data import Bag, Instance
 
 
@@ -46,7 +46,8 @@ class Model:
                  token_ids: dict[str, int] | None = None) -> None:
         """A fresh model draws each tensor from ``rng`` by its table rule, with
         ``pretrained`` rows put into ``word_emb``; a loaded one takes it from
-        ``tensors``, and a missing or misshapen one is a ValueError."""
+        ``tensors``, and a missing or misshapen one is a ValueError. A tensor
+        too large to allocate is a ConfigError naming it and its shape."""
         config.validate()
         self.config = config
         self.vocab_size = vocab_size
@@ -59,17 +60,22 @@ class Model:
             raise ValueError(f"checkpoint is missing tensors: {missing}")
         self._params: dict[str, Parameter] = {}
         for name, (shape, rule) in table.items():
-            if tensors is None:
-                value = _draw(rule, shape, rng)
-                if name == "word_emb" and pretrained:
-                    _substitute_pretrained(value, pretrained, token_ids)
-            else:
-                value = tensors[name]
-                if value.shape != shape:
-                    raise ValueError(f"tensor {name!r} has shape {value.shape}, expected {shape}")
-            # rebinding frees a float64 draw before Parameter allocates its slots
-            value = value.astype(config.dtype)
-            self._params[name] = Parameter(name, value)
+            try:
+                if tensors is None:
+                    value = _draw(rule, shape, rng)
+                    if name == "word_emb" and pretrained:
+                        _substitute_pretrained(value, pretrained, token_ids)
+                else:
+                    value = tensors[name]
+                    if value.shape != shape:
+                        raise ValueError(f"tensor {name!r} has shape {value.shape}, "
+                                         f"expected {shape}")
+                # rebinding frees a float64 draw before Parameter allocates its slots
+                value = value.astype(config.dtype)
+                self._params[name] = Parameter(name, value)
+            except MemoryError as exc:
+                raise ConfigError(f"tensor {name!r} of shape {shape} does not fit "
+                                  f"in memory") from exc
         p = self._params
         self.embeddings = enc.EmbeddingTables(p["word_emb"], p["head_pos_emb"], p["tail_pos_emb"])
         self.lstm = enc.LstmParams(*(
@@ -160,6 +166,8 @@ def expected_shapes(config: ModelConfig, vocab_size: int, num_classes: int,
     cfg = config
     input_dim = cfg.word_dim + cfg.position_dim
     u = cfg.hidden_size
+    # distances clip into 2*max_distance + 1 buckets; the last row, the old
+    # padding bucket, is never read but stays so every checkpoint loads
     buckets = 2 * cfg.max_distance + 2
     half = cfg.position_table_dim
     return {

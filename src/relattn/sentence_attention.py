@@ -1,7 +1,7 @@
 """Structured sentence-level attention over bags of instance representations.
 
-The same structured-attention shape as the word level, applied across the
-instances of a bag: attention rows are averaged into a single selection
+The word level's structured attention, applied across the instances of a
+bag by the same function: attention rows are averaged into a single selection
 weighting, which mixes the instance representations into one vector for
 relation classification. All bags of a batch run at once over its
 ``[mlp x N]`` representations, each bag's rows masked to its own columns.
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 
 
@@ -33,14 +34,9 @@ def stack_bag(sizes) -> np.ndarray:
     return np.repeat(bags, sizes) == bags[:, None, None]
 
 
-def sentence_attention_matrix(tape: Tape | None, representations: Node,
-                              params: SentAttentionParams,
-                              membership: np.ndarray | None = None) -> Node:
-    """Attention rows over instances, ``[r x N]`` for one bag or ``[bags x r x N]``
-    under a :func:`stack_bag` mask; each row sums to 1."""
-    logits = ad.matmul(tape, params.attn_rows,
-                       ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, representations)))
-    return ad.row_softmax(tape, logits, valid_cols=membership)
+# the word level's function under a name of its own, so each level can be
+# wrapped and counted apart
+sentence_attention_matrix = wa.word_attention_matrix
 
 
 def average_attention(tape: Tape | None, attention: Node) -> Node:

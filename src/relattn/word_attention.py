@@ -26,9 +26,15 @@ class WordAttentionParams:
 
 def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttentionParams,
                           valid_cols: np.ndarray | None = None) -> Node:
-    """Attention rows over token positions ``[(n x) r x T]``; each row sums to 1.
+    """Structured self-attention ``softmax(W2 tanh(W1 X))`` of both levels
+    (Lin et al. 2017, arXiv:1703.03130); each row sums to 1 over the columns
+    ``valid_cols`` keeps. ``W1`` and ``W2`` are ``params.attn_hidden`` and ``params.attn_rows``.
 
-    ``valid_cols`` (``[T]``, or ``[n x 1 x T]``) masks padded positions out.
+    Word level: ``X`` is ``[(n x) 2u x T]`` encoder states, the result
+    ``[(n x) r x T]``, and ``valid_cols`` (``[T]`` or ``[n x 1 x T]``) masks
+    padded positions out. Sentence level, as ``sentence_attention_matrix``:
+    ``X`` is ``[mlp x N]`` instance representations, the result
+    ``[(bags x) r x N]``, and ``valid_cols`` a ``stack_bag`` mask.
     """
     logits = ad.matmul(tape, params.attn_rows,
                        ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, hidden)))

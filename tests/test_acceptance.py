@@ -18,8 +18,7 @@ from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, Tape, backward
 from relattn.cli import EXIT_OK, main
 from relattn.config import ModelConfig
-from relattn.data import (SynthSpec, contains_pattern, generate_synthetic, instance_tokens,
-                          relation_patterns)
+from relattn.data import SynthSpec, contains_pattern, generate_synthetic, relation_patterns
 from relattn.evaluation import accuracy, hard_predictions
 from relattn.model import Model
 from relattn.training import train
@@ -207,7 +206,7 @@ class TestCriterion6SyntheticLearnability:
         for bag in test_ds.bags:
             if len(bag.instances) < 2:
                 continue
-            valid = np.array([contains_pattern(instance_tokens(inst, test_ds.vocab),
+            valid = np.array([contains_pattern(test_ds.vocab.decode(inst.token_ids),
                                                patterns[bag.relation_id])
                               for inst in bag.instances])
             if valid.all() or not valid.any():

@@ -11,6 +11,7 @@ import pytest
 
 from relattn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from relattn.config import ModelConfig
+from relattn import model as model_module
 from relattn.model import Model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -322,6 +323,24 @@ class TestBadTrainInput:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_tensor_too_large_to_allocate_is_config_error(self, synth_file, tmp_path,
+                                                          monkeypatch, capsys):
+        # the failed allocation is simulated: a real one could exhaust the host
+        draw = model_module._draw
+
+        def draw_or_fail(rule, shape, rng):
+            if shape[0] * shape[1] > 10**8:
+                raise MemoryError(f"Unable to allocate array with shape {shape}")
+            return draw(rule, shape, rng)
+
+        monkeypatch.setattr(model_module, "_draw", draw_or_fail)
+        code = main(["train", "--data", str(synth_file), "--out", str(tmp_path / "out")]
+                    + SMALL_TRAIN + ["--set", "hidden_size=100000000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == ("config error: tensor 'lstm_fwd_w_in' of shape (400000000, 10) "
+                       "does not fit in memory\n")
 
     # --set values are JSON: each has a type its key does not admit
     @pytest.mark.parametrize("setting", [

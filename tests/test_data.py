@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relattn.config import ModelConfig
-from relattn.data import (BLANK_ID, UNK_ID, DataError, SynthSpec, Vocab, contains_pattern,
-                          dataset_from_records, generate_synthetic, generate_synthetic_records,
-                          instance_tokens, load_dataset, make_batches, read_embedding_file,
-                          position_buckets, relation_patterns, relative_positions,
+from relattn.data import (BLANK_TOKEN, UNK_ID, DataError, Instance, SynthSpec, Vocab,
+                          contains_pattern, dataset_from_records, generate_synthetic,
+                          generate_synthetic_records, load_dataset, make_batches,
+                          position_buckets, read_embedding_file, relation_patterns,
                           save_records_jsonl)
+from relattn.encoder import embed_batch
+from relattn.model import Model
 
 CFG = ModelConfig(num_classes=None, time_steps=70)
 
@@ -48,21 +50,39 @@ class TestVocab:
         for token, idx in vocab.token_to_id.items():
             assert vocab.id_to_token[idx] == token
 
+    def test_decode_inverts_encode_including_blank(self):
+        tokens = ["the", BLANK_TOKEN, "fox", BLANK_TOKEN]
+        vocab = Vocab.build(tokens)
+        assert vocab.decode(vocab.encode(tokens)) == tokens
+
+
+class TestInstance:
+    def test_true_length_is_the_kept_token_count(self):
+        inst = Instance(np.array([4, 2, 3], dtype=np.int64), 0, 2)
+        assert inst.true_length == 3 and not inst.degenerate
+        with pytest.raises(AttributeError):
+            inst.true_length = 70
+
+    def test_old_positional_true_length_rejected(self):
+        # (ids, head, tail, true_length) must not land in ``degenerate``
+        with pytest.raises(TypeError):
+            Instance(np.array([4, 2, 3], dtype=np.int64), 0, 2, 3)
+
 
 class TestLoader:
-    def test_short_sentence_padded(self, tmp_path):
+    def test_short_sentence_keeps_only_its_tokens(self, tmp_path):
         ds = load_dataset(write_jsonl(tmp_path, [bag_record()]), CFG)
         inst = ds.bags[0].instances[0]
+        assert inst.token_ids.dtype == np.int64
+        assert inst.token_ids.tolist() == ds.vocab.encode(["alice", "visited", "york"])
         assert inst.true_length == 3
-        assert len(inst.token_ids) == 70
-        assert (inst.token_ids[3:] == BLANK_ID).all()
-        assert (inst.token_ids[:3] != BLANK_ID).all()
 
     def test_long_sentence_truncated_and_positions_clipped(self, tmp_path):
         tokens = [f"t{i}" for i in range(90)]
         rec = bag_record(tokens=tokens, head="t0", tail="t85", head_index=0, tail_index=85)
         ds = load_dataset(write_jsonl(tmp_path, [rec]), CFG)
         inst = ds.bags[0].instances[0]
+        assert inst.token_ids.tolist() == ds.vocab.encode(tokens[:70])
         assert inst.true_length == 70
         assert inst.tail_pos == 69
         assert inst.head_pos == 0
@@ -144,18 +164,25 @@ class TestLoader:
         assert ds.vocab.decode(inst.token_ids) == tokens
 
 
+def entity_buckets(inst, max_distance):
+    """Head and tail buckets of an instance's tokens."""
+    steps = np.arange(inst.true_length)
+    return (position_buckets(steps - inst.head_pos, max_distance),
+            position_buckets(steps - inst.tail_pos, max_distance))
+
+
 class TestRelativePositions:
     def test_head_token_gets_center_bucket(self):
         ds = dataset_from_records([bag_record()], CFG)
         inst = ds.bags[0].instances[0]
-        head_b, _ = relative_positions(inst, max_distance=30)
+        head_b, _ = entity_buckets(inst, max_distance=30)
         assert head_b[inst.head_pos] == 30
 
     def test_clipping(self):
         rec = bag_record(tokens=[f"t{i}" for i in range(50)], head="t40", tail="t41",
                          head_index=40, tail_index=41)
         ds = dataset_from_records([rec], CFG)
-        head_b, _ = relative_positions(ds.bags[0].instances[0], max_distance=30)
+        head_b, _ = entity_buckets(ds.bags[0].instances[0], max_distance=30)
         assert head_b[0] == 0   # distance -40 clipped to -30 -> bucket 0
 
     def test_hand_oracle(self):
@@ -163,19 +190,27 @@ class TestRelativePositions:
                          head_index=1, tail_index=3)
         cfg = ModelConfig(time_steps=5)
         ds = dataset_from_records([rec], cfg)
-        head_b, tail_b = relative_positions(ds.bags[0].instances[0], max_distance=30)
+        head_b, tail_b = entity_buckets(ds.bags[0].instances[0], max_distance=30)
         assert head_b.tolist() == [29, 30, 31, 32, 33]
         assert tail_b.tolist() == [27, 28, 29, 30, 31]
 
     def test_padding_bucket(self):
-        ds = dataset_from_records([bag_record()], CFG)   # length 3, T=70
-        head_b, tail_b = relative_positions(ds.bags[0].instances[0], max_distance=30)
-        assert (head_b[3:] == 61).all() and (tail_b[3:] == 61).all()
+        # the tables' last row, the old padding bucket, is never read: poisoning
+        # it leaves a mixed-length batch's embedding finite
+        cfg = ModelConfig(word_dim=4, position_dim=4, max_distance=2, time_steps=6,
+                          num_classes=2, precision="float64")
+        tables = Model(cfg, 6, 2, rng=np.random.default_rng(0)).embeddings
+        tables.head_position.value[-1] = tables.tail_position.value[-1] = np.nan
+        instances = [Instance(np.array(ids, dtype=np.int64), head, tail)
+                     for ids, head, tail in (([2, 3, 4, 5, 2, 3], 0, 5), ([4], 0, 0),
+                                             ([5, 2, 3], 2, 5), ([], 0, 0))]
+        assert np.isfinite(embed_batch(None, instances, tables, cfg).value).all()
 
     def test_batched_hand_oracle(self):
-        # one row per entity: padding after the true length, and a row of length 0
-        buckets = position_buckets([1, 4, 0], [3, 5, 0], time_steps=5, max_distance=2)
-        assert buckets.tolist() == [[1, 2, 3, 5, 5], [0, 0, 0, 1, 2], [5, 5, 5, 5, 5]]
+        # one row per entity; distances past +-max_distance clip
+        distances = np.arange(5) - np.array([[1], [4], [0]])
+        buckets = position_buckets(distances, max_distance=2)
+        assert buckets.tolist() == [[1, 2, 3, 4, 4], [0, 0, 0, 1, 2], [2, 3, 4, 4, 4]]
 
     @settings(max_examples=40)
     @given(st.integers(1, 12), st.integers(1, 30), st.data())
@@ -186,10 +221,10 @@ class TestRelativePositions:
         cfg = ModelConfig(time_steps=8)
         ds = dataset_from_records([bag_record(tokens=tokens, head=tokens[hi], tail=tokens[ti],
                                               head_index=hi, tail_index=ti)], cfg)
-        head_b, tail_b = relative_positions(ds.bags[0].instances[0], max_distance)
+        head_b, tail_b = entity_buckets(ds.bags[0].instances[0], max_distance)
         for buckets in (head_b, tail_b):
             assert buckets.min() >= 0
-            assert buckets.max() <= 2 * max_distance + 1
+            assert buckets.max() <= 2 * max_distance
 
 
 class TestBatches:
@@ -224,7 +259,7 @@ class TestSynthetic:
         patterns = relation_patterns(spec.num_relations, spec.vocab_size)
         for bag in ds.bags:
             for inst in bag.instances:
-                assert contains_pattern(instance_tokens(inst, ds.vocab),
+                assert contains_pattern(ds.vocab.decode(inst.token_ids),
                                         patterns[bag.relation_id])
 
     def test_every_bag_keeps_a_valid_instance(self):
@@ -232,7 +267,7 @@ class TestSynthetic:
         ds = generate_synthetic(spec)
         patterns = relation_patterns(spec.num_relations, spec.vocab_size)
         for bag in ds.bags:
-            hits = [contains_pattern(instance_tokens(i, ds.vocab), patterns[bag.relation_id])
+            hits = [contains_pattern(ds.vocab.decode(i.token_ids), patterns[bag.relation_id])
                     for i in bag.instances]
             assert any(hits)
 
@@ -246,7 +281,7 @@ class TestSynthetic:
                 continue
             for inst in bag.instances:
                 total += 1
-                noisy += not contains_pattern(instance_tokens(inst, ds.vocab),
+                noisy += not contains_pattern(ds.vocab.decode(inst.token_ids),
                                               patterns[bag.relation_id])
         assert 0.40 < noisy / total < 0.55   # forced-valid rule pulls slightly below 0.5
 
@@ -256,7 +291,7 @@ class TestSynthetic:
         patterns = relation_patterns(spec.num_relations, spec.vocab_size)
         for bag in ds.bags:
             for inst in bag.instances:
-                toks = instance_tokens(inst, ds.vocab)
+                toks = ds.vocab.decode(inst.token_ids)
                 assert not any(contains_pattern(toks, p)
                                for k, p in enumerate(patterns) if k != bag.relation_id)
 

@@ -9,7 +9,7 @@ from relattn import autodiff as ad
 from relattn import encoder as enc
 from relattn.autodiff import Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
-from relattn.data import BLANK_ID, Instance, relative_positions
+from relattn.data import Instance
 from relattn.model import Model
 
 
@@ -20,11 +20,8 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
-def make_instance(token_ids, head=0, tail=1, true_length=None):
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if true_length is None:
-        true_length = int((ids != BLANK_ID).sum())
-    return Instance(ids, head, tail, true_length)
+def make_instance(token_ids, head=0, tail=1):
+    return Instance(np.asarray(token_ids, dtype=np.int64), head, tail)
 
 
 def fresh_model(cfg, vocab_size=6, seed=0, **kw):
@@ -44,18 +41,16 @@ class TestEmbeddings:
     def test_output_shape(self):
         cfg = tiny_config()
         tables = tables_for(cfg)
-        inst = make_instance([2, 3, 4], true_length=3)
+        inst = make_instance([2, 3, 4])
         out = embed_one(None, inst, tables, cfg)
         assert out.shape == (3, 6)   # one row per token, word_dim + position_dim columns
 
     def test_one_row_per_real_token(self):
-        # padding is not embedded: the rows are the sum(lengths) real tokens
+        # the rows are the sum(lengths) real tokens, an empty instance none
         cfg = tiny_config(time_steps=4)
         tables = tables_for(cfg)
-        instances = [make_instance([2, 3, BLANK_ID, BLANK_ID]),
-                     make_instance([BLANK_ID] * 4, true_length=0),
-                     make_instance([4, 5, 2, 3]),
-                     make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID])]
+        instances = [make_instance([2, 3]), make_instance([]),
+                     make_instance([4, 5, 2, 3]), make_instance([5])]
         out = enc.embed_batch(None, instances, tables, cfg)
         assert out.shape == (2 + 0 + 4 + 1, 6)
 
@@ -76,27 +71,22 @@ class TestEmbeddings:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 4), st.data())
-    def test_position_buckets_match_relative_positions(self, t_steps, max_distance, data):
-        # every table row differs, so each embedded position row names its bucket
+    def test_rows_match_brute_force_loop(self, t_steps, max_distance, data):
+        # every table row differs, so each embedded row names its word and buckets
         cfg = tiny_config(time_steps=t_steps, max_distance=max_distance, position_dim=4)
-        tables = tables_for(cfg)
+        tables = tables_for(cfg, vocab_size=8)
         n = data.draw(st.integers(1, 4))
-        instances = [make_instance(np.full(t_steps, 2),
-                                   head=data.draw(st.integers(0, t_steps - 1)),
-                                   tail=data.draw(st.integers(0, t_steps - 1)),
-                                   true_length=data.draw(st.integers(0, t_steps)))
-                     for _ in range(n)]
+        instances = []
+        for _ in range(n):
+            length = data.draw(st.integers(0, t_steps))
+            ids = data.draw(st.lists(st.integers(0, 7), min_size=length, max_size=length))
+            instances.append(make_instance(ids, head=data.draw(st.integers(0, t_steps - 1)),
+                                           tail=data.draw(st.integers(0, t_steps - 1))))
         out = enc.embed_batch(None, instances, tables, cfg).value
         lanes, _, _ = enc._pack([inst.true_length for inst in instances])
-        word, half = cfg.word_dim, cfg.position_table_dim
         for j, inst in enumerate(instances):
-            head_ids, tail_ids = relative_positions(inst, max_distance)
-            real = slice(inst.true_length)
             rows = out[lanes == j]   # instance j's tokens, step by step
-            np.testing.assert_array_equal(rows[:, word:word + half],
-                                          tables.head_position.value[head_ids[real]])
-            np.testing.assert_array_equal(rows[:, word + half:],
-                                          tables.tail_position.value[tail_ids[real]])
+            np.testing.assert_array_equal(rows, brute_force_rows(inst, tables, cfg))
 
     def test_pretrained_substitution(self):
         cfg = tiny_config()
@@ -112,15 +102,28 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def brute_force_rows(inst, tables, cfg):
+    """One instance's embedding ``[len x D]``, token by token: the word row,
+    then the head and tail rows of the clipped, shifted distances."""
+    md = cfg.max_distance
+
+    def bucket(distance):
+        return min(max(distance, -md), md) + md
+
+    rows = np.zeros((inst.true_length, cfg.word_dim + cfg.position_dim))
+    for t in range(inst.true_length):
+        rows[t] = np.concatenate([tables.word.value[inst.token_ids[t]],
+                                  tables.head_position.value[bucket(t - inst.head_pos)],
+                                  tables.tail_position.value[bucket(t - inst.tail_pos)]])
+    return rows
+
+
 def padded_embedding(instances, tables, cfg):
-    """Every position's table rows, padding included, ``[n x D x T]``."""
-    out = []
-    for inst in instances:
-        head_ids, tail_ids = relative_positions(inst, cfg.max_distance)
-        out.append(np.hstack([tables.word.value[inst.token_ids],
-                              tables.head_position.value[head_ids],
-                              tables.tail_position.value[tail_ids]]).T)
-    return np.stack(out)
+    """Every instance's rows zero-padded to ``time_steps``, ``[n x D x T]``."""
+    out = np.zeros((len(instances), cfg.word_dim + cfg.position_dim, cfg.time_steps))
+    for j, inst in enumerate(instances):
+        out[j, :, :inst.true_length] = brute_force_rows(inst, tables, cfg).T
+    return out
 
 
 def reference_bilstm(embedded, lengths, params):
@@ -258,8 +261,7 @@ class TestFusedDirection:
         t_steps = cfg.time_steps
         tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = fresh_model(cfg, 8, seed + 1).lstm
-        instances = [make_instance([2 + t % 5 for t in range(length)]
-                                   + [BLANK_ID] * (t_steps - length)) for length in lengths]
+        instances = [make_instance([2 + t % 5 for t in range(length)]) for length in lengths]
         tape = Tape()
         embedded = enc.embed_batch(tape, instances, tables, cfg)
         assert len(tape) == 1   # the embedding is one record, and so is the BiLSTM
@@ -356,20 +358,20 @@ class TestBilstm:
 
     def test_output_shape(self):
         cfg = tiny_config(time_steps=4)
-        out = self.encode(cfg, [make_instance([2, 3, 4, 5], true_length=4)])
+        out = self.encode(cfg, [make_instance([2, 3, 4, 5])])
         assert out.shape == (1, 6, 4)   # n x 2u x longest true length
 
     def test_padded_columns_exactly_zero(self):
         # a longer neighbour keeps the batch running past this lane's length
         cfg = tiny_config(time_steps=4)
-        inst = make_instance([2, 3, BLANK_ID, BLANK_ID], true_length=2)
+        inst = make_instance([2, 3])
         out = self.encode(cfg, [inst, make_instance([4, 5, 2, 3])]).value[0]
         np.testing.assert_array_equal(out[:, 2:], np.zeros((6, 2)))
         assert np.abs(out[:, :2]).max() > 0
 
     def test_single_real_token(self):
         cfg = tiny_config(time_steps=4)
-        inst = make_instance([2, BLANK_ID, BLANK_ID, BLANK_ID], true_length=1)
+        inst = make_instance([2])
         out = self.encode(cfg, [inst, make_instance([4, 5, 2, 3])]).value[0]
         assert np.abs(out[:, 0]).max() > 0
         np.testing.assert_array_equal(out[:, 1:], np.zeros((6, 3)))
@@ -378,8 +380,8 @@ class TestBilstm:
         ids = [2, 3, 4]
         short_cfg = tiny_config(time_steps=3)
         long_cfg = tiny_config(time_steps=8)
-        short = self.encode(short_cfg, [make_instance(ids, true_length=3)])
-        long = self.encode(long_cfg, [make_instance(ids + [BLANK_ID] * 5, true_length=3)])
+        short = self.encode(short_cfg, [make_instance(ids)])
+        long = self.encode(long_cfg, [make_instance(ids)])
         np.testing.assert_allclose(short.value, long.value, atol=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -397,7 +399,7 @@ class TestBilstm:
 
         def draw_instance(length):
             ids = data.draw(st.lists(st.integers(2, 7), min_size=length, max_size=length))
-            return make_instance(ids + [BLANK_ID] * (t_steps - length))
+            return make_instance(ids)
 
         def encode(batch):
             embedded = enc.embed_batch(None, batch, tables, cfg)
@@ -430,8 +432,7 @@ class TestBilstm:
             for p in (d.w_in, d.w_rec, d.bias):
                 p.value[...] = rng.uniform(-1.5, 1.5, p.value.shape)
         lengths = data.draw(length_lists(t_steps))
-        instances = [make_instance(list(rng.integers(2, 8, length))
-                                   + [BLANK_ID] * (t_steps - length),
+        instances = [make_instance(rng.integers(2, 8, length),
                                    head=int(rng.integers(t_steps)),
                                    tail=int(rng.integers(t_steps)))
                      for length in lengths]
@@ -449,9 +450,7 @@ class TestBilstm:
         cfg = tiny_config(time_steps=6)
         tables = tables_for(cfg, vocab_size=8)
         lstm = fresh_model(cfg, 8, 1).lstm
-        instances = [make_instance([2, 3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
-                     make_instance([4, 5, 6, 7, BLANK_ID, BLANK_ID]),
-                     make_instance([3, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID])]
+        instances = [make_instance([2, 3]), make_instance([4, 5, 6, 7]), make_instance([3])]
         lengths = [inst.true_length for inst in instances]
         calls = []
         real_step = enc.lstm_step
@@ -475,13 +474,12 @@ class TestBilstm:
         for p in (tables.word, tables.head_position, tables.tail_position):
             p.value[...] = rng.uniform(0.2, 0.6, p.value.shape) * rng.choice([-1, 1], p.value.shape)
         lstm = fresh_model(cfg, 8, rng).lstm
-        inst = make_instance([2, 3, 4, BLANK_ID, BLANK_ID], true_length=3)
+        inst = make_instance([2, 3, 4])
         # mixed lengths 3, 1, 4: sorting reorders the lanes, both directions
         # drop lanes after steps 0 and 2, and the reverse direction's mirrored
         # rows put each lane's last token first, so gradients pass through
         # every narrowing of the packed state and both scatters of the output
-        mixed = [inst, make_instance([5, BLANK_ID, BLANK_ID, BLANK_ID, BLANK_ID]),
-                 make_instance([4, 2, 5, 3, BLANK_ID])]
+        mixed = [inst, make_instance([5]), make_instance([4, 2, 5, 3])]
         lengths = [i.true_length for i in mixed]
         assert len(set(lengths)) == len(mixed) and lengths != sorted(lengths, reverse=True)
         params = [tables.word, tables.head_position, tables.tail_position,

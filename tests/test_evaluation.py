@@ -14,7 +14,7 @@ from relattn import encoder as enc
 from relattn import word_attention as wa
 from relattn.autodiff import Node
 from relattn.config import ModelConfig
-from relattn.data import SynthSpec, generate_synthetic
+from relattn.data import BLANK_TOKEN, SynthSpec, generate_synthetic
 from relattn.evaluation import (EvalError, PnSetting, PredictionRecord, accuracy,
                                 export_attention, gold_facts, hard_predictions, macro_f1,
                                 p_at_n, pr_curve, score_test_set)
@@ -425,7 +425,8 @@ class TestExportAttention:
         for j, inst in enumerate(instances):
             with paths[j].open() as fh:
                 rows = list(csv.reader(fh))
-            assert rows[0] == ["row"] + ds.vocab.decode(inst.token_ids, strip_blank=False)
+            pad = t_steps - inst.true_length
+            assert rows[0] == ["row"] + ds.vocab.decode(inst.token_ids) + [BLANK_TOKEN] * pad
             assert [len(row) for row in rows] == [t_steps + 1] * (len(full[j]) + 2)
             body = rows[1:-1]
             assert [row[0] for row in body] == [f"r{r}" for r in range(len(full[j]))]

@@ -160,8 +160,7 @@ def batches(draw):
             length = draw(st.integers(1, t_steps))
             ids = draw(st.lists(st.integers(2, 9), min_size=length, max_size=length))
             head, tail = draw(st.integers(0, length - 1)), draw(st.integers(0, length - 1))
-            instances.append(Instance(np.array(ids + [0] * (t_steps - length)),
-                                      head, tail, length))
+            instances.append(Instance(np.array(ids), head, tail))
         bags.append(Bag(f"bag{draw(st.integers(0, 99)):02d}-{b}", "h", "t",
                         draw(st.integers(0, 2)), instances))
     return cfg, bags, draw(st.integers(0, 2**32 - 1))
