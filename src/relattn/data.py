@@ -62,12 +62,22 @@ class Vocab:
 @dataclass(eq=False)
 class Instance:
     """One sentence: the ids of the tokens kept after truncation to
-    ``time_steps``, and the entity positions clipped into that range."""
+    ``time_steps``, and the entity positions clipped into that range.
+
+    Ids of another integer type, and an empty sequence of any type, are
+    stored as int64; ids of a non-integer type raise ``TypeError``."""
 
     token_ids: np.ndarray        # int64, at most time_steps ids, no padding
     head_pos: int
     tail_pos: int
     degenerate: bool = field(default=False, kw_only=True)   # head and tail on one index
+
+    def __post_init__(self) -> None:
+        if getattr(self.token_ids, "dtype", None) != np.int64:   # the loader's ids skip this
+            ids = np.asarray(self.token_ids)
+            if ids.size and ids.dtype.kind not in "iu":
+                raise TypeError(f"token_ids must hold integers, got dtype {ids.dtype}")
+            self.token_ids = ids.astype(np.int64)
 
     @property
     def true_length(self) -> int:
@@ -97,8 +107,9 @@ class Dataset:
 def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
                     vocab: Vocab, time_steps: int) -> Instance:
     ids = np.array(vocab.encode(tokens[:time_steps]), dtype=np.int64)
-    head = int(np.clip(head_index, 0, time_steps - 1))
-    tail = int(np.clip(tail_index, 0, time_steps - 1))
+    last = time_steps - 1
+    head = int(min(max(head_index, 0), last))
+    tail = int(min(max(tail_index, 0), last))
     return Instance(ids, head, tail, degenerate=head == tail)
 
 

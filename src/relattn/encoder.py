@@ -144,9 +144,10 @@ def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
     # step 0 starts every lane from the zero state
     schedule = [(a, b, p, b - a if t else 0)
                 for t, (p, a, b) in enumerate(zip([0] + offsets, offsets, offsets[1:]))]
+    w_rec_t = np.ascontiguousarray(w_rec.T)   # BLAS is slow on the transposed view
     for a, b, p, m in schedule:
         if m:
-            z[a:b] += states[p:p + m] @ w_rec.T
+            z[a:b] += states[p:p + m] @ w_rec_t
         lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
 
     def bptt(dh: np.ndarray) -> np.ndarray:

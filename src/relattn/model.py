@@ -113,8 +113,10 @@ class Model:
         up to the longest true length of n instances, in one batched pass."""
         cfg = self.config
         n = len(instances)
-        embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
         lengths = np.array([inst.true_length for inst in instances])
+        if not lengths.all():
+            raise ValueError("an instance with no token ids has no representation")
+        embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
         hidden = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)   # [n x 2u x t_run]
         valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
         attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)

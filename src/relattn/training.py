@@ -82,7 +82,7 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
 
 def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Scale all gradients down to the given global norm; returns the norm."""
-    total = float(sum((p.grad * p.grad).sum() for p in parameters))
+    total = sum(ad.squared_norm(p.grad) for p in parameters)
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm

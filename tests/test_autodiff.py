@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from relattn import autodiff as ad
 from relattn import gradcheck
+from relattn import training
 from relattn.autodiff import Node, Parameter, ShapeError, Tape, backward, finite_diff_check
 
 
@@ -311,6 +313,51 @@ class TestGradientRelease:
         assert block <= w.value.nbytes // 8
         assert peak < block + 16 * 1024
         np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
+
+
+class TestSquaredNorm:
+    # Bound on the error relative to a float64-accumulated sum. Measured on
+    # float32 tensors of 5M+ entries: at most 3.4e-8 for the blocked dots,
+    # and 1.5e-5 for one float32 dot over a whole tensor, which this rejects.
+    BOUND = 1e-6
+
+    @pytest.fixture(scope="class")
+    def tensors(self):
+        rng = np.random.default_rng(31)
+        c_ordered = rng.standard_normal((1000, 5400), dtype=np.float32)
+        f_ordered = np.asfortranarray(rng.uniform(-0.05, 0.05, (2500, 2400)).astype(np.float32))
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        return [c_ordered, f_ordered]
+
+    @staticmethod
+    def reference(a):
+        flat = a.astype(np.float64).ravel()
+        return float(np.dot(flat, flat))
+
+    def test_each_tensor_without_a_squared_copy(self, tensors):
+        for a in tensors:
+            assert a.size >= 5_000_000
+            tracemalloc.start()
+            try:
+                got = ad.squared_norm(a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            assert abs(got - self.reference(a)) <= self.BOUND * self.reference(a)
+
+    def test_sum_squares_value(self, tensors):
+        got = ad.sum_squares(None, *(Node(a) for a in tensors)).value
+        want = sum(self.reference(a) for a in tensors)
+        assert got.dtype == np.float32
+        assert abs(got.item() - want) <= self.BOUND * want
+
+    def test_clip_gradients_norm(self, tensors):
+        # clip_gradients reads only ``grad``; max_norm 0 leaves it unscaled
+        params = [SimpleNamespace(grad=a) for a in tensors]
+        want = np.sqrt(sum(self.reference(a) for a in tensors))
+        norm = training.clip_gradients(params, 0.0)
+        assert abs(norm - want) <= self.BOUND * want
 
 
 class TestFiniteDiffCheck:

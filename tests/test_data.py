@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from relattn.config import ModelConfig
 from relattn.data import (BLANK_TOKEN, UNK_ID, DataError, Instance, SynthSpec, Vocab,
-                          contains_pattern, dataset_from_records, generate_synthetic,
-                          generate_synthetic_records, load_dataset, make_batches,
-                          position_buckets, read_embedding_file, relation_patterns,
-                          save_records_jsonl)
+                          contains_pattern, dataset_from_records, encode_instance,
+                          generate_synthetic, generate_synthetic_records, load_dataset,
+                          make_batches, position_buckets, read_embedding_file,
+                          relation_patterns, save_records_jsonl)
 from relattn.encoder import embed_batch
 from relattn.model import Model
 
@@ -67,6 +67,79 @@ class TestInstance:
         # (ids, head, tail, true_length) must not land in ``degenerate``
         with pytest.raises(TypeError):
             Instance(np.array([4, 2, 3], dtype=np.int64), 0, 2, 3)
+
+    def test_int64_ids_are_kept_as_given(self):
+        ids = np.array([4, 2, 3], dtype=np.int64)
+        assert Instance(ids, 0, 2).token_ids is ids
+
+    @pytest.mark.parametrize("ids", [np.array([]), [], np.array([4, 2, 3], dtype=np.int32),
+                                     np.array([4, 2, 3], dtype=np.uint8), [4, 2, 3]],
+                             ids=["empty-float", "empty-list", "int32", "uint8", "list"])
+    def test_other_ids_stored_as_int64(self, ids):
+        inst = Instance(ids, 0, 0)
+        assert inst.token_ids.dtype == np.int64
+        assert inst.token_ids.tolist() == list(ids)
+
+    @pytest.mark.parametrize("ids", [np.array([4.0, 2.0]), [4.0], np.array([True])])
+    def test_non_integer_ids_rejected(self, ids):
+        with pytest.raises(TypeError, match="token_ids"):
+            Instance(ids, 0, 0)
+
+    def test_forward_on_a_batch_mixing_converted_and_empty_instances(self):
+        cfg = ModelConfig(word_dim=4, position_dim=2, max_distance=3, time_steps=5,
+                          hidden_size=3, word_attention_hidden=3, word_attention_rows=2,
+                          mlp_size=4, sent_attention_hidden=3, sent_attention_rows=2,
+                          num_classes=3, precision="float64")
+        model = Model(cfg, 8, 3, rng=np.random.default_rng(0))
+        ids = [[2, 5, 3], [6, 7], [4, 2, 2, 5]]
+
+        def forward(bag_ids):
+            return model.forward(None, [[Instance(i, 0, 1) for i in bag] for bag in bag_ids])
+
+        want = forward([[np.array(ids[0]), np.array(ids[1])], [np.array(ids[2])]])
+        got = forward([[np.array(ids[0], dtype=np.int32), ids[1]], [np.array(ids[2])]])
+        np.testing.assert_array_equal(got.probabilities.value, want.probabilities.value)
+        # a sentence with no tokens has nothing to attend over: a ValueError
+        # that says so, not an IndexError from a float id array
+        with pytest.raises(ValueError, match="no token ids"):
+            forward([[np.array(ids[0]), np.array([])], [np.array(ids[2])]])
+
+
+class TestEncodeInstance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_positions_match_np_clip(self, time_steps, data):
+        box = data.draw(st.sampled_from([int, np.int64, np.int32]))
+        head, tail = (data.draw(st.integers(-3, 3 * time_steps)) for _ in range(2))
+        tokens = [f"w{k}" for k in range(data.draw(st.integers(1, 2 * time_steps)))]
+        vocab = Vocab.build(tokens)
+        inst = encode_instance(tokens, box(head), box(tail), vocab, time_steps)
+        want = [int(np.clip(i, 0, time_steps - 1)) for i in (head, tail)]
+        assert [inst.head_pos, inst.tail_pos] == want
+        assert type(inst.head_pos) is int and type(inst.tail_pos) is int
+        assert inst.degenerate == (want[0] == want[1])
+        assert inst.token_ids.dtype == np.int64
+        assert inst.token_ids.tolist() == vocab.encode(tokens[:time_steps])
+
+    @pytest.mark.parametrize("overrides", [{}, {"time_steps": 6}], ids=["synth", "t6"])
+    def test_criterion6_records_match_np_clip_reference(self, overrides):
+        # the records of acceptance criterion 6's training set; at 6 steps
+        # most sentences are truncated and many positions clipped
+        config = ModelConfig.from_profile("synth", seed=3, **overrides)
+        records = generate_synthetic_records(SynthSpec(5, 200, 400, 5, 0.5, seed=11))
+        ds = dataset_from_records(records, config)
+        t = config.time_steps
+        sentences = [sent for rec in records for sent in rec["sentences"]]
+        instances = [inst for bag in ds.bags for inst in bag.instances]
+        assert len(instances) == len(sentences) > 5000
+        clipped = 0
+        for sent, inst in zip(sentences, instances):
+            head, tail = (int(np.clip(sent[k], 0, t - 1)) for k in ("head_index", "tail_index"))
+            clipped += (head, tail) != (sent["head_index"], sent["tail_index"])
+            assert inst.token_ids.tolist() == ds.vocab.encode(sent["tokens"][:t])
+            assert inst.token_ids.dtype == np.int64
+            assert (inst.head_pos, inst.tail_pos, inst.degenerate) == (head, tail, head == tail)
+        assert clipped > 0 or not overrides
 
 
 class TestLoader:
