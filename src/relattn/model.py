@@ -13,6 +13,9 @@ attention once over all bags, each masked to its own instances.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,12 @@ from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 from .config import ConfigError, ModelConfig
 from .data import Bag, Instance
+
+# glibc mallopt parameters (malloc.h) and the values a Model sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
 
 
 @dataclass
@@ -37,7 +46,12 @@ class BagForward:
 
 
 class Model:
-    """Holds all parameters and runs forward passes."""
+    """Holds all parameters and runs forward passes.
+
+    Building the first Model in a process also sets the process's glibc
+    malloc policy, once (see :func:`_keep_freed_memory`): each training step
+    frees its tape's arrays, and by default glibc hands that memory back to
+    the OS, so the next step faults every page in again."""
 
     def __init__(self, config: ModelConfig, vocab_size: int, num_classes: int,
                  rng: np.random.Generator | None = None,
@@ -46,18 +60,21 @@ class Model:
                  token_ids: dict[str, int] | None = None) -> None:
         """A fresh model draws each tensor from ``rng`` by its table rule, with
         ``pretrained`` rows put into ``word_emb``; a loaded one takes it from
-        ``tensors``, and a missing or misshapen one is a ValueError. A tensor
-        too large to allocate is a ConfigError naming it and its shape."""
+        ``tensors``, and a missing, unknown or misshapen one is a ValueError.
+        A tensor too large to allocate is a ConfigError naming it and its
+        shape."""
         config.validate()
+        _keep_freed_memory()
         self.config = config
         self.vocab_size = vocab_size
         self.num_classes = num_classes
         table = expected_shapes(config, vocab_size, num_classes)
         if tensors is None and rng is None:
             raise ValueError("need an rng to initialize a fresh model")
-        missing = [] if tensors is None else sorted(set(table) - set(tensors))
-        if missing:
-            raise ValueError(f"checkpoint is missing tensors: {missing}")
+        if tensors is not None and tensors.keys() != table.keys():
+            raise ValueError(f"checkpoint tensors do not match the model's: missing "
+                             f"{sorted(table.keys() - tensors.keys())}, unknown "
+                             f"{sorted(tensors.keys() - table.keys())}")
         self._params: dict[str, Parameter] = {}
         for name, (shape, rule) in table.items():
             try:
@@ -155,6 +172,26 @@ class Model:
         """Class probabilities without recording a tape."""
         return self.forward(None, [bag.instances if instances is None else instances]
                             ).probabilities.value[0]
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep memory that a step frees mapped, so the next step reuses it.
+
+    Under glibc, sets ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD``
+    to 1 GiB for the whole process: blocks under 32 MiB come from the heap,
+    not from their own mmap, and the heap top is not released after every
+    step. Fixing the mmap threshold also stops it from following the size of
+    the last block freed. The cost is a process that holds its largest
+    step's freed memory. Does nothing under any other C library. Cached, so
+    only the first call acts."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def expected_shapes(config: ModelConfig, vocab_size: int, num_classes: int,

@@ -281,8 +281,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 if nbytes > left:
                     raise CheckpointError(f"{path}: truncated tensor {name!r} "
                                           f"({nbytes} bytes claimed, {left} left)")
+                if name in tensors:
+                    raise CheckpointError(f"{path}: tensor {name!r} appears twice")
                 blob = fh.read(nbytes)
-                tensors[name] = np.frombuffer(blob, dtype="<f4").reshape(rows, cols).copy()
+                value = np.frombuffer(blob, dtype="<f4").reshape(rows, cols).copy()
+                if not np.isfinite(value).all():
+                    raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+                tensors[name] = value
             else:
                 raise CheckpointError(f"{path}: unrecognized section {kind!r}")
         if relations is None or tokens is None or rng_state is None or not config_values:

@@ -247,6 +247,29 @@ def _replace_header_line(blob: bytes, kind: bytes, new_line: bytes) -> bytes:
     return blob[:start] + new_line + blob[end:]
 
 
+def _tensor_section(blob: bytes, name: str) -> tuple[int, int, int]:
+    """Where tensor ``name``'s header line starts, its data start and end."""
+    start = blob.index(f"tensor {name} ".encode())   # may follow binary data, not a newline
+    data = blob.index(b"\n", start) + 1
+    rows, cols = map(int, blob[start:data].split()[2:])
+    return start, data, data + 4 * rows * cols
+
+
+def _nan_tensor(blob: bytes, name: str) -> bytes:
+    _, data, end = _tensor_section(blob, name)
+    return blob[:data] + np.full((end - data) // 4, np.nan, dtype="<f4").tobytes() + blob[end:]
+
+
+def _before_end(blob: bytes, section: bytes) -> bytes:
+    assert blob.endswith(b"end\n")
+    return blob[:-len(b"end\n")] + section + b"end\n"
+
+
+def _repeat_tensor(blob: bytes, name: str) -> bytes:
+    start, _, end = _tensor_section(blob, name)
+    return _before_end(blob, blob[start:end])
+
+
 CORRUPTIONS = {
     "vocab_disagrees_with_tensors": lambda blob: _replace_header_line(
         blob, b"tokens", b'tokens ["<BLANK>", "<UNK>", "only"]'),
@@ -261,6 +284,10 @@ CORRUPTIONS = {
         blob, b"tensor word_emb", b"tensor word_emb -1 32"),
     "oversized_tensor": lambda blob: _replace_header_line(
         blob, b"tensor word_emb", b"tensor word_emb 4000000000 1000000"),
+    "non_finite_tensor": lambda blob: _nan_tensor(blob, "class_bias"),
+    "unknown_tensor": lambda blob: _before_end(
+        blob, b"tensor extra 1 1\n" + np.zeros(1, dtype="<f4").tobytes()),
+    "duplicate_tensor": lambda blob: _repeat_tensor(blob, "class_bias"),
 }
 
 
