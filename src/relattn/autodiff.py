@@ -46,17 +46,29 @@ class Node:
 
 
 class Parameter(Node):
-    """Trainable leaf with a persistent gradient buffer and Adam slots."""
+    """Trainable leaf with a persistent gradient buffer and Adam slots.
+
+    The gradient and Adam buffers are allocated zeroed, like ``value``,
+    unless given. A :meth:`view` has no Adam slots."""
 
     __slots__ = ("name", "m", "s", "step")
 
-    def __init__(self, name: str, value) -> None:
+    def __init__(self, name: str, value, grad=None, m=None, s=None) -> None:
         super().__init__(np.asarray(value))
         self.name = name
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)   # first-moment estimate
-        self.s = np.zeros_like(self.value)   # second-moment estimate
+        self.grad = np.zeros_like(self.value) if grad is None else grad
+        self.m = np.zeros_like(self.value) if m is None else m   # first-moment estimate
+        self.s = np.zeros_like(self.value) if s is None else s   # second-moment estimate
         self.step = 0
+
+    @classmethod
+    def view(cls, name: str, value: np.ndarray, grad: np.ndarray) -> Parameter:
+        """A leaf over slices of a larger parameter's value and gradient,
+        which that parameter's own Adam slots update; allocates nothing."""
+        p = cls.__new__(cls)
+        Node.__init__(p, value)
+        p.name, p.grad = name, grad
+        return p
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

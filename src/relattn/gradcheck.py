@@ -252,7 +252,7 @@ def full_loss_check(h: float = 1e-5, point_seed: int = 15) -> CheckResult:
     """
     model, bags = tiny_model_and_batch()
     rng = np.random.default_rng(point_seed)
-    for p in model.parameters():
+    for p in model.named_parameters().values():   # table order, as the point was drawn
         mag = rng.uniform(0.2, 0.6, size=p.value.shape)
         sign = rng.choice([-1.0, 1.0], size=p.value.shape)
         p.value[...] = mag * sign

@@ -1,9 +1,13 @@
-"""The full bag-level model: its parameter table and batched forward passes.
+"""The full bag-level model: its parameter store and batched forward passes.
 
 :func:`expected_shapes` lists every tensor once, with its shape and init
 rule, in the order a fresh model draws them; fresh and checkpoint-loaded
-models are both built by one walk over it. The layer modules take their
-tensors from the model as the dataclasses they define.
+models are both built by one walk over it. All entries live in one store,
+a single ``[4 x P x 1]`` allocation of value, gradient and Adam's two
+moments, with the L2-decayed weights as one leading slice. So
+:meth:`Model.parameters` is one leaf, and zeroing, the gradient norm, the
+L2 term and Adam each make one pass over it. Each named tensor is a view
+into the store; the layer modules take them as the dataclasses they define.
 
 Instances of a batch are encoded together: the encoder packs their real
 tokens and returns their states as ``[n x 2u x t_run]``, up to the longest
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import math
 import platform
 from dataclasses import dataclass
 
@@ -34,6 +40,8 @@ M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 1 << 30
 
+DECAYED_RULES = ("uniform", "glorot_uniform")   # the init rules of the L2-decayed weights
+
 
 @dataclass
 class BagForward:
@@ -48,6 +56,9 @@ class BagForward:
 class Model:
     """Holds all parameters and runs forward passes.
 
+    ``decayed`` is a leaf view over the store's leading slice: the entries
+    that L2 decays.
+
     Building the first Model in a process also sets the process's glibc
     malloc policy, once (see :func:`_keep_freed_memory`): each training step
     frees its tape's arrays, and by default glibc hands that memory back to
@@ -61,8 +72,8 @@ class Model:
         """A fresh model draws each tensor from ``rng`` by its table rule, with
         ``pretrained`` rows put into ``word_emb``; a loaded one takes it from
         ``tensors``, and a missing, unknown or misshapen one is a ValueError.
-        A tensor too large to allocate is a ConfigError naming it and its
-        shape."""
+        Parameters too large to allocate are a ConfigError naming their entry
+        count and dtype."""
         config.validate()
         _keep_freed_memory()
         self.config = config
@@ -75,24 +86,34 @@ class Model:
             raise ValueError(f"checkpoint tensors do not match the model's: missing "
                              f"{sorted(table.keys() - tensors.keys())}, unknown "
                              f"{sorted(tensors.keys() - table.keys())}")
+        sizes = {name: math.prod(shape) for name, (shape, _) in table.items()}
+        total = sum(sizes.values())
+        try:
+            value, grad, m, s = np.zeros((4, total, 1), config.dtype)
+        except (MemoryError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{total} parameter entries of {config.dtype} do not "
+                              f"fit in memory") from exc
+        self._store = Parameter("parameters", value, grad, m, s)
+        # the L2-decayed tensors come first, as one leading slice
+        layout = sorted(table, key=lambda name: table[name][1] not in DECAYED_RULES)
+        starts = dict(zip(layout, itertools.accumulate([sizes[n] for n in layout], initial=0)))
+        n_decayed = sum(sizes[n] for n, (_, rule) in table.items() if rule in DECAYED_RULES)
+        self.decayed = Parameter.view("decayed", value[:n_decayed], grad[:n_decayed])
         self._params: dict[str, Parameter] = {}
         for name, (shape, rule) in table.items():
-            try:
-                if tensors is None:
-                    value = _draw(rule, shape, rng)
-                    if name == "word_emb" and pretrained:
-                        _substitute_pretrained(value, pretrained, token_ids)
-                else:
-                    value = tensors[name]
-                    if value.shape != shape:
-                        raise ValueError(f"tensor {name!r} has shape {value.shape}, "
-                                         f"expected {shape}")
-                # rebinding frees a float64 draw before Parameter allocates its slots
-                value = value.astype(config.dtype)
-                self._params[name] = Parameter(name, value)
-            except MemoryError as exc:
-                raise ConfigError(f"tensor {name!r} of shape {shape} does not fit "
-                                  f"in memory") from exc
+            part = slice(starts[name], starts[name] + sizes[name])
+            view = Parameter.view(name, value[part].reshape(shape), grad[part].reshape(shape))
+            if tensors is None:
+                drawn = _draw(rule, shape, rng)
+                if name == "word_emb" and pretrained:
+                    _substitute_pretrained(drawn, pretrained, token_ids)
+            else:
+                drawn = tensors[name]
+                if drawn.shape != shape:
+                    raise ValueError(f"tensor {name!r} has shape {drawn.shape}, "
+                                     f"expected {shape}")
+            view.value[...] = drawn
+            self._params[name] = view
         p = self._params
         self.embeddings = enc.EmbeddingTables(p["word_emb"], p["head_pos_emb"], p["tail_pos_emb"])
         self.lstm = enc.LstmParams(*(
@@ -104,21 +125,15 @@ class Model:
                                                 p["class_weight"], p["class_bias"])
 
     def named_parameters(self) -> dict[str, Parameter]:
+        """Each tensor's view into the store, in table order."""
         return dict(self._params)
 
     def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
-
-    def l2_parameters(self) -> list[Parameter]:
-        """Weight matrices only, in table order: biases and embedding tables
-        are not decayed."""
-        table = expected_shapes(self.config, self.vocab_size, self.num_classes)
-        return [self._params[name] for name, (_, rule) in table.items()
-                if rule in ("uniform", "glorot_uniform")]
+        """The store: one ``[P x 1]`` leaf over every entry, with the Adam slots."""
+        return [self._store]
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self._store.zero_grad()
 
     # ------------------------------------------------------------------
     # forward passes
@@ -200,8 +215,8 @@ def expected_shapes(config: ModelConfig, vocab_size: int, num_classes: int,
     draws them. The rules, applied by :func:`_draw`: ``normal`` rows from
     normal(0, 0.05), ``uniform`` from uniform(-0.1, 0.1), ``glorot_uniform``
     Glorot-uniform, ``zeros``, and ``lstm_bias``: zeros with the forget-gate
-    slice at 1, so the forget gate starts open. Only the ``uniform`` and
-    ``glorot_uniform`` weights are L2-decayed."""
+    slice at 1, so the forget gate starts open. Only the weights of the
+    :data:`DECAYED_RULES` are L2-decayed."""
     cfg = config
     input_dim = cfg.word_dim + cfg.position_dim
     u = cfg.hidden_size

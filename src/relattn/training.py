@@ -74,7 +74,7 @@ def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
         loss = ad.add(tape, loss, penalty)
         parts["penalty"] = penalty.value.item()
     if cfg.l2_coef != 0.0:
-        l2 = ad.mul_const(tape, ad.sum_squares(tape, *model.l2_parameters()), cfg.l2_coef)
+        l2 = ad.mul_const(tape, ad.sum_squares(tape, model.decayed), cfg.l2_coef)
         loss = ad.add(tape, loss, l2)
         parts["l2"] = l2.value.item()
     return loss, parts

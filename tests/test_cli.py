@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ import pytest
 
 from relattn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from relattn.config import ModelConfig
-from relattn import model as model_module
 from relattn.model import Model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -351,23 +351,22 @@ class TestBadTrainInput:
         assert proc.stderr.startswith("config error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    def test_tensor_too_large_to_allocate_is_config_error(self, synth_file, tmp_path,
-                                                          monkeypatch, capsys):
-        # the failed allocation is simulated: a real one could exhaust the host
-        draw = model_module._draw
-
-        def draw_or_fail(rule, shape, rng):
-            if shape[0] * shape[1] > 10**8:
-                raise MemoryError(f"Unable to allocate array with shape {shape}")
-            return draw(rule, shape, rng)
-
-        monkeypatch.setattr(model_module, "_draw", draw_or_fail)
+    # sizes far beyond any address space, so the one allocation fails before
+    # it touches memory
+    def _assert_too_large(self, setting, synth_file, tmp_path, capsys):
         code = main(["train", "--data", str(synth_file), "--out", str(tmp_path / "out")]
-                    + SMALL_TRAIN + ["--set", "hidden_size=100000000"])
+                    + SMALL_TRAIN + ["--set", setting])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert err == ("config error: tensor 'lstm_fwd_w_in' of shape (400000000, 10) "
-                       "does not fit in memory\n")
+        assert re.fullmatch(r"config error: \d+ parameter entries of float32 do not fit "
+                            r"in memory\n", err)
+
+    def test_tensor_too_large_to_allocate_is_config_error(self, synth_file, tmp_path, capsys):
+        self._assert_too_large("hidden_size=100000000", synth_file, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["hidden_size", "word_dim"])
+    def test_entry_count_beyond_int64_is_config_error(self, key, synth_file, tmp_path, capsys):
+        self._assert_too_large(f"{key}={10**19}", synth_file, tmp_path, capsys)
 
     # --set values are JSON: each has a type its key does not admit
     @pytest.mark.parametrize("setting", [

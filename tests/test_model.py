@@ -21,7 +21,7 @@ from relattn import encoder as enc
 from relattn.autodiff import Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import Bag, Instance
-from relattn.model import Model
+from relattn.model import DECAYED_RULES, Model, expected_shapes
 from relattn.training import total_loss
 
 
@@ -123,9 +123,11 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         add("word_attn_hidden", d_a1 @ w["h"].T)
         d_hidden[j] = d_h + wh.T @ d_a1
 
-    for p in model.l2_parameters():
-        loss += cfg.l2_coef * (p.value ** 2).sum()
-        add(p.name, 2.0 * cfg.l2_coef * p.value)
+    for name, (_, rule) in expected_shapes(cfg, model.vocab_size, model.num_classes).items():
+        if rule in DECAYED_RULES:
+            value = model.named_parameters()[name].value
+            loss += cfg.l2_coef * (value ** 2).sum()
+            add(name, 2.0 * cfg.l2_coef * value)
 
     # embedding and BiLSTM gradients: the encoder's own tape, fed one entry
     # of d_hidden at a time, so each term is one hidden value's share

@@ -4,16 +4,19 @@ The first test redraws each tensor by the rule the table documents, in the
 documented order, from a generator of its own, so reordering an entry or
 changing its rule changes the bits. The second asks every entry for a
 gradient from the training loss beyond its L2 share, so an entry that no
-layer reads fails.
+layer reads fails. The last two pin the store: every tensor is a view into
+one buffer, with the decayed ones first, and L2 over that leading slice
+matches a per-tensor float64 sum.
 """
 
 import numpy as np
 import pytest
 
+from relattn import autodiff as ad
 from relattn import gradcheck
 from relattn.autodiff import Tape, backward
 from relattn.config import ModelConfig
-from relattn.model import Model, expected_shapes
+from relattn.model import DECAYED_RULES, Model, expected_shapes
 from relattn.training import total_loss
 
 CFG = ModelConfig(word_dim=4, position_dim=6, max_distance=3, time_steps=5, hidden_size=3,
@@ -82,8 +85,9 @@ def test_fresh_tensors_follow_the_documented_rules_bit_for_bit(precision, with_p
         got = params[name].value
         assert got.dtype == np.dtype(precision), name
         np.testing.assert_array_equal(got, want.astype(precision), err_msg=name)
-    assert [p.name for p in model.l2_parameters()] == [name for name, _, l2 in draws if l2]
-    assert [p.name for p in model.parameters()] == list(params)
+    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    assert [name for name, (_, rule) in table.items() if rule in DECAYED_RULES] == [
+        name for name, _, l2 in draws if l2]
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -110,9 +114,61 @@ def test_every_entry_gets_a_gradient_beyond_its_l2_share():
     tape = Tape()
     loss, _ = total_loss(tape, bags, model)
     backward(tape, loss)
-    decayed = {p.name for p in model.l2_parameters()}
     params = model.named_parameters()
-    for name in expected_shapes(cfg, model.vocab_size, model.num_classes):
+    for name, (_, rule) in expected_shapes(cfg, model.vocab_size, model.num_classes).items():
         p = params[name]
-        l2_share = 2.0 * cfg.l2_coef * p.value if name in decayed else np.zeros_like(p.value)
+        l2_share = (2.0 * cfg.l2_coef * p.value if rule in DECAYED_RULES
+                    else np.zeros_like(p.value))
         assert not np.allclose(p.grad, l2_share, rtol=1e-9, atol=0.0), name
+
+
+def _span(a):
+    """First and one-past-last byte address of a contiguous array."""
+    start = a.__array_interface__["data"][0]
+    return start, start + a.nbytes
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_views_tile_one_store_with_the_decayed_tensors_first(precision):
+    cfg = CFG.replace(precision=precision)
+    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5))
+    (store,) = model.parameters()
+    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    params = model.named_parameters()
+    assert list(params) == list(table)
+    assert store.value.shape == (sum(v.value.size for v in params.values()), 1)
+    assert store.value.dtype == np.dtype(precision)
+    decayed = {name for name, (_, rule) in table.items() if rule in DECAYED_RULES}
+    for buffer in ("value", "grad"):
+        spans = {name: _span(getattr(p, buffer)) for name, p in params.items()}
+        starts, ends = zip(*sorted(spans.values()))
+        whole = _span(getattr(store, buffer))
+        # the views tile the store's buffer, with no gap and no overlap
+        assert starts == (whole[0],) + ends[:-1] and ends[-1] == whole[1]
+        in_order = sorted(spans, key=spans.get)
+        assert set(in_order[:len(decayed)]) == decayed, buffer
+        assert _span(getattr(model.decayed, buffer)) == (whole[0],
+                                                         spans[in_order[len(decayed) - 1]][1])
+    for name, p in params.items():
+        assert np.shares_memory(p.value, store.value) and np.shares_memory(p.grad, store.grad)
+        assert not hasattr(p, "m") and not hasattr(p, "s"), name
+
+
+def test_l2_over_the_decayed_slice():
+    # float32 at a size where the slice spans several blocks of squared_norm
+    cfg = CFG.replace(precision="float32", hidden_size=40, word_attention_hidden=60,
+                      mlp_size=800, l2_coef=1e-3)
+    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(6))
+    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    params = model.named_parameters()
+    decayed = [name for name, (_, rule) in table.items() if rule in DECAYED_RULES]
+    assert model.decayed.value.size > 2 * ad.ROW_BLOCK
+    tape = Tape()
+    l2 = ad.mul_const(tape, ad.sum_squares(tape, model.decayed), cfg.l2_coef)
+    reference = cfg.l2_coef * sum((params[name].value.astype(np.float64) ** 2).sum()
+                                  for name in decayed)
+    assert l2.value.item() == pytest.approx(reference, rel=1e-6)
+    backward(tape, l2)
+    for name, p in params.items():
+        want = 2.0 * cfg.l2_coef * p.value if name in decayed else np.zeros_like(p.value)
+        np.testing.assert_array_equal(p.grad, want, err_msg=name)

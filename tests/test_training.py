@@ -151,6 +151,34 @@ class TestAdam:
                 for key in ("value", "m", "s"):
                     np.testing.assert_array_equal(getattr(p, key), ref[key])
 
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.5])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_store_matches_standalone_parameters_bit_for_bit(self, dtype, grad_clip):
+        # the store's leaf spans several row blocks, with tensors across their edges
+        cfg = small_config(precision=dtype, grad_clip=grad_clip, word_dim=40)
+        model = Model(cfg, 4000, cfg.num_classes, rng=np.random.default_rng(2))
+        (store,) = model.parameters()
+        assert store.value.shape[0] > 2 * ad.ROW_BLOCK
+        views = model.named_parameters()
+        standalone = {name: Parameter(name, v.value.copy()) for name, v in views.items()}
+        rng = np.random.default_rng(3)
+        for step in range(1, 4):
+            model.zero_grad()
+            for name, p in standalone.items():
+                views[name].grad[...] = p.grad[...] = rng.normal(size=p.value.shape) * 0.01
+            per_tensor_norm = tr.clip_gradients(standalone.values(), 0.0)
+            norm = tr.clip_gradients(model.parameters(), cfg.grad_clip)
+            assert norm == pytest.approx(per_tensor_norm, rel=1e-6)
+            assert not grad_clip or norm > grad_clip   # the clip acts
+            for name, p in standalone.items():   # the reference takes the clipped gradient
+                p.grad[...] = views[name].grad
+            adam_step(model.parameters(), cfg)
+            adam_step(standalone.values(), cfg)
+            assert store.step == step
+            for name, p in standalone.items():
+                assert p.step == step
+                np.testing.assert_array_equal(views[name].value, p.value, err_msg=name)
+
     def test_clip_gradients_scales_to_norm(self):
         p = Parameter("p", np.zeros((1, 2)))
         p.grad[...] = [[3.0, 4.0]]
