@@ -15,10 +15,11 @@ from relattn.config import ModelConfig
 from relattn.data import BLANK_TOKEN, Vocab, encode_instance
 from relattn.model import Model
 
+CLASSES = 2   # the classifier head is built but never scored here
 cfg = ModelConfig(word_dim=12, position_dim=6, max_distance=8, time_steps=8,
                   hidden_size=8, word_attention_hidden=10, word_attention_rows=3,
                   mlp_size=16, sent_attention_hidden=8, sent_attention_rows=2,
-                  num_classes=2, precision="float64")
+                  precision="float64")
 
 sentence = "acme_corp hired jane_doe as chief engineer".split()
 vocab = Vocab.build(sentence)
@@ -30,7 +31,7 @@ instance = encode_instance(sentence, head_index=0, tail_index=2, vocab=vocab,
 other = encode_instance("jane_doe joined acme_corp as chief engineer last year".split(),
                         head_index=2, tail_index=0, vocab=vocab, time_steps=cfg.time_steps)
 
-model = Model(cfg, len(vocab), cfg.num_classes, rng=np.random.default_rng(4))
+model = Model(cfg, len(vocab), CLASSES, rng=np.random.default_rng(4))
 tables, lstm, word = model.embeddings, model.lstm, model.word_attn
 
 batch = [instance, other]

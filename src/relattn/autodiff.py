@@ -332,28 +332,26 @@ def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
 def cross_entropy(tape: Tape | None, probabilities: Node, labels) -> Node:
     """Summed negative log-probability of one label per row, each clamped at LOG_FLOOR.
 
-    ``probabilities`` is ``[labels x classes]``, or a row or column vector for
-    one label; every row must sum to 1 within 1e-6."""
+    ``probabilities`` is ``[labels x classes]``; every row must sum to 1 within 1e-6."""
     v = probabilities.value
     labels = np.atleast_1d(labels)
-    if v.ndim != 2 or not (v.shape[0] == labels.size or labels.size == 1 == v.shape[1]):
+    if v.ndim != 2 or v.shape[0] != labels.size:
         raise ShapeError(f"cross_entropy expects one row per label, got shape {v.shape} "
                          f"for {labels.size} labels")
-    rows = v.reshape(labels.size, -1)
-    if ((labels < 0) | (labels >= rows.shape[1])).any():
-        raise IndexError(f"labels {labels.tolist()} out of range for {rows.shape[1]} classes")
-    totals = rows.sum(axis=1)
+    if ((labels < 0) | (labels >= v.shape[1])).any():
+        raise IndexError(f"labels {labels.tolist()} out of range for {v.shape[1]} classes")
+    totals = v.sum(axis=1)
     if np.abs(totals - 1.0).max() > 1e-6:
         raise ValueError(f"probabilities must sum to 1 within 1e-6, got {totals}")
     idx = np.arange(labels.size)
-    p = rows[idx, labels]
+    p = v[idx, labels]
     out = Node(np.array([[-np.log(np.maximum(p, LOG_FLOOR)).sum()]], dtype=v.dtype))
     if tape is not None:
         def bwd() -> None:
             live = p >= LOG_FLOOR   # below the clamp the loss is locally constant
-            g = np.zeros_like(rows)
+            g = np.zeros_like(v)
             g[idx[live], labels[live]] = -out.grad.item() / p[live]
-            _accum(probabilities, g.reshape(v.shape))
+            _accum(probabilities, g)
         tape.record(out, bwd)
     return out
 

@@ -132,14 +132,22 @@ def _load_config(args) -> ModelConfig:
     return ModelConfig.from_dict(values)
 
 
+def _out_dir(path: str) -> Path:
+    """Make the output directory first, so a bad --out fails before any work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: cannot make the output directory ({exc.strerror})")
+    return Path(path)
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
+    out = _out_dir(args.out)
     dataset = load_dataset(args.data, config)
     pretrained = (read_embedding_file(args.embeddings, config.word_dim)
                   if args.embeddings else None)
     result = train(dataset, config, pretrained=pretrained, log_every=1)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = checkpoint_from(result.model, dataset.vocab, dataset.relations, result.rng)
     save_checkpoint(ckpt, out / "model.ckpt")
     write_loss_log(result.log, out / "loss_log.csv")
@@ -149,11 +157,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = model_from_checkpoint(ckpt)
     dataset = load_dataset(args.data, ckpt.config, vocab=vocab, relations=ckpt.relations)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.metric == "pr":
         records = ev.score_test_set(dataset, model)
         points, auc = ev.pr_curve(records, ev.gold_facts(dataset))
@@ -196,6 +203,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_attn_export(args) -> int:
+    out = _out_dir(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = model_from_checkpoint(ckpt)
     dataset = load_dataset(args.data, ckpt.config, vocab=vocab, relations=ckpt.relations)
@@ -204,7 +212,7 @@ def cmd_attn_export(args) -> int:
     for bag_id in args.bag_id:
         if bag_id not in by_id:
             raise DataError(f"bag {bag_id!r} not found in {args.data}")
-        written.extend(ev.export_attention(model, by_id[bag_id], vocab, args.out))
+        written.extend(ev.export_attention(model, by_id[bag_id], vocab, out))
     for path in written:
         print(path)
     return EXIT_OK

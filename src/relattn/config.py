@@ -15,16 +15,14 @@ class ConfigError(ValueError):
 
 
 # the values each field annotation admits: an int is a valid float
-_ADMITTED = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-             "int | None": (numbers.Integral, type(None))}
+_ADMITTED = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
 class ModelConfig:
     """Every knob of the model, the optimizer, and the data pipeline.
 
-    ``num_classes`` may be left as None; it is filled in from the dataset's
-    relation vocabulary when the model is built.
+    The class count is not one: it is the training data's relation count.
     """
 
     word_dim: int = 200
@@ -37,7 +35,6 @@ class ModelConfig:
     mlp_size: int = 1000
     sent_attention_hidden: int = 300
     sent_attention_rows: int = 9     # 1 = plain 1-D sentence-level attention
-    num_classes: int | None = None
     batch_size: int = 64
     learning_rate: float = 1e-3
     penalty_coef: float = 1.0        # weight of the attention-orthogonality penalty
@@ -78,8 +75,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.num_classes is not None and self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.position_dim % 2 != 0:
             raise ConfigError("position_dim must be even (split over head and tail tables)")
         for name in ("learning_rate", "adam_eps"):

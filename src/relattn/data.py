@@ -100,9 +100,6 @@ class Dataset:
     relations: list[str]                 # index = relation id
     none_relation_id: int | None = None  # id of NA/Other if present
 
-    def relation_id(self, name: str) -> int:
-        return self.relations.index(name)
-
 
 def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
                     vocab: Vocab, time_steps: int) -> Instance:

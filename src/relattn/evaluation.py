@@ -181,30 +181,30 @@ def macro_f1(predictions: Sequence[tuple[str, int]], dataset: Dataset,
 # CSV writers
 
 
-def write_pr_csv(points: Sequence[tuple[float, float]], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "precision", "recall"])
-        for k, (precision, recall) in enumerate(points, start=1):
-            writer.writerow([k, repr(precision), repr(recall)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_pr_csv(points: Sequence[tuple[float, float]], path: str | Path) -> None:
+    _write_csv(path, ["rank", "precision", "recall"],
+               ([k, repr(precision), repr(recall)]
+                for k, (precision, recall) in enumerate(points, start=1)))
 
 
 def write_pn_csv(rows: Sequence[tuple[str, int, float]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "n", "precision"])
-        for setting, n, precision in rows:
-            writer.writerow([setting, n, repr(precision)])
+    _write_csv(path, ["setting", "n", "precision"],
+               ([setting, n, repr(precision)] for setting, n, precision in rows))
 
 
 def write_f1_csv(per_class: Sequence[tuple[int, float, float, float]], macro: float,
                  dataset: Dataset, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1"])
-        for cls, precision, recall, f1 in per_class:
-            writer.writerow([dataset.relations[cls], repr(precision), repr(recall), repr(f1)])
-        writer.writerow(["macro", "", "", repr(macro)])
+    rows = [[dataset.relations[cls], repr(precision), repr(recall), repr(f1)]
+            for cls, precision, recall, f1 in per_class]
+    _write_csv(path, ["class", "precision", "recall", "f1"],
+               rows + [["macro", "", "", repr(macro)]])
 
 
 def _safe_name(name: str) -> str:
@@ -231,21 +231,18 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab,
         tokens = vocab.decode(inst.token_ids) + [BLANK_TOKEN] * (width - inst.true_length)
         attn = np.pad(attn, ((0, 0), (0, width - attn.shape[1])))
         path = out_dir / f"{stem}_word_attn_{j}.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row"] + tokens)
-            for r in range(attn.shape[0]):
-                writer.writerow([f"r{r}"] + [repr(float(x)) for x in attn[r]])
-            writer.writerow(["sum"] + [repr(float(x)) for x in attn.sum(axis=0)])
+        _write_csv(path, ["row"] + tokens, _labelled_rows(attn, "sum", attn.sum(axis=0)))
         written.append(path)
 
     path = out_dir / f"{stem}_sent_attn.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row"] + [f"instance_{j}" for j in range(len(bag.instances))])
-        matrix = forward.attention.value[0]
-        for r in range(matrix.shape[0]):
-            writer.writerow([f"r{r}"] + [repr(float(x)) for x in matrix[r]])
-        writer.writerow(["mean"] + [repr(float(x)) for x in forward.averaged.value.ravel()])
+    _write_csv(path, ["row"] + [f"instance_{j}" for j in range(len(bag.instances))],
+               _labelled_rows(forward.attention.value[0], "mean",
+                              forward.averaged.value.ravel()))
     written.append(path)
     return written
+
+
+def _labelled_rows(matrix: np.ndarray, last_label: str, last: np.ndarray) -> list[list]:
+    """Rows ``r0, r1, ...`` of ``matrix``, then ``last`` under ``last_label``."""
+    rows = [[f"r{r}"] + [repr(float(x)) for x in matrix[r]] for r in range(matrix.shape[0])]
+    return rows + [[last_label] + [repr(float(x)) for x in last]]

@@ -21,11 +21,12 @@ from .training import total_loss
 
 TOLERANCE = 1e-5
 
+TINY_CLASSES = 4   # relations of the miniature dataset, so classes of the miniature model
 TINY_CONFIG = ModelConfig(
     word_dim=3, position_dim=2, max_distance=3, time_steps=5,
     hidden_size=2, word_attention_hidden=4, word_attention_rows=2,
     mlp_size=6, sent_attention_hidden=4, sent_attention_rows=2,
-    num_classes=4, batch_size=2, penalty_coef=1.0, l2_coef=1e-4,
+    batch_size=2, penalty_coef=1.0, l2_coef=1e-4,
     precision="float64", seed=7,
 )
 
@@ -206,7 +207,7 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
     results.append(CheckResult("sentence_attention_pipeline", err))
 
     rng = np.random.default_rng([seed, 3])
-    tables = Model(TINY_CONFIG, 6, TINY_CONFIG.num_classes, rng=rng).embeddings
+    tables = Model(TINY_CONFIG, 6, TINY_CLASSES, rng=rng).embeddings
     # word ids 2 and 3 repeat within and across instances, and so do position
     # buckets, so duplicate table rows must accumulate
     instances = [Instance(np.array([2, 3, 2]), 0, 2),
@@ -228,7 +229,7 @@ def pipeline_checks(seed: int = 54321) -> list[CheckResult]:
 def tiny_model_and_batch(config: ModelConfig = TINY_CONFIG,
                          ) -> tuple[Model, list]:
     """Miniature model plus a two-bag batch (J=3 and J=1) for full-loss checks."""
-    spec = SynthSpec(num_relations=config.num_classes, vocab_size=40,
+    spec = SynthSpec(num_relations=TINY_CLASSES, vocab_size=40,
                      bags_per_relation=1, max_bag_size=3, noise_ratio=0.3, seed=5)
     dataset = generate_synthetic(spec, config)
     by_size = sorted(dataset.bags, key=lambda b: -len(b.instances))
@@ -237,7 +238,7 @@ def tiny_model_and_batch(config: ModelConfig = TINY_CONFIG,
         bags[0].instances.append(bags[0].instances[0])
     bags[0].instances = bags[0].instances[:3]
     rng = np.random.default_rng(config.seed)
-    model = Model(config, len(dataset.vocab), config.num_classes, rng=rng)
+    model = Model(config, len(dataset.vocab), len(dataset.relations), rng=rng)
     return model, bags
 
 

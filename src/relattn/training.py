@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 from .config import ConfigError, ModelConfig
-from .data import Bag, Dataset, Vocab, make_batches
+from .data import Bag, DataError, Dataset, Vocab, make_batches
 from .model import Model
 
 CHECKPOINT_MAGIC = "relattn-checkpoint"
@@ -122,13 +122,12 @@ def train(dataset: Dataset, config: ModelConfig,
           pretrained: dict[str, np.ndarray] | None = None,
           log_every: int = 0) -> TrainResult:
     """Full training run; deterministic for a fixed config and seed."""
+    if len(dataset.relations) < 2:
+        raise DataError(f"training data names {len(dataset.relations)} relation(s) "
+                        f"{dataset.relations}; at least 2 are needed")
     config.validate()
-    num_classes = config.num_classes or len(dataset.relations)
-    if num_classes != len(dataset.relations):
-        raise ConfigError(f"config.num_classes={num_classes} but dataset has "
-                          f"{len(dataset.relations)} relations")
     rng = np.random.default_rng(config.seed)
-    model = Model(config, len(dataset.vocab), num_classes, rng=rng,
+    model = Model(config, len(dataset.vocab), len(dataset.relations), rng=rng,
                   pretrained=pretrained, token_ids=dataset.vocab.token_to_id)
     dropout_rng = rng if config.dropout > 0 else None
 
@@ -181,7 +180,7 @@ def checkpoint_from(model: Model, vocab: Vocab, relations: Sequence[str],
     state = rng.bit_generator.state if rng is not None else \
         np.random.default_rng(model.config.seed).bit_generator.state
     return Checkpoint(
-        config=model.config.replace(num_classes=model.num_classes),
+        config=model.config,
         tensors={name: p.value.copy() for name, p in model.named_parameters().items()},
         relations=list(relations),
         tokens=list(vocab.id_to_token),
@@ -292,10 +291,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"{path}: unrecognized section {kind!r}")
         if relations is None or tokens is None or rng_state is None or not config_values:
             raise CheckpointError(f"{path}: incomplete checkpoint header")
-    # version-1 files written before the encoder was always masked carry
-    # "mask_padding true"; unmasked models cannot be reproduced any more
+    # older version-1 files carry "mask_padding true" (unmasked models cannot be
+    # reproduced any more) and "num_classes" (the relations line is the count now)
     if config_values.pop("mask_padding", True) is not True:
         raise CheckpointError(f"{path}: unmasked models (mask_padding false) are not supported")
+    if config_values.pop("num_classes", len(relations)) != len(relations):
+        raise CheckpointError(f"{path}: header num_classes disagrees with its "
+                              f"{len(relations)} relations")
     try:
         config = ModelConfig.from_dict(config_values)
     except (ConfigError, TypeError) as exc:

@@ -164,7 +164,7 @@ class TestCriterion5PermutationLaw:
         cfg = ModelConfig(word_dim=5, position_dim=4, max_distance=4, time_steps=8,
                           hidden_size=3, word_attention_hidden=4, word_attention_rows=2,
                           mlp_size=6, sent_attention_hidden=4, sent_attention_rows=2,
-                          num_classes=3, precision="float64")
+                          precision="float64")
         spec = SynthSpec(num_relations=3, vocab_size=40, bags_per_relation=40,
                          max_bag_size=5, noise_ratio=0.4, seed=12)
         ds = generate_synthetic(spec, cfg)

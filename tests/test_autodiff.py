@@ -147,9 +147,9 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             ad.cross_entropy(None, Node([[0.7, 0.7]]), 0)
 
-    def test_accepts_column_vector(self):
-        out = ad.cross_entropy(None, Node([[0.25], [0.75]]), 1)
-        assert out.value.item() == pytest.approx(-np.log(0.75), abs=1e-12)
+    def test_rejects_a_column_for_one_label(self):
+        with pytest.raises(ad.ShapeError, match="one row per label"):
+            ad.cross_entropy(None, Node([[0.25], [0.75]]), 1)
 
 
 class TestBackward:

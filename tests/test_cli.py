@@ -22,7 +22,7 @@ SMALL_TRAIN = [
     "--set", "word_attention_hidden=5", "--set", "word_attention_rows=2",
     "--set", "mlp_size=8", "--set", "sent_attention_hidden=5",
     "--set", "sent_attention_rows=2", "--set", "batch_size=8",
-    "--set", "epochs=2", "--set", "num_classes=3",
+    "--set", "epochs=2",
 ]
 
 
@@ -241,6 +241,34 @@ class TestTrainEval:
         assert (out_a / "loss_log.csv").read_text() == (out_b / "loss_log.csv").read_text()
 
 
+class TestBadOut:
+    """An --out that cannot be made a directory fails before any work is done."""
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", ["train", "eval", "attn-export"])
+    def test_usage_error_before_any_work(self, command, below, trained_dir, synth_file,
+                                         tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "sub" if below else taken
+        ckpt = str(trained_dir / "model.ckpt")
+        bag_id = json.loads(synth_file.read_text().splitlines()[0])["bag_id"]
+        args = {
+            "train": ["train", "--data", str(synth_file)] + SMALL_TRAIN,
+            "eval": ["eval", "--checkpoint", ckpt, "--data", str(synth_file),
+                     "--metric", "pr"],
+            "attn-export": ["attn-export", "--checkpoint", ckpt, "--data", str(synth_file),
+                            "--bag-id", bag_id],
+        }[command]
+        code = main(args + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert re.fullmatch(r"usage error: --out \S+: cannot make the output directory "
+                            r"\(.+\)\n", captured.err)
+        assert captured.out == ""   # no epoch line, nothing scored or exported
+        assert taken.read_text() == "a file\n"
+
+
 def _replace_header_line(blob: bytes, kind: bytes, new_line: bytes) -> bytes:
     start = blob.index(b"\n" + kind + b" ") + 1
     end = blob.index(b"\n", start)
@@ -288,6 +316,9 @@ CORRUPTIONS = {
     "unknown_tensor": lambda blob: _before_end(
         blob, b"tensor extra 1 1\n" + np.zeros(1, dtype="<f4").tobytes()),
     "duplicate_tensor": lambda blob: _repeat_tensor(blob, "class_bias"),
+    # a version-1 header line, checked against the three relations
+    "num_classes_disagrees_with_relations": lambda blob: blob.replace(
+        b"\nrelations ", b"\nconfig num_classes 4\nrelations ", 1),
 }
 
 
@@ -344,12 +375,37 @@ class TestBadTrainInput:
              "--out", str(tmp_path / "out")] + SMALL_TRAIN + ["--set", setting],
             capture_output=True, text=True, env=env, timeout=120)
 
-    def test_num_classes_mismatch_is_config_error(self, synth_file, tmp_path):
-        proc = self._train_with("num_classes=4", synth_file, tmp_path)
+    def test_one_relation_exits_3_before_any_epoch(self, synth_file, tmp_path):
+        lines = synth_file.read_text().splitlines()
+        first = json.loads(lines[0])["relation"]
+        data = tmp_path / "one.jsonl"
+        data.write_text("".join(line + "\n" for line in lines
+                                if json.loads(line)["relation"] == first))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", "train", "--data", str(data),
+             "--out", str(tmp_path / "out")] + SMALL_TRAIN,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        assert re.fullmatch(r"data error: training data names 1 relation\(s\) .*; "
+                            r"at least 2 are needed\n", proc.stderr)
+        assert "epoch" not in proc.stdout
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    # the class count is the training data's relation list, not a config key
+    def test_num_classes_is_an_unknown_key(self, synth_file, tmp_path):
+        proc = self._train_with("num_classes=3", synth_file, tmp_path)
         assert proc.returncode == EXIT_USAGE
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: ")
-        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr == "config error: unknown config keys: num_classes\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_with_num_classes_is_rejected(self, synth_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "num_classes": 3}))
+        code = main(["train", "--data", str(synth_file), "--out", str(tmp_path / "out"),
+                     "--config", str(cfg_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: unknown config keys: num_classes\n"
 
     # sizes far beyond any address space, so the one allocation fails before
     # it touches memory

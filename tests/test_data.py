@@ -16,7 +16,7 @@ from relattn.data import (BLANK_TOKEN, UNK_ID, DataError, Instance, SynthSpec, V
 from relattn.encoder import embed_batch
 from relattn.model import Model
 
-CFG = ModelConfig(num_classes=None, time_steps=70)
+CFG = ModelConfig(time_steps=70)
 
 
 def bag_record(bag_id="b1", head="alice", tail="york", relation="lives_in",
@@ -89,7 +89,7 @@ class TestInstance:
         cfg = ModelConfig(word_dim=4, position_dim=2, max_distance=3, time_steps=5,
                           hidden_size=3, word_attention_hidden=3, word_attention_rows=2,
                           mlp_size=4, sent_attention_hidden=3, sent_attention_rows=2,
-                          num_classes=3, precision="float64")
+                          precision="float64")
         model = Model(cfg, 8, 3, rng=np.random.default_rng(0))
         ids = [[2, 5, 3], [6, 7], [4, 2, 2, 5]]
 
@@ -271,7 +271,7 @@ class TestRelativePositions:
         # the tables' last row, the old padding bucket, is never read: poisoning
         # it leaves a mixed-length batch's embedding finite
         cfg = ModelConfig(word_dim=4, position_dim=4, max_distance=2, time_steps=6,
-                          num_classes=2, precision="float64")
+                          precision="float64")
         tables = Model(cfg, 6, 2, rng=np.random.default_rng(0)).embeddings
         tables.head_position.value[-1] = tables.tail_position.value[-1] = np.nan
         instances = [Instance(np.array(ids, dtype=np.int64), head, tail)

@@ -13,9 +13,12 @@ from relattn.data import Instance
 from relattn.model import Model
 
 
+CLASSES = 2   # the classifier head is built but never used here
+
+
 def tiny_config(**kw):
     base = dict(word_dim=4, position_dim=2, max_distance=3, time_steps=3,
-                hidden_size=3, num_classes=2, precision="float64")
+                hidden_size=3, precision="float64")
     base.update(kw)
     return ModelConfig(**base)
 
@@ -26,7 +29,7 @@ def make_instance(token_ids, head=0, tail=1):
 
 def fresh_model(cfg, vocab_size=6, seed=0, **kw):
     """A fresh model to take tables or LSTM weights from; ``seed`` may be a Generator."""
-    return Model(cfg, vocab_size, cfg.num_classes, rng=np.random.default_rng(seed), **kw)
+    return Model(cfg, vocab_size, CLASSES, rng=np.random.default_rng(seed), **kw)
 
 
 def tables_for(cfg, vocab_size=6, seed=0):

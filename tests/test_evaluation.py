@@ -237,7 +237,7 @@ def trained_fixture(epochs=3):
     cfg = ModelConfig(word_dim=6, position_dim=4, max_distance=5, time_steps=10,
                       hidden_size=4, word_attention_hidden=5, word_attention_rows=2,
                       mlp_size=8, sent_attention_hidden=5, sent_attention_rows=2,
-                      num_classes=3, batch_size=8, epochs=epochs, seed=2,
+                      batch_size=8, epochs=epochs, seed=2,
                       precision="float32")
     spec = SynthSpec(num_relations=3, vocab_size=40, bags_per_relation=8,
                      max_bag_size=4, noise_ratio=0.4, seed=8)

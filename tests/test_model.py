@@ -146,6 +146,9 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
     return loss, grads, magnitudes
 
 
+CLASSES = 3
+
+
 @st.composite
 def batches(draw):
     t_steps = draw(st.integers(2, 6))
@@ -153,7 +156,7 @@ def batches(draw):
                       hidden_size=2, word_attention_hidden=3,
                       word_attention_rows=draw(st.integers(1, 3)), mlp_size=4,
                       sent_attention_hidden=3, sent_attention_rows=draw(st.integers(1, 3)),
-                      num_classes=3, precision="float64", l2_coef=1e-3,
+                      precision="float64", l2_coef=1e-3,
                       dropout=draw(st.sampled_from([0.0, 0.3])))
     bags = []
     for b in range(draw(st.integers(1, 4))):
@@ -164,7 +167,7 @@ def batches(draw):
             head, tail = draw(st.integers(0, length - 1)), draw(st.integers(0, length - 1))
             instances.append(Instance(np.array(ids), head, tail))
         bags.append(Bag(f"bag{draw(st.integers(0, 99)):02d}-{b}", "h", "t",
-                        draw(st.integers(0, 2)), instances))
+                        draw(st.integers(0, CLASSES - 1)), instances))
     return cfg, bags, draw(st.integers(0, 2**32 - 1))
 
 
@@ -173,7 +176,7 @@ class TestBatchedPassMatchesPerInstanceReference:
     @given(batches())
     def test_total_loss_and_every_gradient(self, batch):
         cfg, bags, seed = batch
-        model = Model(cfg, 10, 3, rng=np.random.default_rng(seed))
+        model = Model(cfg, 10, CLASSES, rng=np.random.default_rng(seed))
         ref_loss, ref_grads, magnitudes = reference_loss_and_grads(
             model, bags, np.random.default_rng(seed + 1))
         model.zero_grad()

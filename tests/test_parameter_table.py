@@ -19,9 +19,10 @@ from relattn.config import ModelConfig
 from relattn.model import DECAYED_RULES, Model, expected_shapes
 from relattn.training import total_loss
 
+CLASSES = 3
 CFG = ModelConfig(word_dim=4, position_dim=6, max_distance=3, time_steps=5, hidden_size=3,
                   word_attention_hidden=5, word_attention_rows=2, mlp_size=7,
-                  sent_attention_hidden=4, sent_attention_rows=3, num_classes=3)
+                  sent_attention_hidden=4, sent_attention_rows=3)
 VOCAB = 9
 
 
@@ -61,8 +62,8 @@ def documented_draws(cfg, vocab_size, rng, pretrained_rows):
               ("sent_attn_hidden", glorot_uniform(cfg.sent_attention_hidden, mlp), True),
               ("sent_attn_rows", glorot_uniform(cfg.sent_attention_rows,
                                                 cfg.sent_attention_hidden), True),
-              ("class_weight", glorot_uniform(cfg.num_classes, mlp), True),
-              ("class_bias", np.zeros((cfg.num_classes, 1)), False)]
+              ("class_weight", glorot_uniform(CLASSES, mlp), True),
+              ("class_bias", np.zeros((CLASSES, 1)), False)]
     return draws
 
 
@@ -73,19 +74,19 @@ def test_fresh_tensors_follow_the_documented_rules_bit_for_bit(precision, with_p
     vectors = np.random.default_rng(1).normal(size=(2, cfg.word_dim))
     pretrained = {"known": vectors[0], "also": vectors[1], "absent": vectors[0]}
     token_ids = {"known": 2, "also": 7}
-    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5),
+    model = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(5),
                   pretrained=pretrained if with_pretrained else None, token_ids=token_ids)
     rows = {2: vectors[0], 7: vectors[1]} if with_pretrained else {}
     draws = documented_draws(cfg, VOCAB, np.random.default_rng(5), rows)
 
     params = model.named_parameters()
     assert list(params) == [name for name, _, _ in draws] == list(expected_shapes(
-        cfg, VOCAB, cfg.num_classes))
+        cfg, VOCAB, CLASSES))
     for name, want, _ in draws:
         got = params[name].value
         assert got.dtype == np.dtype(precision), name
         np.testing.assert_array_equal(got, want.astype(precision), err_msg=name)
-    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    table = expected_shapes(cfg, VOCAB, CLASSES)
     assert [name for name, (_, rule) in table.items() if rule in DECAYED_RULES] == [
         name for name, _, l2 in draws if l2]
 
@@ -96,12 +97,12 @@ def test_models_do_not_alias_the_callers_arrays(precision):
     # tensors of the model's dtype and pretrained vectors are not shared
     cfg = CFG.replace(precision=precision)
     vector = np.random.default_rng(1).normal(size=cfg.word_dim).astype(precision)
-    fresh = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5),
+    fresh = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(5),
                   pretrained={"known": vector}, token_ids={"known": 2})
     np.testing.assert_array_equal(fresh.embeddings.word.value[2], vector)
     assert not np.shares_memory(fresh.embeddings.word.value, vector)
     tensors = {name: p.value for name, p in fresh.named_parameters().items()}
-    loaded = Model(cfg, VOCAB, cfg.num_classes, tensors=tensors)
+    loaded = Model(cfg, VOCAB, CLASSES, tensors=tensors)
     for name, p in loaded.named_parameters().items():
         np.testing.assert_array_equal(p.value, tensors[name], err_msg=name)
         assert not np.shares_memory(p.value, tensors[name]), name
@@ -131,9 +132,9 @@ def _span(a):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_views_tile_one_store_with_the_decayed_tensors_first(precision):
     cfg = CFG.replace(precision=precision)
-    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(5))
+    model = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(5))
     (store,) = model.parameters()
-    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    table = expected_shapes(cfg, VOCAB, CLASSES)
     params = model.named_parameters()
     assert list(params) == list(table)
     assert store.value.shape == (sum(v.value.size for v in params.values()), 1)
@@ -158,8 +159,8 @@ def test_l2_over_the_decayed_slice():
     # float32 at a size where the slice spans several blocks of squared_norm
     cfg = CFG.replace(precision="float32", hidden_size=40, word_attention_hidden=60,
                       mlp_size=800, l2_coef=1e-3)
-    model = Model(cfg, VOCAB, cfg.num_classes, rng=np.random.default_rng(6))
-    table = expected_shapes(cfg, VOCAB, cfg.num_classes)
+    model = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(6))
+    table = expected_shapes(cfg, VOCAB, CLASSES)
     params = model.named_parameters()
     decayed = [name for name, (_, rule) in table.items() if rule in DECAYED_RULES]
     assert model.decayed.value.size > 2 * ad.ROW_BLOCK

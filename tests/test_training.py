@@ -9,24 +9,27 @@ from relattn import autodiff as ad
 from relattn import training as tr
 from relattn.autodiff import Parameter, Tape
 from relattn.config import ModelConfig
-from relattn.data import SynthSpec, generate_synthetic
+from relattn.data import DataError, Dataset, SynthSpec, generate_synthetic
 from relattn.model import Model
 from relattn.training import (Checkpoint, CheckpointError, TrainingDiverged, adam_step,
                               checkpoint_from, load_checkpoint, model_from_checkpoint,
                               save_checkpoint, total_loss, train, write_loss_log)
 
 
+CLASSES = 3   # relations of every small dataset below
+
+
 def small_config(**kw):
     base = dict(word_dim=6, position_dim=4, max_distance=5, time_steps=8, hidden_size=4,
                 word_attention_hidden=5, word_attention_rows=2, mlp_size=8,
-                sent_attention_hidden=5, sent_attention_rows=2, num_classes=3,
+                sent_attention_hidden=5, sent_attention_rows=2,
                 batch_size=8, epochs=2, seed=1, precision="float64")
     base.update(kw)
     return ModelConfig(**base)
 
 
 def small_dataset(config, bags_per_relation=6, seed=0):
-    spec = SynthSpec(num_relations=config.num_classes, vocab_size=40,
+    spec = SynthSpec(num_relations=CLASSES, vocab_size=40,
                      bags_per_relation=bags_per_relation, max_bag_size=3,
                      noise_ratio=0.3, seed=seed)
     return generate_synthetic(spec, config)
@@ -34,7 +37,7 @@ def small_dataset(config, bags_per_relation=6, seed=0):
 
 def fresh_model(config, dataset, seed=None):
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    return Model(config, len(dataset.vocab), config.num_classes, rng=rng)
+    return Model(config, len(dataset.vocab), len(dataset.relations), rng=rng)
 
 
 class TestTotalLoss:
@@ -57,7 +60,7 @@ class TestTotalLoss:
         model.sent_attn.class_weight.value[...] = 0.0
         model.sent_attn.class_bias.value[...] = 0.0
         loss, _ = total_loss(None, ds.bags[:4], model)
-        assert loss.value.item() == pytest.approx(np.log(cfg.num_classes), abs=1e-9)
+        assert loss.value.item() == pytest.approx(np.log(CLASSES), abs=1e-9)
 
     def test_penalty_term_included_by_default(self):
         cfg = small_config()   # penalty_coef 1.0
@@ -156,7 +159,7 @@ class TestAdam:
     def test_store_matches_standalone_parameters_bit_for_bit(self, dtype, grad_clip):
         # the store's leaf spans several row blocks, with tensors across their edges
         cfg = small_config(precision=dtype, grad_clip=grad_clip, word_dim=40)
-        model = Model(cfg, 4000, cfg.num_classes, rng=np.random.default_rng(2))
+        model = Model(cfg, 4000, CLASSES, rng=np.random.default_rng(2))
         (store,) = model.parameters()
         assert store.value.shape[0] > 2 * ad.ROW_BLOCK
         views = model.named_parameters()
@@ -203,7 +206,7 @@ class TestTrainLoop:
         result = train(ds, cfg)
         last_epoch = [r for r in result.log if r.epoch == cfg.epochs - 1]
         mean_ce = sum(r.ce for r in last_epoch) / len(last_epoch)
-        assert mean_ce < np.log(cfg.num_classes)
+        assert mean_ce < np.log(CLASSES)
 
     def test_same_seed_identical_logs(self):
         cfg = small_config(precision="float32")
@@ -212,11 +215,13 @@ class TestTrainLoop:
         log_b = train(ds, cfg).log
         assert log_a == log_b
 
-    def test_num_classes_mismatch_rejected(self):
-        cfg = small_config(num_classes=7)
-        ds = small_dataset(small_config())
-        with pytest.raises(ValueError, match="relations"):
-            train(ds, cfg)
+    def test_fewer_than_two_relations_rejected(self, monkeypatch):
+        cfg = small_config()
+        ds = small_dataset(cfg)
+        one = Dataset([b for b in ds.bags if b.relation_id == 0], ds.vocab, ds.relations[:1])
+        monkeypatch.setattr(tr, "Model", None)   # the check comes before any model is built
+        with pytest.raises(DataError, match="at least 2"):
+            train(one, cfg)
 
     def test_non_finite_loss_aborts_with_location(self, monkeypatch):
         cfg = small_config(epochs=1)
@@ -328,7 +333,7 @@ class TestCheckpoint:
     def test_class_count_mismatch_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
         ckpt = load_checkpoint(path)
-        wrong = Checkpoint(ckpt.config.replace(num_classes=10), ckpt.tensors,
+        wrong = Checkpoint(ckpt.config, ckpt.tensors,
                            ckpt.relations + [f"extra{i}" for i in range(7)],
                            ckpt.tokens, ckpt.rng_state)
         with pytest.raises(ValueError, match="class_weight"):
@@ -343,6 +348,25 @@ class TestCheckpoint:
         loaded, _ = model_from_checkpoint(load_checkpoint(old))
         for bag in ds.bags[:3]:
             np.testing.assert_array_equal(model.predict_bag(bag), loaded.predict_bag(bag))
+
+    def test_v1_header_with_matching_num_classes_loads(self, tmp_path):
+        ds, model, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes()
+        assert b"num_classes" not in blob   # new checkpoints no longer write the key
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(blob.replace(b"\nconfig ", b"\nconfig num_classes 3\nconfig ", 1))
+        loaded, _ = model_from_checkpoint(load_checkpoint(old))
+        for bag in ds.bags[:3]:
+            np.testing.assert_array_equal(model.predict_bag(bag), loaded.predict_bag(bag))
+
+    @pytest.mark.parametrize("value", [b"4", b"2", b"null"])
+    def test_v1_num_classes_must_equal_the_relation_count(self, value, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes().replace(b"\nconfig ", b"\nconfig num_classes " + value
+                                         + b"\nconfig ", 1)
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="num_classes disagrees with its 3 relations"):
+            load_checkpoint(path)
 
     def test_shipped_v1_checkpoint_loads(self):
         path = Path(__file__).resolve().parents[1] / "bench" / "assets" / "synth_model.ckpt"

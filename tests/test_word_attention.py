@@ -39,7 +39,7 @@ class TestAttentionMatrix:
 
     def test_published_scale_shapes(self):
         # the large-corpus profile: 9 rows over 70 steps, each row a distribution
-        cfg = ModelConfig.from_profile("nyt", num_classes=53)
+        cfg = ModelConfig.from_profile("nyt")
         rng = np.random.default_rng(2)
         p = Model(cfg.replace(precision="float64"), 2, 53, rng=rng).word_attn
         hidden = Node(rng.normal(size=(600, 70)))
