@@ -149,25 +149,23 @@ def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
 def backward(tape: Tape, loss: Node) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-    Intermediate (non-Parameter) gradients are reset before the replay, so
-    calling backward twice on the same tape adds the same leaf contributions
-    twice. Each record's output gradient is released as soon as its rule has
-    run, so intermediate gradients cannot be read after the replay: every
-    non-Parameter record output holds ``grad is None``. Parameters, and leaf
-    nodes that no record outputs, keep what they collected. Raises if
-    ``loss`` is not scalar.
+    Every record's output is a fresh intermediate Node, never a Parameter.
+    Their gradients are reset before the replay, so calling backward twice
+    on the same tape adds the same leaf contributions twice. Each record's
+    output gradient is released as soon as its rule has run, so
+    intermediate gradients cannot be read after the replay: every record
+    output holds ``grad is None``. Parameters, and leaf nodes that no record
+    outputs, keep what they collected. Raises if ``loss`` is not scalar.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     for out, _ in tape._records:
-        if not isinstance(out, Parameter):
-            out.grad = None
+        out.grad = None
     _accum(loss, np.ones_like(loss.value))
     for out, fn in reversed(tape._records):
         if out.grad is not None:
             fn()
-            if not isinstance(out, Parameter):
-                out.grad = None
+            out.grad = None
 
 
 # ---------------------------------------------------------------------------

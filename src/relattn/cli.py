@@ -120,9 +120,10 @@ def _load_config(args) -> ModelConfig:
     if args.profile:
         values.update(PROFILES[args.profile])
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
         try:
-            file_values = json.loads(text)
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError(f"{args.config}: not UTF-8 text")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(file_values, dict):
@@ -197,7 +198,10 @@ def cmd_gen_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     records = generate_synthetic_records(spec)
-    save_records_jsonl(records, args.out)
+    try:
+        save_records_jsonl(records, args.out)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: cannot write the file ({exc.strerror})")
     print(f"wrote {len(records)} bags to {args.out}")
     return EXIT_OK
 
@@ -219,7 +223,7 @@ def cmd_attn_export(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_all(verbose=True)
+    results = gradcheck.run_all()
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
@@ -238,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError, ev.EvalError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, ev.EvalError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

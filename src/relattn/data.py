@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -39,15 +40,19 @@ class DataError(ValueError):
 
 @dataclass
 class Vocab:
-    token_to_id: dict[str, int]
+    """Token strings by id; ``token_to_id`` is built from ``id_to_token``."""
+
     id_to_token: list[str]
+    token_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     @classmethod
     def build(cls, tokens: Iterable[str]) -> "Vocab":
         """Deterministic vocabulary: reserved ids first, then sorted tokens."""
         uniq = sorted(set(tokens) - {BLANK_TOKEN, UNK_TOKEN})
-        id_to_token = [BLANK_TOKEN, UNK_TOKEN] + uniq
-        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token)
+        return cls([BLANK_TOKEN, UNK_TOKEN] + uniq)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
@@ -62,15 +67,14 @@ class Vocab:
 @dataclass(eq=False)
 class Instance:
     """One sentence: the ids of the tokens kept after truncation to
-    ``time_steps``, and the entity positions clipped into that range.
-
-    Ids of another integer type, and an empty sequence of any type, are
-    stored as int64; ids of a non-integer type raise ``TypeError``."""
+    ``time_steps``, and the entity positions clipped into that range; it is
+    ``degenerate`` when the two coincide. Ids of another integer type, and an
+    empty sequence of any type, are stored as int64; ids of a non-integer
+    type raise ``TypeError``."""
 
     token_ids: np.ndarray        # int64, at most time_steps ids, no padding
     head_pos: int
     tail_pos: int
-    degenerate: bool = field(default=False, kw_only=True)   # head and tail on one index
 
     def __post_init__(self) -> None:
         if getattr(self.token_ids, "dtype", None) != np.int64:   # the loader's ids skip this
@@ -82,6 +86,10 @@ class Instance:
     @property
     def true_length(self) -> int:
         return len(self.token_ids)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.head_pos == self.tail_pos
 
 
 @dataclass(eq=False)
@@ -107,7 +115,7 @@ def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
     last = time_steps - 1
     head = int(min(max(head_index, 0), last))
     tail = int(min(max(tail_index, 0), last))
-    return Instance(ids, head, tail, degenerate=head == tail)
+    return Instance(ids, head, tail)
 
 
 def _check_record(rec: dict, where: str) -> None:
@@ -190,13 +198,24 @@ def dataset_from_records(records: Sequence[dict], config: ModelConfig,
     return Dataset(bags, vocab, relation_list, none_id)
 
 
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise a
+    DataError naming the file."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_dataset(path: str | Path, config: ModelConfig,
                  vocab: Vocab | None = None,
                  relations: Sequence[str] | None = None) -> Dataset:
     """Read a JSONL bag file, building the vocabulary unless one is given."""
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -350,11 +369,11 @@ def generate_synthetic(spec: SynthSpec, config: ModelConfig | None = None) -> Da
                                 source=f"<synthetic seed={spec.seed}>")
 
 
-def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[str, np.ndarray]:
+def read_embedding_file(path: str | Path, word_dim: int) -> dict[str, np.ndarray]:
     """Parse 'count dim' header then 'token v1 ... vdim' lines of finite
-    values; ``dim`` must equal ``word_dim`` when that is given."""
+    values; ``dim`` must equal ``word_dim``."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: first line must be 'count dim'")
@@ -362,7 +381,7 @@ def read_embedding_file(path: str | Path, word_dim: int | None = None) -> dict[s
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: first line must be 'count dim'") from exc
-        if word_dim is not None and dim != word_dim:
+        if dim != word_dim:
             raise DataError(f"{path}: vectors have dim {dim}, but word_dim is {word_dim}")
         table: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):

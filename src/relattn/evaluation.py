@@ -207,12 +207,7 @@ def write_f1_csv(per_class: Sequence[tuple[int, float, float, float]], macro: fl
                rows + [["macro", "", "", repr(macro)]])
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-
-
-def export_attention(model: Model, bag: Bag, vocab: Vocab,
-                     out_dir: str | Path, prefix: str = "") -> list[Path]:
+def export_attention(model: Model, bag: Bag, vocab: Vocab, out_dir: str | Path) -> list[Path]:
     """Write word-level and sentence-level attention CSVs for one bag.
 
     Word-level files carry the token strings as header, one row per
@@ -222,7 +217,7 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     forward = model.forward_bag(None, bag)
-    stem = f"{prefix}{_safe_name(bag.bag_id)}"
+    stem = re.sub(r"[^A-Za-z0-9_.-]", "_", bag.bag_id)   # a file-name-safe bag id
     width = model.config.time_steps
     written = []
 

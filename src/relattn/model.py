@@ -183,10 +183,9 @@ class Model:
     def forward_bag(self, tape: Tape | None, bag: Bag) -> BagForward:
         return self.forward(tape, [bag.instances])
 
-    def predict_bag(self, bag: Bag, instances: list[Instance] | None = None) -> np.ndarray:
+    def predict_bag(self, bag: Bag) -> np.ndarray:
         """Class probabilities without recording a tape."""
-        return self.forward(None, [bag.instances if instances is None else instances]
-                            ).probabilities.value[0]
+        return self.forward(None, [bag.instances]).probabilities.value[0]
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,7 @@ from . import autodiff as ad
 from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 from .config import ConfigError, ModelConfig
-from .data import Bag, DataError, Dataset, Vocab, make_batches
+from .data import BLANK_TOKEN, UNK_TOKEN, Bag, DataError, Dataset, Vocab, make_batches
 from .model import Model
 
 CHECKPOINT_MAGIC = "relattn-checkpoint"
@@ -176,20 +177,20 @@ class Checkpoint:
 
 
 def checkpoint_from(model: Model, vocab: Vocab, relations: Sequence[str],
-                    rng: np.random.Generator | None = None) -> Checkpoint:
-    state = rng.bit_generator.state if rng is not None else \
-        np.random.default_rng(model.config.seed).bit_generator.state
+                    rng: np.random.Generator) -> Checkpoint:
+    """A checkpoint of ``model`` that saves the state of ``rng``, the run's
+    init and dropout generator (:attr:`TrainResult.rng`)."""
     return Checkpoint(
         config=model.config,
         tensors={name: p.value.copy() for name, p in model.named_parameters().items()},
         relations=list(relations),
         tokens=list(vocab.id_to_token),
-        rng_state=state,
+        rng_state=rng.bit_generator.state,
     )
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[Model, Vocab]:
-    vocab = Vocab({t: i for i, t in enumerate(ckpt.tokens)}, list(ckpt.tokens))
+    vocab = Vocab(list(ckpt.tokens))
     try:
         model = Model(ckpt.config, len(vocab), len(ckpt.relations), tensors=ckpt.tensors)
     except ValueError as exc:
@@ -234,6 +235,9 @@ def _read_string_list(text: str, path: Path, kind: str) -> list[str]:
     value = _read_json(text, path, kind)
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise CheckpointError(f"{path}: {kind!r} header line must hold a JSON list of strings")
+    repeated = [v for v, count in Counter(value).items() if count > 1]
+    if repeated:
+        raise CheckpointError(f"{path}: {kind!r} header line repeats {repeated[0]!r}")
     return value
 
 
@@ -291,6 +295,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"{path}: unrecognized section {kind!r}")
         if relations is None or tokens is None or rng_state is None or not config_values:
             raise CheckpointError(f"{path}: incomplete checkpoint header")
+    if tokens[:2] != [BLANK_TOKEN, UNK_TOKEN]:
+        raise CheckpointError(f"{path}: 'tokens' header line must start with "
+                              f"{BLANK_TOKEN!r}, {UNK_TOKEN!r}")
     # older version-1 files carry "mask_padding true" (unmasked models cannot be
     # reproduced any more) and "num_classes" (the relations line is the count now)
     if config_values.pop("mask_padding", True) is not True:

@@ -298,6 +298,18 @@ def _repeat_tensor(blob: bytes, name: str) -> bytes:
     return _before_end(blob, blob[start:end])
 
 
+def _edit_list(blob: bytes, kind: bytes, i: int, j: int, swap: bool = False) -> bytes:
+    """The ``kind`` header list with entry ``i`` copied over entry ``j``, or
+    the two swapped; the list keeps its length."""
+    start = blob.index(b"\n" + kind + b" ") + len(kind) + 2
+    values = json.loads(blob[start:blob.index(b"\n", start)])
+    if swap:
+        values[i], values[j] = values[j], values[i]
+    else:
+        values[j] = values[i]
+    return _replace_header_line(blob, kind, kind + b" " + json.dumps(values).encode())
+
+
 CORRUPTIONS = {
     "vocab_disagrees_with_tensors": lambda blob: _replace_header_line(
         blob, b"tokens", b'tokens ["<BLANK>", "<UNK>", "only"]'),
@@ -319,23 +331,81 @@ CORRUPTIONS = {
     # a version-1 header line, checked against the three relations
     "num_classes_disagrees_with_relations": lambda blob: blob.replace(
         b"\nrelations ", b"\nconfig num_classes 4\nrelations ", 1),
+    # each keeps the list's length, so only the repeat or the order is wrong
+    "repeated_token": lambda blob: _edit_list(blob, b"tokens", 2, 3),
+    "repeated_relation": lambda blob: _edit_list(blob, b"relations", 0, 2),
+    "reserved_tokens_moved": lambda blob: _edit_list(blob, b"tokens", 0, 1, swap=True),
 }
+
+
+@pytest.fixture(scope="module")
+def two_relation_file(synth_file, tmp_path_factory):
+    """The bags of the first two of the three relations: a test file that
+    lacks a relation, so a relations line that repeats an entry in place of
+    the missing one still covers every bag."""
+    lines = synth_file.read_text().splitlines()
+    kept = sorted({json.loads(line)["relation"] for line in lines})[:2]
+    path = tmp_path_factory.mktemp("data") / "two.jsonl"
+    path.write_text("".join(line + "\n" for line in lines
+                            if json.loads(line)["relation"] in kept))
+    return path
 
 
 class TestBadCheckpoint:
     @pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
-    def test_eval_exits_3_with_one_line(self, mode, trained_dir, synth_file, tmp_path):
+    def test_eval_exits_3_with_one_line(self, mode, trained_dir, two_relation_file, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(CORRUPTIONS[mode]((trained_dir / "model.ckpt").read_bytes()))
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-m", "relattn", "eval", "--checkpoint", str(bad),
-             "--data", str(synth_file), "--metric", "pr", "--out", str(tmp_path / "out")],
+             "--data", str(two_relation_file), "--metric", "pr",
+             "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# an input that names a directory, or a file that is not UTF-8 text:
+# (command, the argument that names it, kind, exit code, stderr prefix)
+UNREADABLE_INPUTS = [
+    ("train", "--data", "dir", EXIT_DATA, "data error: "),
+    ("train", "--data", "latin1", EXIT_DATA, "data error: "),
+    ("train", "--embeddings", "dir", EXIT_DATA, "data error: "),
+    ("train", "--embeddings", "latin1", EXIT_DATA, "data error: "),
+    ("train", "--config", "dir", EXIT_DATA, "data error: "),
+    ("train", "--config", "latin1", EXIT_USAGE, "config error: "),
+    ("eval", "--checkpoint", "dir", EXIT_DATA, "data error: "),
+    ("eval", "--data", "dir", EXIT_DATA, "data error: "),
+    ("eval", "--data", "latin1", EXIT_DATA, "data error: "),
+    ("gen-synth", "--out", "dir", EXIT_USAGE, "usage error: "),
+]
+
+
+@pytest.mark.parametrize("command, flag, kind, exit_code, prefix", UNREADABLE_INPUTS,
+                         ids=[f"{c}{f}-{k}" for c, f, k, _, _ in UNREADABLE_INPUTS])
+def test_unreadable_input_ends_in_one_line(command, flag, kind, exit_code, prefix,
+                                           synth_file, trained_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    if kind == "dir":
+        bad.mkdir()
+    else:
+        bad.write_bytes("caf\u00e9 2\n".encode("latin-1"))
+    args = {
+        "train": ["train", "--data", str(synth_file), "--out", str(tmp_path / "out")]
+                 + SMALL_TRAIN,
+        "eval": ["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                 "--data", str(synth_file), "--metric", "pr", "--out", str(tmp_path / "out")],
+        "gen-synth": ["gen-synth", "--bags", "10"],
+    }[command] + [flag, str(bad)]   # a repeated flag takes its last value
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.err.startswith(prefix) and str(bad) in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "epoch" not in captured.out
 
 
 BAD_TRAIN_INPUTS = {

@@ -50,6 +50,12 @@ class TestVocab:
         for token, idx in vocab.token_to_id.items():
             assert vocab.id_to_token[idx] == token
 
+    def test_id_map_is_built_from_the_list(self):
+        vocab = Vocab(["<BLANK>", "<UNK>", "a"])
+        assert vocab.token_to_id == {"<BLANK>": 0, "<UNK>": 1, "a": 2}
+        with pytest.raises(TypeError):   # the map is no constructor input
+            Vocab({"a": 0}, ["a"])
+
     def test_decode_inverts_encode_including_blank(self):
         tokens = ["the", BLANK_TOKEN, "fox", BLANK_TOKEN]
         vocab = Vocab.build(tokens)
@@ -64,9 +70,14 @@ class TestInstance:
             inst.true_length = 70
 
     def test_old_positional_true_length_rejected(self):
-        # (ids, head, tail, true_length) must not land in ``degenerate``
+        # an Instance takes exactly (ids, head, tail)
         with pytest.raises(TypeError):
             Instance(np.array([4, 2, 3], dtype=np.int64), 0, 2, 3)
+
+    def test_degenerate_is_derived_from_the_positions(self):
+        ids = np.array([4, 2, 3], dtype=np.int64)
+        assert Instance(ids, 0, 0).degenerate is True
+        assert Instance(ids, 2, 0).degenerate is False
 
     def test_int64_ids_are_kept_as_given(self):
         ids = np.array([4, 2, 3], dtype=np.int64)
@@ -392,7 +403,7 @@ class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar -1.0 0.5 0.25\n")
-        table = read_embedding_file(path)
+        table = read_embedding_file(path, word_dim=3)
         np.testing.assert_array_equal(table["foo"], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(table["bar"], [-1.0, 0.5, 0.25])
 
@@ -400,26 +411,26 @@ class TestEmbeddingFile:
         path = tmp_path / "emb.txt"
         path.write_text("nope\nfoo 1.0\n")
         with pytest.raises(DataError, match="count dim"):
-            read_embedding_file(path)
+            read_embedding_file(path, word_dim=1)
 
     def test_wrong_dimension_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nfoo 1.0 2.0\n")
         with pytest.raises(DataError, match="line 2"):
-            read_embedding_file(path)
+            read_embedding_file(path, word_dim=3)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nfoo 1.0 2.0\nbar 1.0 abc\n")
         with pytest.raises(DataError, match="line 3"):
-            read_embedding_file(path)
+            read_embedding_file(path, word_dim=2)
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         for bad in ("nan", "inf", "-inf"):
             path.write_text(f"2 2\nfoo 1.0 2.0\nbar 1.0 {bad}\n")
             with pytest.raises(DataError, match="line 3: non-finite"):
-                read_embedding_file(path)
+                read_embedding_file(path, word_dim=2)
 
     def test_dimension_other_than_word_dim_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -432,4 +443,4 @@ class TestEmbeddingFile:
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nfoo 1.0 2.0\n")
         with pytest.raises(DataError, match="claims 2"):
-            read_embedding_file(path)
+            read_embedding_file(path, word_dim=2)

@@ -288,7 +288,8 @@ class TestScoreTestSet:
                 continue
             picked = rng.choice(len(b.instances), size=1, replace=False)
             if b.bag_id == bag.bag_id:
-                expected = sorted(model.predict_bag(b, [b.instances[picked[0]]]).tolist())
+                probs = model.forward(None, [[b.instances[picked[0]]]]).probabilities.value[0]
+                expected = sorted(probs.tolist())
                 break
         assert got == pytest.approx(expected)
 
@@ -326,7 +327,7 @@ def per_bag_records(ds, model, pn=None):
                 count = 1 if pn.mode == "one" else 2
                 picked = rng.choice(len(instances), size=count, replace=False)
                 instances = [instances[i] for i in picked]
-        probs = model.predict_bag(bag, instances)
+        probs = model.forward(None, [instances]).probabilities.value[0]
         out += [(bag.bag_id, rel, probs[rel]) for rel in range(len(ds.relations))
                 if rel != ds.none_relation_id]
     return out
