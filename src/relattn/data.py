@@ -40,13 +40,18 @@ class DataError(ValueError):
 
 @dataclass
 class Vocab:
-    """Token strings by id; ``token_to_id`` is built from ``id_to_token``."""
+    """Token strings by id; ``token_to_id`` is built from ``id_to_token``,
+    and a token listed twice is a ValueError."""
 
     id_to_token: list[str]
     token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self.id_to_token):
+            repeated = next(t for i, t in enumerate(self.id_to_token)
+                            if self.token_to_id[t] != i)
+            raise ValueError(f"vocabulary lists {repeated!r} twice")
 
     @classmethod
     def build(cls, tokens: Iterable[str]) -> "Vocab":
@@ -371,7 +376,7 @@ def generate_synthetic(spec: SynthSpec, config: ModelConfig | None = None) -> Da
 
 def read_embedding_file(path: str | Path, word_dim: int) -> dict[str, np.ndarray]:
     """Parse 'count dim' header then 'token v1 ... vdim' lines of finite
-    values; ``dim`` must equal ``word_dim``."""
+    values; ``dim`` must equal ``word_dim``, and no token may appear twice."""
     path = Path(path)
     with _open_text(path) as fh:
         header = fh.readline().split()
@@ -384,10 +389,15 @@ def read_embedding_file(path: str | Path, word_dim: int) -> dict[str, np.ndarray
         if dim != word_dim:
             raise DataError(f"{path}: vectors have dim {dim}, but word_dim is {word_dim}")
         table: dict[str, np.ndarray] = {}
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: line {lineno}: expected token plus {dim} values")
+            if parts[0] in first_line:
+                raise DataError(f"{path}: line {lineno}: token {parts[0]!r} already has "
+                                f"a vector on line {first_line[parts[0]]}")
+            first_line[parts[0]] = lineno
             try:
                 table[parts[0]] = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:

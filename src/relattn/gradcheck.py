@@ -1,11 +1,11 @@
 """Finite-difference verification of every backward rule.
 
 Each check builds a tiny random graph in float64 around one operation (or a
-composite pipeline), reduces it to a scalar, and compares the taped gradient
-of every parameter against central differences. The final check runs the
-whole model's training loss on a miniature configuration. The test points
-(:data:`SEED`, :data:`LOSS_POINT_SEED`) and the difference step
-(:data:`STEP`) are constants, so every run prints the same errors.
+layer of a miniature model), reduces it to a scalar, and compares the taped
+gradient of every parameter against central differences. The final check
+runs the whole model's training loss on the same miniature configuration.
+The test points (:data:`SEED`, :data:`LOSS_POINT_SEED`) and the difference
+step (:data:`STEP`) are constants, so every run prints the same errors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import encoder as enc
+from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape, finite_diff_check, sum_all
 from .config import ModelConfig
 from .data import Instance, SynthSpec, generate_synthetic
@@ -119,57 +121,58 @@ def op_checks() -> list[CheckResult]:
     return results
 
 
-def pipeline_checks() -> list[CheckResult]:
-    """Composite checks: the embedding, the BiLSTM and both batched attention pipelines.
+def _redraw(rng, params, lo, hi) -> None:
+    """Overwrite each parameter's value with draws from uniform(lo, hi)."""
+    for p in params:
+        p.value[...] = rng.uniform(lo, hi, size=p.value.shape)
 
-    Each pipeline draws its test point from its own generator, keyed by
-    :data:`SEED` and a number of its own, so adding or changing one check
+
+def pipeline_checks() -> list[CheckResult]:
+    """Composite checks of the miniature model's own layers: the embedding,
+    the BiLSTM, batched word attention and the model's bag-level pass.
+
+    Each check redraws its layer's test point from its own generator, keyed
+    by :data:`SEED` and a number of its own, so adding or changing one check
     moves no other check's point. The step :data:`STEP` keeps
     central-difference rounding far below the tolerance on the smallest true
     gradients: the worst check, ``sentence_attention_pipeline``, errs by
-    1.7e-7 at ``h=1e-5`` and by 5.0e-6 at ``h=1e-6``, both on a
-    ``sent_attn_hidden`` entry of 2.6e-5.
+    8.2e-8 at ``h=1e-5`` and by 4.2e-7 at ``h=1e-6``, both on a
+    ``sent_attn_hidden`` entry of 6.5e-5.
     """
-    from . import encoder as enc
-    from . import sentence_attention as sa
-    from . import word_attention as wa
-
+    cfg = TINY_CONFIG
+    model = Model(cfg, 6, TINY_CLASSES, rng=np.random.default_rng(SEED))
     results = []
-    rng = np.random.default_rng([SEED, 0])   # one point for both LSTM directions
-    u, d_in = 2, 3
 
-    lstm = enc.LstmParams(*(enc.LstmDirection(
-        w_in=_param(rng, f"{name}_w_in", 4 * u, d_in, -0.5, 0.5),
-        w_rec=_param(rng, f"{name}_w_rec", 4 * u, u, -0.5, 0.5),
-        bias=_param(rng, f"{name}_bias", 4 * u, 1, -0.5, 0.5),
-    ) for name in ("fwd", "bwd")))
+    def check(name, params, build):
+        err = finite_diff_check(lambda: build(Tape()), params, h=STEP)
+        results.append(CheckResult(name, err))
+
+    rng = np.random.default_rng([SEED, 0])   # one point for both LSTM directions
+    lstm = [p for d in (model.lstm.fwd, model.lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
+    _redraw(rng, lstm, -0.5, 0.5)
     # lanes of lengths 2, 4, 0 and 3 run four steps of widths 3, 3, 2, 1 in
     # both directions, the reverse one over each lane's mirrored rows, and
     # sorting scatters the states across lanes
     lengths = [2, 4, 0, 3]
-    packed = _param(rng, "packed", sum(lengths), d_in)
-    lstm_probe = rng.uniform(-1, 1, (len(lengths), 2 * u, max(lengths)))
+    packed = _param(rng, "packed", sum(lengths), cfg.word_dim + cfg.position_dim)
+    lstm_probe = rng.uniform(-1, 1, (len(lengths), 2 * cfg.hidden_size, max(lengths)))
 
     def bilstm(tape):
-        out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+        out = enc.bilstm_encode_batch(tape, packed, lengths, model.lstm)
         return tape, sum_all(tape, ad.mul_const(tape, out, lstm_probe))
 
-    err = finite_diff_check(lambda: bilstm(Tape()),
-                            [p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
-                            + [packed], h=STEP)
-    results.append(CheckResult("bilstm", err))
+    check("bilstm", lstm + [packed], bilstm)
 
     rng = np.random.default_rng([SEED, 1])
-    r1, da1, v, t_len = 2, 3, 4, 5
-    word = wa.WordAttentionParams(
-        attn_hidden=_param(rng, "wah", da1, 2 * u, -0.7, 0.7),
-        attn_rows=_param(rng, "war", r1, da1, -0.7, 0.7),
-        mlp_weight=_param(rng, "wmw", v, r1 * 2 * u, -0.7, 0.7),
-        mlp_bias=_param(rng, "wmb", v, 1, 0.1, 0.4),
-    )
-    n = 3   # a batch of three instances with true lengths 3, 5 and 1
-    hidden_const = Node(rng.uniform(-1, 1, (n, 2 * u, t_len)))
-    probe = rng.uniform(-1, 1, (v, n))
+    word = model.word_attn
+    word_params = [word.attn_hidden, word.attn_rows, word.mlp_weight, word.mlp_bias]
+    _redraw(rng, word_params[:3], -0.7, 0.7)
+    _redraw(rng, word_params[3:], 0.1, 0.4)   # keeps the ReLU inputs off its kink
+    # a batch of three instances with true lengths 3, 5 and 1; their states
+    # are a constant, since encoder rounding would bring the error near the tolerance
+    n, t_len = 3, 5
+    hidden_const = Node(rng.uniform(-1, 1, (n, 2 * cfg.hidden_size, t_len)))
+    probe = rng.uniform(-1, 1, (cfg.mlp_size, n))
     valid = (np.arange(t_len) < np.array([3, 5, 1])[:, None])[:, None, :]
 
     def word_pipeline(tape):
@@ -180,50 +183,41 @@ def pipeline_checks() -> list[CheckResult]:
                       wa.attention_penalty(tape, attn))
         return tape, loss
 
-    err = finite_diff_check(lambda: word_pipeline(Tape()),
-                            [word.attn_hidden, word.attn_rows, word.mlp_weight, word.mlp_bias],
-                            h=STEP)
-    results.append(CheckResult("word_attention_pipeline", err))
+    check("word_attention_pipeline", word_params, word_pipeline)
 
     rng = np.random.default_rng([SEED, 2])
-    r2, da2, classes, sizes = 2, 3, 4, [1, 3, 2]
-    sent = sa.SentAttentionParams(
-        attn_hidden=_param(rng, "sah", da2, v, -0.7, 0.7),
-        attn_rows=_param(rng, "sar", r2, da2, -0.7, 0.7),
-        class_weight=_param(rng, "scw", classes, v, -0.7, 0.7),
-        class_bias=_param(rng, "scb", classes, 1, -0.3, 0.3),
-    )
-    reps = Node(rng.uniform(0, 1, (v, sum(sizes))))
+    sent = model.sent_attn
+    sent_params = [sent.attn_hidden, sent.attn_rows, sent.class_weight, sent.class_bias]
+    _redraw(rng, sent_params[:3], -0.7, 0.7)
+    _redraw(rng, sent_params[3:], -0.3, 0.3)
+    sizes = [1, 3, 2]
+    # centred: on all-positive representations the attention logits share an
+    # offset, and sent_attn_hidden gradients shrink to differences of it
+    reps = Node(rng.uniform(-1, 1, (cfg.mlp_size, sum(sizes))))
 
     def sent_pipeline(tape):
-        attn = sa.sentence_attention_matrix(tape, reps, sent, sa.stack_bag(sizes))
-        averaged = sa.average_attention(tape, attn)
-        selection = sa.selection_representation(tape, averaged, reps)
-        probs = sa.classify(tape, selection, sent)
+        probs = model.bag_outputs(tape, reps, sizes).probabilities
         return tape, ad.cross_entropy(tape, probs, [1, 3, 0])
 
-    err = finite_diff_check(lambda: sent_pipeline(Tape()),
-                            [sent.attn_hidden, sent.attn_rows, sent.class_weight, sent.class_bias],
-                            h=STEP)
-    results.append(CheckResult("sentence_attention_pipeline", err))
+    check("sentence_attention_pipeline", sent_params, sent_pipeline)
 
     rng = np.random.default_rng([SEED, 3])
-    tables = Model(TINY_CONFIG, 6, TINY_CLASSES, rng=rng).embeddings
+    tables = model.embeddings
+    table_params = [tables.word, tables.head_position, tables.tail_position]
+    _redraw(rng, table_params, -1.0, 1.0)
     # word ids 2 and 3 repeat within and across instances, and so do position
     # buckets, so duplicate table rows must accumulate
     instances = [Instance(np.array([2, 3, 2]), 0, 2),
                  Instance(np.array([3, 3, 4, 5, 2]), 4, 1),
                  Instance(np.array([2]), 0, 0)]
     emb_probe = rng.uniform(-1, 1, (sum(inst.true_length for inst in instances),
-                                    TINY_CONFIG.word_dim + TINY_CONFIG.position_dim))
+                                    cfg.word_dim + cfg.position_dim))
 
     def embedding(tape):
-        out = enc.embed_batch(tape, instances, tables, TINY_CONFIG)
+        out = enc.embed_batch(tape, instances, tables, cfg)
         return tape, sum_all(tape, ad.mul_const(tape, out, emb_probe))
 
-    err = finite_diff_check(lambda: embedding(Tape()),
-                            [tables.word, tables.head_position, tables.tail_position], h=STEP)
-    results.append(CheckResult("embedding", err))
+    check("embedding", table_params, embedding)
     return results
 
 

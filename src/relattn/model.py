@@ -66,18 +66,16 @@ class Model:
 
     def __init__(self, config: ModelConfig, vocab_size: int, num_classes: int,
                  rng: np.random.Generator | None = None,
-                 tensors: dict[str, np.ndarray] | None = None,
-                 pretrained: dict[str, np.ndarray] | None = None,
-                 token_ids: dict[str, int] | None = None) -> None:
-        """A fresh model draws each tensor from ``rng`` by its table rule, with
-        ``pretrained`` rows put into ``word_emb``; a loaded one takes it from
-        ``tensors``, and a missing, unknown or misshapen one is a ValueError.
-        Parameters too large to allocate are a ConfigError naming their entry
-        count and dtype."""
+                 tensors: dict[str, np.ndarray] | None = None) -> None:
+        """The store has two sources: a fresh model draws each tensor from
+        ``rng`` by its table rule, a loaded one takes it from ``tensors``, and
+        a missing, unknown or misshapen one is a ValueError. Pretrained word
+        vectors are written over the drawn rows by the caller
+        (:func:`relattn.training.train`). Parameters too large to allocate are
+        a ConfigError naming their entry count and dtype."""
         config.validate()
         _keep_freed_memory()
         self.config = config
-        self.vocab_size = vocab_size
         self.num_classes = num_classes
         table = expected_shapes(config, vocab_size, num_classes)
         if tensors is None and rng is None:
@@ -105,8 +103,6 @@ class Model:
             view = Parameter.view(name, value[part].reshape(shape), grad[part].reshape(shape))
             if tensors is None:
                 drawn = _draw(rule, shape, rng)
-                if name == "word_emb" and pretrained:
-                    _substitute_pretrained(drawn, pretrained, token_ids)
             else:
                 drawn = tensors[name]
                 if drawn.shape != shape:
@@ -259,15 +255,3 @@ def _draw(rule: str, shape: tuple[int, int], rng: np.random.Generator) -> np.nda
         value[u:2 * u] = 1.0
     return value
 
-
-def _substitute_pretrained(word: np.ndarray, pretrained: dict[str, np.ndarray],
-                           token_ids: dict[str, int] | None) -> None:
-    """Overwrite the drawn rows of the tokens that have pretrained vectors."""
-    if token_ids is None:
-        raise ValueError("pretrained embeddings need the token -> id map")
-    for token, vec in pretrained.items():
-        if token in token_ids:
-            if vec.shape != word.shape[1:]:
-                raise ValueError(f"embedding for {token!r} has dim {vec.shape}, "
-                                 f"expected ({word.shape[1]},)")
-            word[token_ids[token]] = vec

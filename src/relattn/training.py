@@ -122,15 +122,25 @@ def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
 def train(dataset: Dataset, config: ModelConfig,
           pretrained: dict[str, np.ndarray] | None = None,
           log_every: int = 0) -> TrainResult:
-    """Full training run; deterministic for a fixed config and seed."""
+    """Full training run; deterministic for a fixed config and seed.
+
+    ``default_rng(config.seed)`` draws the model and then the dropout masks.
+    Each ``pretrained`` vector of a vocabulary token is written over its
+    drawn ``word_emb`` row, and one of the wrong dimension is a ValueError
+    before any epoch; vectors of other tokens are ignored."""
     if len(dataset.relations) < 2:
         raise DataError(f"training data names {len(dataset.relations)} relation(s) "
                         f"{dataset.relations}; at least 2 are needed")
     config.validate()
     rng = np.random.default_rng(config.seed)
-    model = Model(config, len(dataset.vocab), len(dataset.relations), rng=rng,
-                  pretrained=pretrained, token_ids=dataset.vocab.token_to_id)
-    dropout_rng = rng if config.dropout > 0 else None
+    model = Model(config, len(dataset.vocab), len(dataset.relations), rng=rng)
+    word, ids = model.embeddings.word.value, dataset.vocab.token_to_id
+    for token, vec in (pretrained or {}).items():
+        if token in ids:
+            if vec.shape != word.shape[1:]:
+                raise ValueError(f"embedding for {token!r} has dim {vec.shape}, "
+                                 f"expected ({word.shape[1]},)")
+            word[ids[token]] = vec
 
     rows: list[LogRow] = []
     for epoch in range(config.epochs):
@@ -139,7 +149,7 @@ def train(dataset: Dataset, config: ModelConfig,
         for b, bags in enumerate(batches):
             model.zero_grad()
             tape = Tape()
-            loss, parts = total_loss(tape, bags, model, dropout_rng=dropout_rng)
+            loss, parts = total_loss(tape, bags, model, dropout_rng=rng)
             value = loss.value.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")

@@ -438,6 +438,20 @@ class TestBadTrainInput:
         assert proc.stderr.startswith("data error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_repeated_embedding_token_is_named(self, synth_file, tmp_path):
+        # the line names the repeat, not the vector count it leaves short
+        emb = tmp_path / "emb.txt"
+        emb.write_text("2 2\nfoo 1 2\nfoo 3 4\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", "train", "--data", str(synth_file),
+             "--out", str(tmp_path / "out")] + SMALL_TRAIN
+            + ["--set", "word_dim=2", "--embeddings", str(emb)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == (f"data error: {emb}: line 3: token 'foo' already has "
+                               f"a vector on line 2\n")
+
     def _train_with(self, setting, synth_file, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         return subprocess.run(

@@ -56,6 +56,11 @@ class TestVocab:
         with pytest.raises(TypeError):   # the map is no constructor input
             Vocab({"a": 0}, ["a"])
 
+    def test_repeated_token_rejected(self):
+        # id 2 would have a row that no token reaches
+        with pytest.raises(ValueError, match="lists 'a' twice"):
+            Vocab(["<BLANK>", "<UNK>", "a", "b", "a"])
+
     def test_decode_inverts_encode_including_blank(self):
         tokens = ["the", BLANK_TOKEN, "fox", BLANK_TOKEN]
         vocab = Vocab.build(tokens)

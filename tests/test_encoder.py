@@ -9,8 +9,9 @@ from relattn import autodiff as ad
 from relattn import encoder as enc
 from relattn.autodiff import Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
-from relattn.data import Instance
+from relattn.data import BLANK_TOKEN, UNK_TOKEN, Dataset, Instance, Vocab
 from relattn.model import Model
+from relattn.training import train
 
 
 CLASSES = 2   # the classifier head is built but never used here
@@ -27,9 +28,9 @@ def make_instance(token_ids, head=0, tail=1):
     return Instance(np.asarray(token_ids, dtype=np.int64), head, tail)
 
 
-def fresh_model(cfg, vocab_size=6, seed=0, **kw):
+def fresh_model(cfg, vocab_size=6, seed=0):
     """A fresh model to take tables or LSTM weights from; ``seed`` may be a Generator."""
-    return Model(cfg, vocab_size, CLASSES, rng=np.random.default_rng(seed), **kw)
+    return Model(cfg, vocab_size, CLASSES, rng=np.random.default_rng(seed))
 
 
 def tables_for(cfg, vocab_size=6, seed=0):
@@ -92,10 +93,11 @@ class TestEmbeddings:
             np.testing.assert_array_equal(rows, brute_force_rows(inst, tables, cfg))
 
     def test_pretrained_substitution(self):
-        cfg = tiny_config()
+        cfg = tiny_config(epochs=0)
         vec = np.array([9.0, 8.0, 7.0, 6.0])
-        tables = fresh_model(cfg, 5, pretrained={"known": vec, "absent": vec},
-                             token_ids={"known": 3}).embeddings
+        vocab = Vocab([BLANK_TOKEN, UNK_TOKEN, "other", "known", "more"])
+        dataset = Dataset([], vocab, [f"r{c}" for c in range(CLASSES)])
+        tables = train(dataset, cfg, pretrained={"known": vec, "absent": vec}).model.embeddings
         np.testing.assert_array_equal(tables.word.value[3], vec)
         assert np.abs(tables.word.value[2]).max() < 0.5   # untouched rows stay small
 

@@ -123,7 +123,8 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         add("word_attn_hidden", d_a1 @ w["h"].T)
         d_hidden[j] = d_h + wh.T @ d_a1
 
-    for name, (_, rule) in expected_shapes(cfg, model.vocab_size, model.num_classes).items():
+    vocab_size = len(model.embeddings.word.value)
+    for name, (_, rule) in expected_shapes(cfg, vocab_size, model.num_classes).items():
         if rule in DECAYED_RULES:
             value = model.named_parameters()[name].value
             loss += cfg.l2_coef * (value ** 2).sum()

@@ -1,7 +1,8 @@
 """The parameter table: every tensor's draw order, init rule and use.
 
 The first test redraws each tensor by the rule the table documents, in the
-documented order, from a generator of its own, so reordering an entry or
+documented order, from a generator of its own, with the pretrained rows
+that ``train`` writes over the drawn ones, so reordering an entry or
 changing its rule changes the bits. The second asks every entry for a
 gradient from the training loss beyond its L2 share, so an entry that no
 layer reads fails. The last two pin the store: every tensor is a view into
@@ -16,8 +17,9 @@ from relattn import autodiff as ad
 from relattn import gradcheck
 from relattn.autodiff import Tape, backward
 from relattn.config import ModelConfig
+from relattn.data import Dataset, Vocab
 from relattn.model import DECAYED_RULES, Model, expected_shapes
-from relattn.training import total_loss
+from relattn.training import total_loss, train
 
 CLASSES = 3
 CFG = ModelConfig(word_dim=4, position_dim=6, max_distance=3, time_steps=5, hidden_size=3,
@@ -67,15 +69,21 @@ def documented_draws(cfg, vocab_size, rng, pretrained_rows):
     return draws
 
 
+def model_before_training(cfg, pretrained):
+    """The model ``train`` starts from, drawn from ``default_rng(5)``, over
+    VOCAB tokens with "known" at id 2 and "also" at id 7."""
+    tokens = ["<BLANK>", "<UNK>", "known", "t3", "t4", "t5", "t6", "also", "t8"]
+    dataset = Dataset([], Vocab(tokens), [f"r{c}" for c in range(CLASSES)])
+    return train(dataset, cfg.replace(seed=5, epochs=0), pretrained=pretrained).model
+
+
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("with_pretrained", [False, True])
 def test_fresh_tensors_follow_the_documented_rules_bit_for_bit(precision, with_pretrained):
     cfg = CFG.replace(precision=precision)
     vectors = np.random.default_rng(1).normal(size=(2, cfg.word_dim))
     pretrained = {"known": vectors[0], "also": vectors[1], "absent": vectors[0]}
-    token_ids = {"known": 2, "also": 7}
-    model = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(5),
-                  pretrained=pretrained if with_pretrained else None, token_ids=token_ids)
+    model = model_before_training(cfg, pretrained if with_pretrained else None)
     rows = {2: vectors[0], 7: vectors[1]} if with_pretrained else {}
     draws = documented_draws(cfg, VOCAB, np.random.default_rng(5), rows)
 
@@ -97,8 +105,7 @@ def test_models_do_not_alias_the_callers_arrays(precision):
     # tensors of the model's dtype and pretrained vectors are not shared
     cfg = CFG.replace(precision=precision)
     vector = np.random.default_rng(1).normal(size=cfg.word_dim).astype(precision)
-    fresh = Model(cfg, VOCAB, CLASSES, rng=np.random.default_rng(5),
-                  pretrained={"known": vector}, token_ids={"known": 2})
+    fresh = model_before_training(cfg, {"known": vector})
     np.testing.assert_array_equal(fresh.embeddings.word.value[2], vector)
     assert not np.shares_memory(fresh.embeddings.word.value, vector)
     tensors = {name: p.value for name, p in fresh.named_parameters().items()}
@@ -116,7 +123,8 @@ def test_every_entry_gets_a_gradient_beyond_its_l2_share():
     loss, _ = total_loss(tape, bags, model)
     backward(tape, loss)
     params = model.named_parameters()
-    for name, (_, rule) in expected_shapes(cfg, model.vocab_size, model.num_classes).items():
+    vocab_size = len(model.embeddings.word.value)
+    for name, (_, rule) in expected_shapes(cfg, vocab_size, model.num_classes).items():
         p = params[name]
         l2_share = (2.0 * cfg.l2_coef * p.value if rule in DECAYED_RULES
                     else np.zeros_like(p.value))

@@ -223,6 +223,18 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="at least 2"):
             train(one, cfg)
 
+    def test_pretrained_vector_of_the_wrong_dimension_rejected(self, monkeypatch):
+        cfg = small_config()
+        ds = small_dataset(cfg)
+        token = ds.vocab.id_to_token[2]
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch started")
+
+        monkeypatch.setattr(tr, "make_batches", no_epoch)
+        with pytest.raises(ValueError, match=f"embedding for {token!r} has dim"):
+            train(ds, cfg, pretrained={token: np.ones(cfg.word_dim + 1)})
+
     def test_non_finite_loss_aborts_with_location(self, monkeypatch):
         cfg = small_config(epochs=1)
         ds = small_dataset(cfg)
@@ -372,7 +384,7 @@ class TestCheckpoint:
         path = Path(__file__).resolve().parents[1] / "bench" / "assets" / "synth_model.ckpt"
         assert b"config mask_padding true\n" in path.read_bytes()
         model, vocab = model_from_checkpoint(load_checkpoint(path))
-        assert len(vocab) == model.vocab_size
+        assert model.embeddings.word.value.shape[0] == len(vocab)
 
     def test_mask_padding_false_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
