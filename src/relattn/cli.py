@@ -158,6 +158,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        setting = ev.PnSetting(mode=args.pn_mode, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = _out_dir(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = model_from_checkpoint(ckpt)
@@ -168,7 +172,6 @@ def cmd_eval(args) -> int:
         ev.write_pr_csv(points, out / "pr_curve.csv")
         print(f"pr points: {len(points)}  auc: {auc:.4f}  -> {out / 'pr_curve.csv'}")
     elif args.metric == "pn":
-        setting = ev.PnSetting(mode=args.pn_mode, seed=args.seed)
         records = ev.score_test_set(dataset, model, pn=setting)
         gold = ev.gold_facts(dataset)
         rows = []
@@ -190,11 +193,10 @@ def cmd_gen_synth(args) -> int:
         raise UsageError("--relations must be at least 2")
     if args.bags % args.relations:
         raise UsageError("--bags must be divisible by --relations")
-    spec = SynthSpec(num_relations=args.relations, vocab_size=args.vocab,
-                     bags_per_relation=args.bags // args.relations,
-                     max_bag_size=args.max_bag, noise_ratio=args.noise, seed=args.seed)
     try:
-        spec.validate()
+        spec = SynthSpec(num_relations=args.relations, vocab_size=args.vocab,
+                         bags_per_relation=args.bags // args.relations,
+                         max_bag_size=args.max_bag, noise_ratio=args.noise, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc))
     records = generate_synthetic_records(spec)

@@ -265,7 +265,7 @@ def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[list[Bag]
 PATTERN_POOL_SIZE = 5  # dedicated tokens per relation; signatures are drawn from these
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     num_relations: int = 5
     vocab_size: int = 200
@@ -274,7 +274,7 @@ class SynthSpec:
     noise_ratio: float = 0.5   # chance an instance is a pattern-free noise sentence
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_relations < 2:
             raise ValueError("need at least 2 relations")
         if self.vocab_size < self.num_relations * PATTERN_POOL_SIZE + 10:
@@ -283,6 +283,8 @@ class SynthSpec:
             raise ValueError("noise_ratio must lie in [0, 1)")
         if self.max_bag_size < 1 or self.bags_per_relation < 1:
             raise ValueError("bag counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _token_universe(vocab_size: int) -> list[str]:
@@ -317,7 +319,6 @@ def generate_synthetic_records(spec: SynthSpec) -> list[dict]:
     contain any relation's signature; every bag keeps at least one valid
     sentence. Deterministic for a fixed spec and seed.
     """
-    spec.validate()
     tokens = _token_universe(spec.vocab_size)
     patterns = relation_patterns(spec.num_relations, spec.vocab_size)
     filler = tokens[spec.num_relations * PATTERN_POOL_SIZE:]

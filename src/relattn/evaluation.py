@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +47,8 @@ class PnSetting:
     def __post_init__(self) -> None:
         if self.mode not in PN_MODES:
             raise ValueError(f"mode must be one of {PN_MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gold_facts(dataset: Dataset) -> set[tuple[str, str, int]]:
@@ -158,14 +161,15 @@ def macro_f1(predictions: Sequence[tuple[str, int]], dataset: Dataset,
     pred = dict(predictions)
     if set(pred) != set(gold):
         raise EvalError("predictions do not cover exactly the dataset's bags")
+    gold_n, pred_n = Counter(gold.values()), Counter(pred.values())
+    hits = Counter(g for b, g in gold.items() if pred[b] == g)
     per_class = []
     f1s = []
     for cls in range(len(dataset.relations)):
         if cls == dataset.none_relation_id:
             continue
-        tp = sum(1 for b, g in gold.items() if g == cls and pred[b] == cls)
-        fp = sum(1 for b, g in gold.items() if g != cls and pred[b] == cls)
-        fn = sum(1 for b, g in gold.items() if g == cls and pred[b] != cls)
+        tp = hits[cls]
+        fp, fn = pred_n[cls] - tp, gold_n[cls] - tp
         if tp + fp + fn == 0:
             continue
         precision = tp / (tp + fp) if tp + fp else 0.0

@@ -73,7 +73,6 @@ class Model:
         vectors are written over the drawn rows by the caller
         (:func:`relattn.training.train`). Parameters too large to allocate are
         a ConfigError naming their entry count and dtype."""
-        config.validate()
         _keep_freed_memory()
         self.config = config
         self.num_classes = num_classes

@@ -28,6 +28,9 @@ from .model import Model
 CHECKPOINT_MAGIC = "relattn-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Loss or gradient norm became non-finite."""
@@ -93,14 +96,16 @@ def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:
 
 
 def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
-    """Adam with bias correction; each parameter advances its own step count.
+    """Adam with bias correction at ``config.learning_rate``, with the fixed
+    constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``; each parameter
+    advances its own step count.
 
     The update runs in place over row blocks of about ``autodiff.ROW_BLOCK``
     entries through two scratch buffers, in the operation order of the plain
     formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``, so results match it
     bit for bit.
     """
-    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     for p in parameters:
         p.step += 1
         m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
@@ -131,7 +136,6 @@ def train(dataset: Dataset, config: ModelConfig,
     if len(dataset.relations) < 2:
         raise DataError(f"training data names {len(dataset.relations)} relation(s) "
                         f"{dataset.relations}; at least 2 are needed")
-    config.validate()
     rng = np.random.default_rng(config.seed)
     model = Model(config, len(dataset.vocab), len(dataset.relations), rng=rng)
     word, ids = model.embeddings.word.value, dataset.vocab.token_to_id
@@ -309,7 +313,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: 'tokens' header line must start with "
                               f"{BLANK_TOKEN!r}, {UNK_TOKEN!r}")
     # older version-1 files carry "mask_padding true" (unmasked models cannot be
-    # reproduced any more) and "num_classes" (the relations line is the count now)
+    # reproduced any more), "num_classes" (the relations line is the count now)
+    # and Adam's constants, which shaped the optimizer, not the model
+    for key in ("adam_beta1", "adam_beta2", "adam_eps"):
+        config_values.pop(key, None)
     if config_values.pop("mask_padding", True) is not True:
         raise CheckpointError(f"{path}: unmasked models (mask_padding false) are not supported")
     if config_values.pop("num_classes", len(relations)) != len(relations):

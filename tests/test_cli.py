@@ -232,6 +232,21 @@ class TestTrainEval:
         assert code == EXIT_VERIFY
         assert "non-finite gradient at epoch 0, batch 0" in capsys.readouterr().err
 
+    # version-1 files carry Adam's constants; they shaped the optimizer, not the model
+    def test_v1_adam_line_is_dropped(self, trained_dir, synth_file, tmp_path):
+        plain = trained_dir / "model.ckpt"
+        with_adam = tmp_path / "adam.ckpt"
+        with_adam.write_bytes(plain.read_bytes().replace(
+            b"\nrelations ", b"\nconfig adam_beta1 0.5\nrelations ", 1))
+        for metric, name in (("pr", "pr_curve.csv"), ("pn", "p_at_n.csv"), ("f1", "macro_f1.csv")):
+            outputs = []
+            for ckpt in (plain, with_adam):
+                out = tmp_path / f"{metric}-{ckpt.stem}"
+                assert main(["eval", "--checkpoint", str(ckpt), "--data", str(synth_file),
+                             "--metric", metric, "--n", "5,10", "--out", str(out)]) == EXIT_OK
+                outputs.append((out / name).read_bytes())
+            assert outputs[0] == outputs[1]
+
     def test_train_determinism_bit_identical(self, synth_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--data", str(synth_file)] + SMALL_TRAIN + ["--set", "epochs=1"]
@@ -331,6 +346,8 @@ CORRUPTIONS = {
     # a version-1 header line, checked against the three relations
     "num_classes_disagrees_with_relations": lambda blob: blob.replace(
         b"\nrelations ", b"\nconfig num_classes 4\nrelations ", 1),
+    "negative_seed": lambda blob: _replace_header_line(
+        blob, b"config seed", b"config seed -1"),
     # each keeps the list's length, so only the repeat or the order is wrong
     "repeated_token": lambda blob: _edit_list(blob, b"tokens", 2, 3),
     "repeated_relation": lambda blob: _edit_list(blob, b"relations", 0, 2),
@@ -408,6 +425,25 @@ def test_unreadable_input_ends_in_one_line(command, flag, kind, exit_code, prefi
     assert "epoch" not in captured.out
 
 
+# a negative seed is refused before any file is read or written, not by
+# numpy's generator
+@pytest.mark.parametrize("command", ["gen-synth", "eval"])
+def test_negative_seed_is_one_usage_line(command, synth_file, trained_dir, tmp_path):
+    args = {
+        "gen-synth": ["gen-synth", "--out", str(tmp_path / "x.jsonl"), "--seed", "-3"],
+        "eval": ["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                 "--data", str(synth_file), "--metric", "pn", "--seed", "-1",
+                 "--out", str(tmp_path / "out")],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "relattn"] + args,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage error: seed must be >= 0, got -")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "out").exists()
+
+
 BAD_TRAIN_INPUTS = {
     # (data line replacing the first bag, embeddings file text)
     "record_not_an_object": ("5", None),
@@ -476,11 +512,15 @@ class TestBadTrainInput:
         assert "epoch" not in proc.stdout
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
-    # the class count is the training data's relation list, not a config key
-    def test_num_classes_is_an_unknown_key(self, synth_file, tmp_path):
-        proc = self._train_with("num_classes=3", synth_file, tmp_path)
+    # the class count is the training data's relation list, and Adam's
+    # constants are fixed: none of them is a config key, whatever its value
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 3), ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8),
+    ], ids=["num_classes", "adam_beta1", "adam_beta2", "adam_eps"])
+    def test_retired_key_is_an_unknown_key(self, key, value, synth_file, tmp_path):
+        proc = self._train_with(f"{key}={value}", synth_file, tmp_path)
         assert proc.returncode == EXIT_USAGE
-        assert proc.stderr == "config error: unknown config keys: num_classes\n"
+        assert proc.stderr == f"config error: unknown config keys: {key}\n"
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_num_classes_is_rejected(self, synth_file, tmp_path, capsys):
@@ -523,8 +563,8 @@ class TestBadTrainInput:
 
     # well-typed values out of range: NaN and Infinity parse as JSON floats
     @pytest.mark.parametrize("setting", [
-        "learning_rate=NaN", "learning_rate=Infinity", "adam_eps=0", "l2_coef=Infinity",
-        "adam_beta1=2", "adam_beta2=-1", "penalty_coef=-1", "l2_coef=-1", "grad_clip=NaN",
+        "learning_rate=NaN", "learning_rate=Infinity", "l2_coef=Infinity",
+        "penalty_coef=-1", "l2_coef=-1", "grad_clip=NaN", "seed=-1",
     ])
     def test_bad_value_range_is_config_error(self, setting, synth_file, tmp_path):
         proc = self._train_with(setting, synth_file, tmp_path)

@@ -1,6 +1,7 @@
 """Loader, encoding, batching, and synthetic-generator tests."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -342,6 +343,16 @@ class TestBatches:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("bad", [{"num_relations": 1}, {"seed": -1}],
+                             ids=["one_relation", "negative_seed"])
+    def test_spec_is_checked_when_built(self, bad):
+        with pytest.raises(ValueError):
+            SynthSpec(**bad)
+
+    def test_spec_cannot_be_assigned(self):
+        with pytest.raises(FrozenInstanceError):
+            SynthSpec().seed = 1
+
     def test_zero_noise_means_all_instances_carry_pattern(self):
         spec = SynthSpec(bags_per_relation=6, noise_ratio=0.0, seed=1)
         ds = generate_synthetic(spec)
