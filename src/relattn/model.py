@@ -37,8 +37,10 @@ from .data import Bag, Instance
 # glibc mallopt parameters (malloc.h) and the values a Model sets
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 1 << 30
+ARENA_MAX = 1
 
 DECAYED_RULES = ("uniform", "glorot_uniform")   # the init rules of the L2-decayed weights
 
@@ -187,13 +189,15 @@ class Model:
 def _keep_freed_memory() -> None:
     """Keep memory that a step frees mapped, so the next step reuses it.
 
-    Under glibc, sets ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD``
-    to 1 GiB for the whole process: blocks under 32 MiB come from the heap,
-    not from their own mmap, and the heap top is not released after every
-    step. Fixing the mmap threshold also stops it from following the size of
-    the last block freed. The cost is a process that holds its largest
-    step's freed memory. Does nothing under any other C library. Cached, so
-    only the first call acts."""
+    Under glibc, sets ``M_MMAP_THRESHOLD`` to 32 MiB, ``M_TRIM_THRESHOLD``
+    to 1 GiB and ``M_ARENA_MAX`` to 1 for the whole process: blocks under
+    32 MiB come from the heap, not from their own mmap, and the heap top is
+    not released after every step. Fixing the mmap threshold also stops it
+    from following the size of the last block freed. One arena lets the
+    encoder's worker thread reuse what the calling thread freed, and the
+    other way round, instead of each keeping a heap of its own. The cost is
+    a process that holds its largest step's freed memory. Does nothing under
+    any other C library. Cached, so only the first call acts."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
@@ -201,6 +205,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_ARENA_MAX, ARENA_MAX)
 
 
 def expected_shapes(config: ModelConfig, vocab_size: int, num_classes: int,

@@ -314,6 +314,29 @@ class TestGradientRelease:
         assert peak < block + 16 * 1024
         np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
 
+    def test_matmul_weight_gradient_adds_row_blocks(self):
+        # word_mlp_weight's shape at the nyt profile against a 33-instance
+        # batch: the weight's gradient is added block by block, bit for bit
+        # the whole product added at once, with no weight-sized scratch
+        rng = np.random.default_rng(26)
+        w = Parameter("w", rng.uniform(-0.1, 0.1, (1000, 5400)).astype(np.float32))
+        w.grad[...] = rng.uniform(-1, 1, w.shape)
+        before = w.grad.copy()
+        flat = Node(rng.uniform(-1, 1, (5400, 33)).astype(np.float32))
+        probe = rng.uniform(-1, 1, (1000, 33)).astype(np.float32)
+        tape = Tape()
+        loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, flat), probe))
+        tracemalloc.start()
+        try:
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.value.nbytes // 4
+        before += probe @ flat.value.T
+        np.testing.assert_array_equal(w.grad, before)
+        np.testing.assert_array_equal(flat.grad, w.value.T @ probe)
+
 
 class TestSquaredNorm:
     # Bound on the error relative to a float64-accumulated sum. Measured on

@@ -1,5 +1,8 @@
 """Embedding and BiLSTM encoder tests, including masking invariants."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -501,3 +504,117 @@ class TestBilstm:
                 return tape, ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
 
             assert finite_diff_check(f, params) < 1e-5
+
+
+class TestConcurrentDirections:
+    """The two directions on two threads give the sequential path's bits."""
+
+    @staticmethod
+    def encode(lengths, u, d_in, dtype, seed, concurrently, monkeypatch):
+        """Output, ``embedded`` gradient and the six LSTM gradients of one
+        forward and backward pass, with the path forced, and the names of
+        the threads that ran ``lstm_step``."""
+        rng = np.random.default_rng(seed)
+        lstm = enc.LstmParams(*(enc.LstmDirection(*(
+            Parameter(name, rng.uniform(-0.1, 0.1, shape).astype(dtype))
+            for name, shape in (("wi", (4 * u, d_in)), ("wr", (4 * u, u)), ("b", (4 * u, 1)))))
+            for _ in range(2)))
+        packed = Parameter("packed", rng.uniform(-1, 1, (sum(lengths), d_in)).astype(dtype))
+        probe = rng.uniform(-1, 1, (len(lengths), 2 * u, max(lengths))).astype(dtype)
+        threads = set()
+        real_step = enc.lstm_step
+
+        def noting_step(*args):
+            threads.add(threading.current_thread().name)
+            return real_step(*args)
+
+        monkeypatch.setattr(enc, "lstm_step", noting_step)
+        monkeypatch.setattr(enc, "_directions_concurrently", lambda u: concurrently)
+        tape = Tape()
+        out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+        ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+        grads = [p.grad for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
+        return [out.value, packed.grad, *grads], threads
+
+    @pytest.mark.parametrize("shape", ["train_nyt", "tiny"])
+    def test_concurrent_equals_sequential_bit_for_bit(self, shape, monkeypatch):
+        if shape == "train_nyt":   # 33 sentences of the nyt profile, in float32
+            cfg = ModelConfig()
+            rng = np.random.default_rng(7)
+            lengths = np.clip(np.rint(rng.lognormal(np.log(32), 0.4, 33)), 8, cfg.time_steps)
+            args = (lengths.astype(int).tolist(), cfg.hidden_size,
+                    cfg.word_dim + cfg.position_dim, np.float32)
+        else:
+            args = ([3, 1, 4, 4, 2], 3, 2, np.float64)
+        together, threads = self.encode(*args, 5, True, monkeypatch)
+        in_turn, alone = self.encode(*args, 5, False, monkeypatch)
+        assert len(threads) == 2 and len(alone) == 1
+        for got, want in zip(together, in_turn):
+            assert got.dtype == args[-1] and np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeats_under_frequent_thread_switches(self, monkeypatch):
+        # the threads share read-only inputs and the dict that hands each
+        # BPTT its half of the output gradient; switching between them every
+        # microsecond changes no bit
+        args = ([9, 7, 7, 4, 2, 1], 16, 5, np.float64)
+        want, _ = self.encode(*args, 3, False, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got, threads = self.encode(*args, 3, True, monkeypatch)
+                assert len(threads) == 2
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_worker_exception_reaches_the_caller(self, stage, monkeypatch):
+        # the worker runs the reverse direction in both passes
+        class WorkerError(RuntimeError):
+            pass
+
+        real_run = enc._run_direction
+
+        def failing_run(x, widths, direction):
+            if direction is lstm.bwd and stage == "forward":
+                raise WorkerError(stage)
+            states, bptt = real_run(x, widths, direction)
+            if direction is not lstm.bwd:
+                return states, bptt
+
+            def failing_bptt(dh):
+                raise WorkerError(stage)
+            return states, failing_bptt
+
+        lstm = fresh_model(tiny_config()).lstm
+        packed = Parameter("packed", np.random.default_rng(0).uniform(-1, 1, (5, 6)))
+        monkeypatch.setattr(enc, "_run_direction", failing_run)
+        monkeypatch.setattr(enc, "_directions_concurrently", lambda u: True)
+        running = threading.active_count()
+        with pytest.raises(WorkerError, match=stage):
+            tape = Tape()
+            out = enc.bilstm_encode_batch(tape, packed, [3, 2], lstm)
+            ad.backward(tape, ad.sum_all(tape, out))
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("blas_threads,cpus,u,concurrently", [
+        (None, 2, 300, False),    # a BLAS that does not report its threads
+        (2, 2, 300, False),       # two BLAS threads per direction need four CPUs
+        (2, 3, 300, False),
+        (1, 1, 300, False),       # one CPU
+        (1, 2, enc.CONCURRENT_MIN_HIDDEN - 1, False),
+        (1, 2, enc.CONCURRENT_MIN_HIDDEN, True),
+        (2, 4, 300, True),
+    ])
+    def test_selection(self, blas_threads, cpus, u, concurrently, monkeypatch):
+        monkeypatch.setattr(enc, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(enc, "_usable_cpus", lambda: cpus)
+        assert enc._directions_concurrently(u) is concurrently
+
+    def test_blas_threads_are_a_count_or_unknown(self):
+        threads = enc._blas_threads()
+        assert threads is None or threads >= 1
+        assert enc._usable_cpus() >= 1

@@ -99,7 +99,8 @@ def test_policy_is_set_once_per_process(mallopt_calls, monkeypatch):
                          mlp_size=4, sent_attention_hidden=3, sent_attention_rows=2)
     first = Model(config, 10, 3, rng=np.random.default_rng(0))
     assert mallopt_calls == [(model_module.M_MMAP_THRESHOLD, model_module.MMAP_THRESHOLD),
-                             (model_module.M_TRIM_THRESHOLD, model_module.TRIM_THRESHOLD)]
+                             (model_module.M_TRIM_THRESHOLD, model_module.TRIM_THRESHOLD),
+                             (model_module.M_ARENA_MAX, model_module.ARENA_MAX)]
     Model(config, 10, 3, tensors={name: p.value for name, p in
                                   first.named_parameters().items()})
-    assert len(mallopt_calls) == 2
+    assert len(mallopt_calls) == 3
