@@ -35,11 +35,10 @@ model = Model(cfg, len(vocab), CLASSES, rng=np.random.default_rng(4))
 tables, lstm, word = model.embeddings, model.lstm, model.word_attn
 
 batch = [instance, other]
-lengths = np.array([inst.true_length for inst in batch])
-embedded = enc.embed_batch(None, batch, tables, cfg)             # real tokens only
-hidden = enc.bilstm_encode_batch(None, embedded, lengths, lstm)  # [n x 2u x longest length]
-valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
-attn = wa.word_attention_matrix(None, hidden, word, valid_cols=valid)
+plan = enc.BatchPlan.of([inst.true_length for inst in batch])   # the packed layout
+embedded = enc.embed_batch(None, batch, plan, tables, cfg)       # real tokens only
+hidden = enc.bilstm_encode_batch(None, embedded, plan, lstm)     # [n x 2u x longest length]
+attn = wa.word_attention_matrix(None, hidden, word, valid_cols=plan.valid)
 first = attn.value[0]   # the first sentence's rows
 
 print(f"instance ids: {instance.token_ids.tolist()}, one per token, no padding")

@@ -156,11 +156,8 @@ def dataset_from_records(records: Sequence[dict], config: ModelConfig,
                          relations: Sequence[str] | None = None,
                          source: str = "<records>") -> Dataset:
     if vocab is None:
-        all_tokens: list[str] = []
-        for rec in records:
-            for sent in rec["sentences"]:
-                all_tokens.extend(sent["tokens"])
-        vocab = Vocab.build(all_tokens)
+        vocab = Vocab.build(tok for rec in records for sent in rec["sentences"]
+                            for tok in sent["tokens"])
 
     seen_relations = sorted({rec["relation"] for rec in records})
     if relations is None:
@@ -173,9 +170,13 @@ def dataset_from_records(records: Sequence[dict], config: ModelConfig,
     rel_to_id = {r: i for i, r in enumerate(relation_list)}
 
     bags: list[Bag] = []
+    bag_ids: set[str] = set()
     mention_mismatches = 0
     degenerate = 0
     for rec in records:
+        if rec["bag_id"] in bag_ids:   # metrics and attn-export key bags by id
+            raise DataError(f"{source}: bag id {rec['bag_id']!r} names more than one bag")
+        bag_ids.add(rec["bag_id"])
         instances = []
         for sent in rec["sentences"]:
             tokens = sent["tokens"]
@@ -195,11 +196,7 @@ def dataset_from_records(records: Sequence[dict], config: ModelConfig,
         log.warning("%s: %d sentences where head and tail share one index (kept, flagged)",
                     source, degenerate)
 
-    none_id = None
-    for none_name in ("NA", "Other"):
-        if none_name in rel_to_id:
-            none_id = rel_to_id[none_name]
-            break
+    none_id = next((rel_to_id[name] for name in ("NA", "Other") if name in rel_to_id), None)
     return Dataset(bags, vocab, relation_list, none_id)
 
 

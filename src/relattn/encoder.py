@@ -1,14 +1,13 @@
 """Sentence encoder: word + relative-position embeddings into a BiLSTM.
 
-A batch is packed once, by :func:`_pack`: lanes are sorted longest first,
-so the lanes still running at step t are a prefix of width
-``#(lengths > t)``, and the real tokens are laid out step by step. The
-embedding gathers only the real tokens' table rows, in that packed order,
-into one token-major ``[P x D]`` (``P = sum(lengths)``) and one tape record.
-The BiLSTM is one more record and one recurrence, :func:`_run_direction`,
-run over the packed rows and, for the reverse direction, over the rows
-mirrored within each lane. It projects every token with one matmul and runs
-:func:`lstm_step` once per step; the states are scattered into the
+A batch's packed layout has one owner, :class:`BatchPlan`, built once per
+pass: the real tokens, step by step over the lanes sorted longest first.
+The embedding gathers their table rows in that order into one token-major
+``[P x D]`` (``P = sum(lengths)``) and one tape record. The BiLSTM is one
+more record and one recurrence, :func:`_run_direction`, run over the packed
+rows and, for the reverse direction, over the rows mirrored within each
+lane. It projects every token with one matmul and runs :func:`lstm_step`
+once per step of the plan's schedule; the states are scattered into the
 word-attention input ``[n x 2u x t_run]``, every padded position exactly
 zero. Its backward pass is hand-written BPTT. Where
 :func:`_directions_concurrently` finds a spare core for each, the two
@@ -22,12 +21,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import itertools
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -42,8 +39,6 @@ from .data import Instance, position_buckets
 # 35 -> 35 ms (and 26 -> 29 ms in a second run), at u=80 43 -> 39 (32 -> 32),
 # at u=100 58 -> 46 (52 -> 42); a 696-token synth batch at u=32, 4.1 -> 6.5.
 CONCURRENT_MIN_HIDDEN = 100
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -66,19 +61,52 @@ class LstmParams:
     bwd: LstmDirection
 
 
-def _pack(lengths) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Lane and step of each real token, listed step by step over the lanes
-    sorted longest first (a stable sort), and how many lanes run at each step:
-    at step t, the first ``widths[t]`` sorted lanes."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    steps, ranks = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
-    return order[ranks], steps, np.bincount(steps).tolist()
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """The packed layout of a batch, built once per pass by :meth:`of` from its
+    true lengths: the real tokens, step by step over the lanes sorted longest
+    first (a stable sort), so that each step holds a prefix of the lanes."""
+
+    lengths: np.ndarray    # [n] true lengths
+    lanes: np.ndarray      # [P] lane of each packed row
+    steps: np.ndarray      # [P] step of each packed row
+    widths: list[int]      # [t_run] lanes running at each step
+    schedule: tuple        # per step (first row, end row, previous step's first row, lanes carried)
+    back: np.ndarray       # [P] step of each row's mirror: its lane's tokens, last first
+    rev: np.ndarray        # [P] row of each row's mirror; an involution
+    earlier: np.ndarray    # [P - widths[0]] the row of each later row's lane at the step before
+    starts: np.ndarray     # [n] offset of each lane's ids in the concatenated ids
+    valid: np.ndarray      # [n x 1 x t_run] True at real positions
+
+    @classmethod
+    def of(cls, lengths) -> BatchPlan:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        t_run = lengths.max()
+        steps, ranks = np.nonzero(np.arange(t_run)[:, None] < lengths[order])
+        lanes = order[ranks]
+        widths = np.bincount(steps).tolist()
+        offsets = np.cumsum([0] + widths)
+        bounds = offsets.tolist()   # step 0 carries no lane over, from the zero state
+        schedule = tuple(zip(bounds, bounds[1:], [0] + bounds, [0] + widths[1:]))
+        rank = np.arange(lanes.size) - offsets[steps]   # a row's place in its step
+        back = lengths[lanes] - 1 - steps
+        return cls(lengths, lanes, steps, widths, schedule, back, offsets[back] + rank,
+                   (offsets[steps - 1] + rank)[steps > 0], np.cumsum(lengths) - lengths,
+                   (np.arange(t_run) < lengths[:, None])[:, None, :])
+
+    # bench/tracing.py binds bilstm_encode_batch's ``lengths`` and takes len()
+    # and sum() of it; ROADMAP item 9's in-package spans retire these two
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __iter__(self):
+        return iter(self.lengths)
 
 
-def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingTables,
-                config: ModelConfig) -> Node:
-    """Embed the real tokens of several instances ``[P x D]``, in packed order.
+def embed_batch(tape: Tape | None, instances: list[Instance], plan: BatchPlan,
+                tables: EmbeddingTables, config: ModelConfig) -> Node:
+    """Embed the real tokens of several instances ``[P x D]``, in plan order.
 
     Each row is a token's word, head-position and tail-position table rows
     side by side. Packed row k is lane ``lanes[k]``'s token at step
@@ -86,10 +114,8 @@ def embed_batch(tape: Tape | None, instances: list[Instance], tables: EmbeddingT
     position buckets come from the distances ``steps[k] - head_pos`` and
     ``steps[k] - tail_pos``. Backward adds each table's column slice of the
     gradient into its rows, so repeated ids accumulate."""
-    lengths = [inst.true_length for inst in instances]
-    lanes, steps, _ = _pack(lengths)
-    starts = np.cumsum([0] + lengths[:-1])
-    word_ids = np.concatenate([inst.token_ids for inst in instances])[starts[lanes] + steps]
+    lanes, steps = plan.lanes, plan.steps
+    word_ids = np.concatenate([inst.token_ids for inst in instances])[plan.starts[lanes] + steps]
     position_ids = [position_buckets(steps - np.array(pos)[lanes], config.max_distance)
                     for pos in ([inst.head_pos for inst in instances],
                                 [inst.tail_pos for inst in instances])]
@@ -174,42 +200,29 @@ def _directions_concurrently(u: int) -> bool:
             and 2 * threads <= _usable_cpus())
 
 
-def _both(worker: Callable[[], T], here: Callable[[], T], concurrently: bool
-          ) -> tuple[T, T]:
-    """``(worker(), here())``. If ``concurrently``, ``worker`` runs on a new
+def _both(worker: Callable, here: Callable, concurrently: bool) -> tuple:
+    """``(worker(), here())``. If ``concurrently``, ``worker`` runs on a pool
     thread while ``here`` runs in the calling one; the thread is joined
-    before this returns, and an exception raised on it is raised here."""
+    before this returns, and an exception raised on it is raised here,
+    unless ``here`` raised first."""
     if not concurrently:
         return worker(), here()
-    outcome: list = []
-
-    def run() -> None:
-        try:
-            outcome.append((worker(), None))
-        except BaseException as exc:   # raised again in the caller below
-            outcome.append((None, exc))
-    thread = threading.Thread(target=run, name="relattn-bilstm-reverse")
-    thread.start()
-    try:
+    from concurrent.futures import ThreadPoolExecutor   # imported on first use: 0.25 MB of RSS
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="relattn-bilstm-reverse") as pool:
+        future = pool.submit(worker)
         mine = here()
-    finally:
-        thread.join()
-    theirs, error = outcome[0]
-    if error is not None:
-        raise error
-    return theirs, mine
+        return future.result(), mine
 
 
-def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
+def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
                    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Run one direction forward over the packed tokens ``x`` ``[P x D]``.
 
-    ``x`` holds the real tokens only, as :func:`_pack` lays them out: step by
-    step, step t's ``widths[t]`` lanes continuing the first lanes of step
-    t-1. Returns the states ``[P x u]`` and the BPTT closure, which takes
-    their gradient (a fresh array, overwritten), runs over the saved gates
-    and cells, adds the weight gradients, each formed with one product, and
-    returns the gradient of ``x``.
+    ``x`` holds the real tokens in the order of ``plan``, the one owner of
+    the layout, and both directions run its one schedule. Returns the states
+    ``[P x u]`` and the BPTT closure, which takes their gradient (a fresh
+    array, overwritten), runs over the saved gates and cells, adds the
+    weight gradients, each formed with one product, and returns dx.
     """
     w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
     u = w_rec.shape[1]
@@ -217,23 +230,14 @@ def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
     z += bias.T
     cells = np.empty((z.shape[0], u), dtype=z.dtype)
     states = np.empty_like(cells)
-    offsets = list(itertools.accumulate(widths, initial=0))
-    # (first row, end row, previous step's first row, lanes carried over):
-    # step 0 starts every lane from the zero state
-    schedule = [(a, b, p, b - a if t else 0)
-                for t, (p, a, b) in enumerate(zip([0] + offsets, offsets, offsets[1:]))]
     w_rec_t = np.ascontiguousarray(w_rec.T)   # BLAS is slow on the transposed view
-    for a, b, p, m in schedule:
+    for a, b, p, m in plan.schedule:
         if m:
             z[a:b] += states[p:p + m] @ w_rec_t
         lstm_step(z[a:b], cells[p:p + m], cells[a:b], states[a:b])
 
     def bptt(dh: np.ndarray) -> np.ndarray:
-        # token t of a lane follows token t-1 of the same lane: pair every
-        # row after step 0 with its row at the step before
-        first = widths[0] if widths else 0
-        earlier = np.arange(first, len(z)) - np.repeat(np.array(widths[:-1], dtype=int),
-                                                       widths[1:])
+        first = len(z) - len(plan.earlier)        # the rows of step 0
         # every token's local derivatives at once, written into dz: those of
         # i, f and g by the cell, that of o by the state; the loop then
         # carries only the hidden and cell gradients from step to step and
@@ -247,7 +251,7 @@ def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
         np.multiply(g, i, out=dz[:, 0])
         dz[:, 0] *= np.subtract(1.0, i, out=scratch)           # (g*i) * (1-i)
         dz[:first, 1] = 0.0                       # step 0 starts from the zero cell
-        np.take(cells, earlier, axis=0, out=scratch[first:], mode="clip")   # unbuffered
+        np.take(cells, plan.earlier, axis=0, out=scratch[first:], mode="clip")   # unbuffered
         scratch[first:] *= f[first:]
         np.subtract(1.0, f[first:], out=dz[first:, 1])
         dz[first:, 1] *= scratch[first:]          # (c_prev*f) * (1-f)
@@ -263,7 +267,7 @@ def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
         # the cell gradient into the current step's lanes; the lanes that
         # end at a step get none from the step after, and stay zero
         dc = np.zeros((first, u), dtype=cells.dtype)
-        for a, b, p, m in reversed(schedule):
+        for a, b, p, m in reversed(plan.schedule):
             dc_t = dc[:b - a]
             dc_t += dh[a:b] * dh_dc[a:b]
             dz[a:b, :3] *= dc_t[:, None]
@@ -276,39 +280,36 @@ def _run_direction(x: np.ndarray, widths: list[int], direction: LstmDirection
         dz = dz.reshape(z.shape)
         ad._accum(direction.w_in, dz.T @ x)
         ad._accum(direction.bias, dz.sum(axis=0)[:, None])
-        ad._accum(direction.w_rec, dz[first:].T @ states[earlier])
+        ad._accum(direction.w_rec, dz[first:].T @ states[plan.earlier])
         return dz @ w_in
     return states, bptt
 
 
-def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths,
+def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
                         params: LstmParams) -> Node:
     """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch.
 
-    ``embedded`` is ``[sum(lengths) x D]`` in :func:`_pack`'s order, as
-    :func:`embed_batch` returns it. Only real tokens are computed, up to the
-    batch's longest true length ``t_run``, and every padded position is
-    exactly zero. The reverse direction is the same recurrence run over each
-    lane's tokens mirrored, last first. Both directions are one tape record.
-    Where :func:`_directions_concurrently` allows, the reverse direction runs
-    on a worker thread while the forward one runs here, in the forward pass
-    and in BPTT; otherwise they run in turn. Either way gives the same bits.
+    ``lengths`` is the batch's :class:`BatchPlan`, the one owner of its
+    layout, and ``embedded`` is ``[P x D]`` in its order. Only real
+    tokens are computed, up to the longest true length ``t_run``, and every
+    padded position is exactly zero. The reverse direction is the same
+    recurrence run over each lane's tokens mirrored by the plan's ``rev``.
+    Both directions are one tape record. Where :func:`_directions_concurrently`
+    allows, the reverse direction runs on a worker thread while the forward
+    one runs here, in the forward pass and in BPTT; otherwise they run in
+    turn. Either way gives the same bits.
     """
-    lanes, steps, widths = _pack(lengths)
+    plan = lengths   # the name bench/tracing.py binds (see BatchPlan.__len__)
+    lanes, steps, back, rev = plan.lanes, plan.steps, plan.back, plan.rev
     x = embedded.value
     if x.shape[0] != lanes.size:
         raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
-    # each step keeps one lane order, so row k mirrors to the same lane's
-    # token at step ``back``, in row k's place in it; ``rev`` is an involution
-    offsets = np.cumsum([0] + widths)
-    back = np.asarray(lengths)[lanes] - 1 - steps
-    rev = offsets[back] - offsets[steps] + np.arange(lanes.size)
     concurrently = _directions_concurrently(params.fwd.w_rec.shape[1])
     (bwd_states, bwd_bptt), (fwd_states, fwd_bptt) = _both(
-        lambda: _run_direction(x[rev], widths, params.bwd),
-        lambda: _run_direction(x, widths, params.fwd), concurrently)
+        lambda: _run_direction(x[rev], plan, params.bwd),
+        lambda: _run_direction(x, plan, params.fwd), concurrently)
     u = fwd_states.shape[1]
-    out = Node(np.zeros((len(lengths), 2 * u, len(widths)), dtype=x.dtype))
+    out = Node(np.zeros((plan.lengths.size, 2 * u, len(plan.widths)), dtype=x.dtype))
     out.value[lanes, :u, steps] = fwd_states
     out.value[lanes, u:, back] = bwd_states
     if tape is not None:

@@ -150,15 +150,15 @@ def pipeline_checks() -> list[CheckResult]:
     rng = np.random.default_rng([SEED, 0])   # one point for both LSTM directions
     lstm = [p for d in (model.lstm.fwd, model.lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
     _redraw(rng, lstm, -0.5, 0.5)
-    # lanes of lengths 2, 4, 0 and 3 run four steps of widths 3, 3, 2, 1 in
-    # both directions, the reverse one over each lane's mirrored rows, and
-    # sorting scatters the states across lanes
-    lengths = [2, 4, 0, 3]
-    packed = _param(rng, "packed", sum(lengths), cfg.word_dim + cfg.position_dim)
-    lstm_probe = rng.uniform(-1, 1, (len(lengths), 2 * cfg.hidden_size, max(lengths)))
+    # the BatchPlan of lanes of lengths 2, 4, 0 and 3 runs four steps of
+    # widths 3, 3, 2, 1 in both directions, the reverse one over each lane's
+    # mirrored rows, and sorting scatters the states across lanes
+    plan = enc.BatchPlan.of([2, 4, 0, 3])
+    packed = _param(rng, "packed", plan.lanes.size, cfg.word_dim + cfg.position_dim)
+    lstm_probe = rng.uniform(-1, 1, (plan.lengths.size, 2 * cfg.hidden_size, len(plan.widths)))
 
     def bilstm(tape):
-        out = enc.bilstm_encode_batch(tape, packed, lengths, model.lstm)
+        out = enc.bilstm_encode_batch(tape, packed, plan, model.lstm)
         return tape, sum_all(tape, ad.mul_const(tape, out, lstm_probe))
 
     check("bilstm", lstm + [packed], bilstm)
@@ -173,7 +173,7 @@ def pipeline_checks() -> list[CheckResult]:
     n, t_len = 3, 5
     hidden_const = Node(rng.uniform(-1, 1, (n, 2 * cfg.hidden_size, t_len)))
     probe = rng.uniform(-1, 1, (cfg.mlp_size, n))
-    valid = (np.arange(t_len) < np.array([3, 5, 1])[:, None])[:, None, :]
+    valid = enc.BatchPlan.of([3, 5, 1]).valid
 
     def word_pipeline(tape):
         attn = wa.word_attention_matrix(tape, hidden_const, word, valid_cols=valid)
@@ -210,11 +210,11 @@ def pipeline_checks() -> list[CheckResult]:
     instances = [Instance(np.array([2, 3, 2]), 0, 2),
                  Instance(np.array([3, 3, 4, 5, 2]), 4, 1),
                  Instance(np.array([2]), 0, 0)]
-    emb_probe = rng.uniform(-1, 1, (sum(inst.true_length for inst in instances),
-                                    cfg.word_dim + cfg.position_dim))
+    emb_plan = enc.BatchPlan.of([inst.true_length for inst in instances])
+    emb_probe = rng.uniform(-1, 1, (emb_plan.lanes.size, cfg.word_dim + cfg.position_dim))
 
     def embedding(tape):
-        out = enc.embed_batch(tape, instances, tables, cfg)
+        out = enc.embed_batch(tape, instances, emb_plan, tables, cfg)
         return tape, sum_all(tape, ad.mul_const(tape, out, emb_probe))
 
     check("embedding", table_params, embedding)

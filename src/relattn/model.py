@@ -9,9 +9,10 @@ moments, with the L2-decayed weights as one leading slice. So
 L2 term and Adam each make one pass over it. Each named tensor is a view
 into the store; the layer modules take them as the dataclasses they define.
 
-Instances of a batch are encoded together: the encoder packs their real
-tokens and returns their states as ``[n x 2u x t_run]``, up to the longest
-true length. Word attention then runs once over all instances, and sentence
+Instances of a batch are encoded together, by one ``encoder.BatchPlan`` of
+their true lengths that owns the packed layout; the encoder returns their
+states as ``[n x 2u x t_run]``, up to the longest true length. Word attention
+then runs once over all instances, masked by the plan, and sentence
 attention once over all bags, each masked to its own instances.
 """
 
@@ -142,13 +143,12 @@ class Model:
         up to the longest true length of n instances, in one batched pass."""
         cfg = self.config
         n = len(instances)
-        lengths = np.array([inst.true_length for inst in instances])
-        if not lengths.all():
+        plan = enc.BatchPlan.of([inst.true_length for inst in instances])
+        if not plan.lengths.all():
             raise ValueError("an instance with no token ids has no representation")
-        embedded = enc.embed_batch(tape, instances, self.embeddings, cfg)
-        hidden = enc.bilstm_encode_batch(tape, embedded, lengths, self.lstm)   # [n x 2u x t_run]
-        valid = (np.arange(hidden.shape[-1]) < lengths[:, None])[:, None, :]
-        attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=valid)
+        embedded = enc.embed_batch(tape, instances, plan, self.embeddings, cfg)
+        hidden = enc.bilstm_encode_batch(tape, embedded, plan, self.lstm)   # [n x 2u x t_run]
+        attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=plan.valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
         reps = wa.flatten_project(tape, weighted, self.word_attn)
         if dropout_rng is not None and cfg.dropout > 0.0:

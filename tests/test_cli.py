@@ -425,6 +425,28 @@ def test_unreadable_input_ends_in_one_line(command, flag, kind, exit_code, prefi
     assert "epoch" not in captured.out
 
 
+# accuracy, Macro F1 and attn-export key bags by id, so a repeated id would
+# score or export one bag in place of another
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_bag_id_is_one_data_line(command, synth_file, trained_dir, tmp_path):
+    lines = synth_file.read_text().splitlines()
+    repeat = json.loads(lines[0])["bag_id"]
+    second = {**json.loads(lines[1]), "bag_id": repeat}
+    data = tmp_path / "repeat.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(second)] + lines[2:]) + "\n")
+    args = {
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "out")] + SMALL_TRAIN,
+        "eval": ["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                 "--data", str(data), "--metric", "f1", "--out", str(tmp_path / "out")],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "relattn"] + args,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_DATA
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"data error: {data}: bag id {repeat!r} names more than one bag\n"
+
+
 # a negative seed is refused before any file is read or written, not by
 # numpy's generator
 @pytest.mark.parametrize("command", ["gen-synth", "eval"])

@@ -14,7 +14,7 @@ from relattn.data import (BLANK_TOKEN, UNK_ID, DataError, Instance, SynthSpec, V
                           generate_synthetic, generate_synthetic_records, load_dataset,
                           make_batches, position_buckets, read_embedding_file,
                           relation_patterns, save_records_jsonl)
-from relattn.encoder import embed_batch
+from relattn.encoder import BatchPlan, embed_batch
 from relattn.model import Model
 
 CFG = ModelConfig(time_steps=70)
@@ -294,7 +294,8 @@ class TestRelativePositions:
         instances = [Instance(np.array(ids, dtype=np.int64), head, tail)
                      for ids, head, tail in (([2, 3, 4, 5, 2, 3], 0, 5), ([4], 0, 0),
                                              ([5, 2, 3], 2, 5), ([], 0, 0))]
-        assert np.isfinite(embed_batch(None, instances, tables, cfg).value).all()
+        plan = BatchPlan.of([inst.true_length for inst in instances])
+        assert np.isfinite(embed_batch(None, instances, plan, tables, cfg).value).all()
 
     def test_batched_hand_oracle(self):
         # one row per entity; distances past +-max_distance clip

@@ -1,5 +1,6 @@
 """Embedding and BiLSTM encoder tests, including masking invariants."""
 
+import dataclasses
 import sys
 import threading
 
@@ -40,8 +41,12 @@ def tables_for(cfg, vocab_size=6, seed=0):
     return fresh_model(cfg, vocab_size, seed).embeddings
 
 
+def plan_of(instances):
+    return enc.BatchPlan.of([inst.true_length for inst in instances])
+
+
 def embed_one(tape, instance, tables, cfg):
-    return enc.embed_batch(tape, [instance], tables, cfg)
+    return enc.embed_batch(tape, [instance], plan_of([instance]), tables, cfg)
 
 
 class TestEmbeddings:
@@ -58,7 +63,7 @@ class TestEmbeddings:
         tables = tables_for(cfg)
         instances = [make_instance([2, 3]), make_instance([]),
                      make_instance([4, 5, 2, 3]), make_instance([5])]
-        out = enc.embed_batch(None, instances, tables, cfg)
+        out = enc.embed_batch(None, instances, plan_of(instances), tables, cfg)
         assert out.shape == (2 + 0 + 4 + 1, 6)
 
     def test_head_position_separates_otherwise_equal_instances(self):
@@ -89,10 +94,10 @@ class TestEmbeddings:
             ids = data.draw(st.lists(st.integers(0, 7), min_size=length, max_size=length))
             instances.append(make_instance(ids, head=data.draw(st.integers(0, t_steps - 1)),
                                            tail=data.draw(st.integers(0, t_steps - 1))))
-        out = enc.embed_batch(None, instances, tables, cfg).value
-        lanes, _, _ = enc._pack([inst.true_length for inst in instances])
+        plan = plan_of(instances)
+        out = enc.embed_batch(None, instances, plan, tables, cfg).value
         for j, inst in enumerate(instances):
-            rows = out[lanes == j]   # instance j's tokens, step by step
+            rows = out[plan.lanes == j]   # instance j's tokens, step by step
             np.testing.assert_array_equal(rows, brute_force_rows(inst, tables, cfg))
 
     def test_pretrained_substitution(self):
@@ -225,6 +230,49 @@ def length_lists(t_steps):
     )
 
 
+def brute_force_plan(lengths):
+    """Every :class:`~relattn.encoder.BatchPlan` field, lane by lane and step
+    by step in plain Python: lanes sorted longest first, ties in lane order."""
+    n, t_run = len(lengths), max(lengths)
+    order = sorted(range(n), key=lambda j: -lengths[j])   # sorted() is stable
+    rows = [(j, t) for t in range(t_run) for j in order if t < lengths[j]]
+    row_of = {lane_step: k for k, lane_step in enumerate(rows)}
+    widths = [sum(t < length for length in lengths) for t in range(t_run)]
+    offsets = [sum(widths[:t]) for t in range(t_run + 1)]
+    return dict(
+        lengths=list(lengths),
+        lanes=[j for j, _ in rows],
+        steps=[t for _, t in rows],
+        widths=widths,
+        # step t > 0 carries over every lane it runs, from step t-1's rows
+        schedule=[(offsets[t], offsets[t + 1], offsets[t - 1] if t else 0,
+                   widths[t] if t else 0) for t in range(t_run)],
+        back=[lengths[j] - 1 - t for j, t in rows],
+        rev=[row_of[j, lengths[j] - 1 - t] for j, t in rows],
+        earlier=[row_of[j, t - 1] for j, t in rows if t > 0],
+        starts=[sum(lengths[:j]) for j in range(n)],
+        valid=[[[t < lengths[j] for t in range(t_run)]] for j in range(n)],
+    )
+
+
+class TestBatchPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_every_field_matches_brute_force(self, t_steps, data):
+        lengths = data.draw(length_lists(t_steps))
+        for _ in range(data.draw(st.integers(0, 2))):   # empty lanes, like gradcheck's
+            lengths.insert(data.draw(st.integers(0, len(lengths))), 0)
+        plan = enc.BatchPlan.of(lengths)
+        want = brute_force_plan(lengths)
+        assert set(want) == {f.name for f in dataclasses.fields(plan)}
+        for name, value in want.items():
+            got = getattr(plan, name)
+            assert (got.tolist() if isinstance(got, np.ndarray) else list(got)) == value, name
+        assert plan.valid.shape == (len(lengths), 1, max(lengths))
+        # the two methods bench/tracing.py reads: the lane count and the lengths
+        assert len(plan) == len(lengths) and list(plan) == lengths
+
+
 class TestFusedDirection:
     """``bilstm_encode_batch``: one tape record for both directions, BPTT on backward."""
 
@@ -235,8 +283,7 @@ class TestFusedDirection:
         # narrow through them, the reverse one over each lane's mirrored
         # rows. An empty lane adds positions no token writes
         lengths = data.draw(length_lists(t_steps)) + [0]
-        _, _, widths = enc._pack(lengths)
-        assert widths == [sum(length > t for length in lengths) for t in range(max(lengths))]
+        plan = enc.BatchPlan.of(lengths)
         rng = np.random.default_rng(seed)
         u, d_in, n = 2, 3, len(lengths)
         packed = Parameter("packed", rng.uniform(-1, 1, (sum(lengths), d_in)))
@@ -245,11 +292,11 @@ class TestFusedDirection:
             w_rec=Parameter("wr", rng.uniform(-0.8, 0.8, (4 * u, u))),
             bias=Parameter("b", rng.uniform(-0.8, 0.8, (4 * u, 1))),
         ) for _ in range(2)))
-        probe = rng.uniform(-1, 1, (n, 2 * u, len(widths)))
+        probe = rng.uniform(-1, 1, (n, 2 * u, max(lengths)))
 
         def f():
             tape = Tape()
-            out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+            out = enc.bilstm_encode_batch(tape, packed, plan, lstm)
             assert len(tape) == 1
             return tape, ad.sum_all(tape, ad.mul_const(tape, out, probe))
 
@@ -270,10 +317,11 @@ class TestFusedDirection:
         tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = fresh_model(cfg, 8, seed + 1).lstm
         instances = [make_instance([2 + t % 5 for t in range(length)]) for length in lengths]
+        plan = plan_of(instances)
         tape = Tape()
-        embedded = enc.embed_batch(tape, instances, tables, cfg)
+        embedded = enc.embed_batch(tape, instances, plan, tables, cfg)
         assert len(tape) == 1   # the embedding is one record, and so is the BiLSTM
-        hidden = enc.bilstm_encode_batch(tape, embedded, lengths, lstm)
+        hidden = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
         assert len(tape) == 2
         probe = np.random.default_rng(seed + 2).uniform(-1, 1, hidden.shape).astype(cfg.dtype)
         loss = ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
@@ -322,7 +370,8 @@ class TestFusedDirection:
         rng = np.random.default_rng(11)
         u, d_in = 64, 48
         lengths = rng.permutation(np.append(rng.integers(1, 40, 23), 0))
-        lanes, steps, _ = enc._pack(lengths)
+        plan = enc.BatchPlan.of(lengths)
+        lanes, steps = plan.lanes, plan.steps
         row = {(lane, step): k for k, (lane, step) in enumerate(zip(lanes, steps))}
         rev = np.array([row[lane, lengths[lane] - 1 - step] for lane, step in zip(lanes, steps)])
         x = rng.uniform(-1, 1, (lanes.size, d_in)).astype(dtype)
@@ -343,7 +392,7 @@ class TestFusedDirection:
                                     for ws in (fwd, bwd)))
             packed = Parameter("packed", rows)
             tape = Tape()
-            out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+            out = enc.bilstm_encode_batch(tape, packed, plan, lstm)
             ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
             grads = [[p.grad for p in (d.w_in, d.w_rec, d.bias)] for d in (lstm.fwd, lstm.bwd)]
             return out.value, packed.grad, grads
@@ -361,8 +410,9 @@ class TestBilstm:
     def encode(self, cfg, instances, seed=0):
         tables = tables_for(cfg, vocab_size=8, seed=seed)
         lstm = fresh_model(cfg, 8, seed + 1).lstm
-        embedded = enc.embed_batch(None, instances, tables, cfg)
-        return enc.bilstm_encode_batch(None, embedded, [i.true_length for i in instances], lstm)
+        plan = plan_of(instances)
+        return enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, plan, tables, cfg),
+                                       plan, lstm)
 
     def test_output_shape(self):
         cfg = tiny_config(time_steps=4)
@@ -410,9 +460,9 @@ class TestBilstm:
             return make_instance(ids)
 
         def encode(batch):
-            embedded = enc.embed_batch(None, batch, tables, cfg)
-            return enc.bilstm_encode_batch(None, embedded,
-                                           [i.true_length for i in batch], lstm).value
+            plan = plan_of(batch)
+            embedded = enc.embed_batch(None, batch, plan, tables, cfg)
+            return enc.bilstm_encode_batch(None, embedded, plan, lstm).value
 
         instances = [draw_instance(length) for length in lengths]
         batched = encode(instances)
@@ -444,8 +494,9 @@ class TestBilstm:
                                    head=int(rng.integers(t_steps)),
                                    tail=int(rng.integers(t_steps)))
                      for length in lengths]
-        fast = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, tables, cfg),
-                                       lengths, lstm).value
+        plan = enc.BatchPlan.of(lengths)
+        fast = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, plan, tables, cfg),
+                                       plan, lstm).value
         ref = reference_bilstm(padded_embedding(instances, tables, cfg), lengths, lstm)
         t_run = max(lengths)
         assert fast.shape == (len(lengths), 2 * cfg.hidden_size, t_run)
@@ -468,8 +519,9 @@ class TestBilstm:
             return real_step(*args)
 
         monkeypatch.setattr(enc, "lstm_step", counting_step)
-        out = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, tables, cfg),
-                                      lengths, lstm)
+        plan = enc.BatchPlan.of(lengths)
+        out = enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, plan, tables, cfg),
+                                      plan, lstm)
         assert len(calls) == 2 * max(lengths)
         assert out.shape == (len(instances), 2 * cfg.hidden_size, max(lengths))
 
@@ -496,11 +548,12 @@ class TestBilstm:
         for batch in ([inst], mixed):
             probe = rng.uniform(-1, 1, (len(batch), 4, max(i.true_length for i in batch)))
 
+            plan = plan_of(batch)
+
             def f():
                 tape = Tape()
-                embedded = enc.embed_batch(tape, batch, tables, cfg)
-                hidden = enc.bilstm_encode_batch(tape, embedded,
-                                                 [i.true_length for i in batch], lstm)
+                embedded = enc.embed_batch(tape, batch, plan, tables, cfg)
+                hidden = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
                 return tape, ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
 
             assert finite_diff_check(f, params) < 1e-5
@@ -531,7 +584,7 @@ class TestConcurrentDirections:
         monkeypatch.setattr(enc, "lstm_step", noting_step)
         monkeypatch.setattr(enc, "_directions_concurrently", lambda u: concurrently)
         tape = Tape()
-        out = enc.bilstm_encode_batch(tape, packed, lengths, lstm)
+        out = enc.bilstm_encode_batch(tape, packed, enc.BatchPlan.of(lengths), lstm)
         ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
         grads = [p.grad for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
         return [out.value, packed.grad, *grads], threads
@@ -578,10 +631,10 @@ class TestConcurrentDirections:
 
         real_run = enc._run_direction
 
-        def failing_run(x, widths, direction):
+        def failing_run(x, plan, direction):
             if direction is lstm.bwd and stage == "forward":
                 raise WorkerError(stage)
-            states, bptt = real_run(x, widths, direction)
+            states, bptt = real_run(x, plan, direction)
             if direction is not lstm.bwd:
                 return states, bptt
 
@@ -596,7 +649,7 @@ class TestConcurrentDirections:
         running = threading.active_count()
         with pytest.raises(WorkerError, match=stage):
             tape = Tape()
-            out = enc.bilstm_encode_batch(tape, packed, [3, 2], lstm)
+            out = enc.bilstm_encode_batch(tape, packed, enc.BatchPlan.of([3, 2]), lstm)
             ad.backward(tape, ad.sum_all(tape, out))
         assert threading.active_count() == running
 

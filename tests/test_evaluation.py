@@ -416,8 +416,9 @@ class TestExportAttention:
 
         instances = bag.instances
         lengths = np.array([inst.true_length for inst in instances])
-        embedded = enc.embed_batch(None, instances, model.embeddings, cfg)
-        run = enc.bilstm_encode_batch(None, embedded, lengths, model.lstm).value
+        plan = enc.BatchPlan.of(lengths)
+        embedded = enc.embed_batch(None, instances, plan, model.embeddings, cfg)
+        run = enc.bilstm_encode_batch(None, embedded, plan, model.lstm).value
         hidden = np.zeros(run.shape[:2] + (t_steps,), run.dtype)   # [n x 2u x T], zero past t_run
         hidden[:, :, :run.shape[2]] = run
         valid = (np.arange(t_steps) < lengths[:, None])[:, None, :]

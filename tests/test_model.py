@@ -54,9 +54,9 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         magnitudes[name] += np.abs(term)
 
     tape = Tape()
-    embedded = enc.embed_batch(tape, instances, model.embeddings, cfg)
-    hidden_node = enc.bilstm_encode_batch(tape, embedded,
-                                          [inst.true_length for inst in instances], model.lstm)
+    plan = enc.BatchPlan.of([inst.true_length for inst in instances])
+    embedded = enc.embed_batch(tape, instances, plan, model.embeddings, cfg)
+    hidden_node = enc.bilstm_encode_batch(tape, embedded, plan, model.lstm)
     hidden_all = hidden_node.value
 
     # word attention, one instance at a time on its [2u x t_run] states
@@ -189,3 +189,29 @@ class TestBatchedPassMatchesPerInstanceReference:
         for name, p in model.named_parameters().items():
             err = np.abs(p.grad - ref_grads[name])
             assert (err <= 1e-12 * magnitudes[name]).all(), name
+
+
+class TestOnePlanPerPass:
+    def test_forward_and_its_backward_build_one_plan(self, monkeypatch):
+        # the embedding, both LSTM directions, their BPTT and word attention's
+        # mask all read the plan that instance_outputs builds
+        built = []
+        real_init = enc.BatchPlan.__init__
+
+        def counting_init(plan, *args):
+            built.append(plan)
+            real_init(plan, *args)
+
+        monkeypatch.setattr(enc.BatchPlan, "__init__", counting_init)
+        cfg = ModelConfig(word_dim=3, position_dim=2, max_distance=3, time_steps=5,
+                          hidden_size=2, word_attention_hidden=3, mlp_size=4,
+                          sent_attention_hidden=3, precision="float64")
+        model = Model(cfg, 10, CLASSES, rng=np.random.default_rng(0))
+        groups = [[Instance(np.array([2, 3, 4]), 0, 2), Instance(np.array([5]), 0, 0)],
+                  [Instance(np.array([6, 7, 8, 9, 2]), 1, 3)]]
+        tape = Tape()
+        out = model.forward(tape, groups, dropout_rng=np.random.default_rng(1))
+        backward(tape, ad.cross_entropy(tape, out.probabilities, [0, 2]))
+        assert len(built) == 1 and built[0].lengths.tolist() == [3, 1, 5]
+        model.forward(None, groups[1:])
+        assert len(built) == 2
