@@ -12,6 +12,12 @@ validate every backward rule.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -24,6 +30,18 @@ ROW_BLOCK = 1 << 16   # entries per block of a parameter-sized update, so scratc
 # rows of word_mlp_weight) took 19 ms, these (97 rows) 10 ms, as did the
 # whole product
 PRODUCT_BLOCK = 1 << 19
+# The smallest sweep, in entries, and the smallest product, in multiply-adds,
+# that _halves runs on two threads; below them the thread costs more than it
+# saves. float32, one BLAS thread, two cores, caches flushed before each
+# call, ms on one thread -> two: at 2**21 entries zero_grad 1.07 -> 1.12 and
+# squared_norm 1.02 -> 1.12; at 2**22 zero_grad 2.28 -> 1.63, Adam 18.6 ->
+# 13.0, squared_norm 1.86 -> 1.69 and sum_squares' backward 4.30 -> 3.06; a
+# [300 x 600] x [2 x 600 x 70] product (25M) 1.10 -> 1.10, a 35M row-blocked
+# weight gradient 1.60 -> 1.20. The synth profile's store (47K entries) and
+# products (at most 2.3M) stay on one thread; train_nyt's sweeps (7.3M-8.1M
+# entries) and its W1 and word_mlp_weight products (178M-416M) split.
+CONCURRENT_MIN_ENTRIES = 1 << 22
+CONCURRENT_MIN_PRODUCT = 1 << 25
 
 
 class ShapeError(ValueError):
@@ -76,7 +94,11 @@ class Parameter(Node):
         return p
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        """Zero the gradient; a large one in two halves of its rows, on two
+        threads where :func:`_halves` allows."""
+        def zero(rows: range) -> None:
+            self.grad[rows.start:rows.stop] = 0.0
+        _halves(zero, range(len(self.grad)), self.grad.size, CONCURRENT_MIN_ENTRIES)
 
 
 class Tape:
@@ -116,15 +138,97 @@ def row_blocks(a: np.ndarray, entries: int = ROW_BLOCK) -> Iterator[slice]:
     return (slice(lo, lo + rows) for lo in range(0, a.shape[0], rows))
 
 
+# ---------------------------------------------------------------------------
+# the second core
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded uses, or None if it cannot be
+    asked (another BLAS, or a build without the query). Asked once."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _two_cores() -> bool:
+    """Whether two threads of numpy work run at once: the BLAS reports its
+    thread count, and the usable CPUs hold two threads' worth of it.
+    Multithreaded BLAS already fills the cores, and on a shared core two
+    threads ran slower than one after the other."""
+    threads = _blas_threads()
+    return threads is not None and 2 * threads <= _usable_cpus()
+
+
+def _both(worker: Callable, here: Callable, concurrently: bool) -> tuple:
+    """``(worker(), here())``. If ``concurrently``, ``worker`` runs on a new
+    thread while ``here`` runs in the calling one; the thread is joined
+    before this returns, and an exception raised on it is raised here,
+    unless ``here`` raised first. A thread per call, not one long-lived
+    worker: over 6 alternating pairs of 30 s train_nyt benchmark runs, such
+    a worker read a 2% lower step_ms_norm (121.0 against 123.5 ms), less
+    than the runs' spread between quartiles (4.9 ms)."""
+    if not concurrently:
+        return worker(), here()
+    outcome = {}
+
+    def run() -> None:
+        try:
+            outcome["value"] = worker()
+        except BaseException as exc:   # raised again in the calling thread
+            outcome["error"] = exc
+    thread = threading.Thread(target=run, name="relattn-worker")
+    thread.start()
+    try:
+        mine = here()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"], mine
+
+
+def _halves(fn: Callable, pieces, work: int, least: int) -> list:
+    """``fn`` over a sequence of independent ``pieces``: ``[fn(pieces)]``, or
+    ``[fn(lower half), fn(upper half)]``, the upper half on a worker thread,
+    where there are two pieces or more, ``work`` is at least ``least`` and
+    :func:`_two_cores` holds. Every piece goes through the same calls either
+    way, so the results hold the same bits."""
+    if len(pieces) < 2 or work < least or not _two_cores():
+        return [fn(pieces)]
+    half = (len(pieces) + 1) // 2
+    upper, lower = _both(lambda: fn(pieces[half:]), lambda: fn(pieces[:half]), True)
+    return [lower, upper]
+
+
 def squared_norm(a: np.ndarray) -> float:
     """Sum of the squared entries of ``a``, with no squared copy: one BLAS dot
     per flat block of ``ROW_BLOCK`` entries in memory order, the blocks'
-    sums added in float64. Over millions of float32 entries one whole dot
-    drifts by about 1e-5 relative, as it accumulates in float32; blocks keep
-    the error near 1e-8, as a pairwise sum would."""
+    sums added in float64, in that order. Over millions of float32 entries
+    one whole dot drifts by about 1e-5 relative, as it accumulates in
+    float32; blocks keep the error near 1e-8, as a pairwise sum would. The
+    dots of a large ``a`` are taken in two halves by :func:`_halves`."""
     flat = a.ravel(order="K")
-    blocks = (flat[lo:lo + ROW_BLOCK] for lo in range(0, flat.size, ROW_BLOCK))
-    return sum(float(np.dot(b, b)) for b in blocks)
+
+    def dots(starts: range) -> list[float]:
+        return [float(np.dot(b, b)) for b in (flat[lo:lo + ROW_BLOCK] for lo in starts)]
+    halves = _halves(dots, range(0, flat.size, ROW_BLOCK), flat.size, CONCURRENT_MIN_ENTRIES)
+    return sum(d for half in halves for d in half)
 
 
 def _ensure_grad(node: Node) -> np.ndarray:
@@ -148,7 +252,23 @@ def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
     # materializes the stack of per-entry products
     if ndim == 2 and x.ndim == 3:
         return np.tensordot(x, y, axes=([0, 2], [0, 1]))
-    return x @ y
+    return _product(x, y)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``. A 2-D ``x`` times a stack ``y`` is one BLAS product per
+    stack entry; a large one is written in two halves of the stack by
+    :func:`_halves`, each entry by the same call. Other products are one
+    call, as a BLAS may round a 2-D product differently by its shape."""
+    if x.ndim != 2 or y.ndim != 3:
+        return x @ y
+    out = np.empty((y.shape[0], x.shape[0], y.shape[2]), np.result_type(x, y))
+
+    def into(entries: range) -> None:
+        part = slice(entries.start, entries.stop)
+        np.matmul(x, y[part], out=out[part])
+    _halves(into, range(len(y)), out.size * x.shape[1], CONCURRENT_MIN_PRODUCT)
+    return out
 
 
 def backward(tape: Tape, loss: Node) -> None:
@@ -181,17 +301,23 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     """Matrix product; a 2-D operand broadcasts against a batched one.
 
     Backward adds a 2-D Parameter's gradient ``g @ b.T`` over row blocks of
-    about ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
-    weight-sized product; each block's entries are the same dot products."""
+    about ``PRODUCT_BLOCK`` entries, so its scratch is one block per thread,
+    not a whole weight-sized product; each block's entries are the same dot
+    products. A large one runs its blocks in two halves by :func:`_halves`,
+    as do a 2-D operand times a large stack and its gradient into the stack
+    (see :func:`_product`); the results are the same bits."""
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = Node(a.value @ b.value)
+    out = Node(_product(a.value, b.value))
     if tape is not None:
         def bwd() -> None:
             g = out.grad
             if isinstance(a, Parameter) and g.ndim == 2:
-                for rows in row_blocks(a.value, PRODUCT_BLOCK):
-                    a.grad[rows] += g[rows] @ b.value.T
+                def add(blocks: list[slice]) -> None:
+                    for rows in blocks:
+                        a.grad[rows] += g[rows] @ b.value.T
+                _halves(add, list(row_blocks(a.value, PRODUCT_BLOCK)), g.size * b.shape[-2],
+                        CONCURRENT_MIN_PRODUCT)
             else:
                 _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
             _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
@@ -313,7 +439,8 @@ def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
     """Sum of the squared entries of all ``nodes``, each by :func:`squared_norm`.
 
     Backward adds ``value * 2g`` into each gradient over row blocks of about
-    ``ROW_BLOCK`` entries, so its scratch is one block, not a whole tensor.
+    ``ROW_BLOCK`` entries, so its scratch is one block per thread, not a
+    whole tensor; a large node's blocks run in two halves by :func:`_halves`.
     Doubling is exact, so this equals ``(2 * value) * g`` bit for bit."""
     total = sum(squared_norm(n.value) for n in nodes)
     out = Node(np.array([[total]], dtype=nodes[0].value.dtype))
@@ -322,8 +449,11 @@ def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
             g2 = out.grad * 2.0
             for n in nodes:
                 grad = _ensure_grad(n)
-                for rows in row_blocks(n.value):
-                    grad[rows] += n.value[rows] * g2
+
+                def add(blocks: list[slice]) -> None:   # run and joined in this iteration
+                    for rows in blocks:
+                        grad[rows] += n.value[rows] * g2
+                _halves(add, list(row_blocks(n.value)), n.value.size, CONCURRENT_MIN_ENTRIES)
         tape.record(out, bwd)
     return out
 

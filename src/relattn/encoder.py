@@ -10,20 +10,18 @@ lane. It projects every token with one matmul and runs :func:`lstm_step`
 once per step of the plan's schedule; the states are scattered into the
 word-attention input ``[n x 2u x t_run]``, every padded position exactly
 zero. Its backward pass is hand-written BPTT. Where
-:func:`_directions_concurrently` finds a spare core for each, the two
-directions run at once, the reverse one on a worker thread, in the forward
-pass and in BPTT; they share no writable array, so outputs and gradients are
-the same bits either way.
+:func:`_directions_concurrently` allows (a hidden size of at least
+:data:`CONCURRENT_MIN_HIDDEN` and autodiff's two-core rule, which also
+splits the parameter-store sweeps and word attention's products), the two
+directions run at once, the reverse one on a worker thread
+(``autodiff._both``), in the forward pass and in BPTT; they share no
+writable array, so outputs and gradients are the same bits either way.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -166,52 +164,10 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-@functools.cache
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS that numpy loaded uses, or None if it cannot be
-    asked (another BLAS, or a build without the query). Asked once."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in glob.glob(str(libs / "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return int(fn())
-    return None
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _directions_concurrently(u: int) -> bool:
     """Whether to run the two directions at once: the hidden size is at least
-    :data:`CONCURRENT_MIN_HIDDEN`, and the usable CPUs hold both directions'
-    BLAS threads. Multithreaded BLAS already fills the cores, and on a shared
-    core the two directions ran slower than one after the other."""
-    threads = _blas_threads()
-    return (u >= CONCURRENT_MIN_HIDDEN and threads is not None
-            and 2 * threads <= _usable_cpus())
-
-
-def _both(worker: Callable, here: Callable, concurrently: bool) -> tuple:
-    """``(worker(), here())``. If ``concurrently``, ``worker`` runs on a pool
-    thread while ``here`` runs in the calling one; the thread is joined
-    before this returns, and an exception raised on it is raised here,
-    unless ``here`` raised first."""
-    if not concurrently:
-        return worker(), here()
-    from concurrent.futures import ThreadPoolExecutor   # imported on first use: 0.25 MB of RSS
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="relattn-bilstm-reverse") as pool:
-        future = pool.submit(worker)
-        mine = here()
-        return future.result(), mine
+    :data:`CONCURRENT_MIN_HIDDEN`, and ``autodiff._two_cores`` holds."""
+    return u >= CONCURRENT_MIN_HIDDEN and ad._two_cores()
 
 
 def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
@@ -305,7 +261,7 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
     if x.shape[0] != lanes.size:
         raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
     concurrently = _directions_concurrently(params.fwd.w_rec.shape[1])
-    (bwd_states, bwd_bptt), (fwd_states, fwd_bptt) = _both(
+    (bwd_states, bwd_bptt), (fwd_states, fwd_bptt) = ad._both(
         lambda: _run_direction(x[rev], plan, params.bwd),
         lambda: _run_direction(x, plan, params.fwd), concurrently)
     u = fwd_states.shape[1]
@@ -316,8 +272,8 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
         def bwd() -> None:
             halves = {"fwd": out.grad[lanes, :u, steps], "bwd": out.grad[lanes, u:, back]}
             out.grad = None   # both halves gathered; each BPTT pops and frees its own
-            dx_b, dx_f = _both(lambda: bwd_bptt(halves.pop("bwd")),
-                               lambda: fwd_bptt(halves.pop("fwd")), concurrently)
+            dx_b, dx_f = ad._both(lambda: bwd_bptt(halves.pop("bwd")),
+                                  lambda: fwd_bptt(halves.pop("fwd")), concurrently)
             dx = dx_b[rev]
             dx += dx_f
             ad._accum(embedded, dx)

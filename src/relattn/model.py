@@ -194,10 +194,10 @@ def _keep_freed_memory() -> None:
     32 MiB come from the heap, not from their own mmap, and the heap top is
     not released after every step. Fixing the mmap threshold also stops it
     from following the size of the last block freed. One arena lets the
-    encoder's worker thread reuse what the calling thread freed, and the
-    other way round, instead of each keeping a heap of its own. The cost is
-    a process that holds its largest step's freed memory. Does nothing under
-    any other C library. Cached, so only the first call acts."""
+    worker thread of ``autodiff._both`` reuse what the calling thread freed,
+    and the other way round, instead of each keeping a heap of its own. The
+    cost is a process that holds its largest step's freed memory. Does
+    nothing under any other C library. Cached, so only the first call acts."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt

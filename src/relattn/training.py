@@ -101,27 +101,33 @@ def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
     advances its own step count.
 
     The update runs in place over row blocks of about ``autodiff.ROW_BLOCK``
-    entries through two scratch buffers, in the operation order of the plain
-    formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``, so results match it
-    bit for bit.
+    entries through one pair of block-sized scratch buffers, in the operation
+    order of the plain formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``,
+    so results match it bit for bit. A large parameter's blocks run in two
+    halves, on two threads where ``autodiff._halves`` allows, each half with
+    its own scratch pair; every entry gets the same bits either way.
     """
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     for p in parameters:
         p.step += 1
         m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
-        for rows in ad.row_blocks(p.value):
-            g, m, s, value = (x[rows] for x in (p.grad, p.m, p.s, p.value))
-            work, denom = np.empty_like(g), np.empty_like(g)
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=work)
-            s *= b2
-            np.multiply(g, 1.0 - b2, out=work)
-            s += np.multiply(work, g, out=work)
-            np.sqrt(np.divide(s, s_corr, out=denom), out=denom)
-            denom += eps
-            np.divide(m, m_corr, out=work)
-            work *= lr
-            value -= np.divide(work, denom, out=work)
+
+        def update(blocks: list[slice]) -> None:   # run and joined in this iteration
+            scratch = np.empty((2, *p.value[blocks[0]].shape), p.value.dtype)
+            for rows in blocks:
+                g, m, s, value = (x[rows] for x in (p.grad, p.m, p.s, p.value))
+                work, denom = scratch[:, :len(g)]
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=work)
+                s *= b2
+                np.multiply(g, 1.0 - b2, out=work)
+                s += np.multiply(work, g, out=work)
+                np.sqrt(np.divide(s, s_corr, out=denom), out=denom)
+                denom += eps
+                np.divide(m, m_corr, out=work)
+                work *= lr
+                value -= np.divide(work, denom, out=work)
+        ad._halves(update, list(ad.row_blocks(p.value)), p.value.size, ad.CONCURRENT_MIN_ENTRIES)
 
 
 def train(dataset: Dataset, config: ModelConfig,

@@ -1,6 +1,7 @@
 """Oracle and property tests for the autodiff core."""
 
 import inspect
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -296,9 +297,10 @@ class TestGradientRelease:
 
     @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
                                              ((1000, 1100), np.float32)])
-    def test_sum_squares_backward_needs_one_row_block(self, shape, dtype):
+    def test_sum_squares_backward_needs_one_row_block(self, shape, dtype, monkeypatch):
         # no parameter-sized temporaries: the scratch is one block of rows,
         # and the result is still (2 * value) * g bit for bit
+        monkeypatch.setattr(ad, "_two_cores", lambda: False)
         w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
         assert w.value.nbytes >= 4 * 2**20
         tape = Tape()
@@ -312,6 +314,26 @@ class TestGradientRelease:
         block = max(1, ad.ROW_BLOCK // w.value[0].size) * w.value[0].nbytes
         assert block <= w.value.nbytes // 8
         assert peak < block + 16 * 1024
+        np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
+
+    @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
+                                             ((1000, 1100), np.float32)])
+    def test_sum_squares_backward_needs_one_row_block_per_thread(self, shape, dtype,
+                                                                 two_cores):
+        # the two-core path: each thread's scratch is one block of rows
+        w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
+        calls = two_cores(True)
+        tape = Tape()
+        loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
+        tracemalloc.start()
+        try:
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [True, True]   # the value's dots, then the gradient's blocks
+        block = max(1, ad.ROW_BLOCK // w.value[0].size) * w.value[0].nbytes
+        assert peak < 2 * block + 16 * 1024
         np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
 
     def test_matmul_weight_gradient_adds_row_blocks(self):
@@ -381,6 +403,162 @@ class TestSquaredNorm:
         want = np.sqrt(sum(self.reference(a) for a in tensors))
         norm = training.clip_gradients(params, 0.0)
         assert abs(norm - want) <= self.BOUND * want
+
+
+class TestTwoCores:
+    """The one owner of the second core: its selection rule and its thread."""
+
+    @pytest.mark.parametrize("blas_threads,cpus,selected", [
+        (None, 2, False),    # a BLAS that does not report its threads
+        (2, 2, False),       # two BLAS threads per thread need four CPUs
+        (2, 3, False),
+        (1, 1, False),       # one CPU
+        (1, 2, True),
+        (2, 4, True),
+    ])
+    def test_selection(self, blas_threads, cpus, selected, monkeypatch):
+        monkeypatch.setattr(ad, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+        assert ad._two_cores() is selected
+
+    def test_blas_threads_are_a_count_or_unknown(self):
+        threads = ad._blas_threads()
+        assert threads is None or threads >= 1
+        assert ad._usable_cpus() >= 1
+
+    def test_worker_exception_reaches_the_caller(self):
+        class WorkerError(RuntimeError):
+            pass
+
+        def failing():
+            raise WorkerError("on the worker")
+
+        ran_here = []
+        running = threading.enumerate()
+        with pytest.raises(WorkerError, match="on the worker"):
+            ad._both(failing, lambda: ran_here.append(threading.current_thread().name), True)
+        assert ran_here == [threading.current_thread().name]
+        assert threading.enumerate() == running   # the worker thread is joined
+
+
+class TestSplitSites:
+    """Each sweep and stacked product gives the same bits on two threads as
+    on one, at one block (no split), two blocks, and uneven halves."""
+
+    BLOCKS = [1, 2, 5 / 2]
+
+    @staticmethod
+    def column(blocks, seed, dtype=np.float32):
+        """A ``[entries x 1]`` array of about ``blocks`` row blocks."""
+        rows = int(blocks * ad.ROW_BLOCK)
+        return np.random.default_rng(seed).normal(size=(rows, 1)).astype(dtype)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_squared_norm(self, blocks, two_cores):
+        a = self.column(blocks, 40)
+        norms = []
+        for on in (False, True):
+            calls = two_cores(on)
+            norms.append(ad.squared_norm(a))
+            assert calls == ([True] if on and blocks > 1 else [])
+        assert norms[0] == norms[1]
+
+    def test_squared_norm_adds_the_blocks_in_memory_order(self, two_cores):
+        # three blocks whose dots, 2, 2**54 and 2, are exact; in memory
+        # order they sum to 2**54 (2**54 + 2 rounds to even), with the
+        # upper half first to 2**54 + 4
+        a = np.zeros((3, ad.ROW_BLOCK))
+        a[0, :2] = a[2, :2] = 1.0
+        a[1, 0] = 2.0 ** 27
+        calls = two_cores(True)
+        assert ad.squared_norm(a.reshape(-1, 1)) == 2.0 ** 54
+        assert calls == [True]
+
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    def test_zero_grad(self, rows, two_cores):
+        p = Parameter("p", np.zeros((rows, 700), np.float32))
+        for on in (False, True):
+            p.grad[...] = 1.5
+            calls = two_cores(on)
+            p.zero_grad()
+            assert calls == ([True] if on and rows > 1 else [])
+            assert not p.grad.any()
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.5])
+    def test_clip_gradients(self, grad_clip, two_cores):
+        grads = [self.column(5 / 2, 41), self.column(1 / 4, 42)]
+        results = []
+        for on in (False, True):
+            params = [Parameter(f"p{i}", np.zeros_like(g), grad=g.copy())
+                      for i, g in enumerate(grads)]
+            calls = two_cores(on)
+            norm = training.clip_gradients(params, grad_clip)
+            assert calls == ([True] if on else [])
+            results.append((norm, [p.grad for p in params]))
+        assert results[0][0] == results[1][0] and (not grad_clip or results[0][0] > grad_clip)
+        for off, on in zip(results[0][1], results[1][1]):
+            np.testing.assert_array_equal(on, off)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_sum_squares(self, blocks, two_cores):
+        value = self.column(blocks, 43)
+        results = []
+        for on in (False, True):
+            w = Parameter("w", value.copy())
+            w.grad[...] = 0.25
+            calls = two_cores(on)
+            tape = Tape()
+            loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
+            backward(tape, loss)
+            # the value's dots, then the gradient's blocks
+            assert calls == ([True, True] if on and blocks > 1 else [])
+            results.append((loss.value, w.grad))
+        np.testing.assert_array_equal(results[1][0], results[0][0])
+        np.testing.assert_array_equal(results[1][1], results[0][1])
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_row_blocked_weight_gradient(self, blocks, two_cores):
+        cols = 1024   # PRODUCT_BLOCK // cols rows a block
+        rows = int(blocks * ad.PRODUCT_BLOCK // cols)
+        rng = np.random.default_rng(44)
+        value = rng.uniform(-0.1, 0.1, (rows, cols)).astype(np.float32)
+        start = rng.uniform(-1, 1, value.shape).astype(np.float32)
+        x = rng.uniform(-1, 1, (cols, 7)).astype(np.float32)
+        probe = rng.uniform(-1, 1, (rows, 7)).astype(np.float32)
+        results = []
+        for on in (False, True):
+            w, b = Parameter("w", value, grad=start.copy()), Node(x)
+            calls = two_cores(on)
+            tape = Tape()
+            loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, b), probe))
+            backward(tape, loss)
+            assert calls == ([True] if on and blocks > 1 else [])
+            results.append((w.grad, b.grad))
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [1, 2, 33])
+    def test_stacked_product(self, batch, two_cores):
+        # a 2-D weight times a stack, as word attention's first product
+        rng = np.random.default_rng(45)
+        value = rng.uniform(-0.5, 0.5, (30, 40)).astype(np.float32)
+        x = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
+        probe = rng.uniform(-1, 1, (batch, 30, 20)).astype(np.float32)
+        results = []
+        for on in (False, True):
+            w, b = Parameter("w", value.copy()), Node(x)
+            tape = Tape()
+            calls = two_cores(on)
+            out = ad.matmul(tape, w, b)
+            backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            # the forward product and the stack's gradient; the weight's
+            # gradient is one tensordot
+            assert calls == ([True, True] if on and batch > 1 else [])
+            results.append((out.value, b.grad, w.grad))
+        for got, want in zip(results[1], results[0]):
+            assert np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(results[0][0], value @ x)
 
 
 class TestFiniteDiffCheck:

@@ -663,11 +663,6 @@ class TestConcurrentDirections:
         (2, 4, 300, True),
     ])
     def test_selection(self, blas_threads, cpus, u, concurrently, monkeypatch):
-        monkeypatch.setattr(enc, "_blas_threads", lambda: blas_threads)
-        monkeypatch.setattr(enc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
         assert enc._directions_concurrently(u) is concurrently
-
-    def test_blas_threads_are_a_count_or_unknown(self):
-        threads = enc._blas_threads()
-        assert threads is None or threads >= 1
-        assert enc._usable_cpus() >= 1

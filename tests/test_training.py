@@ -1,5 +1,6 @@
 """Loss assembly, Adam, the training loop, determinism, and checkpoints."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,30 @@ class TestAdam:
                 assert p.step == step
                 np.testing.assert_array_equal(views[name].value, p.value, err_msg=name)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_threads_match_one_bit_for_bit(self, dtype, two_cores):
+        # one block (no split), two blocks, and uneven halves of three blocks
+        cfg = small_config()
+        rng = np.random.default_rng(5)
+        shapes = [(ad.ROW_BLOCK, 1), (2 * ad.ROW_BLOCK // 300, 300), (5 * ad.ROW_BLOCK // 2, 1)]
+        start = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        grads = [[(rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                  for shape in shapes] for _ in range(4)]
+        results = []
+        for on in (False, True):
+            params = [Parameter(f"p{i}", v.copy()) for i, v in enumerate(start)]
+            calls = two_cores(on)
+            for step_grads in grads:
+                for p, g in zip(params, step_grads):
+                    p.grad[...] = g
+                adam_step(params, cfg)
+            assert calls == ([True, True] * 4 if on else [])
+            results.append(params)
+        for off, on in zip(*results):
+            assert on.step == off.step == 4
+            for key in ("value", "m", "s"):
+                np.testing.assert_array_equal(getattr(on, key), getattr(off, key), err_msg=key)
+
     def test_clip_gradients_scales_to_norm(self):
         p = Parameter("p", np.zeros((1, 2)))
         p.grad[...] = [[3.0, 4.0]]
@@ -295,6 +320,42 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,batch,loss,penalty,ce,l2"
         assert len(lines) == len(result.log) + 1
+
+
+class TestTwoCoreTraining:
+    """Training with every sweep and stacked product split over two threads
+    writes the bytes of training on one."""
+
+    # a store of several row blocks, word_mlp_weight of two product blocks,
+    # and a hidden size at which the encoder's directions run at once too
+    CONFIG = dict(precision="float32", hidden_size=128, mlp_size=600, dropout=0.3,
+                  grad_clip=0.5, epochs=2, batch_size=4)
+
+    def run(self, on, two_cores, tmp_path):
+        cfg = ModelConfig.from_profile("synth", **self.CONFIG)
+        ds = small_dataset(cfg, bags_per_relation=4)
+        calls = two_cores(on)
+        result = train(ds, cfg)
+        (store,) = result.model.parameters()
+        assert store.value.size > 2 * ad.ROW_BLOCK
+        assert (calls.count(True) > 0) is on
+        log = tmp_path / f"loss_log_{on}_{len(list(tmp_path.iterdir()))}.csv"
+        write_loss_log(result.log, log)
+        return [store.value.tobytes(), store.m.tobytes(), store.s.tobytes(), log.read_bytes()]
+
+    def test_store_moments_and_log_match(self, two_cores, tmp_path):
+        want = self.run(False, two_cores, tmp_path)
+        assert self.run(True, two_cores, tmp_path) == want
+
+    def test_repeats_under_frequent_thread_switches(self, two_cores, tmp_path):
+        want = self.run(False, two_cores, tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self.run(True, two_cores, tmp_path) == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCheckpoint:
