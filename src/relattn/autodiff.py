@@ -37,9 +37,10 @@ PRODUCT_BLOCK = 1 << 19
 # squared_norm 1.02 -> 1.12; at 2**22 zero_grad 2.28 -> 1.63, Adam 18.6 ->
 # 13.0, squared_norm 1.86 -> 1.69 and sum_squares' backward 4.30 -> 3.06; a
 # [300 x 600] x [2 x 600 x 70] product (25M) 1.10 -> 1.10, a 35M row-blocked
-# weight gradient 1.60 -> 1.20. The synth profile's store (47K entries) and
-# products (at most 2.3M) stay on one thread; train_nyt's sweeps (7.3M-8.1M
-# entries) and its W1 and word_mlp_weight products (178M-416M) split.
+# weight gradient 1.60 -> 1.20. The synth profile's store (47K entries),
+# products (at most 2.3M) and BiLSTM directions (at most 13.6M, one
+# direction's forward multiply-adds) stay on one thread; train_nyt's sweeps
+# (7.3M-8.1M entries), products (178M-416M) and directions (770M) split.
 CONCURRENT_MIN_ENTRIES = 1 << 22
 CONCURRENT_MIN_PRODUCT = 1 << 25
 
@@ -175,45 +176,35 @@ def _two_cores() -> bool:
     return threads is not None and 2 * threads <= _usable_cpus()
 
 
-def _both(worker: Callable, here: Callable, concurrently: bool) -> tuple:
-    """``(worker(), here())``. If ``concurrently``, ``worker`` runs on a new
-    thread while ``here`` runs in the calling one; the thread is joined
-    before this returns, and an exception raised on it is raised here,
-    unless ``here`` raised first. A thread per call, not one long-lived
-    worker: over 6 alternating pairs of 30 s train_nyt benchmark runs, such
-    a worker read a 2% lower step_ms_norm (121.0 against 123.5 ms), less
-    than the runs' spread between quartiles (4.9 ms)."""
-    if not concurrently:
-        return worker(), here()
-    outcome = {}
-
-    def run() -> None:
-        try:
-            outcome["value"] = worker()
-        except BaseException as exc:   # raised again in the calling thread
-            outcome["error"] = exc
-    thread = threading.Thread(target=run, name="relattn-worker")
-    thread.start()
-    try:
-        mine = here()
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"], mine
-
-
 def _halves(fn: Callable, pieces, work: int, least: int) -> list:
     """``fn`` over a sequence of independent ``pieces``: ``[fn(pieces)]``, or
-    ``[fn(lower half), fn(upper half)]``, the upper half on a worker thread,
-    where there are two pieces or more, ``work`` is at least ``least`` and
-    :func:`_two_cores` holds. Every piece goes through the same calls either
-    way, so the results hold the same bits."""
+    ``[fn(lower half), fn(upper half)]`` where there are two pieces or more,
+    ``work`` is at least ``least`` and :func:`_two_cores` holds. The upper
+    half runs on a new thread, the only place one starts, joined before
+    this returns; an exception raised on it is raised here, unless the lower
+    half raised first. Every piece goes through the same calls either way,
+    so the results hold the same bits. A thread per call, not one long-lived
+    worker: over 6 alternating pairs of 30 s train_nyt benchmark runs, such
+    a worker read 121.0 against 123.5 ms step_ms_norm, inside the spread."""
     if len(pieces) < 2 or work < least or not _two_cores():
         return [fn(pieces)]
     half = (len(pieces) + 1) // 2
-    upper, lower = _both(lambda: fn(pieces[half:]), lambda: fn(pieces[:half]), True)
-    return [lower, upper]
+    upper = {}
+
+    def run() -> None:
+        try:
+            upper["value"] = fn(pieces[half:])
+        except BaseException as exc:   # raised again in the calling thread
+            upper["error"] = exc
+    thread = threading.Thread(target=run, name="relattn-worker")
+    thread.start()
+    try:
+        lower = fn(pieces[:half])
+    finally:
+        thread.join()
+    if "error" in upper:
+        raise upper["error"]
+    return [lower, upper["value"]]
 
 
 def squared_norm(a: np.ndarray) -> float:

@@ -209,6 +209,12 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_attn_export(args) -> int:
+    stems = {}
+    for bag_id in args.bag_id:   # refused before any file is written
+        stem = ev.attention_stem(bag_id)
+        if stems.setdefault(stem, bag_id) != bag_id:
+            raise UsageError(f"--bag-id {stems[stem]!r} and {bag_id!r} would both write "
+                             f"{stem}_*.csv")
     out = _out_dir(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = model_from_checkpoint(ckpt)

@@ -389,7 +389,7 @@ def read_embedding_file(path: str | Path, word_dim: int) -> dict[str, np.ndarray
         table: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")   # word2vec ends each line in a space
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: line {lineno}: expected token plus {dim} values")
             if parts[0] in first_line:

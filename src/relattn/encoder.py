@@ -9,13 +9,12 @@ rows and, for the reverse direction, over the rows mirrored within each
 lane. It projects every token with one matmul and runs :func:`lstm_step`
 once per step of the plan's schedule; the states are scattered into the
 word-attention input ``[n x 2u x t_run]``, every padded position exactly
-zero. Its backward pass is hand-written BPTT. Where
-:func:`_directions_concurrently` allows (a hidden size of at least
-:data:`CONCURRENT_MIN_HIDDEN` and autodiff's two-core rule, which also
-splits the parameter-store sweeps and word attention's products), the two
-directions run at once, the reverse one on a worker thread
-(``autodiff._both``), in the forward pass and in BPTT; they share no
-writable array, so outputs and gradients are the same bits either way.
+zero. Its backward pass is hand-written BPTT. The two directions are one
+``autodiff._halves`` site, in the forward pass and in BPTT, by the rule of
+the other large products: where one direction's multiply-adds reach
+``autodiff.CONCURRENT_MIN_PRODUCT`` and two cores are free, the reverse
+direction runs on the worker thread. They share no writable array, so
+outputs and gradients are the same bits either way.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ from . import autodiff as ad
 from .autodiff import Node, Parameter, Tape
 from .config import ModelConfig
 from .data import Instance, position_buckets
-
-# The smallest hidden size at which running the directions on two threads
-# pays. Forward pass plus BPTT in float32, one BLAS thread per direction, on
-# two cores, in turn -> at once: a 1,167-token train_nyt batch at u=64 took
-# 35 -> 35 ms (and 26 -> 29 ms in a second run), at u=80 43 -> 39 (32 -> 32),
-# at u=100 58 -> 46 (52 -> 42); a 696-token synth batch at u=32, 4.1 -> 6.5.
-CONCURRENT_MIN_HIDDEN = 100
-
 
 @dataclass
 class EmbeddingTables:
@@ -164,10 +155,13 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-def _directions_concurrently(u: int) -> bool:
-    """Whether to run the two directions at once: the hidden size is at least
-    :data:`CONCURRENT_MIN_HIDDEN`, and ``autodiff._two_cores`` holds."""
-    return u >= CONCURRENT_MIN_HIDDEN and ad._two_cores()
+def _directions(tasks: list[Callable], work: int) -> list:
+    """The results of the two directions' ``tasks``, ``[fwd, bwd]``: one
+    product site of ``autodiff._halves`` whose ``work`` is one direction's
+    forward multiply-adds, so the reverse one runs on the worker thread."""
+    halves = ad._halves(lambda part: [task() for task in part], tasks, work,
+                        ad.CONCURRENT_MIN_PRODUCT)
+    return [result for half in halves for result in half]
 
 
 def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
@@ -250,20 +244,19 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
     tokens are computed, up to the longest true length ``t_run``, and every
     padded position is exactly zero. The reverse direction is the same
     recurrence run over each lane's tokens mirrored by the plan's ``rev``.
-    Both directions are one tape record. Where :func:`_directions_concurrently`
-    allows, the reverse direction runs on a worker thread while the forward
-    one runs here, in the forward pass and in BPTT; otherwise they run in
-    turn. Either way gives the same bits.
+    Both directions are one tape record, and one two-core site (see
+    :func:`_directions`) in the forward pass and in BPTT; either path gives
+    the same bits.
     """
     plan = lengths   # the name bench/tracing.py binds (see BatchPlan.__len__)
     lanes, steps, back, rev = plan.lanes, plan.steps, plan.back, plan.rev
     x = embedded.value
     if x.shape[0] != lanes.size:
         raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
-    concurrently = _directions_concurrently(params.fwd.w_rec.shape[1])
-    (bwd_states, bwd_bptt), (fwd_states, fwd_bptt) = ad._both(
-        lambda: _run_direction(x[rev], plan, params.bwd),
-        lambda: _run_direction(x, plan, params.fwd), concurrently)
+    work = len(x) * (params.fwd.w_in.value.size + params.fwd.w_rec.value.size)
+    (fwd_states, fwd_bptt), (bwd_states, bwd_bptt) = _directions(
+        [lambda: _run_direction(x, plan, params.fwd),
+         lambda: _run_direction(x[rev], plan, params.bwd)], work)
     u = fwd_states.shape[1]
     out = Node(np.zeros((plan.lengths.size, 2 * u, len(plan.widths)), dtype=x.dtype))
     out.value[lanes, :u, steps] = fwd_states
@@ -272,8 +265,8 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
         def bwd() -> None:
             halves = {"fwd": out.grad[lanes, :u, steps], "bwd": out.grad[lanes, u:, back]}
             out.grad = None   # both halves gathered; each BPTT pops and frees its own
-            dx_b, dx_f = ad._both(lambda: bwd_bptt(halves.pop("bwd")),
-                                  lambda: fwd_bptt(halves.pop("fwd")), concurrently)
+            dx_f, dx_b = _directions([lambda: fwd_bptt(halves.pop("fwd")),
+                                      lambda: bwd_bptt(halves.pop("bwd"))], work)
             dx = dx_b[rev]
             dx += dx_f
             ad._accum(embedded, dx)

@@ -211,6 +211,11 @@ def write_f1_csv(per_class: Sequence[tuple[int, float, float, float]], macro: fl
                rows + [["macro", "", "", repr(macro)]])
 
 
+def attention_stem(bag_id: str) -> str:
+    """A bag's attention file stem: each character not in A-Za-z0-9_.- becomes _."""
+    return re.sub(r"[^A-Za-z0-9_.-]", "_", bag_id)
+
+
 def export_attention(model: Model, bag: Bag, vocab: Vocab, out_dir: str | Path) -> list[Path]:
     """Write word-level and sentence-level attention CSVs for one bag.
 
@@ -221,7 +226,7 @@ def export_attention(model: Model, bag: Bag, vocab: Vocab, out_dir: str | Path) 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     forward = model.forward_bag(None, bag)
-    stem = re.sub(r"[^A-Za-z0-9_.-]", "_", bag.bag_id)   # a file-name-safe bag id
+    stem = attention_stem(bag.bag_id)
     width = model.config.time_steps
     written = []
 

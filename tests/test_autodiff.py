@@ -426,17 +426,20 @@ class TestTwoCores:
         assert threads is None or threads >= 1
         assert ad._usable_cpus() >= 1
 
-    def test_worker_exception_reaches_the_caller(self):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
         class WorkerError(RuntimeError):
             pass
 
-        def failing():
-            raise WorkerError("on the worker")
+        def run(part):
+            if part == ["upper"]:
+                raise WorkerError("on the worker")
+            ran_here.append(threading.current_thread().name)
 
+        monkeypatch.setattr(ad, "_two_cores", lambda: True)
         ran_here = []
         running = threading.enumerate()
         with pytest.raises(WorkerError, match="on the worker"):
-            ad._both(failing, lambda: ran_here.append(threading.current_thread().name), True)
+            ad._halves(run, ["lower", "upper"], 1, 1)
         assert ran_here == [threading.current_thread().name]
         assert threading.enumerate() == running   # the worker thread is joined
 

@@ -211,6 +211,25 @@ class TestTrainEval:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_attn_export_refuses_ids_with_one_file_stem(self, trained_dir, synth_file,
+                                                         tmp_path, capsys):
+        # 'a/b' and 'a b' both map to the stem a_b, so the second bag's files
+        # would overwrite the first's
+        lines = synth_file.read_text().splitlines()
+        renamed = [json.dumps({**json.loads(line), "bag_id": bag_id})
+                   for line, bag_id in zip(lines, ["a/b", "a b"])]
+        data = tmp_path / "stems.jsonl"
+        data.write_text("\n".join(renamed + lines[2:]) + "\n")
+        out = tmp_path / "attn"
+        code = main(["attn-export", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(data), "--bag-id", "a/b", "--bag-id", "a b",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == ("usage error: --bag-id 'a/b' and 'a b' would both write "
+                                "a_b_*.csv\n")
+        assert captured.out == "" and not out.exists()
+
     def test_config_file_with_cli_override(self, synth_file, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         values = {k.split("=")[0]: json.loads(k.split("=")[1]) for k in SMALL_TRAIN[1::2]}

@@ -419,10 +419,11 @@ class TestSynthetic:
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar -1.0 0.5 0.25\n")
-        table = read_embedding_file(path, word_dim=3)
-        np.testing.assert_array_equal(table["foo"], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(table["bar"], [-1.0, 0.5, 0.25])
+        for end in ("", " "):   # word2vec's text output ends each line in a space
+            path.write_text(f"2 3\nfoo 1.0 2.0 3.0{end}\nbar -1.0 0.5 0.25{end}\n")
+            table = read_embedding_file(path, word_dim=3)
+            np.testing.assert_array_equal(table["foo"], [1.0, 2.0, 3.0])
+            np.testing.assert_array_equal(table["bar"], [-1.0, 0.5, 0.25])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -432,9 +433,10 @@ class TestEmbeddingFile:
 
     def test_wrong_dimension_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("1 3\nfoo 1.0 2.0\n")
-        with pytest.raises(DataError, match="line 2"):
-            read_embedding_file(path, word_dim=3)
+        for end in ("", " "):
+            path.write_text(f"1 3\nfoo 1.0 2.0{end}\n")
+            with pytest.raises(DataError, match="line 2"):
+                read_embedding_file(path, word_dim=3)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"

@@ -13,7 +13,7 @@ from relattn import autodiff as ad
 from relattn import encoder as enc
 from relattn.autodiff import Parameter, Tape, finite_diff_check
 from relattn.config import ModelConfig
-from relattn.data import BLANK_TOKEN, UNK_TOKEN, Dataset, Instance, Vocab
+from relattn.data import BLANK_TOKEN, UNK_TOKEN, Dataset, Instance, SynthSpec, Vocab
 from relattn.model import Model
 from relattn.training import train
 
@@ -559,14 +559,23 @@ class TestBilstm:
             assert finite_diff_check(f, params) < 1e-5
 
 
+def nyt_batch():
+    """33 sentences of the nyt profile, in float32: lengths, u, d_in, dtype."""
+    cfg = ModelConfig()
+    rng = np.random.default_rng(7)
+    lengths = np.clip(np.rint(rng.lognormal(np.log(32), 0.4, 33)), 8, cfg.time_steps)
+    d_in = cfg.word_dim + cfg.position_dim
+    return lengths.astype(int).tolist(), cfg.hidden_size, d_in, np.float32
+
+
 class TestConcurrentDirections:
     """The two directions on two threads give the sequential path's bits."""
 
     @staticmethod
-    def encode(lengths, u, d_in, dtype, seed, concurrently, monkeypatch):
+    def encode(lengths, u, d_in, dtype, seed, monkeypatch):
         """Output, ``embedded`` gradient and the six LSTM gradients of one
-        forward and backward pass, with the path forced, and the names of
-        the threads that ran ``lstm_step``."""
+        forward and backward pass, and the names of the threads that ran
+        ``lstm_step``."""
         rng = np.random.default_rng(seed)
         lstm = enc.LstmParams(*(enc.LstmDirection(*(
             Parameter(name, rng.uniform(-0.1, 0.1, shape).astype(dtype))
@@ -582,7 +591,6 @@ class TestConcurrentDirections:
             return real_step(*args)
 
         monkeypatch.setattr(enc, "lstm_step", noting_step)
-        monkeypatch.setattr(enc, "_directions_concurrently", lambda u: concurrently)
         tape = Tape()
         out = enc.bilstm_encode_batch(tape, packed, enc.BatchPlan.of(lengths), lstm)
         ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
@@ -590,33 +598,31 @@ class TestConcurrentDirections:
         return [out.value, packed.grad, *grads], threads
 
     @pytest.mark.parametrize("shape", ["train_nyt", "tiny"])
-    def test_concurrent_equals_sequential_bit_for_bit(self, shape, monkeypatch):
-        if shape == "train_nyt":   # 33 sentences of the nyt profile, in float32
-            cfg = ModelConfig()
-            rng = np.random.default_rng(7)
-            lengths = np.clip(np.rint(rng.lognormal(np.log(32), 0.4, 33)), 8, cfg.time_steps)
-            args = (lengths.astype(int).tolist(), cfg.hidden_size,
-                    cfg.word_dim + cfg.position_dim, np.float32)
-        else:
-            args = ([3, 1, 4, 4, 2], 3, 2, np.float64)
-        together, threads = self.encode(*args, 5, True, monkeypatch)
-        in_turn, alone = self.encode(*args, 5, False, monkeypatch)
+    def test_concurrent_equals_sequential_bit_for_bit(self, shape, two_cores, monkeypatch):
+        args = nyt_batch() if shape == "train_nyt" else ([3, 1, 4, 4, 2], 3, 2, np.float64)
+        calls = two_cores(True)
+        together, threads = self.encode(*args, 5, monkeypatch)
+        assert calls == [True, True]   # the forward pass and BPTT
+        two_cores(False)
+        in_turn, alone = self.encode(*args, 5, monkeypatch)
         assert len(threads) == 2 and len(alone) == 1
         for got, want in zip(together, in_turn):
             assert got.dtype == args[-1] and np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
 
-    def test_repeats_under_frequent_thread_switches(self, monkeypatch):
+    def test_repeats_under_frequent_thread_switches(self, two_cores, monkeypatch):
         # the threads share read-only inputs and the dict that hands each
         # BPTT its half of the output gradient; switching between them every
         # microsecond changes no bit
         args = ([9, 7, 7, 4, 2, 1], 16, 5, np.float64)
-        want, _ = self.encode(*args, 3, False, monkeypatch)
+        two_cores(False)
+        want, _ = self.encode(*args, 3, monkeypatch)
+        two_cores(True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                got, threads = self.encode(*args, 3, True, monkeypatch)
+                got, threads = self.encode(*args, 3, monkeypatch)
                 assert len(threads) == 2
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
@@ -624,7 +630,7 @@ class TestConcurrentDirections:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("stage", ["forward", "backward"])
-    def test_worker_exception_reaches_the_caller(self, stage, monkeypatch):
+    def test_worker_exception_reaches_the_caller(self, stage, two_cores, monkeypatch):
         # the worker runs the reverse direction in both passes
         class WorkerError(RuntimeError):
             pass
@@ -645,7 +651,7 @@ class TestConcurrentDirections:
         lstm = fresh_model(tiny_config()).lstm
         packed = Parameter("packed", np.random.default_rng(0).uniform(-1, 1, (5, 6)))
         monkeypatch.setattr(enc, "_run_direction", failing_run)
-        monkeypatch.setattr(enc, "_directions_concurrently", lambda u: True)
+        two_cores(True)
         running = threading.active_count()
         with pytest.raises(WorkerError, match=stage):
             tape = Tape()
@@ -653,16 +659,43 @@ class TestConcurrentDirections:
             ad.backward(tape, ad.sum_all(tape, out))
         assert threading.active_count() == running
 
+    # one direction's multiply-adds over 528 tokens of width 60 are
+    # 528 * 4u * (60 + u): under CONCURRENT_MIN_PRODUCT at u = 99, at or
+    # over it from u = 100
+    SELECTION_LENGTHS = [66] * 8
+    SELECTION_WIDTH = 60
+
     @pytest.mark.parametrize("blas_threads,cpus,u,concurrently", [
         (None, 2, 300, False),    # a BLAS that does not report its threads
         (2, 2, 300, False),       # two BLAS threads per direction need four CPUs
         (2, 3, 300, False),
         (1, 1, 300, False),       # one CPU
-        (1, 2, enc.CONCURRENT_MIN_HIDDEN - 1, False),
-        (1, 2, enc.CONCURRENT_MIN_HIDDEN, True),
+        (1, 2, 99, False),        # one direction's work under the product threshold
+        (1, 2, 100, True),
         (2, 4, 300, True),
     ])
     def test_selection(self, blas_threads, cpus, u, concurrently, monkeypatch):
+        work = sum(self.SELECTION_LENGTHS) * 4 * u * (self.SELECTION_WIDTH + u)
+        assert (work >= ad.CONCURRENT_MIN_PRODUCT) is (u >= 100)
         monkeypatch.setattr(ad, "_blas_threads", lambda: blas_threads)
         monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
-        assert enc._directions_concurrently(u) is concurrently
+        _, threads = self.encode(self.SELECTION_LENGTHS, u, self.SELECTION_WIDTH, np.float32,
+                                 0, monkeypatch)
+        assert (len(threads) == 2) is concurrently
+
+    @pytest.mark.parametrize("workload", ["train_synth", "train_nyt"])
+    def test_benchmark_shapes_keep_their_path(self, workload, monkeypatch):
+        # at the real thresholds, with two cores free: the largest batch the
+        # synth profile can draw from SynthSpec's defaults stays on one
+        # thread, and a train_nyt batch splits. A synthetic sentence has at
+        # most 9 tokens (5 pattern tokens with up to 2 fillers on each side,
+        # or 5-9 noise tokens)
+        if workload == "train_synth":
+            cfg = ModelConfig.from_profile("synth")
+            lengths = [9] * (cfg.batch_size * SynthSpec().max_bag_size)
+            args = (lengths, cfg.hidden_size, cfg.word_dim + cfg.position_dim, np.float32)
+        else:
+            args = nyt_batch()
+        monkeypatch.setattr(ad, "_two_cores", lambda: True)
+        _, threads = self.encode(*args, 5, monkeypatch)
+        assert len(threads) == (1 if workload == "train_synth" else 2)

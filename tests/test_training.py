@@ -326,8 +326,8 @@ class TestTwoCoreTraining:
     """Training with every sweep and stacked product split over two threads
     writes the bytes of training on one."""
 
-    # a store of several row blocks, word_mlp_weight of two product blocks,
-    # and a hidden size at which the encoder's directions run at once too
+    # a store of several row blocks and word_mlp_weight of two product
+    # blocks; the encoder's directions split too
     CONFIG = dict(precision="float32", hidden_size=128, mlp_size=600, dropout=0.3,
                   grad_clip=0.5, epochs=2, batch_size=4)
 
