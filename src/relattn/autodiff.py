@@ -40,7 +40,8 @@ PRODUCT_BLOCK = 1 << 19
 # weight gradient 1.60 -> 1.20. The synth profile's store (47K entries),
 # products (at most 2.3M) and BiLSTM directions (at most 13.6M, one
 # direction's forward multiply-adds) stay on one thread; train_nyt's sweeps
-# (7.3M-8.1M entries), products (178M-416M) and directions (770M) split.
+# (7.3M-8.1M entries), products (178M-416M, twice that for a matmul record's
+# gradient pair) and directions (770M) split.
 CONCURRENT_MIN_ENTRIES = 1 << 22
 CONCURRENT_MIN_PRODUCT = 1 << 25
 
@@ -176,32 +177,42 @@ def _two_cores() -> bool:
     return threads is not None and 2 * threads <= _usable_cpus()
 
 
+_split = threading.Lock()   # held while a split of _halves runs
+
+
 def _halves(fn: Callable, pieces, work: int, least: int) -> list:
     """``fn`` over a sequence of independent ``pieces``: ``[fn(pieces)]``, or
     ``[fn(lower half), fn(upper half)]`` where there are two pieces or more,
-    ``work`` is at least ``least`` and :func:`_two_cores` holds. The upper
-    half runs on a new thread, the only place one starts, joined before
-    this returns; an exception raised on it is raised here, unless the lower
-    half raised first. Every piece goes through the same calls either way,
-    so the results hold the same bits. A thread per call, not one long-lived
-    worker: over 6 alternating pairs of 30 s train_nyt benchmark runs, such
-    a worker read 121.0 against 123.5 ms step_ms_norm, inside the spread."""
-    if len(pieces) < 2 or work < least or not _two_cores():
+    ``work`` is at least ``least``, :func:`_two_cores` holds and no split is
+    running. The upper half runs on a new thread, the only place one starts,
+    joined before this returns; an exception raised on it is raised here,
+    unless the lower half raised first. One split at a time: a call made
+    while a split runs, on either of its threads or any other, runs its
+    pieces in turn on its own thread, so no call starts a third thread.
+    Every piece goes through the same calls either way, so the results hold
+    the same bits. A thread per call, not one long-lived worker: over 6
+    alternating pairs of 30 s train_nyt benchmark runs, such a worker read
+    121.0 against 123.5 ms step_ms_norm, inside the spread."""
+    if (len(pieces) < 2 or work < least or not _two_cores()
+            or not _split.acquire(blocking=False)):
         return [fn(pieces)]
-    half = (len(pieces) + 1) // 2
-    upper = {}
-
-    def run() -> None:
-        try:
-            upper["value"] = fn(pieces[half:])
-        except BaseException as exc:   # raised again in the calling thread
-            upper["error"] = exc
-    thread = threading.Thread(target=run, name="relattn-worker")
-    thread.start()
     try:
-        lower = fn(pieces[:half])
+        half = (len(pieces) + 1) // 2
+        upper = {}
+
+        def run() -> None:
+            try:
+                upper["value"] = fn(pieces[half:])
+            except BaseException as exc:   # raised again in the calling thread
+                upper["error"] = exc
+        thread = threading.Thread(target=run, name="relattn-worker")
+        thread.start()
+        try:
+            lower = fn(pieces[:half])
+        finally:
+            thread.join()
     finally:
-        thread.join()
+        _split.release()
     if "error" in upper:
         raise upper["error"]
     return [lower, upper["value"]]
@@ -248,17 +259,26 @@ def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y``. A 2-D ``x`` times a stack ``y`` is one BLAS product per
-    stack entry; a large one is written in two halves of the stack by
-    :func:`_halves`, each entry by the same call. Other products are one
-    call, as a BLAS may round a 2-D product differently by its shape."""
-    if x.ndim != 2 or y.ndim != 3:
+    stack entry. A 2-D product of at least ``CONCURRENT_MIN_PRODUCT``
+    multiply-adds is one product per row block of ``x`` of about
+    ``PRODUCT_BLOCK`` entries, by its shape alone, whatever the core count.
+    Either is written in two halves of those products by :func:`_halves`,
+    each entry by the same call on one thread or two. Other products are
+    one call."""
+    if x.ndim != 2 or y.ndim == 2 and x.size * y.shape[1] < CONCURRENT_MIN_PRODUCT:
         return x @ y
-    out = np.empty((y.shape[0], x.shape[0], y.shape[2]), np.result_type(x, y))
-
-    def into(entries: range) -> None:
-        part = slice(entries.start, entries.stop)
-        np.matmul(x, y[part], out=out[part])
-    _halves(into, range(len(y)), out.size * x.shape[1], CONCURRENT_MIN_PRODUCT)
+    out = np.empty(y.shape[:-2] + (len(x), y.shape[-1]), np.result_type(x, y))
+    if y.ndim == 2:
+        def into(blocks: list[slice]) -> None:
+            for rows in blocks:
+                np.matmul(x[rows], y, out=out[rows])
+        pieces = list(row_blocks(x, PRODUCT_BLOCK))
+    else:
+        def into(entries: range) -> None:
+            part = slice(entries.start, entries.stop)
+            np.matmul(x, y[part], out=out[part])
+        pieces = range(len(y))
+    _halves(into, pieces, out.size * x.shape[1], CONCURRENT_MIN_PRODUCT)
     return out
 
 
@@ -291,27 +311,38 @@ def backward(tape: Tape, loss: Node) -> None:
 def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     """Matrix product; a 2-D operand broadcasts against a batched one.
 
-    Backward adds a 2-D Parameter's gradient ``g @ b.T`` over row blocks of
-    about ``PRODUCT_BLOCK`` entries, so its scratch is one block per thread,
-    not a whole weight-sized product; each block's entries are the same dot
-    products. A large one runs its blocks in two halves by :func:`_halves`,
-    as do a 2-D operand times a large stack and its gradient into the stack
-    (see :func:`_product`); the results are the same bits."""
+    Backward adds the gradients into ``a`` and into ``b``, the two pieces of
+    one :func:`_halves` site whose work is both gradients' multiply-adds;
+    when ``a is b`` they add into one buffer, one after the other. A 2-D
+    Parameter's gradient ``g @ b.T`` is added over row blocks of about
+    ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
+    weight-sized product; each block's entries are the same dot products.
+    A 2-D operand times a large stack, and a large 2-D product, split as
+    :func:`_product` says; either way the results are the same bits."""
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     out = Node(_product(a.value, b.value))
     if tape is not None:
         def bwd() -> None:
             g = out.grad
-            if isinstance(a, Parameter) and g.ndim == 2:
-                def add(blocks: list[slice]) -> None:
-                    for rows in blocks:
+
+            def into_a() -> None:
+                if isinstance(a, Parameter) and g.ndim == 2:
+                    for rows in row_blocks(a.value, PRODUCT_BLOCK):
                         a.grad[rows] += g[rows] @ b.value.T
-                _halves(add, list(row_blocks(a.value, PRODUCT_BLOCK)), g.size * b.shape[-2],
-                        CONCURRENT_MIN_PRODUCT)
+                else:
+                    _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
+
+            def into_b() -> None:
+                _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
+
+            def run(part: list[Callable[[], None]]) -> None:
+                for into in part:
+                    into()
+            if a is b:
+                run([into_a, into_b])
             else:
-                _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
-            _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
+                _halves(run, [into_a, into_b], 2 * g.size * a.shape[-1], CONCURRENT_MIN_PRODUCT)
         tape.record(out, bwd)
     return out
 

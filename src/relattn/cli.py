@@ -209,8 +209,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_attn_export(args) -> int:
+    bag_ids = list(dict.fromkeys(args.bag_id))   # each distinct id once, first seen first
     stems = {}
-    for bag_id in args.bag_id:   # refused before any file is written
+    for bag_id in bag_ids:   # refused before any file is written
         stem = ev.attention_stem(bag_id)
         if stems.setdefault(stem, bag_id) != bag_id:
             raise UsageError(f"--bag-id {stems[stem]!r} and {bag_id!r} would both write "
@@ -221,7 +222,7 @@ def cmd_attn_export(args) -> int:
     dataset = load_dataset(args.data, ckpt.config, vocab=vocab, relations=ckpt.relations)
     by_id = {bag.bag_id: bag for bag in dataset.bags}
     written = []
-    for bag_id in args.bag_id:
+    for bag_id in bag_ids:
         if bag_id not in by_id:
             raise DataError(f"bag {bag_id!r} not found in {args.data}")
         written.extend(ev.export_attention(model, by_id[bag_id], vocab, out))

@@ -443,9 +443,45 @@ class TestTwoCores:
         assert ran_here == [threading.current_thread().name]
         assert threading.enumerate() == running   # the worker thread is joined
 
+    def test_a_split_after_a_worker_raised_splits_again(self, two_cores):
+        def fail(part):
+            if part == ["upper"]:
+                raise RuntimeError("on the worker")
+
+        calls = two_cores(True)
+        with pytest.raises(RuntimeError):
+            ad._halves(fail, ["lower", "upper"], 1, 1)
+        threads = ad._halves(lambda part: threading.current_thread().name, ["a", "b"], 1, 1)
+        assert threads == [threading.current_thread().name, "relattn-worker"]
+        assert calls == [True]   # the split that raised records nothing
+
+    def test_one_split_at_a_time(self, two_cores):
+        # a split's pieces that split again run their own pieces in turn, on
+        # their own thread: one worker at most, and one recorded split
+        def workers():
+            return [t.name for t in threading.enumerate()].count("relattn-worker")
+
+        def inner(part):
+            seen.append((threading.current_thread().name, workers()))
+            return list(part)
+
+        def outer(part):
+            seen.append((threading.current_thread().name, workers()))
+            return ad._halves(inner, [part[0] + "1", part[0] + "2"], 1, 1)
+
+        calls = two_cores(True)
+        seen = []
+        halves = ad._halves(outer, ["a", "b"], 1, 1)
+        assert halves == [[["a1", "a2"]], [["b1", "b2"]]]
+        assert calls == [True]
+        assert len(seen) == 4 and all(count <= 1 for _, count in seen)
+        here = threading.current_thread().name
+        assert sorted(name for name, _ in seen) == sorted([here, here] + ["relattn-worker"] * 2)
+        assert not ad._split.locked()
+
 
 class TestSplitSites:
-    """Each sweep and stacked product gives the same bits on two threads as
+    """Each sweep and product gives the same bits on two threads as
     on one, at one block (no split), two blocks, and uneven halves."""
 
     BLOCKS = [1, 2, 5 / 2]
@@ -535,10 +571,49 @@ class TestSplitSites:
             tape = Tape()
             loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, b), probe))
             backward(tape, loss)
-            assert calls == ([True] if on and blocks > 1 else [])
+            # the row-blocked forward product, then the record's two
+            # gradients; the row blocks of each run in turn on its thread
+            assert calls == ([True] * (blocks > 1) + [True] if on else [])
             results.append((w.grad, b.grad))
         for got, want in zip(results[1], results[0]):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_gradient_pair_work(self, above, two_cores, monkeypatch):
+        # the record's work is both gradients' multiply-adds, 2 * g.size * k
+        rng = np.random.default_rng(46)
+        w = Parameter("w", rng.uniform(-1, 1, (30, 40)).astype(np.float32))
+        x = Node(rng.uniform(-1, 1, (40, 20)).astype(np.float32))
+        calls = two_cores(True)
+        monkeypatch.setattr(ad, "CONCURRENT_MIN_PRODUCT", 2 * 30 * 20 * 40 + (not above))
+        tape = Tape()
+        backward(tape, ad.sum_all(tape, ad.matmul(tape, w, x)))
+        assert calls == ([True] if above else [])
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_row_blocked_product(self, on, two_cores):
+        # word_mlp_weight's forward at the nyt profile against a 33-instance
+        # batch: above the threshold on one core or two, one product per row
+        # block, bit for bit the whole product
+        rng = np.random.default_rng(47)
+        x = rng.uniform(-0.1, 0.1, (1000, 5400)).astype(np.float32)
+        y = rng.uniform(-1, 1, (5400, 33)).astype(np.float32)
+        calls = two_cores(on)
+        assert len(x) > ad.PRODUCT_BLOCK // 5400   # rows a block
+        np.testing.assert_array_equal(ad._product(x, y), x @ y)
+        assert calls == ([True] if on else [])
+
+    @pytest.mark.parametrize("leaf", ["parameter", "node"])
+    def test_product_of_a_node_with_itself(self, leaf, two_cores):
+        # both gradients add into one buffer, one after the other
+        rng = np.random.default_rng(48)
+        value, g = rng.uniform(-1, 1, (2, 6, 6))
+        a = Parameter("a", value) if leaf == "parameter" else Node(value)
+        calls = two_cores(True)
+        tape = Tape()
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, a, a), g)))
+        assert calls == []
+        np.testing.assert_allclose(a.grad, g @ a.value.T + a.value.T @ g, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("batch", [1, 2, 33])
     def test_stacked_product(self, batch, two_cores):
@@ -554,9 +629,9 @@ class TestSplitSites:
             calls = two_cores(on)
             out = ad.matmul(tape, w, b)
             backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
-            # the forward product and the stack's gradient; the weight's
-            # gradient is one tensordot
-            assert calls == ([True, True] if on and batch > 1 else [])
+            # the forward product, then the record's two gradients: the
+            # weight's tensordot and the stack's, whose entries run in turn
+            assert calls == ([True] * (batch > 1) + [True] if on else [])
             results.append((out.value, b.grad, w.grad))
         for got, want in zip(results[1], results[0]):
             assert np.abs(want).max() > 0

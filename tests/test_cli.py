@@ -211,6 +211,20 @@ class TestTrainEval:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_attn_export_runs_a_repeated_id_once(self, trained_dir, synth_file, tmp_path,
+                                                 capsys):
+        records = [json.loads(line) for line in synth_file.read_text().splitlines()]
+        bag_id = next(r["bag_id"] for r in records if len(r["sentences"]) == 3)
+        out = tmp_path / "attn"
+        code = main(["attn-export", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(synth_file), "--bag-id", bag_id, "--bag-id", bag_id,
+                     "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        # three word-attention files and one sentence-attention file, each once
+        assert len(printed) == 4
+        assert sorted(printed) == sorted(str(f) for f in out.iterdir())
+
     def test_attn_export_refuses_ids_with_one_file_stem(self, trained_dir, synth_file,
                                                          tmp_path, capsys):
         # 'a/b' and 'a b' both map to the stem a_b, so the second bag's files
