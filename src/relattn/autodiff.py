@@ -31,7 +31,7 @@ ROW_BLOCK = 1 << 16   # entries per block of a parameter-sized update, so scratc
 # whole product
 PRODUCT_BLOCK = 1 << 19
 # The smallest sweep, in entries, and the smallest product, in multiply-adds,
-# that _halves runs on two threads; below them the thread costs more than it
+# that halves runs on two threads; below them the thread costs more than it
 # saves. float32, one BLAS thread, two cores, caches flushed before each
 # call, ms on one thread -> two: at 2**21 entries zero_grad 1.07 -> 1.12 and
 # squared_norm 1.02 -> 1.12; at 2**22 zero_grad 2.28 -> 1.63, Adam 18.6 ->
@@ -97,10 +97,10 @@ class Parameter(Node):
 
     def zero_grad(self) -> None:
         """Zero the gradient; a large one in two halves of its rows, on two
-        threads where :func:`_halves` allows."""
-        def zero(rows: range) -> None:
-            self.grad[rows.start:rows.stop] = 0.0
-        _halves(zero, range(len(self.grad)), self.grad.size, CONCURRENT_MIN_ENTRIES)
+        threads where :func:`halves` allows. Zeroing needs no scratch, so it
+        is two fills, not one per block."""
+        halves([functools.partial(part.fill, 0.0) for part in np.array_split(self.grad, 2)
+                if len(part)], self.grad.size, CONCURRENT_MIN_ENTRIES)
 
 
 class Tape:
@@ -177,45 +177,54 @@ def _two_cores() -> bool:
     return threads is not None and 2 * threads <= _usable_cpus()
 
 
-_split = threading.Lock()   # held while a split of _halves runs
+_split = threading.Lock()   # held while a split of halves runs
 
 
-def _halves(fn: Callable, pieces, work: int, least: int) -> list:
-    """``fn`` over a sequence of independent ``pieces``: ``[fn(pieces)]``, or
-    ``[fn(lower half), fn(upper half)]`` where there are two pieces or more,
-    ``work`` is at least ``least``, :func:`_two_cores` holds and no split is
-    running. The upper half runs on a new thread, the only place one starts,
-    joined before this returns; an exception raised on it is raised here,
-    unless the lower half raised first. One split at a time: a call made
-    while a split runs, on either of its threads or any other, runs its
-    pieces in turn on its own thread, so no call starts a third thread.
-    Every piece goes through the same calls either way, so the results hold
-    the same bits. A thread per call, not one long-lived worker: over 6
-    alternating pairs of 30 s train_nyt benchmark runs, such a worker read
-    121.0 against 123.5 ms step_ms_norm, inside the spread."""
-    if (len(pieces) < 2 or work < least or not _two_cores()
-            or not _split.acquire(blocking=False)):
-        return [fn(pieces)]
+def halves(tasks: list[Callable[[], object]], work: int, least: int | None = None) -> list:
+    """The results of independent zero-argument ``tasks``, in task order. Where
+    there are two tasks or more, ``work`` is at least ``least`` (by default
+    ``CONCURRENT_MIN_PRODUCT``, read at each call), :func:`_two_cores` holds
+    and no split is running, the upper half of the tasks runs on a new
+    thread, the only place one starts, while this thread runs the lower
+    half; the worker is joined before this returns, and an exception raised
+    on it is raised here, unless the lower half raised first. One split at a time: a call made while a split runs, on either of
+    its threads or any other, runs its tasks in turn on its own thread, so no
+    call starts a third thread. Every task makes the same calls either way,
+    so the results hold the same bits. A thread per call, not one long-lived
+    worker: over 6 alternating pairs of 30 s train_nyt benchmark runs, such a
+    worker read 121.0 against 123.5 ms step_ms_norm, inside the spread."""
+    if (len(tasks) < 2 or work < (CONCURRENT_MIN_PRODUCT if least is None else least)
+            or not _two_cores() or not _split.acquire(blocking=False)):
+        return [task() for task in tasks]
     try:
-        half = (len(pieces) + 1) // 2
+        half = (len(tasks) + 1) // 2
         upper = {}
 
         def run() -> None:
             try:
-                upper["value"] = fn(pieces[half:])
+                upper["value"] = [task() for task in tasks[half:]]
             except BaseException as exc:   # raised again in the calling thread
                 upper["error"] = exc
         thread = threading.Thread(target=run, name="relattn-worker")
         thread.start()
         try:
-            lower = fn(pieces[:half])
+            lower = [task() for task in tasks[:half]]
         finally:
             thread.join()
     finally:
         _split.release()
     if "error" in upper:
         raise upper["error"]
-    return [lower, upper["value"]]
+    return lower + upper["value"]
+
+
+def sweep(fn: Callable[[slice], object], a: np.ndarray) -> list:
+    """``[fn(rows)]`` over the row blocks of ``a`` of about ``ROW_BLOCK`` entries
+    each, so a pass's scratch stays in cache; every pass over the parameter
+    store runs through it. The blocks run in two halves by :func:`halves`
+    where ``a`` holds at least ``CONCURRENT_MIN_ENTRIES`` entries."""
+    return halves([functools.partial(fn, rows) for rows in row_blocks(a)], a.size,
+                  CONCURRENT_MIN_ENTRIES)
 
 
 def squared_norm(a: np.ndarray) -> float:
@@ -223,14 +232,9 @@ def squared_norm(a: np.ndarray) -> float:
     per flat block of ``ROW_BLOCK`` entries in memory order, the blocks'
     sums added in float64, in that order. Over millions of float32 entries
     one whole dot drifts by about 1e-5 relative, as it accumulates in
-    float32; blocks keep the error near 1e-8, as a pairwise sum would. The
-    dots of a large ``a`` are taken in two halves by :func:`_halves`."""
+    float32; blocks keep the error near 1e-8, as a pairwise sum would."""
     flat = a.ravel(order="K")
-
-    def dots(starts: range) -> list[float]:
-        return [float(np.dot(b, b)) for b in (flat[lo:lo + ROW_BLOCK] for lo in starts)]
-    halves = _halves(dots, range(0, flat.size, ROW_BLOCK), flat.size, CONCURRENT_MIN_ENTRIES)
-    return sum(d for half in halves for d in half)
+    return sum(sweep(lambda rows: float(np.dot(flat[rows], flat[rows])), flat))
 
 
 def _ensure_grad(node: Node) -> np.ndarray:
@@ -258,27 +262,22 @@ def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``. A 2-D ``x`` times a stack ``y`` is one BLAS product per
-    stack entry. A 2-D product of at least ``CONCURRENT_MIN_PRODUCT``
-    multiply-adds is one product per row block of ``x`` of about
-    ``PRODUCT_BLOCK`` entries, by its shape alone, whatever the core count.
-    Either is written in two halves of those products by :func:`_halves`,
-    each entry by the same call on one thread or two. Other products are
-    one call."""
-    if x.ndim != 2 or y.ndim == 2 and x.size * y.shape[1] < CONCURRENT_MIN_PRODUCT:
+    """``x @ y``. A 2-D ``x`` times ``y`` of at least ``CONCURRENT_MIN_PRODUCT``
+    multiply-adds is split by its shape alone, whatever the core count: a
+    2-D ``y`` into one product per row block of ``x`` of about
+    ``PRODUCT_BLOCK`` entries, a stack ``y`` into one product per half of the
+    stack. Those products run in two halves by :func:`halves`, each entry
+    by the same call on one thread or two. Other products are one call."""
+    work = len(x) * y.size
+    if x.ndim != 2 or work < CONCURRENT_MIN_PRODUCT:
         return x @ y
     out = np.empty(y.shape[:-2] + (len(x), y.shape[-1]), np.result_type(x, y))
     if y.ndim == 2:
-        def into(blocks: list[slice]) -> None:
-            for rows in blocks:
-                np.matmul(x[rows], y, out=out[rows])
-        pieces = list(row_blocks(x, PRODUCT_BLOCK))
+        parts = [(x[rows], y, out[rows]) for rows in row_blocks(x, PRODUCT_BLOCK)]
     else:
-        def into(entries: range) -> None:
-            part = slice(entries.start, entries.stop)
-            np.matmul(x, y[part], out=out[part])
-        pieces = range(len(y))
-    _halves(into, pieces, out.size * x.shape[1], CONCURRENT_MIN_PRODUCT)
+        half = (len(y) + 1) // 2
+        parts = [(x, y[lo:lo + half], out[lo:lo + half]) for lo in range(0, len(y), half)]
+    halves([functools.partial(np.matmul, a, b, out=into) for a, b, into in parts], work)
     return out
 
 
@@ -311,9 +310,9 @@ def backward(tape: Tape, loss: Node) -> None:
 def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     """Matrix product; a 2-D operand broadcasts against a batched one.
 
-    Backward adds the gradients into ``a`` and into ``b``, the two pieces of
-    one :func:`_halves` site whose work is both gradients' multiply-adds;
-    when ``a is b`` they add into one buffer, one after the other. A 2-D
+    Backward adds the gradients into ``a`` and into ``b``, the two tasks of
+    one :func:`halves` call whose work is both gradients' multiply-adds;
+    when ``a is b`` they add into one buffer in turn, never split. A 2-D
     Parameter's gradient ``g @ b.T`` is added over row blocks of about
     ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
     weight-sized product; each block's entries are the same dot products.
@@ -335,14 +334,11 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
 
             def into_b() -> None:
                 _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
-
-            def run(part: list[Callable[[], None]]) -> None:
-                for into in part:
-                    into()
             if a is b:
-                run([into_a, into_b])
+                into_a()
+                into_b()
             else:
-                _halves(run, [into_a, into_b], 2 * g.size * a.shape[-1], CONCURRENT_MIN_PRODUCT)
+                halves([into_a, into_b], 2 * g.size * a.shape[-1])
         tape.record(out, bwd)
     return out
 
@@ -460,10 +456,9 @@ def sum_all(tape: Tape | None, a: Node) -> Node:
 def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
     """Sum of the squared entries of all ``nodes``, each by :func:`squared_norm`.
 
-    Backward adds ``value * 2g`` into each gradient over row blocks of about
-    ``ROW_BLOCK`` entries, so its scratch is one block per thread, not a
-    whole tensor; a large node's blocks run in two halves by :func:`_halves`.
-    Doubling is exact, so this equals ``(2 * value) * g`` bit for bit."""
+    Backward adds ``value * 2g`` into each gradient by :func:`sweep`, so its
+    scratch is one block per thread, not a whole tensor. Doubling is exact,
+    so this equals ``(2 * value) * g`` bit for bit."""
     total = sum(squared_norm(n.value) for n in nodes)
     out = Node(np.array([[total]], dtype=nodes[0].value.dtype))
     if tape is not None:
@@ -472,10 +467,9 @@ def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
             for n in nodes:
                 grad = _ensure_grad(n)
 
-                def add(blocks: list[slice]) -> None:   # run and joined in this iteration
-                    for rows in blocks:
-                        grad[rows] += n.value[rows] * g2
-                _halves(add, list(row_blocks(n.value)), n.value.size, CONCURRENT_MIN_ENTRIES)
+                def add(rows: slice) -> None:   # run and joined in this iteration
+                    grad[rows] += n.value[rows] * g2
+                sweep(add, n.value)
         tape.record(out, bwd)
     return out
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +124,10 @@ def encode_instance(tokens: Sequence[str], head_index: int, tail_index: int,
     return Instance(ids, head, tail)
 
 
+# a lone surrogate, as a JSON escape such as \ud800 loads: UTF-8 cannot encode it
+SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _check_record(rec: dict, where: str) -> None:
     if not isinstance(rec, dict):
         raise DataError(f"{where}: a bag must be a JSON object")
@@ -132,6 +137,8 @@ def _check_record(rec: dict, where: str) -> None:
     for key in ("bag_id", "head", "tail", "relation"):
         if not isinstance(rec[key], str):
             raise DataError(f"{where}: {key!r} must be a string")
+        if SURROGATE.search(rec[key]):
+            raise DataError(f"{where}: {key!r} holds a lone surrogate")
     if not isinstance(rec["sentences"], list) or not rec["sentences"]:
         raise DataError(f"{where}: 'sentences' must be a non-empty list")
     for k, sent in enumerate(rec["sentences"]):
@@ -143,9 +150,11 @@ def _check_record(rec: dict, where: str) -> None:
             raise DataError(f"{place}: 'tokens' must be a non-empty list")
         if not all(isinstance(token, str) for token in tokens):
             raise DataError(f"{place}: every token must be a string")
+        if any(map(SURROGATE.search, tokens)):
+            raise DataError(f"{place}: a token holds a lone surrogate")
         for idx_key in ("head_index", "tail_index"):
             idx = sent.get(idx_key)
-            if not isinstance(idx, int):
+            if not isinstance(idx, int) or isinstance(idx, bool):
                 raise DataError(f"{place}: missing or non-integer {idx_key!r}")
             if not 0 <= idx < len(tokens):
                 raise DataError(f"{place}: {idx_key}={idx} outside 0..{len(tokens) - 1}")

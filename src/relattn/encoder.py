@@ -9,12 +9,12 @@ rows and, for the reverse direction, over the rows mirrored within each
 lane. It projects every token with one matmul and runs :func:`lstm_step`
 once per step of the plan's schedule; the states are scattered into the
 word-attention input ``[n x 2u x t_run]``, every padded position exactly
-zero. Its backward pass is hand-written BPTT. The two directions are one
-``autodiff._halves`` site, in the forward pass and in BPTT, by the rule of
-the other large products: where one direction's multiply-adds reach
-``autodiff.CONCURRENT_MIN_PRODUCT`` and two cores are free, the reverse
-direction runs on the worker thread. They share no writable array, so
-outputs and gradients are the same bits either way.
+zero. Its backward pass is hand-written BPTT. The two directions are the
+tasks ``[forward, reverse]`` of one ``autodiff.halves`` call in each pass,
+by the rule of the other large products: where one direction's
+multiply-adds reach ``autodiff.CONCURRENT_MIN_PRODUCT`` and two cores are
+free, the reverse direction runs on the worker thread. They share no
+writable array, so outputs and gradients are the same bits either way.
 """
 
 from __future__ import annotations
@@ -155,15 +155,6 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     h *= gates[:, 3 * u:]
 
 
-def _directions(tasks: list[Callable], work: int) -> list:
-    """The results of the two directions' ``tasks``, ``[fwd, bwd]``: one
-    product site of ``autodiff._halves`` whose ``work`` is one direction's
-    forward multiply-adds, so the reverse one runs on the worker thread."""
-    halves = ad._halves(lambda part: [task() for task in part], tasks, work,
-                        ad.CONCURRENT_MIN_PRODUCT)
-    return [result for half in halves for result in half]
-
-
 def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
                    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Run one direction forward over the packed tokens ``x`` ``[P x D]``.
@@ -244,9 +235,10 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
     tokens are computed, up to the longest true length ``t_run``, and every
     padded position is exactly zero. The reverse direction is the same
     recurrence run over each lane's tokens mirrored by the plan's ``rev``.
-    Both directions are one tape record, and one two-core site (see
-    :func:`_directions`) in the forward pass and in BPTT; either path gives
-    the same bits.
+    Both directions are one tape record, and the two tasks of one
+    ``autodiff.halves`` call in the forward pass and one in BPTT, whose
+    work is one direction's forward multiply-adds; either path gives the
+    same bits.
     """
     plan = lengths   # the name bench/tracing.py binds (see BatchPlan.__len__)
     lanes, steps, back, rev = plan.lanes, plan.steps, plan.back, plan.rev
@@ -254,7 +246,7 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
     if x.shape[0] != lanes.size:
         raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
     work = len(x) * (params.fwd.w_in.value.size + params.fwd.w_rec.value.size)
-    (fwd_states, fwd_bptt), (bwd_states, bwd_bptt) = _directions(
+    (fwd_states, fwd_bptt), (bwd_states, bwd_bptt) = ad.halves(
         [lambda: _run_direction(x, plan, params.fwd),
          lambda: _run_direction(x[rev], plan, params.bwd)], work)
     u = fwd_states.shape[1]
@@ -265,8 +257,8 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
         def bwd() -> None:
             halves = {"fwd": out.grad[lanes, :u, steps], "bwd": out.grad[lanes, u:, back]}
             out.grad = None   # both halves gathered; each BPTT pops and frees its own
-            dx_f, dx_b = _directions([lambda: fwd_bptt(halves.pop("fwd")),
-                                      lambda: bwd_bptt(halves.pop("bwd"))], work)
+            tasks = [lambda: fwd_bptt(halves.pop("fwd")), lambda: bwd_bptt(halves.pop("bwd"))]
+            dx_f, dx_b = ad.halves(tasks, work)
             dx = dx_b[rev]
             dx += dx_f
             ad._accum(embedded, dx)

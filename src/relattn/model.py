@@ -194,7 +194,7 @@ def _keep_freed_memory() -> None:
     32 MiB come from the heap, not from their own mmap, and the heap top is
     not released after every step. Fixing the mmap threshold also stops it
     from following the size of the last block freed. One arena lets the
-    worker thread of ``autodiff._halves`` reuse what the calling thread freed,
+    worker thread of ``autodiff.halves`` reuse what the calling thread freed,
     and the other way round, instead of each keeping a heap of its own. The
     cost is a process that holds its largest step's freed memory. Does
     nothing under any other C library. Cached, so only the first call acts."""

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import word_attention as wa
 from .autodiff import Node, Parameter, Tape
 from .config import ConfigError, ModelConfig
-from .data import BLANK_TOKEN, UNK_TOKEN, Bag, DataError, Dataset, Vocab, make_batches
+from .data import BLANK_TOKEN, SURROGATE, UNK_TOKEN, Bag, DataError, Dataset, Vocab, make_batches
 from .model import Model
 
 CHECKPOINT_MAGIC = "relattn-checkpoint"
@@ -100,34 +100,30 @@ def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
     constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``; each parameter
     advances its own step count.
 
-    The update runs in place over row blocks of about ``autodiff.ROW_BLOCK``
-    entries through one pair of block-sized scratch buffers, in the operation
-    order of the plain formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``,
-    so results match it bit for bit. A large parameter's blocks run in two
-    halves, on two threads where ``autodiff._halves`` allows, each half with
-    its own scratch pair; every entry gets the same bits either way.
+    The update runs in place by ``autodiff.sweep``, each row block through
+    its own pair of block-sized scratch buffers, in the operation order of
+    the plain formula ``(lr * (m/(1-b1^t))) / (sqrt(s/(1-b2^t)) + eps)``,
+    so results match it bit for bit, on one thread or two.
     """
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     for p in parameters:
         p.step += 1
         m_corr, s_corr = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
 
-        def update(blocks: list[slice]) -> None:   # run and joined in this iteration
-            scratch = np.empty((2, *p.value[blocks[0]].shape), p.value.dtype)
-            for rows in blocks:
-                g, m, s, value = (x[rows] for x in (p.grad, p.m, p.s, p.value))
-                work, denom = scratch[:, :len(g)]
-                m *= b1
-                m += np.multiply(g, 1.0 - b1, out=work)
-                s *= b2
-                np.multiply(g, 1.0 - b2, out=work)
-                s += np.multiply(work, g, out=work)
-                np.sqrt(np.divide(s, s_corr, out=denom), out=denom)
-                denom += eps
-                np.divide(m, m_corr, out=work)
-                work *= lr
-                value -= np.divide(work, denom, out=work)
-        ad._halves(update, list(ad.row_blocks(p.value)), p.value.size, ad.CONCURRENT_MIN_ENTRIES)
+        def update(rows: slice) -> None:   # run and joined in this iteration
+            g, m, s, value = (x[rows] for x in (p.grad, p.m, p.s, p.value))
+            work, denom = np.empty((2, *g.shape), g.dtype)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=work)
+            s *= b2
+            np.multiply(g, 1.0 - b2, out=work)
+            s += np.multiply(work, g, out=work)
+            np.sqrt(np.divide(s, s_corr, out=denom), out=denom)
+            denom += eps
+            np.divide(m, m_corr, out=work)
+            work *= lr
+            value -= np.divide(work, denom, out=work)
+        ad.sweep(update, p.value)
 
 
 def train(dataset: Dataset, config: ModelConfig,
@@ -255,6 +251,8 @@ def _read_string_list(text: str, path: Path, kind: str) -> list[str]:
     value = _read_json(text, path, kind)
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise CheckpointError(f"{path}: {kind!r} header line must hold a JSON list of strings")
+    if any(map(SURROGATE.search, value)):
+        raise CheckpointError(f"{path}: {kind!r} header line holds a lone surrogate")
     repeated = [v for v, count in Counter(value).items() if count > 1]
     if repeated:
         raise CheckpointError(f"{path}: {kind!r} header line repeats {repeated[0]!r}")

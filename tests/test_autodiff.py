@@ -1,5 +1,6 @@
 """Oracle and property tests for the autodiff core."""
 
+import functools
 import inspect
 import threading
 import tracemalloc
@@ -430,54 +431,66 @@ class TestTwoCores:
         class WorkerError(RuntimeError):
             pass
 
-        def run(part):
-            if part == ["upper"]:
-                raise WorkerError("on the worker")
-            ran_here.append(threading.current_thread().name)
+        def upper():
+            raise WorkerError("on the worker")
 
         monkeypatch.setattr(ad, "_two_cores", lambda: True)
         ran_here = []
         running = threading.enumerate()
         with pytest.raises(WorkerError, match="on the worker"):
-            ad._halves(run, ["lower", "upper"], 1, 1)
+            ad.halves([lambda: ran_here.append(threading.current_thread().name), upper], 1, 1)
         assert ran_here == [threading.current_thread().name]
         assert threading.enumerate() == running   # the worker thread is joined
 
     def test_a_split_after_a_worker_raised_splits_again(self, two_cores):
-        def fail(part):
-            if part == ["upper"]:
-                raise RuntimeError("on the worker")
+        def fail():
+            raise RuntimeError("on the worker")
 
         calls = two_cores(True)
         with pytest.raises(RuntimeError):
-            ad._halves(fail, ["lower", "upper"], 1, 1)
-        threads = ad._halves(lambda part: threading.current_thread().name, ["a", "b"], 1, 1)
+            ad.halves([lambda: None, fail], 1, 1)
+        threads = ad.halves([lambda: threading.current_thread().name] * 2, 1, 1)
         assert threads == [threading.current_thread().name, "relattn-worker"]
         assert calls == [True]   # the split that raised records nothing
 
     def test_one_split_at_a_time(self, two_cores):
-        # a split's pieces that split again run their own pieces in turn, on
+        # a split's tasks that split again run their own tasks in turn, on
         # their own thread: one worker at most, and one recorded split
         def workers():
             return [t.name for t in threading.enumerate()].count("relattn-worker")
 
-        def inner(part):
+        def inner(name):
             seen.append((threading.current_thread().name, workers()))
-            return list(part)
+            return name
 
-        def outer(part):
+        def outer(name):
             seen.append((threading.current_thread().name, workers()))
-            return ad._halves(inner, [part[0] + "1", part[0] + "2"], 1, 1)
+            return ad.halves([functools.partial(inner, name + "1"),
+                               functools.partial(inner, name + "2")], 1, 1)
 
         calls = two_cores(True)
         seen = []
-        halves = ad._halves(outer, ["a", "b"], 1, 1)
-        assert halves == [[["a1", "a2"]], [["b1", "b2"]]]
+        results = ad.halves([functools.partial(outer, "a"), functools.partial(outer, "b")], 1, 1)
+        assert results == [["a1", "a2"], ["b1", "b2"]]
         assert calls == [True]
-        assert len(seen) == 4 and all(count <= 1 for _, count in seen)
+        assert len(seen) == 6 and all(count <= 1 for _, count in seen)
         here = threading.current_thread().name
-        assert sorted(name for name, _ in seen) == sorted([here, here] + ["relattn-worker"] * 2)
+        assert sorted(name for name, _ in seen) == sorted([here] * 3 + ["relattn-worker"] * 3)
         assert not ad._split.locked()
+
+    def test_uneven_halves_keep_task_order(self, two_cores):
+        # five tasks: the first three on this thread, the last two on the
+        # worker, and one result per task in task order
+        def task(k):
+            ran_on[k] = threading.current_thread().name
+            return k * k
+
+        calls = two_cores(True)
+        ran_on = {}
+        assert ad.halves([functools.partial(task, k) for k in range(5)], 1, 1) == [0, 1, 4, 9, 16]
+        assert calls == [True]
+        here = threading.current_thread().name
+        assert ran_on == {0: here, 1: here, 2: here, 3: "relattn-worker", 4: "relattn-worker"}
 
 
 class TestSplitSites:
@@ -534,8 +547,11 @@ class TestSplitSites:
             norm = training.clip_gradients(params, grad_clip)
             assert calls == ([True] if on else [])
             results.append((norm, [p.grad for p in params]))
-        assert results[0][0] == results[1][0] and (not grad_clip or results[0][0] > grad_clip)
-        for off, on in zip(results[0][1], results[1][1]):
+        norm = results[0][0]
+        assert results[1][0] == norm and (not grad_clip or norm > grad_clip)
+        for g, off, on in zip(grads, results[0][1], results[1][1]):
+            # both paths scale as the plain formula does
+            np.testing.assert_array_equal(off, g * (grad_clip / norm) if grad_clip else g)
             np.testing.assert_array_equal(on, off)
 
     @pytest.mark.parametrize("blocks", BLOCKS)
@@ -605,11 +621,13 @@ class TestSplitSites:
 
     @pytest.mark.parametrize("leaf", ["parameter", "node"])
     def test_product_of_a_node_with_itself(self, leaf, two_cores):
-        # both gradients add into one buffer, one after the other
+        # both gradients add into one buffer, one after the other: never a
+        # split, even at thresholds of 0, which any work reaches
         rng = np.random.default_rng(48)
         value, g = rng.uniform(-1, 1, (2, 6, 6))
         a = Parameter("a", value) if leaf == "parameter" else Node(value)
         calls = two_cores(True)
+        assert ad.CONCURRENT_MIN_PRODUCT == ad.CONCURRENT_MIN_ENTRIES == 0
         tape = Tape()
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, a, a), g)))
         assert calls == []
@@ -637,6 +655,26 @@ class TestSplitSites:
             assert np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(results[0][0], value @ x)
+
+    @pytest.mark.parametrize("batch", [1, 2, 33])
+    def test_stacked_product_is_one_call_per_half(self, batch, two_cores, monkeypatch):
+        # one np.matmul per half of the stack, not one per entry, which
+        # costs a call per instance at synth shapes; a one-entry stack is
+        # one task, never an empty one
+        rng = np.random.default_rng(49)
+        w = rng.uniform(-0.5, 0.5, (30, 40)).astype(np.float32)
+        x = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
+        calls = two_cores(True)
+        noting_halves, tasks = ad.halves, []
+
+        def counting_halves(part, work, least=None):
+            tasks.append(len(part))
+            return noting_halves(part, work, least)
+
+        monkeypatch.setattr(ad, "halves", counting_halves)
+        np.testing.assert_array_equal(ad._product(w, x), w @ x)
+        assert tasks == [min(batch, 2)]
+        assert calls == ([True] if batch > 1 else [])
 
 
 class TestFiniteDiffCheck:

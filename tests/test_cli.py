@@ -358,6 +358,14 @@ def _edit_list(blob: bytes, kind: bytes, i: int, j: int, swap: bool = False) -> 
     return _replace_header_line(blob, kind, kind + b" " + json.dumps(values).encode())
 
 
+def _with_lone_surrogate(blob: bytes, kind: bytes) -> bytes:
+    """The ``kind`` header list with a lone surrogate added to its last entry."""
+    start = blob.index(b"\n" + kind + b" ") + len(kind) + 2
+    values = json.loads(blob[start:blob.index(b"\n", start)])
+    values[-1] += "\ud800"
+    return _replace_header_line(blob, kind, kind + b" " + json.dumps(values).encode())
+
+
 CORRUPTIONS = {
     "vocab_disagrees_with_tensors": lambda blob: _replace_header_line(
         blob, b"tokens", b'tokens ["<BLANK>", "<UNK>", "only"]'),
@@ -385,6 +393,8 @@ CORRUPTIONS = {
     "repeated_token": lambda blob: _edit_list(blob, b"tokens", 2, 3),
     "repeated_relation": lambda blob: _edit_list(blob, b"relations", 0, 2),
     "reserved_tokens_moved": lambda blob: _edit_list(blob, b"tokens", 0, 1, swap=True),
+    "lone_surrogate_token": lambda blob: _with_lone_surrogate(blob, b"tokens"),
+    "lone_surrogate_relation": lambda blob: _with_lone_surrogate(blob, b"relations"),
 }
 
 
@@ -416,6 +426,25 @@ class TestBadCheckpoint:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "attn-export"])
+    def test_lone_surrogate_relation_exits_3_with_one_line(self, command, trained_dir,
+                                                           synth_file, tmp_path):
+        # eval --metric f1 names every relation and used to end in a
+        # UnicodeEncodeError traceback, as did attn-export
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(_with_lone_surrogate((trained_dir / "model.ckpt").read_bytes(),
+                                             b"relations"))
+        bag_id = json.loads(synth_file.read_text().splitlines()[0])["bag_id"]
+        extra = ["--metric", "f1"] if command == "eval" else ["--bag-id", bag_id]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relattn", command, "--checkpoint", str(bad),
+             "--data", str(synth_file), "--out", str(tmp_path / "out")] + extra,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == (f"data error: {bad}: 'relations' header line holds a "
+                               "lone surrogate\n")
 
 
 # an input that names a directory, or a file that is not UTF-8 text:
@@ -499,9 +528,20 @@ def test_negative_seed_is_one_usage_line(command, synth_file, trained_dir, tmp_p
     assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "out").exists()
 
 
+def _bag_line(relation: str = "r", token: str = "x", head_index=0) -> str:
+    return json.dumps({"bag_id": "odd", "head": "a", "tail": "b", "relation": relation,
+                       "sentences": [{"tokens": ["a", token, "b"], "head_index": head_index,
+                                      "tail_index": 2}]})
+
+
 BAD_TRAIN_INPUTS = {
     # (data line replacing the first bag, embeddings file text)
     "record_not_an_object": ("5", None),
+    # JSON's \ud800 escapes load as lone surrogates, which no output can encode
+    "lone_surrogate_relation": (_bag_line(relation="r\ud800"), None),
+    "lone_surrogate_token": (_bag_line(token="x\udc00"), None),
+    # a bool is an int to Python: true used to load as index 1
+    "bool_head_index": (_bag_line(head_index=True), None),
     "embedding_not_numeric": (None, "2 6\nw001 1 2 3 4 5 6\nw002 1 2 3 x 5 6\n"),
     "embedding_dim_not_word_dim": (None, "1 3\nw001 1 2 3\n"),
     "embedding_not_finite": (None, "2 6\nw001 1 2 3 nan inf 6\nw002 1 2 3 4 5 6\n"),

@@ -195,7 +195,16 @@ class TestLoader:
         json.dumps({**bag_record(), "sentences": ["oops"]}),
         json.dumps(bag_record(tokens=["x", 3, "y"])),
         json.dumps(bag_record(relation=["r"])),
-    ], ids=["number", "sentence_not_object", "token_not_string", "relation_not_string"])
+        # JSON's \ud800 escapes load as lone surrogates, which UTF-8 cannot encode
+        *(json.dumps(bag_record(**{key: "r\ud800"})) for key in ("bag_id", "head", "tail",
+                                                                 "relation")),
+        json.dumps(bag_record(tokens=["alice", "x\udc00", "york"])),
+        # a bool is an int to Python: true used to load as index 1
+        json.dumps(bag_record(head_index=True)),
+        json.dumps(bag_record(tail_index=True)),
+    ], ids=["number", "sentence_not_object", "token_not_string", "relation_not_string",
+            "bag_id_surrogate", "head_surrogate", "tail_surrogate", "relation_surrogate",
+            "token_surrogate", "head_index_bool", "tail_index_bool"])
     def test_malformed_record_reports_line(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(bag_record()) + "\n" + line + "\n")
