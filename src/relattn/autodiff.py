@@ -187,7 +187,9 @@ def halves(tasks: list[Callable[[], object]], work: int, least: int | None = Non
     and no split is running, the upper half of the tasks runs on a new
     thread, the only place one starts, while this thread runs the lower
     half; the worker is joined before this returns, and an exception raised
-    on it is raised here, unless the lower half raised first. One split at a time: a call made while a split runs, on either of
+    on it is raised here, unless the lower half raised first; the worker
+    runs under this thread's numpy floating-point error handling. One split
+    at a time: a call made while a split runs, on either of
     its threads or any other, runs its tasks in turn on its own thread, so no
     call starts a third thread. Every task makes the same calls either way,
     so the results hold the same bits. A thread per call, not one long-lived
@@ -198,11 +200,12 @@ def halves(tasks: list[Callable[[], object]], work: int, least: int | None = Non
         return [task() for task in tasks]
     try:
         half = (len(tasks) + 1) // 2
-        upper = {}
+        upper, state = {}, np.geterr()
 
         def run() -> None:
             try:
-                upper["value"] = [task() for task in tasks[half:]]
+                with np.errstate(**state):   # a new thread starts at numpy's default
+                    upper["value"] = [task() for task in tasks[half:]]
             except BaseException as exc:   # raised again in the calling thread
                 upper["error"] = exc
         thread = threading.Thread(target=run, name="relattn-worker")
@@ -253,14 +256,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
-def _batched_product(x: np.ndarray, y: np.ndarray, ndim: int) -> np.ndarray:
-    # x @ y, summed over the batch for a 2-D operand; one tensordot never
-    # materializes the stack of per-entry products
-    if ndim == 2 and x.ndim == 3:
-        return np.tensordot(x, y, axes=([0, 2], [0, 1]))
-    return _product(x, y)
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y``. A 2-D ``x`` times ``y`` of at least ``CONCURRENT_MIN_PRODUCT``
     multiply-adds is split by its shape alone, whatever the core count: a
@@ -308,7 +303,8 @@ def backward(tape: Tape, loss: Node) -> None:
 
 
 def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
-    """Matrix product; a 2-D operand broadcasts against a batched one.
+    """Matrix product; a 2-D operand broadcasts against a batched one, and
+    its gradient is the batch's sum of per-entry products.
 
     Backward adds the gradients into ``a`` and into ``b``, the two tasks of
     one :func:`halves` call whose work is both gradients' multiply-adds;
@@ -330,10 +326,10 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
                     for rows in row_blocks(a.value, PRODUCT_BLOCK):
                         a.grad[rows] += g[rows] @ b.value.T
                 else:
-                    _accum(a, _batched_product(g, np.swapaxes(b.value, -1, -2), a.value.ndim))
+                    _accum(a, _unbroadcast(_product(g, np.swapaxes(b.value, -1, -2)), a.shape))
 
             def into_b() -> None:
-                _accum(b, _batched_product(np.swapaxes(a.value, -1, -2), g, b.value.ndim))
+                _accum(b, _unbroadcast(_product(np.swapaxes(a.value, -1, -2), g), b.shape))
             if a is b:
                 into_a()
                 into_b()
@@ -400,15 +396,60 @@ def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None
         if not valid.any(axis=-1).all():
             raise ValueError("row_softmax: every column is masked out")
         z = np.where(valid, z, z.dtype.type(MASK_FILL))
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(z)
     out = Node(p)
     if tape is not None:
         def bwd() -> None:
-            g = out.grad
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(a, _unbroadcast(p * (g - dot), a.shape))
+            _accum(a, _unbroadcast(_softmax_grad(p, out.grad), a.shape))
+        tape.record(out, bwd)
+    return out
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
+                     valid: np.ndarray) -> Node:
+    """``row_softmax(matmul(w2, tanh_map(matmul(w1, x))), valid)`` up to
+    rounding, in one record that reads only the columns of ``x`` ``[n x d x T]``
+    that ``valid`` ``[n x 1 x T]`` keeps, as one block of rows ``X``
+    ``[P x d]``; ``X W1ᵀ`` runs in two halves of its rows by :func:`halves`.
+    Backward adds into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into
+    the kept columns of ``x``, the two tasks of one split."""
+    n, d, t = x.shape
+    keep = np.asarray(valid, dtype=bool)[:, 0]   # [n x T]
+    if keep.shape != (n, t) or w1.shape[1] != d or w2.shape[1] != w1.shape[0]:
+        raise ShapeError(f"packed_attention: {w2.shape} x {w1.shape} x {x.shape}, "
+                         f"mask {np.shape(valid)}")
+    if not keep.any(axis=-1).all():
+        raise ValueError("packed_attention: every column is masked out")
+    rows = x.value.swapaxes(1, 2)[keep]
+    h = np.empty((len(rows), w1.shape[0]), rows.dtype)
+    mid = (len(rows) + 1) // 2
+    halves([functools.partial(np.matmul, rows[part], w1.value.T, out=h[part])
+            for part in (slice(None, mid), slice(mid, None))], h.size * d)
+    np.tanh(h, out=h)
+    z = np.full((n, w2.shape[0], t), MASK_FILL, rows.dtype)
+    z.swapaxes(1, 2)[keep] = h @ w2.value.T
+    p = _softmax(z)
+    out = Node(p)
+    if tape is not None:
+        def bwd() -> None:
+            dl = _softmax_grad(p, out.grad).swapaxes(1, 2)[keep]   # [P x r]
+            _accum(w2, dl.T @ h)
+            dz = dl @ w2.value
+            dz *= 1.0 - h * h
+            grad = _ensure_grad(x)
+
+            def into_x() -> None:
+                grad.swapaxes(1, 2)[keep] += dz @ w1.value
+            halves([lambda: _accum(w1, dz.T @ rows), into_x], 2 * dz.size * d)
         tape.record(out, bwd)
     return out
 

@@ -7,9 +7,10 @@ The embedding gathers their table rows in that order into one token-major
 more record and one recurrence, :func:`_run_direction`, run over the packed
 rows and, for the reverse direction, over the rows mirrored within each
 lane. It projects every token with one matmul and runs :func:`lstm_step`
-once per step of the plan's schedule; the states are scattered into the
-word-attention input ``[n x 2u x t_run]``, every padded position exactly
-zero. Its backward pass is hand-written BPTT. The two directions are the
+once per step of the plan's schedule; the states are scattered into
+``[n x 2u x t_run]``, every padded position exactly zero, in token-major
+memory, so that word attention reads the real tokens as whole rows. Its
+backward pass is hand-written BPTT. The two directions are the
 tasks ``[forward, reverse]`` of one ``autodiff.halves`` call in each pass,
 by the rule of the other large products: where one direction's
 multiply-adds reach ``autodiff.CONCURRENT_MIN_PRODUCT`` and two cores are
@@ -228,7 +229,8 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
 
 def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
                         params: LstmParams) -> Node:
-    """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch.
+    """Bidirectional states ``[n x 2u x t_run]`` of a packed embedded batch,
+    a view of a token-major ``[n x t_run x 2u]`` block.
 
     ``lengths`` is the batch's :class:`BatchPlan`, the one owner of its
     layout, and ``embedded`` is ``[P x D]`` in its order. Only real
@@ -250,13 +252,17 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
         [lambda: _run_direction(x, plan, params.fwd),
          lambda: _run_direction(x[rev], plan, params.bwd)], work)
     u = fwd_states.shape[1]
-    out = Node(np.zeros((plan.lengths.size, 2 * u, len(plan.widths)), dtype=x.dtype))
-    out.value[lanes, :u, steps] = fwd_states
-    out.value[lanes, u:, back] = bwd_states
+    # token-major memory: these scatters, their gathers and word attention's
+    # read of the real tokens all move whole rows
+    states = np.zeros((plan.lengths.size, len(plan.widths), 2 * u), dtype=x.dtype)
+    states[lanes, steps, :u] = fwd_states
+    states[lanes, back, u:] = bwd_states
+    out = Node(states.swapaxes(1, 2))
     if tape is not None:
         def bwd() -> None:
-            halves = {"fwd": out.grad[lanes, :u, steps], "bwd": out.grad[lanes, u:, back]}
-            out.grad = None   # both halves gathered; each BPTT pops and frees its own
+            g = out.grad.swapaxes(1, 2)   # token-major too, as _accum lays it out
+            halves = {"fwd": g[lanes, steps, :u], "bwd": g[lanes, back, u:]}
+            out.grad = g = None   # both halves gathered; each BPTT pops and frees its own
             tasks = [lambda: fwd_bptt(halves.pop("fwd")), lambda: bwd_bptt(halves.pop("bwd"))]
             dx_f, dx_b = ad.halves(tasks, work)
             dx = dx_b[rev]

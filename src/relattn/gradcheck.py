@@ -117,6 +117,15 @@ def op_checks() -> list[CheckResult]:
     check("cross_entropy", [logits],
           lambda t: (t, ad.cross_entropy(t, ad.row_softmax(t, logits), [2, 0, 3])))
 
+    # two instances of 3 and 5 real columns, a gradient into each kept column
+    states = Parameter("states", rng.uniform(-1, 1, (2, 4, 5)))
+    w_hidden, w_rows = _param(rng, "w_hidden", 3, 4), _param(rng, "w_rows", 2, 3)
+    kept = np.arange(5) < np.array([[[3]], [[5]]])
+    attn_probe = rng.uniform(-1, 1, (2, 2, 5))
+    check("packed_attention", [states, w_hidden, w_rows],
+          lambda t: (t, sum_all(t, ad.mul_const(t, ad.packed_attention(
+              t, states, w_hidden, w_rows, kept), attn_probe))))
+
     results.extend(pipeline_checks())
     return results
 
@@ -169,21 +178,22 @@ def pipeline_checks() -> list[CheckResult]:
     _redraw(rng, word_params[:3], -0.7, 0.7)
     _redraw(rng, word_params[3:], 0.1, 0.4)   # keeps the ReLU inputs off its kink
     # a batch of three instances with true lengths 3, 5 and 1; their states
-    # are a constant, since encoder rounding would bring the error near the tolerance
+    # are a leaf of their own, not the encoder's output, since encoder
+    # rounding would bring the error near the tolerance
     n, t_len = 3, 5
-    hidden_const = Node(rng.uniform(-1, 1, (n, 2 * cfg.hidden_size, t_len)))
+    states = Parameter("states", rng.uniform(-1, 1, (n, 2 * cfg.hidden_size, t_len)))
     probe = rng.uniform(-1, 1, (cfg.mlp_size, n))
     valid = enc.BatchPlan.of([3, 5, 1]).valid
 
     def word_pipeline(tape):
-        attn = wa.word_attention_matrix(tape, hidden_const, word, valid_cols=valid)
-        weighted = wa.weighted_sentence_matrix(tape, attn, hidden_const)
+        attn = wa.word_attention_matrix(tape, states, word, valid_cols=valid)
+        weighted = wa.weighted_sentence_matrix(tape, attn, states)
         rep = wa.flatten_project(tape, weighted, word)
         loss = ad.add(tape, sum_all(tape, ad.mul_const(tape, rep, probe)),
                       wa.attention_penalty(tape, attn))
         return tape, loss
 
-    check("word_attention_pipeline", word_params, word_pipeline)
+    check("word_attention_pipeline", word_params + [states], word_pipeline)
 
     rng = np.random.default_rng([SEED, 2])
     sent = model.sent_attn

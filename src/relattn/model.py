@@ -11,9 +11,10 @@ into the store; the layer modules take them as the dataclasses they define.
 
 Instances of a batch are encoded together, by one ``encoder.BatchPlan`` of
 their true lengths that owns the packed layout; the encoder returns their
-states as ``[n x 2u x t_run]``, up to the longest true length. Word attention
-then runs once over all instances, masked by the plan, and sentence
-attention once over all bags, each masked to its own instances.
+states as ``[n x 2u x t_run]``, up to the longest true length, token-major in
+memory. Word attention then scores the real tokens of all instances at
+once, as one ``[P x 2u]`` block picked out by the plan's mask, and sentence
+attention runs once over all bags, each masked to its own instances.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class BagForward:
     attention: Node         # [B x rows x N] sentence-level attention
     averaged: Node          # [B x 1 x N] mean attention row per bag
     probabilities: Node     # [B x num_classes]
-    word_attentions: Node | None = None   # [N x rows x longest true length]
+    word_attentions: Node | None = None   # [N x rows x longest true length], 0 on padding
 
 
 class Model:
@@ -140,7 +141,8 @@ class Model:
                          dropout_rng: np.random.Generator | None = None,
                          ) -> tuple[Node, Node]:
         """Representations ``[mlp x n]`` and word attention ``[n x r x t_run]``
-        up to the longest true length of n instances, in one batched pass."""
+        up to the longest true length of n instances, in one batched pass;
+        word attention scores only the real tokens of the encoder's states."""
         cfg = self.config
         n = len(instances)
         plan = enc.BatchPlan.of([inst.true_length for inst in instances])

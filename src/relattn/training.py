@@ -126,6 +126,8 @@ def adam_step(parameters: Sequence[Parameter], config: ModelConfig) -> None:
         ad.sweep(update, p.value)
 
 
+# each step checks its loss and gradient norm, so numpy's warnings are noise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(dataset: Dataset, config: ModelConfig,
           pretrained: dict[str, np.ndarray] | None = None,
           log_every: int = 0) -> TrainResult:

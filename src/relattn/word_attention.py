@@ -31,11 +31,16 @@ def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttention
     ``valid_cols`` keeps. ``W1`` and ``W2`` are ``params.attn_hidden`` and ``params.attn_rows``.
 
     Word level: ``X`` is ``[(n x) 2u x T]`` encoder states, the result
-    ``[(n x) r x T]``, and ``valid_cols`` (``[T]`` or ``[n x 1 x T]``) masks
-    padded positions out. Sentence level, as ``sentence_attention_matrix``:
-    ``X`` is ``[mlp x N]`` instance representations, the result
-    ``[(bags x) r x N]``, and ``valid_cols`` a ``stack_bag`` mask.
+    ``[(n x) r x T]``, and ``valid_cols`` (``[T]``, or ``[n x 1 x T]`` for a
+    batch) masks padded positions out; a masked batch is one
+    ``autodiff.packed_attention`` record over the real tokens only. Sentence level, as
+    ``sentence_attention_matrix``: ``X`` is ``[mlp x N]`` instance
+    representations, the result ``[(bags x) r x N]``, and ``valid_cols`` a
+    ``stack_bag`` mask.
     """
+    if hidden.value.ndim == 3 and valid_cols is not None:
+        return ad.packed_attention(tape, hidden, params.attn_hidden, params.attn_rows,
+                                   valid_cols)
     logits = ad.matmul(tape, params.attn_rows,
                        ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, hidden)))
     return ad.row_softmax(tape, logits, valid_cols=valid_cols)

@@ -4,6 +4,7 @@ import functools
 import inspect
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -453,6 +454,20 @@ class TestTwoCores:
         assert threads == [threading.current_thread().name, "relattn-worker"]
         assert calls == [True]   # the split that raised records nothing
 
+    @pytest.mark.parametrize("handling", ["raise", "ignore"])
+    def test_worker_keeps_the_callers_float_error_handling(self, handling, two_cores):
+        # a new thread starts at numpy's default, which only warns
+        big = np.float32(3e38)
+        calls = two_cores(True)
+        with np.errstate(over=handling), warnings.catch_warnings():
+            warnings.simplefilter("error")   # a warning fails the test
+            if handling == "raise":
+                with pytest.raises(FloatingPointError):
+                    ad.halves([lambda: None, lambda: big * big], 1, 1)
+            else:
+                assert ad.halves([lambda: None, lambda: big * big], 1, 1)[1] == np.inf
+        assert calls == ([] if handling == "raise" else [True])
+
     def test_one_split_at_a_time(self, two_cores):
         # a split's tasks that split again run their own tasks in turn, on
         # their own thread: one worker at most, and one recorded split
@@ -648,7 +663,8 @@ class TestSplitSites:
             out = ad.matmul(tape, w, b)
             backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
             # the forward product, then the record's two gradients: the
-            # weight's tensordot and the stack's, whose entries run in turn
+            # weight's, summed over the stack, and the stack's, whose entries
+            # run in turn
             assert calls == ([True] * (batch > 1) + [True] if on else [])
             results.append((out.value, b.grad, w.grad))
         for got, want in zip(results[1], results[0]):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from relattn import autodiff as ad
+from relattn import encoder as enc
 from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
 from relattn.config import ModelConfig
+from relattn.data import Instance
 from relattn.model import Model
 
 
@@ -187,3 +189,103 @@ class TestPenalty:
 
         err = finite_diff_check(f, [p.attn_hidden, p.attn_rows, p.mlp_weight, p.mlp_bias])
         assert err < 1e-5
+
+
+def encoded_batch(lengths, precision, seed=0):
+    """A small model's word attention weights and the encoder's states
+    ``[n x 2u x t_run]`` of a batch of the given true lengths, as word
+    attention receives them, with the batch's valid mask."""
+    cfg = ModelConfig(word_dim=4, position_dim=2, max_distance=3, time_steps=max(lengths),
+                      hidden_size=3, word_attention_hidden=5, word_attention_rows=3,
+                      mlp_size=4, sent_attention_hidden=3, precision=precision)
+    rng = np.random.default_rng(seed)
+    model = Model(cfg, 12, 3, rng=rng)
+    for p in (model.word_attn.attn_hidden, model.word_attn.attn_rows):
+        p.value[...] = rng.uniform(-1.5, 1.5, p.shape)
+    instances = [Instance(rng.integers(2, 12, n), 0, n - 1) for n in lengths]
+    plan = enc.BatchPlan.of(lengths)
+    embedded = enc.embed_batch(None, instances, plan, model.embeddings, cfg)
+    return model.word_attn, enc.bilstm_encode_batch(None, embedded, plan, model.lstm), plan.valid
+
+
+class TestPackedPath:
+    """The word level's packed record, pinned to the all-positions path."""
+
+    LENGTHS = [3, 6, 1, 4]
+
+    def test_unmasked_call_keeps_the_shape_and_weighs_padding(self):
+        # bench/tests/test_bench.py drops the mask by monkeypatch and needs
+        # a forward and backward pass that run, with padding in the weights
+        params, hidden, valid = encoded_batch(self.LENGTHS, "float32")
+        masked = wa.word_attention_matrix(None, hidden, params, valid_cols=valid).value
+        tape = Tape()
+        attn = wa.word_attention_matrix(tape, hidden, params, valid_cols=None)
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, masked)))
+        assert attn.shape == masked.shape
+        padding = ~np.broadcast_to(valid, masked.shape)
+        assert (masked[padding] == 0.0).all() and (attn.value[padding] > 0.0).all()
+        assert np.abs(attn.value - masked).max() > 1e-3
+
+    def test_the_model_calls_the_module_attribute(self, monkeypatch):
+        # the bench's monkeypatch reaches the model's pass only through
+        # wa.word_attention_matrix, and must change what it computes
+        cfg = ModelConfig.from_profile("synth")
+        model = Model(cfg, 12, 3, rng=np.random.default_rng(5))
+        instances = [Instance(np.arange(2, 2 + n), 0, n - 1) for n in (3, 6)]
+        masked = model.instance_outputs(None, instances)[1].value
+        original = wa.word_attention_matrix
+        monkeypatch.setattr(wa, "word_attention_matrix", lambda tape, hidden, params,
+                            valid_cols=None: original(tape, hidden, params, valid_cols=None))
+        unmasked = model.instance_outputs(None, instances)[1].value
+        assert unmasked.shape == masked.shape and unmasked[0, :, 3:].min() > 0.0
+        assert masked[0, :, 3:].max() == 0.0
+
+    def test_forward_and_every_gradient_match_the_all_positions_path(self):
+        params, hidden, valid = encoded_batch(self.LENGTHS, "float64", seed=1)
+        probe = np.random.default_rng(2).uniform(-1, 1, (len(self.LENGTHS), 3, max(self.LENGTHS)))
+        results = []
+        for packed in (True, False):
+            states = Parameter("states", hidden.value)   # the encoder's token-major layout
+            w1, w2 = (Parameter(p.name, p.value.copy()) for p in (params.attn_hidden,
+                                                                   params.attn_rows))
+            tape = Tape()
+            if packed:
+                attn = ad.packed_attention(tape, states, w1, w2, valid)
+            else:
+                attn = ad.row_softmax(tape, ad.matmul(tape, w2, ad.tanh_map(
+                    tape, ad.matmul(tape, w1, states))), valid_cols=valid)
+            backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+            results.append((attn.value, w1.grad, w2.grad, states.grad))
+
+        # each gradient entry's sum of absolute terms, one term per real token
+        keep = valid[:, 0]
+        p, w1, w2 = results[1][0], params.attn_hidden.value, params.attn_rows.value
+        rows = np.swapaxes(hidden.value, 1, 2)[keep]
+        h = np.tanh(rows @ w1.T)
+        dl = np.swapaxes(p * (probe - (probe * p).sum(axis=-1, keepdims=True)), 1, 2)[keep]
+        dz = (dl @ w2) * (1.0 - h * h)
+        states_terms = np.zeros_like(hidden.value)
+        np.swapaxes(states_terms, 1, 2)[keep] = np.abs(dz) @ np.abs(w1)
+        terms = [p, np.abs(dz).T @ np.abs(rows), np.abs(dl).T @ np.abs(h), states_terms]
+        for got, want, bound in zip(*results, terms):
+            assert np.abs(want).max() > 0
+            assert (np.abs(got - want) <= 1e-12 * bound).all()
+
+    def test_same_bits_on_one_core_or_two(self, two_cores):
+        params, hidden, valid = encoded_batch(self.LENGTHS, "float32", seed=3)
+        probe = np.random.default_rng(4).uniform(-1, 1, (len(self.LENGTHS), 3, max(self.LENGTHS)))
+        results = []
+        for on in (False, True):
+            calls = two_cores(on)
+            states = Node(hidden.value)
+            w1, w2 = (Parameter(p.name, p.value.copy()) for p in (params.attn_hidden,
+                                                                   params.attn_rows))
+            tape = Tape()
+            attn = wa.word_attention_matrix(tape, states, wa.WordAttentionParams(
+                w1, w2, params.mlp_weight, params.mlp_bias), valid_cols=valid)
+            backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+            # the forward product's row halves, then the record's gradient pair
+            assert calls == ([True, True] if on else [])
+            results.append((attn.value, w1.grad, w2.grad, states.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
