@@ -257,22 +257,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``. A 2-D ``x`` times ``y`` of at least ``CONCURRENT_MIN_PRODUCT``
-    multiply-adds is split by its shape alone, whatever the core count: a
-    2-D ``y`` into one product per row block of ``x`` of about
-    ``PRODUCT_BLOCK`` entries, a stack ``y`` into one product per half of the
-    stack. Those products run in two halves by :func:`halves`, each entry
-    by the same call on one thread or two. Other products are one call."""
+    """``x @ y``, the only place a product splits. A 2-D ``x`` of two rows or
+    more times a 2-D ``y``, of at least ``CONCURRENT_MIN_PRODUCT``
+    multiply-adds, runs as two products, one per half of ``x``'s rows, the
+    two tasks of one :func:`halves` call; the split is a function of the
+    shape alone, and each entry is the same call on one thread or two.
+    Every other product, stacks included, is one call."""
     work = len(x) * y.size
-    if x.ndim != 2 or work < CONCURRENT_MIN_PRODUCT:
+    if x.ndim != 2 or y.ndim != 2 or len(x) < 2 or work < CONCURRENT_MIN_PRODUCT:
         return x @ y
-    out = np.empty(y.shape[:-2] + (len(x), y.shape[-1]), np.result_type(x, y))
-    if y.ndim == 2:
-        parts = [(x[rows], y, out[rows]) for rows in row_blocks(x, PRODUCT_BLOCK)]
-    else:
-        half = (len(y) + 1) // 2
-        parts = [(x, y[lo:lo + half], out[lo:lo + half]) for lo in range(0, len(y), half)]
-    halves([functools.partial(np.matmul, a, b, out=into) for a, b, into in parts], work)
+    out = np.empty((len(x), y.shape[1]), np.result_type(x, y))
+    mid = (len(x) + 1) // 2
+    halves([functools.partial(np.matmul, x[rows], y, out=out[rows])
+            for rows in (slice(None, mid), slice(mid, None))], work)
     return out
 
 
@@ -306,14 +303,13 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     """Matrix product; a 2-D operand broadcasts against a batched one, and
     its gradient is the batch's sum of per-entry products.
 
-    Backward adds the gradients into ``a`` and into ``b``, the two tasks of
-    one :func:`halves` call whose work is both gradients' multiply-adds;
-    when ``a is b`` they add into one buffer in turn, never split. A 2-D
-    Parameter's gradient ``g @ b.T`` is added over row blocks of about
-    ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
-    weight-sized product; each block's entries are the same dot products.
-    A 2-D operand times a large stack, and a large 2-D product, split as
-    :func:`_product` says; either way the results are the same bits."""
+    The forward product splits as :func:`_product` says. Backward adds the
+    gradients into ``a`` and into ``b``, each one plain product, the two
+    tasks of one :func:`halves` call whose work is both gradients'
+    multiply-adds; when ``a is b`` they add into one buffer in turn, never
+    split. A 2-D Parameter's gradient ``g @ b.T`` is added over row blocks of
+    about ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
+    weight-sized product; each block's entries are the same dot products."""
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     out = Node(_product(a.value, b.value))
@@ -326,10 +322,10 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
                     for rows in row_blocks(a.value, PRODUCT_BLOCK):
                         a.grad[rows] += g[rows] @ b.value.T
                 else:
-                    _accum(a, _unbroadcast(_product(g, np.swapaxes(b.value, -1, -2)), a.shape))
+                    _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape))
 
             def into_b() -> None:
-                _accum(b, _unbroadcast(_product(np.swapaxes(a.value, -1, -2), g), b.shape))
+                _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape))
             if a is b:
                 into_a()
                 into_b()
@@ -415,25 +411,22 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
-                     valid: np.ndarray) -> Node:
+                     valid: np.ndarray | None = None) -> Node:
     """``row_softmax(matmul(w2, tanh_map(matmul(w1, x))), valid)`` up to
     rounding, in one record that reads only the columns of ``x`` ``[n x d x T]``
-    that ``valid`` ``[n x 1 x T]`` keeps, as one block of rows ``X``
-    ``[P x d]``; ``X W1ᵀ`` runs in two halves of its rows by :func:`halves`.
+    that ``valid`` ``[n x 1 x T]`` keeps (every column if ``None``), as one
+    block of rows ``X`` ``[P x d]``; ``X W1ᵀ`` is one :func:`_product`.
     Backward adds into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into
     the kept columns of ``x``, the two tasks of one split."""
     n, d, t = x.shape
-    keep = np.asarray(valid, dtype=bool)[:, 0]   # [n x T]
+    keep = np.ones((n, t), bool) if valid is None else np.asarray(valid, dtype=bool)[:, 0]
     if keep.shape != (n, t) or w1.shape[1] != d or w2.shape[1] != w1.shape[0]:
         raise ShapeError(f"packed_attention: {w2.shape} x {w1.shape} x {x.shape}, "
                          f"mask {np.shape(valid)}")
     if not keep.any(axis=-1).all():
         raise ValueError("packed_attention: every column is masked out")
     rows = x.value.swapaxes(1, 2)[keep]
-    h = np.empty((len(rows), w1.shape[0]), rows.dtype)
-    mid = (len(rows) + 1) // 2
-    halves([functools.partial(np.matmul, rows[part], w1.value.T, out=h[part])
-            for part in (slice(None, mid), slice(mid, None))], h.size * d)
+    h = _product(rows, w1.value.T)
     np.tanh(h, out=h)
     z = np.full((n, w2.shape[0], t), MASK_FILL, rows.dtype)
     z.swapaxes(1, 2)[keep] = h @ w2.value.T

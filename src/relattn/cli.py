@@ -221,13 +221,12 @@ def cmd_attn_export(args) -> int:
     model, vocab = model_from_checkpoint(ckpt)
     dataset = load_dataset(args.data, ckpt.config, vocab=vocab, relations=ckpt.relations)
     by_id = {bag.bag_id: bag for bag in dataset.bags}
-    written = []
-    for bag_id in bag_ids:
+    for bag_id in bag_ids:   # every id found before any file is written
         if bag_id not in by_id:
             raise DataError(f"bag {bag_id!r} not found in {args.data}")
-        written.extend(ev.export_attention(model, by_id[bag_id], vocab, out))
-    for path in written:
-        print(path)
+    for bag_id in bag_ids:
+        for path in ev.export_attention(model, by_id[bag_id], vocab, out):
+            print(path)
     return EXIT_OK
 
 

@@ -135,8 +135,9 @@ def train(dataset: Dataset, config: ModelConfig,
 
     ``default_rng(config.seed)`` draws the model and then the dropout masks.
     Each ``pretrained`` vector of a vocabulary token is written over its
-    drawn ``word_emb`` row, and one of the wrong dimension is a ValueError
-    before any epoch; vectors of other tokens are ignored."""
+    drawn ``word_emb`` row; one of the wrong dimension is a ValueError, and
+    one with a value past the model's precision a DataError, before any
+    epoch. Vectors of other tokens are ignored."""
     if len(dataset.relations) < 2:
         raise DataError(f"training data names {len(dataset.relations)} relation(s) "
                         f"{dataset.relations}; at least 2 are needed")
@@ -149,6 +150,8 @@ def train(dataset: Dataset, config: ModelConfig,
                 raise ValueError(f"embedding for {token!r} has dim {vec.shape}, "
                                  f"expected ({word.shape[1]},)")
             word[ids[token]] = vec
+            if not np.isfinite(word[ids[token]]).all():
+                raise DataError(f"embedding for {token!r} holds a value past {word.dtype}")
 
     rows: list[LogRow] = []
     for epoch in range(config.epochs):

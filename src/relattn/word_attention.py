@@ -32,13 +32,14 @@ def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttention
 
     Word level: ``X`` is ``[(n x) 2u x T]`` encoder states, the result
     ``[(n x) r x T]``, and ``valid_cols`` (``[T]``, or ``[n x 1 x T]`` for a
-    batch) masks padded positions out; a masked batch is one
-    ``autodiff.packed_attention`` record over the real tokens only. Sentence level, as
-    ``sentence_attention_matrix``: ``X`` is ``[mlp x N]`` instance
-    representations, the result ``[(bags x) r x N]``, and ``valid_cols`` a
-    ``stack_bag`` mask.
+    batch) masks padded positions out; a batch is one
+    ``autodiff.packed_attention`` record over the positions the mask keeps,
+    every one without a mask. One instance, and the sentence level as
+    ``sentence_attention_matrix``, run as a chain of 2-D records: there ``X``
+    is ``[mlp x N]`` instance representations, the result ``[(bags x) r x N]``,
+    and ``valid_cols`` a ``stack_bag`` mask.
     """
-    if hidden.value.ndim == 3 and valid_cols is not None:
+    if hidden.value.ndim == 3:
         return ad.packed_attention(tape, hidden, params.attn_hidden, params.attn_rows,
                                    valid_cols)
     logits = ad.matmul(tape, params.attn_rows,

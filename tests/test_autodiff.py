@@ -602,9 +602,9 @@ class TestSplitSites:
             tape = Tape()
             loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, b), probe))
             backward(tape, loss)
-            # the row-blocked forward product, then the record's two
-            # gradients; the row blocks of each run in turn on its thread
-            assert calls == ([True] * (blocks > 1) + [True] if on else [])
+            # the forward product's row halves, then the record's two
+            # gradients; the weight's row blocks run in turn on its thread
+            assert calls == ([True, True] if on else [])
             results.append((w.grad, b.grad))
         for got, want in zip(results[1], results[0]):
             np.testing.assert_array_equal(got, want)
@@ -624,15 +624,61 @@ class TestSplitSites:
     @pytest.mark.parametrize("on", [False, True])
     def test_row_blocked_product(self, on, two_cores):
         # word_mlp_weight's forward at the nyt profile against a 33-instance
-        # batch: above the threshold on one core or two, one product per row
-        # block, bit for bit the whole product
+        # batch: above the threshold on one core or two, one product per half
+        # of the weight's rows, bit for bit the whole product
         rng = np.random.default_rng(47)
         x = rng.uniform(-0.1, 0.1, (1000, 5400)).astype(np.float32)
         y = rng.uniform(-1, 1, (5400, 33)).astype(np.float32)
         calls = two_cores(on)
-        assert len(x) > ad.PRODUCT_BLOCK // 5400   # rows a block
         np.testing.assert_array_equal(ad._product(x, y), x @ y)
         assert calls == ([True] if on else [])
+
+    @staticmethod
+    def counted_tasks(monkeypatch) -> list:
+        """The task count of each later ``halves`` call, appended in call order."""
+        noting_halves, tasks = ad.halves, []
+
+        def counting_halves(part, work, least=None):
+            tasks.append(len(part))
+            return noting_halves(part, work, least)
+        monkeypatch.setattr(ad, "halves", counting_halves)
+        return tasks
+
+    @pytest.mark.parametrize("rows", [1, 1000, 1043])
+    @pytest.mark.parametrize("on", [False, True])
+    def test_product_runs_as_two_row_halves(self, rows, on, two_cores, monkeypatch):
+        # word attention's X·W1ᵀ at nyt-like row counts, even and odd: one
+        # halves call of two tasks, never an empty one, bit for bit the whole
+        # product; a one-row product is one call
+        rng = np.random.default_rng(50)
+        x = rng.uniform(-1, 1, (rows, 600)).astype(np.float32)
+        y = rng.uniform(-1, 1, (600, 300)).astype(np.float32).T.copy().T   # as W1ᵀ
+        calls = two_cores(on)
+        tasks = self.counted_tasks(monkeypatch)
+        np.testing.assert_array_equal(ad._product(x, y), x @ y)
+        assert tasks == ([2] if rows > 1 else [])
+        assert calls == ([True] if on and rows > 1 else [])
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_product_threshold(self, above, two_cores, monkeypatch):
+        # the work is the product's multiply-adds, rows * y.size
+        rng = np.random.default_rng(51)
+        x, y = rng.uniform(-1, 1, (30, 40)), rng.uniform(-1, 1, (40, 20))
+        calls = two_cores(True)
+        monkeypatch.setattr(ad, "CONCURRENT_MIN_PRODUCT", 30 * 40 * 20 + (not above))
+        np.testing.assert_array_equal(ad._product(x, y), x @ y)
+        assert calls == ([True] if above else [])
+
+    @pytest.mark.parametrize("operands", ["matrix-stack", "stack-matrix", "stack-stack"])
+    def test_a_product_with_a_stack_is_one_call(self, operands, two_cores, monkeypatch):
+        # only a 2-D product splits, whatever the work
+        rng = np.random.default_rng(52)
+        x = rng.uniform(-1, 1, (3, 30, 40) if operands.startswith("stack") else (30, 40))
+        y = rng.uniform(-1, 1, (3, 40, 20) if operands.endswith("stack") else (40, 20))
+        calls = two_cores(True)
+        tasks = self.counted_tasks(monkeypatch)
+        np.testing.assert_array_equal(ad._product(x, y), x @ y)
+        assert tasks == [] and calls == []
 
     @pytest.mark.parametrize("leaf", ["parameter", "node"])
     def test_product_of_a_node_with_itself(self, leaf, two_cores):
@@ -644,13 +690,16 @@ class TestSplitSites:
         calls = two_cores(True)
         assert ad.CONCURRENT_MIN_PRODUCT == ad.CONCURRENT_MIN_ENTRIES == 0
         tape = Tape()
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, a, a), g)))
+        loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, a, a), g))
+        assert calls == [True]   # the forward product's row halves
+        calls.clear()
+        backward(tape, loss)
         assert calls == []
         np.testing.assert_allclose(a.grad, g @ a.value.T + a.value.T @ g, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("batch", [1, 2, 33])
     def test_stacked_product(self, batch, two_cores):
-        # a 2-D weight times a stack, as word attention's first product
+        # a 2-D weight times a stack
         rng = np.random.default_rng(45)
         value = rng.uniform(-0.5, 0.5, (30, 40)).astype(np.float32)
         x = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
@@ -662,35 +711,14 @@ class TestSplitSites:
             calls = two_cores(on)
             out = ad.matmul(tape, w, b)
             backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
-            # the forward product, then the record's two gradients: the
-            # weight's, summed over the stack, and the stack's, whose entries
-            # run in turn
-            assert calls == ([True] * (batch > 1) + [True] if on else [])
+            # one forward product, then the record's two gradients: the
+            # weight's, summed over the stack, and the stack's
+            assert calls == ([True] if on else [])
             results.append((out.value, b.grad, w.grad))
         for got, want in zip(results[1], results[0]):
             assert np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(results[0][0], value @ x)
-
-    @pytest.mark.parametrize("batch", [1, 2, 33])
-    def test_stacked_product_is_one_call_per_half(self, batch, two_cores, monkeypatch):
-        # one np.matmul per half of the stack, not one per entry, which
-        # costs a call per instance at synth shapes; a one-entry stack is
-        # one task, never an empty one
-        rng = np.random.default_rng(49)
-        w = rng.uniform(-0.5, 0.5, (30, 40)).astype(np.float32)
-        x = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
-        calls = two_cores(True)
-        noting_halves, tasks = ad.halves, []
-
-        def counting_halves(part, work, least=None):
-            tasks.append(len(part))
-            return noting_halves(part, work, least)
-
-        monkeypatch.setattr(ad, "halves", counting_halves)
-        np.testing.assert_array_equal(ad._product(w, x), w @ x)
-        assert tasks == [min(batch, 2)]
-        assert calls == ([True] if batch > 1 else [])
 
 
 class TestFiniteDiffCheck:

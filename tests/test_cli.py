@@ -211,6 +211,20 @@ class TestTrainEval:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_attn_export_writes_nothing_when_an_id_is_missing(self, trained_dir, synth_file,
+                                                              tmp_path, capsys):
+        # a known id before an unknown one: every id is looked up before
+        # the first file is written
+        bag_id = json.loads(synth_file.read_text().splitlines()[0])["bag_id"]
+        out = tmp_path / "attn"
+        code = main(["attn-export", "--checkpoint", str(trained_dir / "model.ckpt"),
+                     "--data", str(synth_file), "--bag-id", bag_id, "--bag-id", "no_such_bag",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.err.startswith("data error: bag 'no_such_bag' not found")
+        assert captured.out == "" and not list(out.glob("*.csv"))
+
     def test_attn_export_runs_a_repeated_id_once(self, trained_dir, synth_file, tmp_path,
                                                  capsys):
         records = [json.loads(line) for line in synth_file.read_text().splitlines()]

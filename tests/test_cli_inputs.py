@@ -2,9 +2,10 @@
 
 Valid data records and the header lines of a small checkpoint, each mutated
 once or twice by hypothesis, run through ``cli.main`` in-process under
-``train``, ``eval`` and ``attn-export``, and mutated ``--config`` files under
-``train``. Every run must return 0-3 and raise nothing, and a run that
-fails must write exactly one line to stderr.
+``train``, ``eval`` and ``attn-export``, and mutated ``--config`` and
+``--embeddings`` files under ``train``; so do data, config and embedding
+files with bytes that are not UTF-8. Every run must return 0-3 and raise
+nothing, and a run that fails must write exactly one line to stderr.
 The example counts keep the module's tier-1 cost to a few seconds.
 """
 
@@ -113,9 +114,10 @@ def mutated_checkpoint(draw, blob: bytes) -> bytes:
     return b"".join(line + payload for line, payload in parts)
 
 
-def run(argv: list[str]) -> None:
-    """``main(argv)`` returns 0-3 and raises nothing; on failure it writes one
-    line. A warning counts as a line: outside pytest it goes to stderr."""
+def run(argv: list[str]) -> int:
+    """``main(argv)``, which must return 0-3 and raise nothing; on failure it
+    writes one line. A warning counts as a line: outside pytest it goes to
+    stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings(record=True) as caught:
@@ -125,6 +127,7 @@ def run(argv: list[str]) -> None:
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     if code:
         assert len(lines) == 1, (argv, lines)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +193,104 @@ def test_mutated_config_file(trained, key, value):
     config.write_text(json.dumps({**TINY, key: value}))
     run(["train", "--data", str(trained["data"]), "--config", str(config),
          "--out", str(trained["root"] / "out")])
+
+
+# a valid --embeddings file for TINY's word_dim of 4: 'count dim', then
+# 'token v1 ... v4', one line per token
+EMBEDDINGS = ["3 4", "h 0.1 -0.2 0.3 0.4", "w 1 2 3 4", "t -1e-3 0 0.5 2.5e-1"]
+
+# a header or vector field, each wrong in its own way: non-numeric,
+# non-finite once read, finite but past float32, empty, or a wrong dim
+BAD_FIELD = st.one_of(
+    st.sampled_from(["x", "", "nan", "-inf", "infinity", "1e999", "3.5e38", "0x10",
+                     "1,5", "--1", "4 4", "\t", "5", "-4", "0", "99999999999999999999"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=3))
+
+
+@st.composite
+def mutated_embeddings(draw) -> str:
+    lines = list(EMBEDDINGS)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        action = draw(st.sampled_from(["field", "field", "drop", "repeat", "trailing space",
+                                       "blank"]))
+        if action == "drop" and lines:
+            del lines[k]
+        elif action == "repeat" and lines:
+            lines.insert(k, lines[k])
+        elif action == "trailing space" and lines:
+            lines[k] += " "
+        elif action == "blank":
+            lines.insert(k, "")
+        elif lines:
+            fields = lines[k].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(BAD_FIELD)
+            lines[k] = " ".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+def train_with_embeddings(trained: dict, blob: bytes) -> list[str]:
+    path = trained["root"] / "vectors.txt"
+    path.write_bytes(blob)
+    return ["train", "--data", str(trained["data"]), "--config", str(trained["config"]),
+            "--embeddings", str(path), "--out", str(trained["root"] / "out")]
+
+
+@SETTINGS
+@given(text=mutated_embeddings())
+def test_mutated_embedding_file(trained, text):
+    run(train_with_embeddings(trained, text.encode()))
+
+
+@pytest.mark.parametrize("lines, code", [
+    (EMBEDDINGS, 0),
+    ([line + " " for line in EMBEDDINGS], 0),            # word2vec's trailing space
+    (["3"] + EMBEDDINGS[1:], 3),                         # bad header
+    (["three 4"] + EMBEDDINGS[1:], 3),
+    (["3 5"] + EMBEDDINGS[1:], 3),                       # wrong dim in the header
+    (EMBEDDINGS[:2] + ["w 1 2 3"] + EMBEDDINGS[3:], 3),   # wrong dim on a line
+    (EMBEDDINGS[:3] + ["h 1 2 3 4"], 3),                 # repeated token
+    (EMBEDDINGS[:2] + ["w 1 2 x 4"] + EMBEDDINGS[3:], 3),  # non-numeric
+    (EMBEDDINGS[:2] + ["w 1 2 nan 4"] + EMBEDDINGS[3:], 3),  # non-finite
+    (EMBEDDINGS[:2] + ["w 1 2 1e999 4"] + EMBEDDINGS[3:], 3),
+    (EMBEDDINGS[:2] + ["w 1 2 3.5e38 4"] + EMBEDDINGS[3:], 3),  # finite, past float32
+    (["4 4"] + EMBEDDINGS[1:], 3),                       # count mismatch
+    (EMBEDDINGS[:3], 3),
+])
+def test_embedding_file(trained, lines, code, capsys):
+    argv = train_with_embeddings(trained, "".join(line + "\n" for line in lines).encode())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("data error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+# bytes that no UTF-8 decoder accepts: a lone continuation byte, a truncated
+# two-byte sequence, an encoded surrogate, an overlong slash and a byte never used
+NOT_UTF8 = st.sampled_from([b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xff"])
+
+
+def with_bytes(draw, blob: bytes) -> bytes:
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + draw(NOT_UTF8) + blob[at:]
+
+
+@SETTINGS
+@given(data=st.data(), target=st.sampled_from(COMMANDS + ["config", "embeddings"]))
+def test_bytes_that_are_not_utf8(trained, data, target):
+    root = trained["root"]
+    if target == "config":
+        config = root / "not_utf8.json"
+        config.write_bytes(with_bytes(data.draw, trained["config"].read_bytes()))
+        argv = ["train", "--data", str(trained["data"]), "--config", str(config),
+                "--out", str(root / "out")]
+    elif target == "embeddings":
+        blob = "".join(line + "\n" for line in EMBEDDINGS).encode()
+        argv = train_with_embeddings(trained, with_bytes(data.draw, blob))
+    else:
+        bags = root / "not_utf8.jsonl"
+        bags.write_bytes(with_bytes(data.draw, trained["data"].read_bytes()))
+        argv = argv_for(target, trained, str(bags), str(trained["checkpoint"]))
+    assert run(argv) != 0

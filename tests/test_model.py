@@ -13,6 +13,7 @@ entry's rounding error can exceed its own size.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,29 @@ class TestOnePlanPerPass:
         assert len(built) == 1 and built[0].lengths.tolist() == [3, 1, 5]
         model.forward(None, groups[1:])
         assert len(built) == 2
+
+
+class TestNoProductOfAMatrixWithAStack:
+    @pytest.mark.parametrize("profile", ["synth", "nyt"])
+    def test_forward_and_backward(self, profile, monkeypatch):
+        # every record product is 2-D by 2-D or stack by stack, so
+        # autodiff._product's row halves are the pass's only split product
+        seen = []
+        real_matmul = ad.matmul
+
+        def noting_matmul(tape, a, b):
+            seen.append((a.value.ndim, b.value.ndim))
+            return real_matmul(tape, a, b)
+
+        monkeypatch.setattr(ad, "matmul", noting_matmul)
+        cfg = ModelConfig.from_profile(profile)
+        model = Model(cfg, 40, CLASSES, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        bags = [Bag(f"b{k}", "h", "t", k % CLASSES,
+                    [Instance(rng.integers(2, 40, n), 0, n - 1) for n in sizes])
+                for k, sizes in enumerate([(cfg.time_steps, 5, 12), (1,), (30, 2)])]
+        tape = Tape()
+        loss, _ = total_loss(tape, bags, model, dropout_rng=np.random.default_rng(5))
+        backward(tape, loss)
+        assert (2, 2) in seen and (3, 3) in seen
+        assert set(seen) <= {(2, 2), (3, 3)}

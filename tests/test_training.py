@@ -323,8 +323,8 @@ class TestTrainLoop:
 
 
 class TestTwoCoreTraining:
-    """Training with every sweep and stacked product split over two threads
-    writes the bytes of training on one."""
+    """Training with every sweep and product split over two threads writes
+    the bytes of training on one."""
 
     # a store of several row blocks and word_mlp_weight of two product
     # blocks; the encoder's directions split too

@@ -215,11 +215,13 @@ class TestPackedPath:
 
     def test_unmasked_call_keeps_the_shape_and_weighs_padding(self):
         # bench/tests/test_bench.py drops the mask by monkeypatch and needs
-        # a forward and backward pass that run, with padding in the weights
+        # a forward and backward pass that run, with padding in the weights;
+        # without a mask the batch is still one packed record
         params, hidden, valid = encoded_batch(self.LENGTHS, "float32")
         masked = wa.word_attention_matrix(None, hidden, params, valid_cols=valid).value
         tape = Tape()
         attn = wa.word_attention_matrix(tape, hidden, params, valid_cols=None)
+        assert len(tape) == 1
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, masked)))
         assert attn.shape == masked.shape
         padding = ~np.broadcast_to(valid, masked.shape)
