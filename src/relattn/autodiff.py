@@ -144,21 +144,26 @@ def row_blocks(a: np.ndarray, entries: int = ROW_BLOCK) -> Iterator[slice]:
 # the second core
 
 
-@functools.cache
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS that numpy loaded uses, or None if it cannot be
-    asked (another BLAS, or a build without the query). Asked once."""
+def _openblas(name: str, restype=ctypes.c_int):
+    """What ``openblas_<name>()`` of the OpenBLAS that numpy loaded returns,
+    under any of its builds' symbol names, or None if it cannot be asked
+    (another BLAS, or a build without the query)."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in glob.glob(str(libs / "*openblas*")):
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
+                fn.restype = restype
                 fn.argtypes = []
-                return int(fn())
+                return fn()
     return None
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded uses, or None. Asked once."""
+    return _openblas("get_num_threads")
 
 
 def _usable_cpus() -> int:
@@ -425,23 +430,24 @@ def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
                          f"mask {np.shape(valid)}")
     if not keep.any(axis=-1).all():
         raise ValueError("packed_attention: every column is masked out")
-    rows = x.value.swapaxes(1, 2)[keep]
+    kept = np.nonzero(keep)   # (lane, step) of each kept column, taken once
+    rows = x.value.swapaxes(1, 2)[kept]
     h = _product(rows, w1.value.T)
     np.tanh(h, out=h)
     z = np.full((n, w2.shape[0], t), MASK_FILL, rows.dtype)
-    z.swapaxes(1, 2)[keep] = h @ w2.value.T
+    z.swapaxes(1, 2)[kept] = h @ w2.value.T
     p = _softmax(z)
     out = Node(p)
     if tape is not None:
         def bwd() -> None:
-            dl = _softmax_grad(p, out.grad).swapaxes(1, 2)[keep]   # [P x r]
+            dl = _softmax_grad(p, out.grad).swapaxes(1, 2)[kept]   # [P x r]
             _accum(w2, dl.T @ h)
             dz = dl @ w2.value
             dz *= 1.0 - h * h
             grad = _ensure_grad(x)
 
             def into_x() -> None:
-                grad.swapaxes(1, 2)[keep] += dz @ w1.value
+                grad.swapaxes(1, 2)[kept] += dz @ w1.value
             halves([lambda: _accum(w1, dz.T @ rows), into_x], 2 * dz.size * d)
         tape.record(out, bwd)
     return out

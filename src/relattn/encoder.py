@@ -62,11 +62,12 @@ class BatchPlan:
     steps: np.ndarray      # [P] step of each packed row
     widths: list[int]      # [t_run] lanes running at each step
     schedule: tuple        # per step (first row, end row, previous step's first row, lanes carried)
-    back: np.ndarray       # [P] step of each row's mirror: its lane's tokens, last first
     rev: np.ndarray        # [P] row of each row's mirror; an involution
     earlier: np.ndarray    # [P - widths[0]] the row of each later row's lane at the step before
     starts: np.ndarray     # [n] offset of each lane's ids in the concatenated ids
     valid: np.ndarray      # [n x 1 x t_run] True at real positions
+    at: np.ndarray         # [P] each row's row in the token-major [n*t_run x 2u] state block
+    at_back: np.ndarray    # [P] the row there of its mirror's token; at[rev]
 
     @classmethod
     def of(cls, lengths) -> BatchPlan:
@@ -81,9 +82,10 @@ class BatchPlan:
         schedule = tuple(zip(bounds, bounds[1:], [0] + bounds, [0] + widths[1:]))
         rank = np.arange(lanes.size) - offsets[steps]   # a row's place in its step
         back = lengths[lanes] - 1 - steps
-        return cls(lengths, lanes, steps, widths, schedule, back, offsets[back] + rank,
+        return cls(lengths, lanes, steps, widths, schedule, offsets[back] + rank,
                    (offsets[steps - 1] + rank)[steps > 0], np.cumsum(lengths) - lengths,
-                   (np.arange(t_run) < lengths[:, None])[:, None, :])
+                   (np.arange(t_run) < lengths[:, None])[:, None, :],
+                   lanes * t_run + steps, lanes * t_run + back)
 
     # bench/tracing.py binds bilstm_encode_batch's ``lengths`` and takes len()
     # and sum() of it; ROADMAP item 9's in-package spans retire these two
@@ -102,22 +104,33 @@ def embed_batch(tape: Tape | None, instances: list[Instance], plan: BatchPlan,
     side by side. Packed row k is lane ``lanes[k]``'s token at step
     ``steps[k]``: its word id sits at that offset in the lane's ids, and its
     position buckets come from the distances ``steps[k] - head_pos`` and
-    ``steps[k] - tail_pos``. Backward adds each table's column slice of the
-    gradient into its rows, so repeated ids accumulate."""
+    ``steps[k] - tail_pos``, one ``[2 x P]`` array. Backward adds each
+    table's column slice of the gradient into its rows, so repeated ids
+    accumulate, token by token in plan order: one 1-D ``np.add.at`` over
+    the entries ``id * width + col`` of the table's flat gradient, which
+    must be C-contiguous."""
+    # np.take, as numpy's fancy indexing costs several times more per call here
     lanes, steps = plan.lanes, plan.steps
-    word_ids = np.concatenate([inst.token_ids for inst in instances])[plan.starts[lanes] + steps]
-    position_ids = [position_buckets(steps - np.array(pos)[lanes], config.max_distance)
-                    for pos in ([inst.head_pos for inst in instances],
-                                [inst.tail_pos for inst in instances])]
+    token_ids = np.concatenate([inst.token_ids for inst in instances])
+    entities = np.array([inst.head_pos for inst in instances]
+                        + [inst.tail_pos for inst in instances]).reshape(2, -1)   # [2 x n]
+    positions = position_buckets(steps - entities.take(lanes, axis=1), config.max_distance)
     parts = list(zip((tables.word, tables.head_position, tables.tail_position),
-                     [word_ids] + position_ids))
-    out = Node(np.concatenate([table.value[ids] for table, ids in parts], axis=1))
+                     (token_ids.take(plan.starts.take(lanes) + steps), *positions)))
+    out = Node(np.concatenate([table.value.take(ids, axis=0) for table, ids in parts], axis=1))
     if tape is not None:
         def bwd() -> None:
+            # numpy's row form of np.add.at is its slow path; the flat form
+            # makes the same additions in the same order. A gradient that is
+            # not C-contiguous would flatten to a copy, and its scatter be lost
+            if not all(table.grad.flags.c_contiguous for table, _ in parts):
+                raise ValueError("embed_batch: an embedding table's gradient is not C-contiguous")
             offset = 0
             for table, ids in parts:
                 width = table.shape[1]
-                np.add.at(table.grad, ids, out.grad[:, offset:offset + width])
+                entries = (ids[:, None] * width + np.arange(width)).ravel()
+                np.add.at(table.grad.reshape(-1), entries,
+                          out.grad[:, offset:offset + width].ravel())
                 offset += width
         tape.record(out, bwd)
     return out
@@ -222,7 +235,7 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
         dz = dz.reshape(z.shape)
         ad._accum(direction.w_in, dz.T @ x)
         ad._accum(direction.bias, dz.sum(axis=0)[:, None])
-        ad._accum(direction.w_rec, dz[first:].T @ states[plan.earlier])
+        ad._accum(direction.w_rec, dz[first:].T @ states.take(plan.earlier, axis=0))
         return dz @ w_in
     return states, bptt
 
@@ -243,29 +256,32 @@ def bilstm_encode_batch(tape: Tape | None, embedded: Node, lengths: BatchPlan,
     same bits.
     """
     plan = lengths   # the name bench/tracing.py binds (see BatchPlan.__len__)
-    lanes, steps, back, rev = plan.lanes, plan.steps, plan.back, plan.rev
+    rev = plan.rev
     x = embedded.value
-    if x.shape[0] != lanes.size:
-        raise ad.ShapeError(f"embedded height {x.shape[0]} != {lanes.size} real tokens")
+    if x.shape[0] != rev.size:
+        raise ad.ShapeError(f"embedded height {x.shape[0]} != {rev.size} real tokens")
     work = len(x) * (params.fwd.w_in.value.size + params.fwd.w_rec.value.size)
     (fwd_states, fwd_bptt), (bwd_states, bwd_bptt) = ad.halves(
         [lambda: _run_direction(x, plan, params.fwd),
-         lambda: _run_direction(x[rev], plan, params.bwd)], work)
+         lambda: _run_direction(x.take(rev, axis=0), plan, params.bwd)], work)
     u = fwd_states.shape[1]
     # token-major memory: these scatters, their gathers and word attention's
-    # read of the real tokens all move whole rows
-    states = np.zeros((plan.lengths.size, len(plan.widths), 2 * u), dtype=x.dtype)
-    states[lanes, steps, :u] = fwd_states
-    states[lanes, back, u:] = bwd_states
-    out = Node(states.swapaxes(1, 2))
+    # read of the real tokens all move whole rows, by their flat row in
+    # the [n*t_run x 2u] block
+    n, t_run = plan.lengths.size, len(plan.widths)
+    states = np.zeros((n * t_run, 2 * u), dtype=x.dtype)
+    states[plan.at, :u] = fwd_states
+    states[plan.at_back, u:] = bwd_states
+    out = Node(states.reshape(n, t_run, 2 * u).swapaxes(1, 2))
     if tape is not None:
         def bwd() -> None:
-            g = out.grad.swapaxes(1, 2)   # token-major too, as _accum lays it out
-            halves = {"fwd": g[lanes, steps, :u], "bwd": g[lanes, back, u:]}
+            # a view where the gradient is token-major, as _accum lays it out
+            g = out.grad.swapaxes(1, 2).reshape(n * t_run, 2 * u)
+            halves = {"fwd": g[plan.at, :u], "bwd": g[plan.at_back, u:]}
             out.grad = g = None   # both halves gathered; each BPTT pops and frees its own
             tasks = [lambda: fwd_bptt(halves.pop("fwd")), lambda: bwd_bptt(halves.pop("bwd"))]
             dx_f, dx_b = ad.halves(tasks, work)
-            dx = dx_b[rev]
+            dx = dx_b.take(rev, axis=0)
             dx += dx_f
             ad._accum(embedded, dx)
         tape.record(out, bwd)

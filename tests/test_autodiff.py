@@ -1,5 +1,6 @@
 """Oracle and property tests for the autodiff core."""
 
+import ctypes
 import functools
 import inspect
 import threading
@@ -427,6 +428,12 @@ class TestTwoCores:
         threads = ad._blas_threads()
         assert threads is None or threads >= 1
         assert ad._usable_cpus() >= 1
+
+    def test_openblas_build_is_named_or_unknown(self):
+        # CI prints these to name the kernels that exact-bits tests ran on
+        for name in ("get_corename", "get_config"):
+            value = ad._openblas(name, ctypes.c_char_p)
+            assert value is None or isinstance(value, bytes) and value, name
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         class WorkerError(RuntimeError):

@@ -251,6 +251,7 @@ def test_mutated_embedding_file(trained, text):
     (EMBEDDINGS[:2] + ["w 1 2 3"] + EMBEDDINGS[3:], 3),   # wrong dim on a line
     (EMBEDDINGS[:3] + ["h 1 2 3 4"], 3),                 # repeated token
     (EMBEDDINGS[:2] + ["w 1 2 x 4"] + EMBEDDINGS[3:], 3),  # non-numeric
+    (EMBEDDINGS[:2] + ["w 1 2 1_0 4"] + EMBEDDINGS[3:], 3),  # Python's float reads 10
     (EMBEDDINGS[:2] + ["w 1 2 nan 4"] + EMBEDDINGS[3:], 3),  # non-finite
     (EMBEDDINGS[:2] + ["w 1 2 1e999 4"] + EMBEDDINGS[3:], 3),
     (EMBEDDINGS[:2] + ["w 1 2 3.5e38 4"] + EMBEDDINGS[3:], 3),  # finite, past float32

@@ -453,6 +453,17 @@ class TestEmbeddingFile:
         with pytest.raises(DataError, match="line 3"):
             read_embedding_file(path, word_dim=2)
 
+    def test_underscore_in_a_value_rejected(self, tmp_path):
+        # Python's float reads 1_0 as 10, a spelling no word-vector file uses
+        path = tmp_path / "emb.txt"
+        for bad in ("1_0", "1_000.5", "_1", "1e1_0"):
+            path.write_text(f"2 2\nfoo_bar 1.0 2.0\nbar 1.0 {bad}\n")
+            with pytest.raises(DataError, match="line 3: non-numeric"):
+                read_embedding_file(path, word_dim=2)
+        path.write_text("1 2\nnew_york 1.0 2.0\n")   # a token may hold '_'
+        np.testing.assert_array_equal(read_embedding_file(path, word_dim=2)["new_york"],
+                                      [1.0, 2.0])
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         for bad in ("nan", "inf", "-inf"):

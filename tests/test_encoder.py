@@ -109,6 +109,61 @@ class TestEmbeddings:
         np.testing.assert_array_equal(tables.word.value[3], vec)
         assert np.abs(tables.word.value[2]).max() < 0.5   # untouched rows stay small
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["float32", "float64"]), st.integers(1, 8), st.data())
+    def test_backward_matches_the_row_form_bit_for_bit(self, precision, t_steps, data):
+        # the flat 1-D np.add.at makes the additions of np.add.at's row form
+        # in its order: ids repeat (3 words, few buckets), and each table's
+        # gradient already holds values, as after an earlier batch
+        md = data.draw(st.integers(1, 3))
+        cfg = tiny_config(time_steps=t_steps, max_distance=md, position_dim=4,
+                          precision=precision)
+        tables = tables_for(cfg, vocab_size=5, seed=data.draw(st.integers(0, 99)))
+        instances = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            length = data.draw(st.integers(0, t_steps))
+            instances.append(make_instance(
+                data.draw(st.lists(st.integers(2, 4), min_size=length, max_size=length)),
+                head=data.draw(st.integers(0, t_steps - 1)),
+                tail=data.draw(st.integers(0, t_steps - 1))))
+        plan = plan_of(instances)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        parts = (tables.word, tables.head_position, tables.tail_position)
+        for table in parts:
+            table.grad[...] = rng.standard_normal(table.shape)
+        start = [table.grad.copy() for table in parts]
+        tape = Tape()
+        out = enc.embed_batch(tape, instances, plan, tables, cfg)
+        probe = rng.standard_normal(out.shape).astype(cfg.dtype)
+        ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+
+        def bucket(distance):
+            return min(max(distance, -md), md) + md
+        rows = [(instances[j], t) for j, t in zip(plan.lanes, plan.steps)]
+        ids = [[inst.token_ids[t] for inst, t in rows],
+               [bucket(t - inst.head_pos) for inst, t in rows],
+               [bucket(t - inst.tail_pos) for inst, t in rows]]
+        edges = np.cumsum([0] + [table.shape[1] for table in parts])
+        for table, want, table_ids, lo, hi in zip(parts, start, ids, edges, edges[1:]):
+            np.add.at(want, np.array(table_ids, dtype=np.int64), probe[:, lo:hi])
+            assert table.grad.dtype == cfg.dtype
+            np.testing.assert_array_equal(table.grad, want, err_msg=table.name)
+
+    def test_a_gradient_that_is_not_c_contiguous_raises(self):
+        # reshape(-1) of such a gradient is a copy, so a scatter into it
+        # would be dropped; the backward pass raises before any table moves
+        cfg = tiny_config(position_dim=4)
+        tables = tables_for(cfg)
+        tables.tail_position.grad = np.zeros((tables.tail_position.shape[0], 4))[:, :2]
+        assert not np.shares_memory(tables.tail_position.grad.reshape(-1),
+                                    tables.tail_position.grad)
+        tape = Tape()
+        out = embed_one(tape, make_instance([2, 3, 4]), tables, cfg)
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            ad.backward(tape, ad.sum_all(tape, out))
+        for table in (tables.word, tables.head_position, tables.tail_position):
+            assert not table.grad.any(), table.name
+
 
 def _sigmoid(z):
     e = np.exp(-np.abs(z))
@@ -247,11 +302,13 @@ def brute_force_plan(lengths):
         # step t > 0 carries over every lane it runs, from step t-1's rows
         schedule=[(offsets[t], offsets[t + 1], offsets[t - 1] if t else 0,
                    widths[t] if t else 0) for t in range(t_run)],
-        back=[lengths[j] - 1 - t for j, t in rows],
         rev=[row_of[j, lengths[j] - 1 - t] for j, t in rows],
         earlier=[row_of[j, t - 1] for j, t in rows if t > 0],
         starts=[sum(lengths[:j]) for j in range(n)],
         valid=[[[t < lengths[j] for t in range(t_run)]] for j in range(n)],
+        # rows of the token-major [n*t_run x 2u] state block
+        at=[j * t_run + t for j, t in rows],
+        at_back=[j * t_run + lengths[j] - 1 - t for j, t in rows],
     )
 
 
@@ -331,7 +388,9 @@ class TestFusedDirection:
 
     def test_second_backward_doubles_every_lstm_gradient(self):
         # the backward closure must not write into the buffers it saved; the
-        # embedding tables are left out, as np.add.at adds one row at a time
+        # embedding tables are left out: their flat np.add.at still adds one
+        # entry at a time into what the first pass left, so a second pass
+        # need not give exactly twice the first
         tape, loss, _, params = self.encode_with_tape(tiny_config(time_steps=5), [3, 5, 1, 3])
         ad.backward(tape, loss)
         once = [p.grad.copy() for p in params[3:]]
@@ -413,6 +472,51 @@ class TestBilstm:
         plan = plan_of(instances)
         return enc.bilstm_encode_batch(None, enc.embed_batch(None, instances, plan, tables, cfg),
                                        plan, lstm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.data())
+    def test_flat_rows_move_the_lane_step_entries(self, t_steps, token_major, data):
+        # the states land where [lanes, steps, :u] and [lanes, back, u:]
+        # put them, and each BPTT reads its gradient from there, whether the
+        # gradient is token-major, as _accum lays it out, or not
+        cfg = tiny_config(time_steps=t_steps)
+        lengths = data.draw(length_lists(t_steps))
+        instances = [make_instance([2 + t % 5 for t in range(n)]) for n in lengths]
+        plan = plan_of(instances)
+        tables, lstm = tables_for(cfg, vocab_size=8), fresh_model(cfg, 8, 1).lstm
+        directions, gradients = [], []
+        real_run = enc._run_direction
+
+        def recording_run(x, plan, direction):
+            states, bptt = real_run(x, plan, direction)
+            directions.append(states)
+
+            def recording_bptt(dh):
+                gradients.append(dh.copy())
+                return bptt(dh)
+            return states, recording_bptt
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enc, "_run_direction", recording_run)
+            tape = Tape()
+            embedded = enc.embed_batch(tape, instances, plan, tables, cfg)
+            out = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
+            probe = np.random.default_rng(t_steps).uniform(-1, 1, out.shape)
+            if token_major:
+                ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            else:
+                out.grad = probe.copy()   # C-ordered [n x 2u x t_run]
+                for _, bwd in reversed(tape._records):
+                    bwd()
+        u = cfg.hidden_size
+        lanes, steps = plan.lanes, plan.steps
+        back = plan.lengths[lanes] - 1 - steps
+        want = np.zeros((len(lengths), max(lengths), 2 * u))
+        want[lanes, steps, :u], want[lanes, back, u:] = directions
+        np.testing.assert_array_equal(out.value.swapaxes(1, 2), want)
+        g = probe.swapaxes(1, 2)
+        np.testing.assert_array_equal(gradients[0], g[lanes, steps, :u])
+        np.testing.assert_array_equal(gradients[1], g[lanes, back, u:])
 
     def test_output_shape(self):
         cfg = tiny_config(time_steps=4)
