@@ -1,6 +1,6 @@
 """A walk through the reverse-mode tape.
 
-Builds a small expression from the primitive operations, replays the tape
+Builds a small expression from a few taped operations, replays the tape
 backward, and shows that the accumulated gradients agree with central
 differences to many digits.
 """
@@ -14,20 +14,19 @@ rng = np.random.default_rng(0)
 
 # Two trainable leaves and one constant input.
 w = Parameter("w", rng.uniform(-0.5, 0.5, (3, 4)))
-b = Parameter("b", rng.uniform(-0.5, 0.5, (3, 1)))
-x = Node(rng.uniform(-1.0, 1.0, (4, 2)))
+b = Parameter("b", rng.uniform(-0.5, 0.5, (2, 3)))
+x = Node(rng.uniform(-1.0, 1.0, (4, 5)))
 
-print("forward: loss = sum(softmax_rows(tanh(W x + b))^2) + ||W W^T - I||_F^2")
+print("forward: loss = sum(softmax_rows(B tanh(W x))^2) + ||W W^T - I||_F^2")
 tape = Tape()
-hidden = ad.tanh_map(tape, ad.add(tape, ad.matmul(tape, w, x), b))
-probs = ad.row_softmax(tape, ad.transpose(tape, hidden))
+probs = ad.attention(tape, x, w, b)   # one record: both products, tanh and softmax
 loss = ad.add(tape, ad.sum_squares(tape, probs), ad.frobenius_penalty(tape, w))
 print(f"  {len(tape)} operations recorded, loss = {loss.value.item():.6f}")
 
 print("\nbackward: replaying the tape in reverse, accumulating into the leaves")
 backward(tape, loss)
 print(f"  dloss/dw row 0: {np.array2string(w.grad[0], precision=5)}")
-print(f"  dloss/db:       {np.array2string(b.grad.ravel(), precision=5)}")
+print(f"  dloss/db row 0: {np.array2string(b.grad[0], precision=5)}")
 
 print("\ngradients accumulate until zeroed: a second backward doubles them")
 before = w.grad[0, 0]
@@ -41,8 +40,7 @@ print("\nchecking every coordinate against central differences (h = 1e-6):")
 
 def rebuild():
     t = Tape()
-    h = ad.tanh_map(t, ad.add(t, ad.matmul(t, w, x), b))
-    p = ad.row_softmax(t, ad.transpose(t, h))
+    p = ad.attention(t, x, w, b)
     return t, ad.add(t, ad.sum_squares(t, p), ad.frobenius_penalty(t, w))
 
 

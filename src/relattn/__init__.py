@@ -9,8 +9,7 @@ validated end to end by finite differences.
 """
 
 from .autodiff import (Node, Parameter, ShapeError, Tape, backward, cross_entropy,
-                       finite_diff_check, frobenius_penalty, matmul, relu_map,
-                       row_softmax, tanh_map)
+                       finite_diff_check, frobenius_penalty)
 from .config import ConfigError, ModelConfig, PROFILES
 from .data import (Bag, DataError, Dataset, Instance, SynthSpec, Vocab,
                    generate_synthetic, load_dataset, make_batches)
@@ -25,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Node", "Parameter", "Tape", "ShapeError", "backward", "cross_entropy",
-    "finite_diff_check", "frobenius_penalty", "matmul", "relu_map", "row_softmax",
-    "tanh_map", "ConfigError", "ModelConfig", "PROFILES", "Bag", "DataError",
+    "finite_diff_check", "frobenius_penalty", "ConfigError", "ModelConfig", "PROFILES", "Bag", "DataError",
     "Dataset", "Instance", "SynthSpec", "Vocab", "generate_synthetic", "load_dataset",
     "make_batches", "EvalError", "PnSetting", "PredictionRecord",
     "export_attention", "gold_facts", "macro_f1", "p_at_n", "pr_curve", "score_test_set",

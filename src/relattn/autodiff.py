@@ -1,9 +1,9 @@
 """Dense-matrix reverse-mode differentiation on a replayable tape.
 
 Every graph value is a 2-D float array (scalars are 1x1 matrices), or a 3-D
-stack of them along a leading batch axis; a 2-D operand of a batched op is
-shared by the whole batch. Each operation computes its result eagerly and
-records a backward closure on an explicit :class:`Tape`; :func:`backward`
+stack of them along a leading batch axis. Each operation computes its result
+eagerly and records one backward closure on an explicit :class:`Tape`, as
+the model's layer functions do with this module's helpers. :func:`backward`
 replays the tape in exact reverse execution order and *accumulates*
 gradients into the inputs, so leaves keep collecting contributions until
 they are zeroed. :func:`finite_diff_check` is the numerical oracle used to
@@ -40,7 +40,7 @@ PRODUCT_BLOCK = 1 << 19
 # weight gradient 1.60 -> 1.20. The synth profile's store (47K entries),
 # products (at most 2.3M) and BiLSTM directions (at most 13.6M, one
 # direction's forward multiply-adds) stay on one thread; train_nyt's sweeps
-# (7.3M-8.1M entries), products (178M-416M, twice that for a matmul record's
+# (7.3M-8.1M entries), products (178M-416M, twice that for a record's
 # gradient pair) and directions (770M) split.
 CONCURRENT_MIN_ENTRIES = 1 << 22
 CONCURRENT_MIN_PRODUCT = 1 << 25
@@ -226,6 +226,15 @@ def halves(tasks: list[Callable[[], object]], work: int, least: int | None = Non
     return lower + upper["value"]
 
 
+def grad_pair(first: Callable[[], object], second: Callable[[], object],
+              g: np.ndarray, k: int) -> list:
+    """The results of a record's two gradient tasks, ``first`` then ``second``,
+    for an output gradient ``g`` whose products run over an inner dimension
+    ``k``: one :func:`halves` call of ``2 * g.size * k`` multiply-adds, the
+    one rule by which every record's gradient pair splits."""
+    return halves([first, second], 2 * g.size * k)
+
+
 def sweep(fn: Callable[[slice], object], a: np.ndarray) -> list:
     """``[fn(rows)]`` over the row blocks of ``a`` of about ``ROW_BLOCK`` entries
     each, so a pass's scratch stays in cache; every pass over the parameter
@@ -251,23 +260,15 @@ def _ensure_grad(node: Node) -> np.ndarray:
     return node.grad
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Collapse gradient of a broadcast result back onto the operand's shape.
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(lead + i for i, size in enumerate(shape)
-                                      if size == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape)
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``, the only place a product splits. A 2-D ``x`` of two rows or
-    more times a 2-D ``y``, of at least ``CONCURRENT_MIN_PRODUCT``
-    multiply-adds, runs as two products, one per half of ``x``'s rows, the
-    two tasks of one :func:`halves` call; the split is a function of the
-    shape alone, and each entry is the same call on one thread or two.
-    Every other product, stacks included, is one call."""
+    """``x @ y``, every record's forward product and the only place a product
+    splits. A 2-D ``x`` of two rows or more times a 2-D ``y``, of at least
+    ``CONCURRENT_MIN_PRODUCT`` multiply-adds, runs as two products, one per
+    half of ``x``'s rows, the two tasks of one :func:`halves` call; the
+    split is a function of the shape alone, and each entry is the same call
+    on one thread or two. Every other product, stacks included, is one call."""
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"inner dimensions disagree, {x.shape} x {y.shape}")
     work = len(x) * y.size
     if x.ndim != 2 or y.ndim != 2 or len(x) < 2 or work < CONCURRENT_MIN_PRODUCT:
         return x @ y
@@ -276,6 +277,14 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     halves([functools.partial(np.matmul, x[rows], y, out=out[rows])
             for rows in (slice(None, mid), slice(mid, None))], work)
     return out
+
+
+def _weight_grad(w: Node, g: np.ndarray, x: np.ndarray) -> None:
+    """Add ``g @ x.T`` into 2-D ``w``'s gradient over row blocks of about
+    ``PRODUCT_BLOCK`` entries: one block of scratch, the same dot products."""
+    grad = _ensure_grad(w)
+    for rows in row_blocks(w.value, PRODUCT_BLOCK):
+        grad[rows] += g[rows] @ x.T
 
 
 def backward(tape: Tape, loss: Node) -> None:
@@ -304,49 +313,14 @@ def backward(tape: Tape, loss: Node) -> None:
 # primitive operations
 
 
-def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
-    """Matrix product; a 2-D operand broadcasts against a batched one, and
-    its gradient is the batch's sum of per-entry products.
-
-    The forward product splits as :func:`_product` says. Backward adds the
-    gradients into ``a`` and into ``b``, each one plain product, the two
-    tasks of one :func:`halves` call whose work is both gradients'
-    multiply-adds; when ``a is b`` they add into one buffer in turn, never
-    split. A 2-D Parameter's gradient ``g @ b.T`` is added over row blocks of
-    about ``PRODUCT_BLOCK`` entries, so its scratch is one block, not a whole
-    weight-sized product; each block's entries are the same dot products."""
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = Node(_product(a.value, b.value))
-    if tape is not None:
-        def bwd() -> None:
-            g = out.grad
-
-            def into_a() -> None:
-                if isinstance(a, Parameter) and g.ndim == 2:
-                    for rows in row_blocks(a.value, PRODUCT_BLOCK):
-                        a.grad[rows] += g[rows] @ b.value.T
-                else:
-                    _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape))
-
-            def into_b() -> None:
-                _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape))
-            if a is b:
-                into_a()
-                into_b()
-            else:
-                halves([into_a, into_b], 2 * g.size * a.shape[-1])
-        tape.record(out, bwd)
-    return out
-
-
 def add(tape: Tape | None, a: Node, b: Node) -> Node:
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes differ, {a.shape} + {b.shape}")
     out = Node(a.value + b.value)
     if tape is not None:
         def bwd() -> None:
-            g = out.grad
-            _accum(a, _unbroadcast(g, a.shape))
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(a, out.grad)
+            _accum(b, out.grad)
         tape.record(out, bwd)
     return out
 
@@ -364,48 +338,6 @@ def mul_const(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
     return out
 
 
-def tanh_map(tape: Tape | None, a: Node) -> Node:
-    y = np.tanh(a.value)
-    out = Node(y)
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, out.grad * (1.0 - y * y))
-        tape.record(out, bwd)
-    return out
-
-
-def relu_map(tape: Tape | None, a: Node) -> Node:
-    out = Node(np.maximum(a.value, 0.0))
-    if tape is not None:
-        def bwd() -> None:
-            # subgradient 0 at exactly x == 0
-            _accum(a, out.grad * (a.value > 0))
-        tape.record(out, bwd)
-    return out
-
-
-def row_softmax(tape: Tape | None, a: Node, valid_cols: np.ndarray | None = None) -> Node:
-    """Softmax over the last axis, with max-subtraction for stability.
-
-    ``valid_cols`` is an optional boolean mask that broadcasts against the
-    logits and may add a batch axis; logits of masked columns are replaced by
-    a large negative fill so they get zero weight and zero gradient.
-    """
-    z = a.value
-    if valid_cols is not None:
-        valid = np.asarray(valid_cols, dtype=bool)
-        if not valid.any(axis=-1).all():
-            raise ValueError("row_softmax: every column is masked out")
-        z = np.where(valid, z, z.dtype.type(MASK_FILL))
-    p = _softmax(z)
-    out = Node(p)
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, _unbroadcast(_softmax_grad(p, out.grad), a.shape))
-        tape.record(out, bwd)
-    return out
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -415,14 +347,46 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
+def attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
+              valid: np.ndarray | None = None) -> Node:
+    """``softmax(W2 tanh(W1 X))`` of a 2-D ``x`` ``[d x N]``, each row over the
+    columns ``valid`` keeps (all if ``None``); a ``valid`` ``[B x 1 x N]``
+    gives ``[B x r x N]``, one matrix per mask. One record whose products
+    are taken as ``W1·X`` (:func:`packed_attention` takes ``X W1ᵀ``); backward
+    adds each weight's gradient pair as one :func:`grad_pair`, ``W2``'s and
+    then ``W1``'s with ``W1ᵀ·dZ`` into ``x``."""
+    h = _product(w1.value, x.value)
+    np.tanh(h, out=h)
+    z = _product(w2.value, h)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if not valid.any(axis=-1).all():
+            raise ValueError("attention: every column is masked out")
+        z = np.where(valid, z, z.dtype.type(MASK_FILL))
+    p = _softmax(z)
+    out = Node(p)
+    if tape is not None:
+        def bwd() -> None:
+            dl = _softmax_grad(p, out.grad)
+            if dl.ndim == 3:   # the masks' matrices share the weights
+                dl = dl.sum(axis=0)
+            dz = grad_pair(lambda: _weight_grad(w2, dl, h), lambda: w2.value.T @ dl,
+                           dl, w2.shape[1])[1]
+            dz *= 1.0 - h * h
+            grad_pair(lambda: _weight_grad(w1, dz, x.value), lambda: _accum(x, w1.value.T @ dz),
+                      dz, w1.shape[1])
+        tape.record(out, bwd)
+    return out
+
+
 def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
                      valid: np.ndarray | None = None) -> Node:
-    """``row_softmax(matmul(w2, tanh_map(matmul(w1, x))), valid)`` up to
-    rounding, in one record that reads only the columns of ``x`` ``[n x d x T]``
-    that ``valid`` ``[n x 1 x T]`` keeps (every column if ``None``), as one
+    """:func:`attention` of each lane's ``[d x T]`` states up to rounding, in
+    one record that reads only the columns of ``x`` ``[n x d x T]`` that
+    ``valid`` ``[n x 1 x T]`` keeps (every column if ``None``), as one
     block of rows ``X`` ``[P x d]``; ``X W1ᵀ`` is one :func:`_product`.
     Backward adds into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into
-    the kept columns of ``x``, the two tasks of one split."""
+    the kept columns of ``x``, one :func:`grad_pair`."""
     n, d, t = x.shape
     keep = np.ones((n, t), bool) if valid is None else np.asarray(valid, dtype=bool)[:, 0]
     if keep.shape != (n, t) or w1.shape[1] != d or w2.shape[1] != w1.shape[0]:
@@ -448,27 +412,7 @@ def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
 
             def into_x() -> None:
                 grad.swapaxes(1, 2)[kept] += dz @ w1.value
-            halves([lambda: _accum(w1, dz.T @ rows), into_x], 2 * dz.size * d)
-        tape.record(out, bwd)
-    return out
-
-
-def transpose(tape: Tape | None, a: Node) -> Node:
-    """Swap the last two axes."""
-    out = Node(np.swapaxes(a.value, -1, -2))
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, np.swapaxes(out.grad, -1, -2))
-        tape.record(out, bwd)
-    return out
-
-
-def reshape(tape: Tape | None, a: Node, *shape: int) -> Node:
-    """Row-major reshape to ``shape`` (one entry may be -1)."""
-    out = Node(a.value.reshape(shape))
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, out.grad.reshape(a.shape))
+            grad_pair(lambda: _accum(w1, dz.T @ rows), into_x, dz, d)
         tape.record(out, bwd)
     return out
 

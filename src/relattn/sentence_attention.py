@@ -5,6 +5,7 @@ bag by the same function: attention rows are averaged into a single selection
 weighting, which mixes the instance representations into one vector for
 relation classification. All bags of a batch run at once over its
 ``[mlp x N]`` representations, each bag's rows masked to its own columns.
+Each function adds one tape record.
 """
 
 from __future__ import annotations
@@ -45,18 +46,45 @@ def average_attention(tape: Tape | None, attention: Node) -> Node:
 
 
 def selection_representation(tape: Tape | None, averaged: Node, representations: Node) -> Node:
-    """Attention-weighted sum of each bag's representations: ``[bags x mlp]``."""
-    weights = ad.reshape(tape, averaged, -1, representations.shape[1])
-    return ad.matmul(tape, weights, ad.transpose(tape, representations))
+    """Attention-weighted sum of each bag's representations: ``[bags x mlp]``.
+    One record; backward's two gradients are one ``autodiff.grad_pair``."""
+    reps = representations.value
+    weights = averaged.value.reshape(-1, reps.shape[1])
+    out = Node(ad._product(weights, reps.T))
+    if tape is not None:
+        def bwd() -> None:
+            g = out.grad
+            ad.grad_pair(lambda: ad._accum(averaged, (g @ reps).reshape(averaged.shape)),
+                         lambda: ad._accum(representations, (weights.T @ g).T),
+                         g, weights.shape[1])
+        tape.record(out, bwd)
+    return out
 
 
 def classify(tape: Tape | None, selection: Node, params: SentAttentionParams) -> Node:
-    """Probability rows ``[bags x classes]`` from the ``[bags x mlp]`` selections.
+    """Probability rows ``softmax(tanh(S) Wᵀ + bᵀ)`` ``[bags x classes]`` from
+    the ``[bags x mlp]`` selections. One record; backward's gradients into
+    ``S`` and ``W`` are one ``autodiff.grad_pair``.
 
     The class axis stays contiguous: numpy sums a strided float32 axis
     sequentially, not pairwise, which can miss cross_entropy's 1e-6 check.
     """
-    logits = ad.add(tape, ad.matmul(tape, ad.tanh_map(tape, selection),
-                                    ad.transpose(tape, params.class_weight)),
-                    ad.transpose(tape, params.class_bias))
-    return ad.row_softmax(tape, logits)
+    weight, bias = params.class_weight, params.class_bias
+    t = np.tanh(selection.value)
+    logits = ad._product(t, weight.value.T)
+    logits += bias.value.T
+    p = ad._softmax(logits)
+    out = Node(p)
+    if tape is not None:
+        def bwd() -> None:
+            dl = ad._softmax_grad(p, out.grad)
+            ad._accum(bias, dl.sum(axis=0, keepdims=True).T)
+
+            def into_selection() -> None:
+                ds = dl @ weight.value
+                ds *= 1.0 - t * t
+                ad._accum(selection, ds)
+            ad.grad_pair(into_selection, lambda: ad._accum(weight, (t.T @ dl).T),
+                         dl, t.shape[1])
+        tape.record(out, bwd)
+    return out

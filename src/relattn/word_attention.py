@@ -3,7 +3,8 @@
 A learned matrix of attention rows, each a distribution over token
 positions, turns the encoder output into a fixed number of differently
 focused sentence views; the orthogonality penalty pushes those rows apart.
-Each function takes one instance's ``[2u x T]`` states or a batch ``[n x 2u x T]``.
+Each function takes one instance's ``[2u x T]`` states or a batch ``[n x 2u x T]``
+and adds one tape record.
 """
 
 from __future__ import annotations
@@ -35,31 +36,52 @@ def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttention
     batch) masks padded positions out; a batch is one
     ``autodiff.packed_attention`` record over the positions the mask keeps,
     every one without a mask. One instance, and the sentence level as
-    ``sentence_attention_matrix``, run as a chain of 2-D records: there ``X``
-    is ``[mlp x N]`` instance representations, the result ``[(bags x) r x N]``,
-    and ``valid_cols`` a ``stack_bag`` mask.
+    ``sentence_attention_matrix``, are one ``autodiff.attention`` record:
+    there ``X`` is ``[mlp x N]`` instance representations, the result
+    ``[(bags x) r x N]``, and ``valid_cols`` a ``stack_bag`` mask.
     """
     if hidden.value.ndim == 3:
         return ad.packed_attention(tape, hidden, params.attn_hidden, params.attn_rows,
                                    valid_cols)
-    logits = ad.matmul(tape, params.attn_rows,
-                       ad.tanh_map(tape, ad.matmul(tape, params.attn_hidden, hidden)))
-    return ad.row_softmax(tape, logits, valid_cols=valid_cols)
+    return ad.attention(tape, hidden, params.attn_hidden, params.attn_rows, valid_cols)
 
 
 def weighted_sentence_matrix(tape: Tape | None, attention: Node, hidden: Node) -> Node:
-    """One weighted combination of encoder states per attention row: ``[(n x) r x 2u]``."""
-    return ad.matmul(tape, attention, ad.transpose(tape, hidden))
+    """One weighted combination of encoder states per attention row: ``[(n x) r x 2u]``.
+    One record; backward's two gradients are one ``autodiff.grad_pair``."""
+    out = Node(ad._product(attention.value, np.swapaxes(hidden.value, -1, -2)))
+    if tape is not None:
+        def bwd() -> None:
+            g = out.grad
+            ad.grad_pair(lambda: ad._accum(attention, g @ hidden.value),
+                         lambda: ad._accum(hidden, np.swapaxes(
+                             np.swapaxes(attention.value, -1, -2) @ g, -1, -2)),
+                         g, attention.shape[-1])
+        tape.record(out, bwd)
+    return out
 
 
 def flatten_project(tape: Tape | None, weighted: Node, params: WordAttentionParams) -> Node:
     """Concatenate each instance's weighted rows and project them through the
-    ReLU MLP, one column of ``[mlp x n]`` per instance."""
+    ReLU MLP, one column of ``[mlp x n]`` per instance. One record; backward's
+    weight gradient, by row blocks, and input gradient ``dZᵀ·W`` are one
+    ``autodiff.grad_pair``."""
+    weight, bias = params.mlp_weight, params.mlp_bias
     rows, cols = weighted.shape[-2:]
-    # row-major: row blocks stay contiguous
-    flat = ad.transpose(tape, ad.reshape(tape, weighted, -1, rows * cols))
-    return ad.relu_map(tape, ad.add(tape, ad.matmul(tape, params.mlp_weight, flat),
-                                    params.mlp_bias))
+    flat = weighted.value.reshape(-1, rows * cols).T   # row-major: row blocks stay contiguous
+    y = ad._product(weight.value, flat)
+    y += bias.value
+    np.maximum(y, 0.0, out=y)
+    out = Node(y)
+    if tape is not None:
+        def bwd() -> None:
+            g = out.grad * (y > 0)   # subgradient 0 at exactly 0
+            ad._accum(bias, g.sum(axis=1, keepdims=True))
+            ad.grad_pair(lambda: ad._weight_grad(weight, g, flat),
+                         lambda: ad._accum(weighted, (g.T @ weight.value).reshape(weighted.shape)),
+                         g, weight.shape[1])
+        tape.record(out, bwd)
+    return out
 
 
 def attention_penalty(tape: Tape | None, attention: Node) -> Node:

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from relattn import autodiff as ad
 from relattn import gradcheck
 from relattn import training
+from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, ShapeError, Tape, backward, finite_diff_check
 
 
@@ -29,80 +30,91 @@ small_matrices = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 
 
 
 class TestMatmul:
+    """``_product``, the matrix product of every record's forward pass."""
+
     def test_identity(self):
-        out = ad.matmul(None, Node(np.eye(2)), Node([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(out.value, [[1.0, 2.0], [3.0, 4.0]])
+        out = ad._product(np.eye(2), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_row_selection(self):
-        out = ad.matmul(None, Node([[1.0, 0.0]]), Node([[5.0], [7.0]]))
-        np.testing.assert_array_equal(out.value, [[5.0]])
+        out = ad._product(np.array([[1.0, 0.0]]), np.array([[5.0], [7.0]]))
+        np.testing.assert_array_equal(out, [[5.0]])
 
     def test_hand_oracle(self):
-        out = ad.matmul(None, Node([[1.0, 2.0], [3.0, 4.0]]), Node([[2.0], [1.0]]))
-        np.testing.assert_array_equal(out.value, [[4.0], [10.0]])
+        out = ad._product(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[2.0], [1.0]]))
+        np.testing.assert_array_equal(out, [[4.0], [10.0]])
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(None, Node(np.ones((2, 3))), Node(np.ones((2, 2))))
+            ad._product(np.ones((2, 3)), np.ones((2, 2)))
 
     def test_associativity(self):
         rng = np.random.default_rng(0)
-        a, b, c = (Node(rng.uniform(-1, 1, (4, 5))), Node(rng.uniform(-1, 1, (5, 3))),
-                   Node(rng.uniform(-1, 1, (3, 6))))
-        left = ad.matmul(None, ad.matmul(None, a, b), c).value
-        right = ad.matmul(None, a, ad.matmul(None, b, c)).value
+        a, b, c = (rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (5, 3)),
+                   rng.uniform(-1, 1, (3, 6)))
+        left = ad._product(ad._product(a, b), c)
+        right = ad._product(a, ad._product(b, c))
         np.testing.assert_allclose(left, right, atol=1e-9)
 
 
+def attention_of(x, valid=None, scale=1.0):
+    """The 2-D attention record's rows for logits ``scale * tanh(x)``: its
+    weights are the identity and ``scale`` times it."""
+    x = np.asarray(x, dtype=float)
+    eye = np.eye(len(x))
+    return ad.attention(None, Node(x), Node(eye), Node(scale * eye), valid).value
+
+
 class TestRowSoftmax:
+    """The row softmax of the 2-D attention record."""
+
     def test_uniform_over_equal_logits(self):
-        out = ad.row_softmax(None, Node([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.value, [[0.5, 0.5]])
+        np.testing.assert_allclose(attention_of([[0.0, 0.0]]), [[0.5, 0.5]])
 
     def test_hand_oracle(self):
-        out = ad.row_softmax(None, Node([[np.log(2.0), 0.0]]))
-        np.testing.assert_allclose(out.value, [[2 / 3, 1 / 3]], atol=1e-12)
+        out = attention_of([[np.arctanh(np.log(2.0)), 0.0]])
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_no_overflow_on_huge_logits(self):
         with np.errstate(over="raise"):
-            out = ad.row_softmax(None, Node([[1000.0, 0.0]]))
-        np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-12)
-        assert np.isfinite(out.value).all()
+            out = attention_of([[20.0, 0.0]], scale=1000.0)   # logits 1000 and 0
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
+        assert np.isfinite(out).all()
 
     def test_masked_columns_get_zero_mass(self):
-        out = ad.row_softmax(None, Node(np.random.default_rng(1).normal(size=(3, 5))),
-                             valid_cols=np.array([True, True, False, True, False]))
-        assert out.value[:, 2].max() < 1e-6
-        assert out.value[:, 4].max() < 1e-6
-        np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
+        out = attention_of(np.random.default_rng(1).normal(size=(3, 5)),
+                           valid=np.array([True, True, False, True, False]))
+        assert out[:, 2].max() < 1e-6
+        assert out[:, 4].max() < 1e-6
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_all_masked_rejected(self):
-        with pytest.raises(ValueError):
-            ad.row_softmax(None, Node(np.zeros((1, 3))), valid_cols=np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="every column is masked out"):
+            attention_of(np.zeros((1, 3)), valid=np.zeros(3, dtype=bool))
 
     @settings(max_examples=60)
     @given(small_matrices)
     def test_rows_always_sum_to_one(self, m):
-        out = ad.row_softmax(None, Node(m))
-        np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
+        out = attention_of(m, scale=50.0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestElementwise:
-    def test_tanh_zero(self):
-        np.testing.assert_array_equal(ad.tanh_map(None, Node([[0.0]])).value, [[0.0]])
+    """The ReLU of word attention's MLP record, through identity weights."""
 
-    def test_tanh_one(self):
-        np.testing.assert_allclose(ad.tanh_map(None, Node([[1.0]])).value,
-                                   [[0.7615941559557649]], atol=1e-15)
+    @staticmethod
+    def identity_mlp(width):
+        return wa.WordAttentionParams(None, None, param(np.eye(width), "w"),
+                                      param(np.zeros((width, 1)), "b"))
 
     def test_relu(self):
-        np.testing.assert_array_equal(ad.relu_map(None, Node([[-1.0, 2.0]])).value,
-                                      [[0.0, 2.0]])
+        out = wa.flatten_project(None, Node([[-1.0, 2.0]]), self.identity_mlp(2))
+        np.testing.assert_array_equal(out.value, [[0.0], [2.0]])
 
     def test_relu_gradient_zero_at_zero(self):
         tape = Tape()
         p = param([[0.0, -1.0, 3.0]])
-        loss = ad.sum_all(tape, ad.relu_map(tape, p))
+        loss = ad.sum_all(tape, wa.flatten_project(tape, p, self.identity_mlp(3)))
         backward(tape, loss)
         np.testing.assert_array_equal(p.grad, [[0.0, 0.0, 1.0]])
 
@@ -172,7 +184,7 @@ class TestBackward:
     def test_rejects_non_scalar(self):
         tape = Tape()
         w = param(np.ones((2, 2)))
-        out = ad.tanh_map(tape, w)
+        out = ad.mean_rows(tape, w)
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
 
@@ -181,19 +193,23 @@ class TestBackward:
         rng = np.random.default_rng(4)
         w = param(rng.normal(size=(3, 3)), "w")
         v = param(rng.normal(size=(3, 2)), "v")
-        loss = ad.sum_squares(tape, ad.tanh_map(tape, ad.matmul(tape, w, v)))
+        rows = param(rng.normal(size=(2, 3)), "rows")
+        loss = ad.sum_squares(tape, ad.attention(tape, v, w, rows))
         backward(tape, loss)
-        w_once, v_once = w.grad.copy(), v.grad.copy()
+        once = [p.grad.copy() for p in (w, v, rows)]
         backward(tape, loss)
-        np.testing.assert_array_equal(w.grad, 2.0 * w_once)
-        np.testing.assert_array_equal(v.grad, 2.0 * v_once)
+        for p, grad in zip((w, v, rows), once):
+            np.testing.assert_array_equal(p.grad, 2.0 * grad)
 
     def test_backward_twice_multi_use_parameter(self):
         # a parameter feeding several ops gets several accumulations per pass;
         # doubling then holds to reassociation roundoff
         tape = Tape()
-        w = param(np.random.default_rng(4).normal(size=(3, 3)), "w")
-        loss = ad.sum_squares(tape, ad.tanh_map(tape, ad.matmul(tape, w, w)))
+        rng = np.random.default_rng(4)
+        w = param(rng.normal(size=(3, 3)), "w")
+        v, rows = Node(rng.normal(size=(3, 2))), Node(rng.normal(size=(2, 3)))
+        loss = ad.add(tape, ad.sum_squares(tape, ad.attention(tape, v, w, rows)),
+                      ad.frobenius_penalty(tape, w))
         backward(tape, loss)
         once = w.grad.copy()
         backward(tape, loss)
@@ -203,7 +219,7 @@ class TestBackward:
         tape = Tape()
         w = param(np.ones((2, 2)), "w")
         used = ad.sum_all(tape, w)
-        ad.tanh_map(tape, w)   # dangling op, not connected to the loss
+        ad.mean_rows(tape, w)   # dangling op, not connected to the loss
         backward(tape, used)
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
@@ -211,15 +227,15 @@ class TestBackward:
         rng = np.random.default_rng(5)
         w = param(rng.uniform(-1, 1, (3, 3)), "w")
         v = param(rng.uniform(-1, 1, (3, 2)), "v")
+        rows = param(rng.uniform(-1, 1, (2, 3)), "rows")
 
         def f():
             tape = Tape()
-            y = ad.tanh_map(tape, ad.matmul(tape, w, v))
-            p = ad.row_softmax(tape, ad.transpose(tape, y))
+            p = ad.mean_rows(tape, ad.attention(tape, v, w, rows))
             loss = ad.add(tape, ad.sum_squares(tape, p), ad.frobenius_penalty(tape, w))
             return tape, loss
 
-        assert finite_diff_check(f, [w, v]) < 1e-5
+        assert finite_diff_check(f, [w, v, rows]) < 1e-5
 
 
 def plain_accum(node, g):
@@ -250,22 +266,24 @@ class TestFirstGradientCopy:
         w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 4)), "v")
         leaf = Node(rng.uniform(-1, 1, (3, 4)))
         probe = rng.uniform(-1, 1, (3, 4))
+        rows = param(rng.uniform(-1, 1, (3, 3)), "rows")
 
         def build(t):
             # add(x, x) hands one gradient array to both of its operands
-            x = ad.tanh_map(t, ad.matmul(t, w, v))
+            x = ad.attention(t, v, w, rows)
             doubled = ad.add(t, ad.add(t, x, x), ad.add(t, leaf, leaf))
             return ad.add(t, ad.sum_all(t, ad.mul_const(t, doubled, probe)),
                           ad.sum_all(t, ad.mul_const(t, x, x.value)))
 
-        self.assert_matches_plain(monkeypatch, build, [w, v, leaf])
+        self.assert_matches_plain(monkeypatch, build, [w, v, rows, leaf])
 
     def test_f_ordered_value_through_blocked_sum_squares(self, monkeypatch):
         rng = np.random.default_rng(23)
-        w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 2)), "v")
+        w = param(rng.uniform(-1, 1, (3, 3)), "w")
+        v = Parameter("v", np.asfortranarray(rng.uniform(-1, 1, (3, 2))))
 
         def build(t):
-            p = ad.row_softmax(t, ad.transpose(t, ad.tanh_map(t, ad.matmul(t, w, v))))
+            p = ad.mul_const(t, v, 1.5)
             assert p.value.flags.f_contiguous and not p.value.flags.c_contiguous
             return ad.sum_squares(t, p, w)
 
@@ -291,11 +309,12 @@ class TestGradientRelease:
         rng = np.random.default_rng(24)
         w = param(rng.uniform(-1, 1, (3, 3)), "w")
         leaf = Node(rng.uniform(-1, 1, (3, 2)))
+        rows = Node(rng.uniform(-1, 1, (2, 3)))
         tape = Tape()
-        h = ad.tanh_map(tape, ad.matmul(tape, w, leaf))
+        h = ad.attention(tape, leaf, w, rows)
         loss = ad.add(tape, ad.sum_squares(tape, h), ad.sum_all(tape, leaf))
         backward(tape, loss)
-        assert len(tape) == 5 and all(out.grad is None for out, _ in tape._records)
+        assert len(tape) == 4 and all(out.grad is None for out, _ in tape._records)
         assert np.abs(w.grad).max() > 0 and np.abs(leaf.grad).max() > 0
 
     @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
@@ -339,7 +358,7 @@ class TestGradientRelease:
         assert peak < 2 * block + 16 * 1024
         np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
 
-    def test_matmul_weight_gradient_adds_row_blocks(self):
+    def test_mlp_weight_gradient_adds_row_blocks(self):
         # word_mlp_weight's shape at the nyt profile against a 33-instance
         # batch: the weight's gradient is added block by block, bit for bit
         # the whole product added at once, with no weight-sized scratch
@@ -347,10 +366,12 @@ class TestGradientRelease:
         w = Parameter("w", rng.uniform(-0.1, 0.1, (1000, 5400)).astype(np.float32))
         w.grad[...] = rng.uniform(-1, 1, w.shape)
         before = w.grad.copy()
-        flat = Node(rng.uniform(-1, 1, (5400, 33)).astype(np.float32))
+        mlp = wa.WordAttentionParams(None, None, w, Parameter(
+            "b", np.full((1000, 1), 100.0, np.float32)))   # every unit active
+        weighted = Node(rng.uniform(-1, 1, (33, 9, 600)).astype(np.float32))
         probe = rng.uniform(-1, 1, (1000, 33)).astype(np.float32)
         tape = Tape()
-        loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, flat), probe))
+        loss = ad.sum_all(tape, ad.mul_const(tape, wa.flatten_project(tape, weighted, mlp), probe))
         tracemalloc.start()
         try:
             backward(tape, loss)
@@ -358,9 +379,10 @@ class TestGradientRelease:
         finally:
             tracemalloc.stop()
         assert peak < w.value.nbytes // 4
-        before += probe @ flat.value.T
+        flat = weighted.value.reshape(33, 5400)
+        before += probe @ flat
         np.testing.assert_array_equal(w.grad, before)
-        np.testing.assert_array_equal(flat.grad, w.value.T @ probe)
+        np.testing.assert_array_equal(weighted.grad, (probe.T @ w.value).reshape(33, 9, 600))
 
 
 class TestSquaredNorm:
@@ -593,6 +615,12 @@ class TestSplitSites:
         np.testing.assert_array_equal(results[1][0], results[0][0])
         np.testing.assert_array_equal(results[1][1], results[0][1])
 
+    @staticmethod
+    def mlp(value, start=None):
+        """Word attention's MLP weights: ``value``, its gradient ``start``, no bias."""
+        return wa.WordAttentionParams(None, None, Parameter("w", value, grad=start),
+                                      Parameter("b", np.zeros((len(value), 1), value.dtype)))
+
     @pytest.mark.parametrize("blocks", BLOCKS)
     def test_row_blocked_weight_gradient(self, blocks, two_cores):
         cols = 1024   # PRODUCT_BLOCK // cols rows a block
@@ -600,19 +628,20 @@ class TestSplitSites:
         rng = np.random.default_rng(44)
         value = rng.uniform(-0.1, 0.1, (rows, cols)).astype(np.float32)
         start = rng.uniform(-1, 1, value.shape).astype(np.float32)
-        x = rng.uniform(-1, 1, (cols, 7)).astype(np.float32)
+        x = rng.uniform(-1, 1, (7, 2, cols // 2)).astype(np.float32)
         probe = rng.uniform(-1, 1, (rows, 7)).astype(np.float32)
         results = []
         for on in (False, True):
-            w, b = Parameter("w", value, grad=start.copy()), Node(x)
+            mlp, weighted = self.mlp(value, start.copy()), Node(x)
             calls = two_cores(on)
             tape = Tape()
-            loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, w, b), probe))
+            loss = ad.sum_all(tape, ad.mul_const(tape, wa.flatten_project(tape, weighted, mlp),
+                                                 probe))
             backward(tape, loss)
             # the forward product's row halves, then the record's two
             # gradients; the weight's row blocks run in turn on its thread
             assert calls == ([True, True] if on else [])
-            results.append((w.grad, b.grad))
+            results.append((mlp.mlp_weight.grad, weighted.grad))
         for got, want in zip(results[1], results[0]):
             np.testing.assert_array_equal(got, want)
 
@@ -620,12 +649,12 @@ class TestSplitSites:
     def test_gradient_pair_work(self, above, two_cores, monkeypatch):
         # the record's work is both gradients' multiply-adds, 2 * g.size * k
         rng = np.random.default_rng(46)
-        w = Parameter("w", rng.uniform(-1, 1, (30, 40)).astype(np.float32))
-        x = Node(rng.uniform(-1, 1, (40, 20)).astype(np.float32))
+        mlp = self.mlp(rng.uniform(-1, 1, (30, 40)).astype(np.float32))
+        weighted = Node(rng.uniform(-1, 1, (20, 2, 20)).astype(np.float32))
         calls = two_cores(True)
         monkeypatch.setattr(ad, "CONCURRENT_MIN_PRODUCT", 2 * 30 * 20 * 40 + (not above))
         tape = Tape()
-        backward(tape, ad.sum_all(tape, ad.matmul(tape, w, x)))
+        backward(tape, ad.sum_all(tape, wa.flatten_project(tape, weighted, mlp)))
         assert calls == ([True] if above else [])
 
     @pytest.mark.parametrize("on", [False, True])
@@ -687,45 +716,28 @@ class TestSplitSites:
         np.testing.assert_array_equal(ad._product(x, y), x @ y)
         assert tasks == [] and calls == []
 
-    @pytest.mark.parametrize("leaf", ["parameter", "node"])
-    def test_product_of_a_node_with_itself(self, leaf, two_cores):
-        # both gradients add into one buffer, one after the other: never a
-        # split, even at thresholds of 0, which any work reaches
-        rng = np.random.default_rng(48)
-        value, g = rng.uniform(-1, 1, (2, 6, 6))
-        a = Parameter("a", value) if leaf == "parameter" else Node(value)
-        calls = two_cores(True)
-        assert ad.CONCURRENT_MIN_PRODUCT == ad.CONCURRENT_MIN_ENTRIES == 0
-        tape = Tape()
-        loss = ad.sum_all(tape, ad.mul_const(tape, ad.matmul(tape, a, a), g))
-        assert calls == [True]   # the forward product's row halves
-        calls.clear()
-        backward(tape, loss)
-        assert calls == []
-        np.testing.assert_allclose(a.grad, g @ a.value.T + a.value.T @ g, rtol=1e-12, atol=0)
-
     @pytest.mark.parametrize("batch", [1, 2, 33])
     def test_stacked_product(self, batch, two_cores):
-        # a 2-D weight times a stack
+        # word attention's weighted sum: a stack of attention rows times a
+        # stack of states
         rng = np.random.default_rng(45)
-        value = rng.uniform(-0.5, 0.5, (30, 40)).astype(np.float32)
-        x = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
-        probe = rng.uniform(-1, 1, (batch, 30, 20)).astype(np.float32)
+        attention = rng.uniform(0, 1, (batch, 3, 20)).astype(np.float32)
+        hidden = rng.uniform(-1, 1, (batch, 40, 20)).astype(np.float32)
+        probe = rng.uniform(-1, 1, (batch, 3, 40)).astype(np.float32)
         results = []
         for on in (False, True):
-            w, b = Parameter("w", value.copy()), Node(x)
+            a, h = Node(attention), Node(hidden)
             tape = Tape()
             calls = two_cores(on)
-            out = ad.matmul(tape, w, b)
+            out = wa.weighted_sentence_matrix(tape, a, h)
             backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
-            # one forward product, then the record's two gradients: the
-            # weight's, summed over the stack, and the stack's
+            # one forward product, then the record's two gradients
             assert calls == ([True] if on else [])
-            results.append((out.value, b.grad, w.grad))
+            results.append((out.value, a.grad, h.grad))
         for got, want in zip(results[1], results[0]):
             assert np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(results[0][0], value @ x)
+        np.testing.assert_array_equal(results[0][0], attention @ hidden.swapaxes(1, 2))
 
 
 class TestFiniteDiffCheck:
@@ -820,7 +832,7 @@ class TestGradcheckCoverage:
                 for entry in entries}
 
     def test_taped_ops_found(self):
-        assert {"matmul", "mul_const", "mean_rows", "sum_all"} <= self.taped_ops()
+        assert {"attention", "mul_const", "mean_rows", "sum_all"} <= self.taped_ops()
         assert "backward" not in self.taped_ops()
 
     def test_every_op_has_an_entry(self):

@@ -2,23 +2,26 @@
 
 The reference below runs word attention one instance at a time and sentence
 attention one bag at a time, with hand-written backward rules and no
-autodiff. Only the BiLSTM output comes from the package: its gradient is
-pushed back through the encoder's own tape (the encoder is pinned to its
-own per-gate reference in test_encoder.py).
+autodiff. Only the BiLSTM output comes from the package. The pin ends at
+the gradient that the word level hands the encoder: the encoder's own
+parameter gradients are pinned to its per-gate reference in test_encoder.py.
 
-Each reference gradient is a sum of terms, one per bag, instance, decay rule
-or entry of the encoder's output gradient, and each entry is bounded by
-1e-12 times that entry's sum of absolute terms: where the terms cancel, the
-entry's rounding error can exceed its own size.
+Each reference gradient is a sum of terms, one per bag, instance or decay
+rule, and each entry is bounded by 1e-12 times that entry's sum of absolute
+terms: where the terms cancel, the entry's rounding error can exceed its own
+size. The states' gradient takes its terms from every product on its path
+from the loss.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relattn import autodiff as ad
 from relattn import encoder as enc
+from relattn import sentence_attention as sa
+from relattn import word_attention as wa
 from relattn.autodiff import Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import Bag, Instance
@@ -36,8 +39,15 @@ def softmax_backward(p, dp):
 
 
 def reference_loss_and_grads(model, bags, dropout_rng=None):
-    """Loss of ``total_loss``, d(loss)/d(parameter) instance by instance, and
-    each gradient entry's sum of absolute terms."""
+    """Loss of ``total_loss``; d(loss)/d(parameter) instance by instance for
+    every parameter above the encoder, and d(loss)/d(encoder states); each
+    gradient entry's sum of absolute terms, keyed like the gradients, the
+    states under ``"hidden"``.
+
+    A state's gradient is the last of a chain of products, each of which can
+    cancel, so its terms are traced from the loss: the chain's running sum
+    of absolute terms (the ``m_`` arrays) repeats each product with every
+    factor's absolute value or magnitude."""
     cfg = model.config
     ordered = sorted(bags, key=lambda b: b.bag_id)
     instances = [inst for bag in ordered for inst in bag.instances]
@@ -54,11 +64,9 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         grads[name] += term
         magnitudes[name] += np.abs(term)
 
-    tape = Tape()
     plan = enc.BatchPlan.of([inst.true_length for inst in instances])
-    embedded = enc.embed_batch(tape, instances, plan, model.embeddings, cfg)
-    hidden_node = enc.bilstm_encode_batch(tape, embedded, plan, model.lstm)
-    hidden_all = hidden_node.value
+    embedded = enc.embed_batch(None, instances, plan, model.embeddings, cfg)
+    hidden_all = enc.bilstm_encode_batch(None, embedded, plan, model.lstm).value
 
     # word attention, one instance at a time on its [2u x t_run] states
     word = []
@@ -80,6 +88,7 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
     # sentence attention and classification, one bag at a time
     loss = 0.0
     d_reps = np.zeros_like(reps)
+    m_reps = np.zeros_like(reps)
     offset = 0
     for bag in ordered:
         cols = slice(offset, offset + len(bag.instances))
@@ -107,10 +116,17 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         add("sent_attn_hidden", d_b1 @ s.T)
         d_reps[:, cols] = d_s + sh.T @ d_b1
 
+        m_sel = (np.abs(cw).T @ np.abs(d_logits)) * (1.0 - ts * ts)
+        m_b_attn = np.repeat((np.abs(s).T @ m_sel).T, b_attn.shape[0], axis=0) / b_attn.shape[0]
+        m_lg2 = b_attn * (m_b_attn + (m_b_attn * b_attn).sum(axis=1, keepdims=True))
+        m_reps[:, cols] = m_sel @ avg[None, :] + np.abs(sh).T @ ((np.abs(sr).T @ m_lg2)
+                                                                 * (1.0 - t2 * t2))
+
     # back through word attention, instance by instance
     pen_scale = cfg.penalty_coef / n_bags
     loss += pen_scale * sum((w["gram"] ** 2).sum() for w in word)
     d_hidden = np.zeros_like(hidden_all)
+    magnitudes["hidden"] = np.zeros_like(hidden_all)
     for j, w in enumerate(word):
         d_pre = d_reps[:, j:j + 1] * w["keep"] * (w["pre"] > 0)
         add("word_mlp_weight", d_pre @ w["flat"].T)
@@ -124,6 +140,13 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
         add("word_attn_hidden", d_a1 @ w["h"].T)
         d_hidden[j] = d_h + wh.T @ d_a1
 
+        m_pre = m_reps[:, j:j + 1] * w["keep"] * (w["pre"] > 0)
+        m_weighted = (np.abs(wm).T @ m_pre).reshape(w["attn"].shape[0], -1)
+        m_attn = m_weighted @ np.abs(w["h"]) + pen_scale * 4.0 * (np.abs(w["gram"]) @ w["attn"])
+        m_lg = w["attn"] * (m_attn + (m_attn * w["attn"]).sum(axis=1, keepdims=True))
+        m_a1 = (np.abs(wr).T @ m_lg) * (1.0 - w["t1"] ** 2)
+        magnitudes["hidden"][j] = m_weighted.T @ w["attn"] + np.abs(wh).T @ m_a1
+
     vocab_size = len(model.embeddings.word.value)
     for name, (_, rule) in expected_shapes(cfg, vocab_size, model.num_classes).items():
         if rule in DECAYED_RULES:
@@ -131,21 +154,7 @@ def reference_loss_and_grads(model, bags, dropout_rng=None):
             loss += cfg.l2_coef * (value ** 2).sum()
             add(name, 2.0 * cfg.l2_coef * value)
 
-    # embedding and BiLSTM gradients: the encoder's own tape, fed one entry
-    # of d_hidden at a time, so each term is one hidden value's share
-    encoder_params = [model.embeddings.word, model.embeddings.head_position,
-                      model.embeddings.tail_position,
-                      *(p for d in (model.lstm.fwd, model.lstm.bwd)
-                        for p in (d.w_in, d.w_rec, d.bias))]
-    for k in np.flatnonzero(d_hidden):
-        d_entry = np.zeros_like(d_hidden)
-        d_entry.flat[k] = d_hidden.flat[k]
-        for p in encoder_params:
-            p.zero_grad()
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, hidden_node, d_entry)))
-        for p in encoder_params:
-            add(p.name, p.grad)
-    return loss, grads, magnitudes
+    return loss, grads, d_hidden, magnitudes
 
 
 CLASSES = 3
@@ -173,23 +182,69 @@ def batches(draw):
     return cfg, bags, draw(st.integers(0, 2**32 - 1))
 
 
+def tiny_config(time_steps, dropout, word_rows=1, sent_rows=1):
+    return ModelConfig(word_dim=3, position_dim=2, max_distance=3, time_steps=time_steps,
+                       hidden_size=2, word_attention_hidden=3, word_attention_rows=word_rows,
+                       mlp_size=4, sent_attention_hidden=3, sent_attention_rows=sent_rows,
+                       precision="float64", l2_coef=1e-3, dropout=dropout)
+
+
+# one-token instances of word ids 5 and 2
+TOKEN_5 = Instance(np.array([5]), 0, 0)
+TOKEN_2 = Instance(np.array([2]), 0, 0)
+
+
 class TestBatchedPassMatchesPerInstanceReference:
     @settings(max_examples=60, deadline=None)
     @given(batches())
+    # lanes whose gradients cancel in the encoder: one bag of one one-token
+    # instance, and three bags of different labels sharing one
+    @example((tiny_config(2, 0.3), [Bag("bag00-0", "h", "t", 0, [TOKEN_5])], 2004))
+    @example((tiny_config(2, 0.0), [Bag(f"bag{k:02d}-{k}", "h", "t", k, [TOKEN_5])
+                                    for k in range(3)], 0))
+    # states' gradients that cancel to 1e-5 and 1e-6 of their neighbours
+    @example((tiny_config(2, 0.3, 3, 2), [
+        Bag("bag01-0", "h", "t", 0, [TOKEN_2]),
+        Bag("bag00-1", "h", "t", 2, [TOKEN_2, Instance(np.array([2, 2]), 1, 0)])], 11373694))
+    @example((tiny_config(2, 0.0), [
+        Bag("bag00-0", "h", "t", 1, [Instance(np.array([8, 7]), 1, 1), TOKEN_2]),
+        Bag("bag00-1", "h", "t", 0, [TOKEN_2])], 202))
     def test_total_loss_and_every_gradient(self, batch):
         cfg, bags, seed = batch
         model = Model(cfg, 10, CLASSES, rng=np.random.default_rng(seed))
-        ref_loss, ref_grads, magnitudes = reference_loss_and_grads(
+        ref_loss, ref_grads, ref_hidden, magnitudes = reference_loss_and_grads(
             model, bags, np.random.default_rng(seed + 1))
         model.zero_grad()
+        handed = []   # the gradient of the encoder's states, as its record replays
+        real_encoder = enc.bilstm_encode_batch
+
+        def noting_encoder(tape, *args):
+            out = real_encoder(tape, *args)
+            _, replay = tape._records[-1]
+
+            def noted():
+                handed.append(out.grad.copy())
+                replay()
+            tape._records[-1] = (out, noted)
+            return out
+
         tape = Tape()
-        loss, _ = total_loss(tape, bags, model, dropout_rng=np.random.default_rng(seed + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enc, "bilstm_encode_batch", noting_encoder)
+            loss, _ = total_loss(tape, bags, model,
+                                 dropout_rng=np.random.default_rng(seed + 1))
         backward(tape, loss)
 
         assert abs(loss.value.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        encoder = {p.name for p in (*vars(model.embeddings).values(),
+                                    *vars(model.lstm.fwd).values(),
+                                    *vars(model.lstm.bwd).values())}
         for name, p in model.named_parameters().items():
-            err = np.abs(p.grad - ref_grads[name])
-            assert (err <= 1e-12 * magnitudes[name]).all(), name
+            if name not in encoder:
+                err = np.abs(p.grad - ref_grads[name])
+                assert (err <= 1e-12 * magnitudes[name]).all(), name
+        assert len(handed) == 1
+        assert (np.abs(handed[0] - ref_hidden) <= 1e-12 * magnitudes["hidden"]).all()
 
 
 class TestOnePlanPerPass:
@@ -218,27 +273,65 @@ class TestOnePlanPerPass:
         assert len(built) == 2
 
 
+def small_batch(cfg):
+    """Three bags of true lengths up to the profile's ``time_steps``."""
+    rng = np.random.default_rng(4)
+    return [Bag(f"b{k}", "h", "t", k % CLASSES,
+                [Instance(rng.integers(2, 40, n), 0, n - 1) for n in sizes])
+            for k, sizes in enumerate([(cfg.time_steps, 5, 12), (1,), (30, 2)])]
+
+
 class TestNoProductOfAMatrixWithAStack:
     @pytest.mark.parametrize("profile", ["synth", "nyt"])
     def test_forward_and_backward(self, profile, monkeypatch):
-        # every record product is 2-D by 2-D or stack by stack, so
+        # every record's forward product is 2-D by 2-D or stack by stack, so
         # autodiff._product's row halves are the pass's only split product
         seen = []
-        real_matmul = ad.matmul
+        real_product = ad._product
 
-        def noting_matmul(tape, a, b):
-            seen.append((a.value.ndim, b.value.ndim))
-            return real_matmul(tape, a, b)
+        def noting_product(x, y):
+            seen.append((x.ndim, y.ndim))
+            return real_product(x, y)
 
-        monkeypatch.setattr(ad, "matmul", noting_matmul)
+        monkeypatch.setattr(ad, "_product", noting_product)
         cfg = ModelConfig.from_profile(profile)
         model = Model(cfg, 40, CLASSES, rng=np.random.default_rng(3))
-        rng = np.random.default_rng(4)
-        bags = [Bag(f"b{k}", "h", "t", k % CLASSES,
-                    [Instance(rng.integers(2, 40, n), 0, n - 1) for n in sizes])
-                for k, sizes in enumerate([(cfg.time_steps, 5, 12), (1,), (30, 2)])]
         tape = Tape()
-        loss, _ = total_loss(tape, bags, model, dropout_rng=np.random.default_rng(5))
+        loss, _ = total_loss(tape, small_batch(cfg), model,
+                             dropout_rng=np.random.default_rng(5))
         backward(tape, loss)
         assert (2, 2) in seen and (3, 3) in seen
         assert set(seen) <= {(2, 2), (3, 3)}
+
+
+# every function that the model's pass calls to add to the tape
+LAYER_FUNCTIONS = [(enc, "embed_batch"), (enc, "bilstm_encode_batch"),
+                   (wa, "word_attention_matrix"), (wa, "weighted_sentence_matrix"),
+                   (wa, "flatten_project"), (wa, "attention_penalty"),
+                   (sa, "sentence_attention_matrix"), (sa, "average_attention"),
+                   (sa, "selection_representation"), (sa, "classify")]
+
+
+class TestTapeRecords:
+    @pytest.mark.parametrize("profile", ["synth", "nyt"])
+    def test_one_record_per_layer_function(self, profile, monkeypatch):
+        # the sentence level's attention runs the 2-D record; with the loss
+        # terms, a pass without dropout records 17 entries
+        added = {}
+
+        def counting(name, real):
+            def run(tape, *args, **kwargs):
+                before = len(tape)
+                out = real(tape, *args, **kwargs)
+                added.setdefault(name, []).append(len(tape) - before)
+                return out
+            return run
+
+        for module, name in LAYER_FUNCTIONS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cfg = ModelConfig.from_profile(profile)
+        model = Model(cfg, 40, CLASSES, rng=np.random.default_rng(3))
+        tape = Tape()
+        total_loss(tape, small_batch(cfg), model)
+        assert added == {name: [1] for _, name in LAYER_FUNCTIONS}
+        assert len(tape) == 17

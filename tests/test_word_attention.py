@@ -245,31 +245,35 @@ class TestPackedPath:
     def test_forward_and_every_gradient_match_the_all_positions_path(self):
         params, hidden, valid = encoded_batch(self.LENGTHS, "float64", seed=1)
         probe = np.random.default_rng(2).uniform(-1, 1, (len(self.LENGTHS), 3, max(self.LENGTHS)))
-        results = []
-        for packed in (True, False):
-            states = Parameter("states", hidden.value)   # the encoder's token-major layout
-            w1, w2 = (Parameter(p.name, p.value.copy()) for p in (params.attn_hidden,
-                                                                   params.attn_rows))
-            tape = Tape()
-            if packed:
-                attn = ad.packed_attention(tape, states, w1, w2, valid)
-            else:
-                attn = ad.row_softmax(tape, ad.matmul(tape, w2, ad.tanh_map(
-                    tape, ad.matmul(tape, w1, states))), valid_cols=valid)
-            backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
-            results.append((attn.value, w1.grad, w2.grad, states.grad))
+        states = Parameter("states", hidden.value)   # the encoder's token-major layout
+        hid, rws = (Parameter(p.name, p.value.copy()) for p in (params.attn_hidden,
+                                                                 params.attn_rows))
+        tape = Tape()
+        attn = ad.packed_attention(tape, states, hid, rws, valid)
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+
+        # the all-positions path in plain numpy: every lane's logits at every
+        # step, padding masked out of the softmax
+        x, w1, w2 = hidden.value, params.attn_hidden.value, params.attn_rows.value
+        t1 = np.tanh(w1 @ x)
+        z = np.where(valid, w2 @ t1, ad.MASK_FILL)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        d_z = p * (probe - (probe * p).sum(axis=-1, keepdims=True))
+        d_t1 = (w2.T @ d_z) * (1.0 - t1 * t1)
+        want = [p, (d_t1 @ x.swapaxes(1, 2)).sum(axis=0), (d_z @ t1.swapaxes(1, 2)).sum(axis=0),
+                w1.T @ d_t1]
 
         # each gradient entry's sum of absolute terms, one term per real token
         keep = valid[:, 0]
-        p, w1, w2 = results[1][0], params.attn_hidden.value, params.attn_rows.value
-        rows = np.swapaxes(hidden.value, 1, 2)[keep]
+        rows = np.swapaxes(x, 1, 2)[keep]
         h = np.tanh(rows @ w1.T)
-        dl = np.swapaxes(p * (probe - (probe * p).sum(axis=-1, keepdims=True)), 1, 2)[keep]
+        dl = np.swapaxes(d_z, 1, 2)[keep]
         dz = (dl @ w2) * (1.0 - h * h)
-        states_terms = np.zeros_like(hidden.value)
+        states_terms = np.zeros_like(x)
         np.swapaxes(states_terms, 1, 2)[keep] = np.abs(dz) @ np.abs(w1)
         terms = [p, np.abs(dz).T @ np.abs(rows), np.abs(dl).T @ np.abs(h), states_terms]
-        for got, want, bound in zip(*results, terms):
+        for got, want, bound in zip([attn.value, hid.grad, rws.grad, states.grad], want, terms):
             assert np.abs(want).max() > 0
             assert (np.abs(got - want) <= 1e-12 * bound).all()
 
