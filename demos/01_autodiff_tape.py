@@ -9,6 +9,7 @@ import numpy as np
 
 from relattn import autodiff as ad
 from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
+from relattn.training import objective
 
 rng = np.random.default_rng(0)
 
@@ -17,10 +18,19 @@ w = Parameter("w", rng.uniform(-0.5, 0.5, (3, 4)))
 b = Parameter("b", rng.uniform(-0.5, 0.5, (2, 3)))
 x = Node(rng.uniform(-1.0, 1.0, (4, 5)))
 
-print("forward: loss = sum(softmax_rows(B tanh(W x))^2) + ||W W^T - I||_F^2")
+print("forward: P = softmax_rows(B tanh(W x)), two rows over five columns")
+print("  loss = mean(-log P[row, label]) + ||W W^T - I||_F^2 / 2 + 0.1 ||B||^2")
+labels = [1, 3]
+
+
+def forward(t):
+    probs = ad.attention(t, x, w, b)   # one record: both products, tanh and softmax
+    # the training loss, one record: cross-entropy, penalty per row and L2
+    return objective(t, probs, labels, w, b, penalty_coef=1.0, l2_coef=0.1)[0]
+
+
 tape = Tape()
-probs = ad.attention(tape, x, w, b)   # one record: both products, tanh and softmax
-loss = ad.add(tape, ad.sum_squares(tape, probs), ad.frobenius_penalty(tape, w))
+loss = forward(tape)
 print(f"  {len(tape)} operations recorded, loss = {loss.value.item():.6f}")
 
 print("\nbackward: replaying the tape in reverse, accumulating into the leaves")
@@ -40,8 +50,7 @@ print("\nchecking every coordinate against central differences (h = 1e-6):")
 
 def rebuild():
     t = Tape()
-    p = ad.attention(t, x, w, b)
-    return t, ad.add(t, ad.sum_squares(t, p), ad.frobenius_penalty(t, w))
+    return t, forward(t)
 
 
 err = finite_diff_check(rebuild, [w, b])

@@ -7,10 +7,8 @@ pushing the rows to focus on different positions.
 
 import numpy as np
 
-from relattn import autodiff as ad
 from relattn import encoder as enc
 from relattn import word_attention as wa
-from relattn.autodiff import Parameter, Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import BLANK_TOKEN, Vocab, encode_instance
 from relattn.model import Model
@@ -58,15 +56,12 @@ print(f"each row weights the encoder states -> {weighted.shape[1:]} matrix per s
 
 print("\nthe penalty ||A A^T - I||_F^2 rewards rows that are distinct and sharp;")
 print("minimizing it alone from a random matrix:")
-free = Parameter("attn", np.random.default_rng(5).normal(0.0, 0.5, (3, 8)))
+free = np.random.default_rng(5).normal(0.0, 0.5, (3, 8))
 for step in range(301):
-    free.zero_grad()
-    tape = Tape()
-    loss = ad.frobenius_penalty(tape, free)
+    penalty, grad = wa.attention_penalty(free)   # its value and its gradient
     if step % 75 == 0:
-        print(f"  step {step:3d}: penalty = {loss.value.item():.6f}")
-    backward(tape, loss)
-    free.value -= 0.02 * free.grad
-gram = free.value @ free.value.T
+        print(f"  step {step:3d}: penalty = {penalty.item():.6f}")
+    free -= 0.02 * grad(1.0)
+gram = free @ free.T
 print("  final row Gram matrix (identity = orthonormal rows):")
 print(np.array2string(gram, precision=4, suppress_small=True))

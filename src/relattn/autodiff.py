@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-LOG_FLOOR = 1e-12     # clamp below this before taking log in cross_entropy
+LOG_FLOOR = 1e-12     # clamp below this before the loss takes a probability's log
 MASK_FILL = -1e9      # logit written into masked-out softmax columns
 ROW_BLOCK = 1 << 16   # entries per block of a parameter-sized update, so scratch stays in cache
 # entries per block of a weight gradient's product. Each block is one BLAS
@@ -35,7 +35,7 @@ PRODUCT_BLOCK = 1 << 19
 # saves. float32, one BLAS thread, two cores, caches flushed before each
 # call, ms on one thread -> two: at 2**21 entries zero_grad 1.07 -> 1.12 and
 # squared_norm 1.02 -> 1.12; at 2**22 zero_grad 2.28 -> 1.63, Adam 18.6 ->
-# 13.0, squared_norm 1.86 -> 1.69 and sum_squares' backward 4.30 -> 3.06; a
+# 13.0, squared_norm 1.86 -> 1.69 and L2's backward 4.30 -> 3.06; a
 # [300 x 600] x [2 x 600 x 70] product (25M) 1.10 -> 1.10, a 35M row-blocked
 # weight gradient 1.60 -> 1.20. The synth profile's store (47K entries),
 # products (at most 2.3M) and BiLSTM directions (at most 13.6M, one
@@ -313,21 +313,9 @@ def backward(tape: Tape, loss: Node) -> None:
 # primitive operations
 
 
-def add(tape: Tape | None, a: Node, b: Node) -> Node:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes differ, {a.shape} + {b.shape}")
-    out = Node(a.value + b.value)
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, out.grad)
-            _accum(b, out.grad)
-        tape.record(out, bwd)
-    return out
-
-
 def mul_const(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
     """Elementwise product with a non-differentiated array (masks, dropout) or
-    scalar (loss weights)."""
+    scalar."""
     out = Node(a.value * const)
     if out.shape != a.shape:
         raise ShapeError("mul_const must not broadcast the node operand up")
@@ -433,66 +421,6 @@ def sum_all(tape: Tape | None, a: Node) -> Node:
     if tape is not None:
         def bwd() -> None:
             _accum(a, np.broadcast_to(out.grad, a.shape))
-        tape.record(out, bwd)
-    return out
-
-
-def sum_squares(tape: Tape | None, *nodes: Node) -> Node:
-    """Sum of the squared entries of all ``nodes``, each by :func:`squared_norm`.
-
-    Backward adds ``value * 2g`` into each gradient by :func:`sweep`, so its
-    scratch is one block per thread, not a whole tensor. Doubling is exact,
-    so this equals ``(2 * value) * g`` bit for bit."""
-    total = sum(squared_norm(n.value) for n in nodes)
-    out = Node(np.array([[total]], dtype=nodes[0].value.dtype))
-    if tape is not None:
-        def bwd() -> None:
-            g2 = out.grad * 2.0
-            for n in nodes:
-                grad = _ensure_grad(n)
-
-                def add(rows: slice) -> None:   # run and joined in this iteration
-                    grad[rows] += n.value[rows] * g2
-                sweep(add, n.value)
-        tape.record(out, bwd)
-    return out
-
-
-def frobenius_penalty(tape: Tape | None, a: Node) -> Node:
-    """Squared Frobenius norm of (A A^T - I), batch-summed: zero iff rows are orthonormal."""
-    s = a.value @ np.swapaxes(a.value, -1, -2)
-    s -= np.eye(s.shape[-1], dtype=s.dtype)
-    out = Node(np.array([[(s * s).sum()]], dtype=a.value.dtype))
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, (4.0 * out.grad.item()) * (s @ a.value))
-        tape.record(out, bwd)
-    return out
-
-
-def cross_entropy(tape: Tape | None, probabilities: Node, labels) -> Node:
-    """Summed negative log-probability of one label per row, each clamped at LOG_FLOOR.
-
-    ``probabilities`` is ``[labels x classes]``; every row must sum to 1 within 1e-6."""
-    v = probabilities.value
-    labels = np.atleast_1d(labels)
-    if v.ndim != 2 or v.shape[0] != labels.size:
-        raise ShapeError(f"cross_entropy expects one row per label, got shape {v.shape} "
-                         f"for {labels.size} labels")
-    if ((labels < 0) | (labels >= v.shape[1])).any():
-        raise IndexError(f"labels {labels.tolist()} out of range for {v.shape[1]} classes")
-    totals = v.sum(axis=1)
-    if np.abs(totals - 1.0).max() > 1e-6:
-        raise ValueError(f"probabilities must sum to 1 within 1e-6, got {totals}")
-    idx = np.arange(labels.size)
-    p = v[idx, labels]
-    out = Node(np.array([[-np.log(np.maximum(p, LOG_FLOOR)).sum()]], dtype=v.dtype))
-    if tape is not None:
-        def bwd() -> None:
-            live = p >= LOG_FLOOR   # below the clamp the loss is locally constant
-            g = np.zeros_like(v)
-            g[idx[live], labels[live]] = -out.grad.item() / p[live]
-            _accum(probabilities, g)
         tape.record(out, bwd)
     return out
 

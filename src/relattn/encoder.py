@@ -139,8 +139,9 @@ def embed_batch(tape: Tape | None, instances: list[Instance], plan: BatchPlan,
 @functools.lru_cache(maxsize=None)
 def _gate_affine(u: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     # sigmoid(z) = tanh(z/2)/2 + 1/2, so tanh(z*scale)*scale + shift is the
-    # sigmoid on the i, f and o blocks and tanh on g: four whole-row passes
-    # in place of one per block, and exact, as scaling by 1/2 rounds nothing
+    # sigmoid on the i, f and o blocks and tanh on g: whole-row passes in
+    # place of one per block, and exact, as scaling by 1/2 rounds nothing.
+    # _run_direction applies the first scale to the weights, lstm_step the rest
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), u)
     shift = np.where(scale == 1.0, 0.0, 0.5).astype(dtype)
     scale.flags.writeable = shift.flags.writeable = False
@@ -151,14 +152,15 @@ def lstm_step(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarra
     """One LSTM cell update on token-major arrays, in place.
 
     ``gates`` is ``[k x 4u]``, one row of pre-activations per lane in gate
-    order i, f, g, o; it is activated in place, g by tanh and i, f, o by the
-    sigmoid written as ``(1 + tanh(z/2)) / 2``. ``c_prev`` holds the cells
-    of the first ``m <= k`` lanes; the other lanes start from zero. The new
-    cell ``f*c_prev + i*g`` is written to ``c`` and ``o*tanh(c)`` to ``h``.
+    order i, f, g, o, with those of i, f and o already halved (the scale of
+    :func:`_gate_affine`); it is activated in place, g by tanh and i, f, o
+    by the sigmoid written as ``(1 + tanh(z/2)) / 2``. ``c_prev`` holds the
+    cells of the first ``m <= k`` lanes; the other lanes start from zero.
+    The new cell ``f*c_prev + i*g`` is written to ``c`` and ``o*tanh(c)``
+    to ``h``.
     """
     u = h.shape[1]
     scale, shift = _gate_affine(u, gates.dtype)
-    gates *= scale
     np.tanh(gates, out=gates)
     gates *= scale
     gates += shift
@@ -181,11 +183,16 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
     """
     w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
     u = w_rec.shape[1]
-    z = x @ w_in.T                            # [P x 4u] pre-activations, then gates
-    z += bias.T
+    # the weights and bias scaled once per pass, not each step's gates
+    scale = _gate_affine(u, w_in.dtype)[0]
+    z = x @ (w_in * scale[:, None]).T         # [P x 4u] pre-activations, then gates
+    z += bias.T * scale
     cells = np.empty((z.shape[0], u), dtype=z.dtype)
     states = np.empty_like(cells)
-    w_rec_t = np.ascontiguousarray(w_rec.T)   # BLAS is slow on the transposed view
+    # C-contiguous, as BLAS is slow on the transposed view; an F-ordered
+    # copy changed the bits of the recurrent product at 9 lanes
+    w_rec_t = np.ascontiguousarray(w_rec.T)
+    w_rec_t *= scale
     for a, b, p, m in plan.schedule:
         if m:
             z[a:b] += states[p:p + m] @ w_rec_t

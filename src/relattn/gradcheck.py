@@ -21,7 +21,7 @@ from .autodiff import Parameter, Tape, finite_diff_check, sum_all
 from .config import ModelConfig
 from .data import Instance, SynthSpec, generate_synthetic
 from .model import Model
-from .training import total_loss
+from .training import objective, total_loss
 
 TOLERANCE = 1e-5
 SEED = 12345
@@ -62,9 +62,6 @@ def op_checks() -> list[CheckResult]:
         results.append(CheckResult(name, err))
 
     a = _param(rng, "a", 3, 4)
-    c = _param(rng, "c", 3, 4)
-    check("add", [a, c], lambda t: (t, sum_all(t, ad.add(t, a, c))))
-
     mask_arr = (rng.random((3, 4)) > 0.4).astype(float)
     check("mul_const", [a], lambda t: (t, sum_all(t, ad.mul_const(t, a, mask_arr))))
     check("mul_const_scalar", [a], lambda t: (t, ad.mul_const(t, sum_all(t, a), -2.5)))
@@ -73,16 +70,6 @@ def op_checks() -> list[CheckResult]:
     mean_probe = rng.uniform(-1, 1, (2, 1, 5))
     check("mean_rows", [batch],
           lambda t: (t, sum_all(t, ad.mul_const(t, ad.mean_rows(t, batch), mean_probe))))
-    check("sum_squares", [a, c], lambda t: (t, ad.sum_squares(t, a, c, a)))
-
-    check("frobenius_penalty", [batch], lambda t: (t, ad.frobenius_penalty(t, batch)))
-
-    # one matrix over columns 0, 2 and 3, so every label's column is kept
-    logits = _param(rng, "logits", 3, 4)
-    w_in, w_out = _param(rng, "w_in", 3, 3), _param(rng, "w_out", 3, 3)
-    check("cross_entropy", [logits],
-          lambda t: (t, ad.cross_entropy(t, ad.attention(
-              t, logits, w_in, w_out, np.array([True, False, True, True])), [2, 0, 3])))
 
     # two masks over five columns share the weights, a gradient into each column
     reps = _param(rng, "reps", 4, 5)
@@ -112,15 +99,19 @@ def _redraw(rng, params, lo, hi) -> None:
 
 def pipeline_checks() -> list[CheckResult]:
     """Composite checks of the miniature model's own layers: the embedding,
-    the BiLSTM, batched word attention and the model's bag-level pass.
+    the BiLSTM, batched word attention, the model's bag-level pass and the
+    loss record.
 
     Each check redraws its layer's test point from its own generator, keyed
     by :data:`SEED` and a number of its own, so adding or changing one check
     moves no other check's point. The step :data:`STEP` keeps
     central-difference rounding far below the tolerance on the smallest true
-    gradients: the worst check, ``sentence_attention_pipeline``, errs by
-    8.2e-8 at ``h=1e-5`` and by 4.2e-7 at ``h=1e-6``, both on a
-    ``sent_attn_hidden`` entry of 6.5e-5.
+    gradients: the worst checks, ``total_loss`` and
+    ``sentence_attention_pipeline``, err by 6.0e-8 at ``h=1e-5``, on a
+    ``decayed`` entry of 5.1e-5 and a ``sent_attn_hidden`` entry of
+    1.4e-4; at ``h=1e-6`` the latter errs by 1.3e-6. The loss record's
+    ``decayed`` entries are drawn away from 0, as L2 at ``TINY_CONFIG``'s
+    coefficient gives them the smallest gradients.
     """
     cfg = TINY_CONFIG
     model = Model(cfg, 6, TINY_CLASSES, rng=np.random.default_rng(SEED))
@@ -163,9 +154,7 @@ def pipeline_checks() -> list[CheckResult]:
         attn = wa.word_attention_matrix(tape, states, word, valid_cols=valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, states)
         rep = wa.flatten_project(tape, weighted, word)
-        loss = ad.add(tape, sum_all(tape, ad.mul_const(tape, rep, probe)),
-                      wa.attention_penalty(tape, attn))
-        return tape, loss
+        return tape, sum_all(tape, ad.mul_const(tape, rep, probe))
 
     check("word_attention_pipeline", word_params + [states], word_pipeline)
 
@@ -181,7 +170,7 @@ def pipeline_checks() -> list[CheckResult]:
 
     def sent_pipeline(tape):
         probs = model.bag_outputs(tape, reps, sizes).probabilities
-        return tape, ad.cross_entropy(tape, probs, [1, 3, 0])
+        return tape, objective(tape, probs, [1, 3, 0], None, None, 0.0, 0.0)[0]
 
     check("sentence_attention_pipeline", sent_params + [reps], sent_pipeline)
 
@@ -202,6 +191,21 @@ def pipeline_checks() -> list[CheckResult]:
         return tape, sum_all(tape, ad.mul_const(tape, out, emb_probe))
 
     check("embedding", table_params, embedding)
+
+    rng = np.random.default_rng([SEED, 4])
+    # the loss record with the penalty and L2 on; its probabilities come from
+    # a softmax over columns 0, 2 and 3, so every label's column is kept
+    logits = _param(rng, "logits", 3, 4)
+    w_in, w_out = _param(rng, "w_in", 3, 3), _param(rng, "w_out", 3, 3)
+    attentions = Parameter("attentions", rng.uniform(-1, 1, (2, 2, 5)))
+    decayed = _param(rng, "decayed", 4, 3, 0.2, 0.6)
+
+    def loss(tape):
+        probs = ad.attention(tape, logits, w_in, w_out, np.array([True, False, True, True]))
+        return tape, objective(tape, probs, [2, 0, 3], attentions, decayed,
+                               cfg.penalty_coef, cfg.l2_coef)[0]
+
+    check("total_loss", [logits, attentions, decayed], loss)
     return results
 
 

@@ -67,7 +67,7 @@ def classify(tape: Tape | None, selection: Node, params: SentAttentionParams) ->
     ``S`` and ``W`` are one ``autodiff.grad_pair``.
 
     The class axis stays contiguous: numpy sums a strided float32 axis
-    sequentially, not pairwise, which can miss cross_entropy's 1e-6 check.
+    sequentially, not pairwise, which can miss the loss's 1e-6 check.
     """
     weight, bias = params.class_weight, params.class_bias
     t = np.tanh(selection.value)

@@ -57,31 +57,79 @@ class TrainResult:
     rng: np.random.Generator   # init/dropout stream, persisted into checkpoints
 
 
+def objective(tape: Tape | None, probabilities: Node, labels, word_attentions: Node | None,
+              decayed: Node | None, penalty_coef: float, l2_coef: float
+              ) -> tuple[Node, dict[str, float]]:
+    """The batch loss as one record, plus the values of its three terms: the
+    mean negative log-probability of one label per row of ``probabilities``
+    ``[bags x classes]``, each clamped at ``autodiff.LOG_FLOOR``, plus
+    ``penalty_coef / bags`` times ``word_attention.attention_penalty`` of
+    ``word_attentions``, plus ``l2_coef`` times the squared norm of
+    ``decayed``. A term whose coefficient is 0 is skipped and its input not
+    read. Every row must sum to 1 within 1e-6.
+
+    Each term is a ``[1 x 1]`` array of its input's dtype, scaled and then
+    added in that order. Backward adds L2's ``value·(2·g·l2_coef)`` into
+    ``decayed`` by ``autodiff.sweep``, so its scratch is one block per
+    thread, then the penalty's gradient into ``word_attentions``, then the
+    cross-entropy's into ``probabilities``."""
+    v = probabilities.value
+    labels = np.atleast_1d(labels)
+    n_bags = labels.size
+    if v.ndim != 2 or v.shape[0] != n_bags:
+        raise ad.ShapeError(f"the loss expects one row per label, got shape {v.shape} "
+                            f"for {n_bags} labels")
+    if ((labels < 0) | (labels >= v.shape[1])).any():
+        raise IndexError(f"labels {labels.tolist()} out of range for {v.shape[1]} classes")
+    totals = v.sum(axis=1)
+    if np.abs(totals - 1.0).max() > 1e-6:
+        raise ValueError(f"probabilities must sum to 1 within 1e-6, got {totals}")
+    rows = np.arange(n_bags)
+    p = v[rows, labels]
+    loss = np.array([[-np.log(np.maximum(p, ad.LOG_FLOOR)).sum()]], dtype=v.dtype)
+    loss = loss * (1.0 / n_bags)
+    parts = {"ce": loss.item(), "penalty": 0.0, "l2": 0.0}
+    if penalty_coef != 0.0:
+        penalty, penalty_grad = wa.attention_penalty(word_attentions.value)
+        penalty = penalty * (penalty_coef / n_bags)
+        loss = loss + penalty
+        parts["penalty"] = penalty.item()
+    if l2_coef != 0.0:
+        l2 = np.array([[ad.squared_norm(decayed.value)]], dtype=decayed.value.dtype) * l2_coef
+        loss = loss + l2
+        parts["l2"] = l2.item()
+    out = Node(loss)
+    if tape is not None:
+        def bwd() -> None:
+            g = out.grad
+            if l2_coef != 0.0:
+                g2 = g * l2_coef * 2.0
+                grad = ad._ensure_grad(decayed)
+
+                def add(block: slice) -> None:
+                    grad[block] += decayed.value[block] * g2
+                ad.sweep(add, decayed.value)
+            if penalty_coef != 0.0:
+                ad._accum(word_attentions, penalty_grad((g * (penalty_coef / n_bags)).item()))
+            live = p >= ad.LOG_FLOOR   # below the clamp the loss is locally constant
+            dp = np.zeros_like(v)
+            dp[rows[live], labels[live]] = -(g * (1.0 / n_bags)).item() / p[live]
+            ad._accum(probabilities, dp)
+        tape.record(out, bwd)
+    return out, parts
+
+
 def total_loss(tape: Tape | None, bags: Sequence[Bag], model: Model,
                dropout_rng: np.random.Generator | None = None,
                ) -> tuple[Node, dict[str, float]]:
-    """Differentiable batch loss plus the values of its three terms."""
+    """The model's :func:`objective` over a batch, plus the values of its three terms."""
     if not bags:
         raise ValueError("total_loss needs a non-empty batch")
     cfg = model.config
     ordered = sorted(bags, key=lambda b: b.bag_id)
     out = model.forward(tape, [bag.instances for bag in ordered], dropout_rng=dropout_rng)
-    n_bags = len(ordered)
-    ce = ad.mul_const(tape, ad.cross_entropy(tape, out.probabilities,
-                                             [bag.relation_id for bag in ordered]),
-                      1.0 / n_bags)
-    loss = ce
-    parts = {"ce": ce.value.item(), "penalty": 0.0, "l2": 0.0}
-    if cfg.penalty_coef != 0.0:
-        penalty = ad.mul_const(tape, wa.attention_penalty(tape, out.word_attentions),
-                               cfg.penalty_coef / n_bags)
-        loss = ad.add(tape, loss, penalty)
-        parts["penalty"] = penalty.value.item()
-    if cfg.l2_coef != 0.0:
-        l2 = ad.mul_const(tape, ad.sum_squares(tape, model.decayed), cfg.l2_coef)
-        loss = ad.add(tape, loss, l2)
-        parts["l2"] = l2.value.item()
-    return loss, parts
+    return objective(tape, out.probabilities, [bag.relation_id for bag in ordered],
+                     out.word_attentions, model.decayed, cfg.penalty_coef, cfg.l2_coef)
 
 
 def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:

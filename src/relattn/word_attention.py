@@ -3,13 +3,15 @@
 A learned matrix of attention rows, each a distribution over token
 positions, turns the encoder output into a fixed number of differently
 focused sentence views; the orthogonality penalty pushes those rows apart.
-Each function takes one instance's ``[2u x T]`` states or a batch ``[n x 2u x T]``
-and adds one tape record.
+Each layer function takes one instance's ``[2u x T]`` states or a batch
+``[n x 2u x T]`` and adds one tape record. The penalty adds none:
+``training.objective`` records it with the other loss terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -84,6 +86,13 @@ def flatten_project(tape: Tape | None, weighted: Node, params: WordAttentionPara
     return out
 
 
-def attention_penalty(tape: Tape | None, attention: Node) -> Node:
-    """Squared Frobenius distance of the attention rows from orthonormality."""
-    return ad.frobenius_penalty(tape, attention)
+def attention_penalty(attention: np.ndarray) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """``‖AAᵀ − I‖²`` of each matrix of attention rows, summed over a batch:
+    their squared Frobenius distance from orthonormality (Lin et al. 2017).
+    Returns the value, a ``[1 x 1]`` array of ``attention``'s dtype, and its
+    gradient: a function of the value's gradient ``g`` that returns
+    ``4g·S·A``, with ``S = AAᵀ − I``."""
+    s = attention @ np.swapaxes(attention, -1, -2)
+    s -= np.eye(s.shape[-1], dtype=s.dtype)
+    return (np.array([[(s * s).sum()]], dtype=attention.dtype),
+            lambda g: (4.0 * g) * (s @ attention))

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relattn import autodiff as ad
 from relattn import gradcheck
 from relattn import sentence_attention as sa
 from relattn import word_attention as wa
@@ -21,7 +20,7 @@ from relattn.config import ModelConfig
 from relattn.data import SynthSpec, contains_pattern, generate_synthetic, relation_patterns
 from relattn.evaluation import accuracy, hard_predictions
 from relattn.model import Model
-from relattn.training import train
+from relattn.training import objective, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,7 +82,7 @@ class TestCriterion3PenaltyLaw:
         worst = 0.0
         for _ in range(50):
             q, _ = np.linalg.qr(rng.normal(size=(6, 2)))
-            worst = max(worst, ad.frobenius_penalty(None, Node(q.T)).value.item())
+            worst = max(worst, wa.attention_penalty(q.T)[0].item())
         assert worst <= 1e-12
         report(3, f"orthonormal-row penalty <= {worst:.1e}")
 
@@ -95,7 +94,8 @@ class TestCriterion3PenaltyLaw:
         for steps in range(1, 501):
             attn.zero_grad()
             tape = Tape()
-            loss = ad.frobenius_penalty(tape, attn)
+            # the loss record of one bag whose one probability is 1: the penalty alone
+            loss, _ = objective(tape, Node([[1.0]]), [0], attn, None, 1.0, 0.0)
             value = loss.value.item()
             if value < 1e-3:
                 break

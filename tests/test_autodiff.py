@@ -25,6 +25,24 @@ def param(value, name="p"):
     return Parameter(name, np.asarray(value, dtype=float))
 
 
+def loss_of(tape, probabilities, labels, attentions=None, decayed=None,
+            penalty_coef=0.0, l2_coef=0.0):
+    """The loss record, ``training.objective``, and its value alone."""
+    return training.objective(tape, probabilities, labels, attentions, decayed,
+                              penalty_coef, l2_coef)[0]
+
+
+def l2_loss(tape, leaf, coef=1.0):
+    """``coef·‖leaf‖²`` through the loss record: its one probability is 1, so
+    the cross-entropy term is exactly 0 and the loss keeps ``leaf``'s dtype."""
+    return loss_of(tape, Node(np.ones((1, 1), leaf.value.dtype)), [0], decayed=leaf,
+                   l2_coef=coef)
+
+
+def penalty_of(rows):
+    return wa.attention_penalty(np.asarray(rows, dtype=float))[0].item()
+
+
 small_matrices = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                         elements=st.floats(-50, 50, allow_nan=False))
 
@@ -120,52 +138,54 @@ class TestElementwise:
 
 
 class TestFrobeniusPenalty:
+    """The squared Frobenius distance from orthonormal rows, ``attention_penalty``."""
+
     def test_orthonormal_rows_padded(self):
         a = np.zeros((2, 5))
         a[0, 0] = a[1, 1] = 1.0
-        assert ad.frobenius_penalty(None, Node(a)).value.item() == 0.0
+        assert penalty_of(a) == 0.0
 
     def test_duplicate_rows(self):
-        out = ad.frobenius_penalty(None, Node([[1.0, 0.0], [1.0, 0.0]]))
-        assert out.value.item() == pytest.approx(2.0, abs=1e-12)
+        assert penalty_of([[1.0, 0.0], [1.0, 0.0]]) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_scaled_row(self):
-        out = ad.frobenius_penalty(None, Node([[2.0, 0.0]]))
-        assert out.value.item() == pytest.approx(9.0, abs=1e-12)
+        assert penalty_of([[2.0, 0.0]]) == pytest.approx(9.0, abs=1e-12)
 
     def test_zero_iff_orthonormal(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
         rows = q.T   # 3 orthonormal rows of length 6
-        assert ad.frobenius_penalty(None, Node(rows)).value.item() <= 1e-12
+        assert penalty_of(rows) <= 1e-12
         perturbed = rows + 0.01 * rng.normal(size=rows.shape)
-        assert ad.frobenius_penalty(None, Node(perturbed)).value.item() > 0.0
+        assert penalty_of(perturbed) > 0.0
 
 
 class TestCrossEntropy:
+    """The loss record's cross-entropy term: the penalty and L2 off."""
+
     def test_certain_correct(self):
-        assert ad.cross_entropy(None, Node([[1.0, 0.0]]), 0).value.item() == 0.0
+        assert loss_of(None, Node([[1.0, 0.0]]), 0).value.item() == 0.0
 
     def test_half(self):
-        out = ad.cross_entropy(None, Node([[0.5, 0.5]]), 1)
+        out = loss_of(None, Node([[0.5, 0.5]]), 1)
         assert out.value.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_clamped_zero_probability(self):
-        out = ad.cross_entropy(None, Node([[0.0, 1.0]]), 0)
+        out = loss_of(None, Node([[0.0, 1.0]]), 0)
         assert out.value.item() == pytest.approx(-np.log(1e-12), abs=1e-9)
         assert np.isfinite(out.value).all()
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.cross_entropy(None, Node([[0.5, 0.5]]), 2)
+            loss_of(None, Node([[0.5, 0.5]]), 2)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            ad.cross_entropy(None, Node([[0.7, 0.7]]), 0)
+            loss_of(None, Node([[0.7, 0.7]]), 0)
 
     def test_rejects_a_column_for_one_label(self):
         with pytest.raises(ad.ShapeError, match="one row per label"):
-            ad.cross_entropy(None, Node([[0.25], [0.75]]), 1)
+            loss_of(None, Node([[0.25], [0.75]]), 1)
 
 
 class TestBackward:
@@ -178,7 +198,7 @@ class TestBackward:
     def test_penalty_gradient_zero_at_identity(self):
         tape = Tape()
         w = param(np.eye(3), "w")
-        backward(tape, ad.frobenius_penalty(tape, w))
+        backward(tape, loss_of(tape, Node([[1.0, 0.0]]), 0, w, penalty_coef=1.0))
         np.testing.assert_array_equal(w.grad, np.zeros((3, 3)))
 
     def test_rejects_non_scalar(self):
@@ -194,7 +214,7 @@ class TestBackward:
         w = param(rng.normal(size=(3, 3)), "w")
         v = param(rng.normal(size=(3, 2)), "v")
         rows = param(rng.normal(size=(2, 3)), "rows")
-        loss = ad.sum_squares(tape, ad.attention(tape, v, w, rows))
+        loss = loss_of(tape, ad.attention(tape, v, w, rows), [0, 1])
         backward(tape, loss)
         once = [p.grad.copy() for p in (w, v, rows)]
         backward(tape, loss)
@@ -208,8 +228,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         w = param(rng.normal(size=(3, 3)), "w")
         v, rows = Node(rng.normal(size=(3, 2))), Node(rng.normal(size=(2, 3)))
-        loss = ad.add(tape, ad.sum_squares(tape, ad.attention(tape, v, w, rows)),
-                      ad.frobenius_penalty(tape, w))
+        loss = loss_of(tape, ad.attention(tape, v, w, rows), [0, 1], w, penalty_coef=1.0)
         backward(tape, loss)
         once = w.grad.copy()
         backward(tape, loss)
@@ -230,10 +249,11 @@ class TestBackward:
         rows = param(rng.uniform(-1, 1, (2, 3)), "rows")
 
         def f():
+            # every term of the loss record: the mean of two probability rows
+            # is one, the penalty of w and L2 of v
             tape = Tape()
             p = ad.mean_rows(tape, ad.attention(tape, v, w, rows))
-            loss = ad.add(tape, ad.sum_squares(tape, p), ad.frobenius_penalty(tape, w))
-            return tape, loss
+            return tape, loss_of(tape, p, [1], w, v, penalty_coef=1.0, l2_coef=0.5)
 
         assert finite_diff_check(f, [w, v, rows]) < 1e-5
 
@@ -269,15 +289,16 @@ class TestFirstGradientCopy:
         rows = param(rng.uniform(-1, 1, (3, 3)), "rows")
 
         def build(t):
-            # add(x, x) hands one gradient array to both of its operands
+            # the loss record hands x two gradients, as probabilities and as
+            # attention rows; the leaf reaches it through mul_const
             x = ad.attention(t, v, w, rows)
-            doubled = ad.add(t, ad.add(t, x, x), ad.add(t, leaf, leaf))
-            return ad.add(t, ad.sum_all(t, ad.mul_const(t, doubled, probe)),
-                          ad.sum_all(t, ad.mul_const(t, x, x.value)))
+            return loss_of(t, x, [0, 2, 3], x, ad.mul_const(t, leaf, probe),
+                           penalty_coef=1.0, l2_coef=1.0)
 
         self.assert_matches_plain(monkeypatch, build, [w, v, rows, leaf])
 
     def test_f_ordered_value_through_blocked_sum_squares(self, monkeypatch):
+        # the loss record's L2 term over an F-ordered value, by row blocks
         rng = np.random.default_rng(23)
         w = param(rng.uniform(-1, 1, (3, 3)), "w")
         v = Parameter("v", np.asfortranarray(rng.uniform(-1, 1, (3, 2))))
@@ -285,7 +306,7 @@ class TestFirstGradientCopy:
         def build(t):
             p = ad.mul_const(t, v, 1.5)
             assert p.value.flags.f_contiguous and not p.value.flags.c_contiguous
-            return ad.sum_squares(t, p, w)
+            return loss_of(t, Node([[0.5, 0.5]]), [0], w, p, penalty_coef=1.0, l2_coef=1.0)
 
         self.assert_matches_plain(monkeypatch, build, [w, v])
 
@@ -304,6 +325,25 @@ class TestFirstGradientCopy:
         np.testing.assert_array_equal(narrow.grad, 2.0 * g)
 
 
+class NumpyBytesAtEachAdd(np.ndarray):
+    """A gradient buffer that, at each in-place add into it while tracemalloc
+    traces, appends to ``held`` the bytes that numpy's allocations hold
+    (``np.lib.tracemalloc_domain``): the addend, a block task's scratch, is
+    still alive then, and the interpreter's own objects are not counted."""
+
+    held: list[int] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if tracemalloc.is_tracing():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            NumpyBytesAtEachAdd.held.append(sum(trace.size for trace in snapshot.traces))
+        inputs = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestGradientRelease:
     def test_only_parameters_and_untaped_leaves_keep_gradients(self):
         rng = np.random.default_rng(24)
@@ -312,51 +352,58 @@ class TestGradientRelease:
         rows = Node(rng.uniform(-1, 1, (2, 3)))
         tape = Tape()
         h = ad.attention(tape, leaf, w, rows)
-        loss = ad.add(tape, ad.sum_squares(tape, h), ad.sum_all(tape, leaf))
+        loss = loss_of(tape, h, [0, 1], decayed=leaf, l2_coef=1.0)
         backward(tape, loss)
-        assert len(tape) == 4 and all(out.grad is None for out, _ in tape._records)
+        assert len(tape) == 2 and all(out.grad is None for out, _ in tape._records)
         assert np.abs(w.grad).max() > 0 and np.abs(leaf.grad).max() > 0
 
-    @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
-                                             ((1000, 1100), np.float32)])
-    def test_sum_squares_backward_needs_one_row_block(self, shape, dtype, monkeypatch):
-        # no parameter-sized temporaries: the scratch is one block of rows,
-        # and the result is still (2 * value) * g bit for bit
-        monkeypatch.setattr(ad, "_two_cores", lambda: False)
-        w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
+    @staticmethod
+    def l2_backward(shape, dtype):
+        """The loss record's L2 backward at ``l2_coef`` 0.3 into a zero
+        gradient, which must be ``(2 * value) * g`` bit for bit. Returns the
+        most bytes numpy held at a block's add, the traced peak, and the
+        bytes of one block and of the value."""
+        w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype),
+                      grad=np.zeros(shape, dtype).view(NumpyBytesAtEachAdd))
         assert w.value.nbytes >= 4 * 2**20
         tape = Tape()
-        loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
+        loss = l2_loss(tape, w, 0.3)
+        NumpyBytesAtEachAdd.held = []
         tracemalloc.start()
         try:
             backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        held = NumpyBytesAtEachAdd.held
+        assert len(held) == len(list(ad.row_blocks(w.value)))   # one add per block
         block = max(1, ad.ROW_BLOCK // w.value[0].size) * w.value[0].nbytes
         assert block <= w.value.nbytes // 8
-        assert peak < block + 16 * 1024
-        np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
+        np.testing.assert_array_equal(w.grad.view(np.ndarray),
+                                      2.0 * w.value * np.full((1, 1), 0.3, dtype))
+        return max(held), peak, block, w.value.nbytes
+
+    @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
+                                             ((1000, 1100), np.float32)])
+    def test_sum_squares_backward_needs_one_row_block(self, shape, dtype, monkeypatch):
+        # the loss record's L2 backward makes no parameter-sized temporaries:
+        # numpy holds one block of rows as it adds one, and the result is
+        # still (2 * value) * g bit for bit
+        monkeypatch.setattr(ad, "_two_cores", lambda: False)
+        held, peak, block, value = self.l2_backward(shape, dtype)
+        assert held < block + 1024
+        assert peak < value // 2   # and no parameter-sized scratch anywhere
 
     @pytest.mark.parametrize("shape,dtype", [((1024, 512), np.float64),
                                              ((1000, 1100), np.float32)])
     def test_sum_squares_backward_needs_one_row_block_per_thread(self, shape, dtype,
                                                                  two_cores):
         # the two-core path: each thread's scratch is one block of rows
-        w = Parameter("w", np.random.default_rng(25).normal(size=shape).astype(dtype))
         calls = two_cores(True)
-        tape = Tape()
-        loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
-        tracemalloc.start()
-        try:
-            backward(tape, loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        held, peak, block, value = self.l2_backward(shape, dtype)
         assert calls == [True, True]   # the value's dots, then the gradient's blocks
-        block = max(1, ad.ROW_BLOCK // w.value[0].size) * w.value[0].nbytes
-        assert peak < 2 * block + 16 * 1024
-        np.testing.assert_array_equal(w.grad, 2.0 * w.value * np.full((1, 1), 0.3, dtype))
+        assert held < 2 * block + 1024
+        assert peak < value // 2
 
     def test_mlp_weight_gradient_adds_row_blocks(self):
         # word_mlp_weight's shape at the nyt profile against a 33-instance
@@ -417,10 +464,12 @@ class TestSquaredNorm:
             assert abs(got - self.reference(a)) <= self.BOUND * self.reference(a)
 
     def test_sum_squares_value(self, tensors):
-        got = ad.sum_squares(None, *(Node(a) for a in tensors)).value
-        want = sum(self.reference(a) for a in tensors)
-        assert got.dtype == np.float32
-        assert abs(got.item() - want) <= self.BOUND * want
+        # the loss record's L2 term
+        for a in tensors:
+            got = l2_loss(None, Node(a)).value
+            want = self.reference(a)
+            assert got.dtype == np.float32
+            assert abs(got.item() - want) <= self.BOUND * want
 
     def test_clip_gradients_norm(self, tensors):
         # clip_gradients reads only ``grad``; max_norm 0 leaves it unscaled
@@ -607,7 +656,7 @@ class TestSplitSites:
             w.grad[...] = 0.25
             calls = two_cores(on)
             tape = Tape()
-            loss = ad.mul_const(tape, ad.sum_squares(tape, w), 0.3)
+            loss = l2_loss(tape, w, 0.3)
             backward(tape, loss)
             # the value's dots, then the gradient's blocks
             assert calls == ([True, True] if on and blocks > 1 else [])
@@ -743,7 +792,7 @@ class TestSplitSites:
 class TestFiniteDiffCheck:
     def test_quadratic_form(self):
         w = param(np.random.default_rng(6).uniform(0.5, 2.0, (3, 3)), "w")
-        assert finite_diff_check(lambda: (t := Tape(), ad.sum_squares(t, w)), [w]) < 1e-7
+        assert finite_diff_check(lambda: (t := Tape(), l2_loss(t, w)), [w]) < 1e-7
 
     def test_constant_function(self):
         w = param(np.ones((2, 2)), "w")

@@ -230,8 +230,11 @@ def reference_bilstm(embedded, lengths, params):
 
 class TestLstmStep:
     def step(self, gates, c_prev):
+        # lstm_step takes the i, f and o pre-activations halved, as
+        # _run_direction's scaled weights give them
         k, u = gates.shape[0], gates.shape[1] // 4
         c, h = np.empty((k, u)), np.empty((k, u))
+        gates *= enc._gate_affine(u, gates.dtype)[0]
         enc.lstm_step(gates, c_prev, c, h)
         return c, h
 

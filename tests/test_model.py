@@ -26,6 +26,7 @@ from relattn.autodiff import Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import Bag, Instance
 from relattn.model import DECAYED_RULES, Model, expected_shapes
+from relattn import training
 from relattn.training import total_loss
 
 
@@ -267,7 +268,8 @@ class TestOnePlanPerPass:
                   [Instance(np.array([6, 7, 8, 9, 2]), 1, 3)]]
         tape = Tape()
         out = model.forward(tape, groups, dropout_rng=np.random.default_rng(1))
-        backward(tape, ad.cross_entropy(tape, out.probabilities, [0, 2]))
+        backward(tape, training.objective(tape, out.probabilities, [0, 2], None, None,
+                                          0.0, 0.0)[0])
         assert len(built) == 1 and built[0].lengths.tolist() == [3, 1, 5]
         model.forward(None, groups[1:])
         assert len(built) == 2
@@ -304,20 +306,20 @@ class TestNoProductOfAMatrixWithAStack:
         assert set(seen) <= {(2, 2), (3, 3)}
 
 
-# every function that the model's pass calls to add to the tape
+# every function that a training pass calls to add to the tape, the loss included
 LAYER_FUNCTIONS = [(enc, "embed_batch"), (enc, "bilstm_encode_batch"),
                    (wa, "word_attention_matrix"), (wa, "weighted_sentence_matrix"),
-                   (wa, "flatten_project"), (wa, "attention_penalty"),
-                   (sa, "sentence_attention_matrix"), (sa, "average_attention"),
-                   (sa, "selection_representation"), (sa, "classify")]
+                   (wa, "flatten_project"), (sa, "sentence_attention_matrix"),
+                   (sa, "average_attention"), (sa, "selection_representation"),
+                   (sa, "classify"), (training, "objective")]
 
 
 class TestTapeRecords:
-    @pytest.mark.parametrize("profile", ["synth", "nyt"])
-    def test_one_record_per_layer_function(self, profile, monkeypatch):
-        # the sentence level's attention runs the 2-D record; with the loss
-        # terms, a pass without dropout records 17 entries
-        added = {}
+    @staticmethod
+    def records(profile, monkeypatch, **settings):
+        """The records each layer function added in one ``total_loss`` pass,
+        the tape's length, and the calls of ``word_attention.attention_penalty``."""
+        added, penalties = {}, []
 
         def counting(name, real):
             def run(tape, *args, **kwargs):
@@ -327,11 +329,31 @@ class TestTapeRecords:
                 return out
             return run
 
+        def noting(real):
+            def run(attention):
+                penalties.append(attention.shape)
+                return real(attention)
+            return run
+
         for module, name in LAYER_FUNCTIONS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        cfg = ModelConfig.from_profile(profile)
+        monkeypatch.setattr(wa, "attention_penalty", noting(wa.attention_penalty))
+        cfg = ModelConfig.from_profile(profile, **settings)
         model = Model(cfg, 40, CLASSES, rng=np.random.default_rng(3))
         tape = Tape()
-        total_loss(tape, small_batch(cfg), model)
+        total_loss(tape, small_batch(cfg), model, dropout_rng=np.random.default_rng(4))
+        return added, len(tape), len(penalties)
+
+    @pytest.mark.parametrize("profile", ["synth", "nyt"])
+    def test_one_record_per_layer_function(self, profile, monkeypatch):
+        # the sentence level's attention runs the 2-D record, and the loss is
+        # one record: a pass without dropout records 10 entries. The loss
+        # takes the penalty through the module attribute, which records nothing
+        added, records, penalties = self.records(profile, monkeypatch)
         assert added == {name: [1] for _, name in LAYER_FUNCTIONS}
-        assert len(tape) == 17
+        assert records == 10 and penalties == 1
+
+    def test_dropout_adds_one_record(self, monkeypatch):
+        added, records, _ = self.records("synth", monkeypatch, dropout=0.3)
+        assert added == {name: [1] for _, name in LAYER_FUNCTIONS}
+        assert records == 11

@@ -15,11 +15,11 @@ import pytest
 
 from relattn import autodiff as ad
 from relattn import gradcheck
-from relattn.autodiff import Tape, backward
+from relattn.autodiff import Node, Tape, backward
 from relattn.config import ModelConfig
 from relattn.data import Dataset, Vocab
 from relattn.model import DECAYED_RULES, Model, expected_shapes
-from relattn.training import total_loss, train
+from relattn.training import objective, total_loss, train
 
 CLASSES = 3
 CFG = ModelConfig(word_dim=4, position_dim=6, max_distance=3, time_steps=5, hidden_size=3,
@@ -173,7 +173,9 @@ def test_l2_over_the_decayed_slice():
     decayed = [name for name, (_, rule) in table.items() if rule in DECAYED_RULES]
     assert model.decayed.value.size > 2 * ad.ROW_BLOCK
     tape = Tape()
-    l2 = ad.mul_const(tape, ad.sum_squares(tape, model.decayed), cfg.l2_coef)
+    # the loss record with one probability of 1: L2 alone
+    l2, _ = objective(tape, Node(np.ones((1, 1), np.float32)), [0], None, model.decayed,
+                      0.0, cfg.l2_coef)
     reference = cfg.l2_coef * sum((params[name].value.astype(np.float64) ** 2).sum()
                                   for name in decayed)
     assert l2.value.item() == pytest.approx(reference, rel=1e-6)

@@ -5,7 +5,7 @@ import pytest
 
 from relattn import sentence_attention as sa
 from relattn.autodiff import Node, Parameter, Tape, finite_diff_check
-from relattn import autodiff as ad
+from relattn.training import objective
 
 
 def params_for(rows, attn_hidden, rep_dim, classes, seed=0):
@@ -202,7 +202,7 @@ class TestInvariants:
             averaged = sa.average_attention(tape, attn)
             selection = sa.selection_representation(tape, averaged, reps)
             probs = sa.classify(tape, selection, p)
-            return tape, ad.cross_entropy(tape, probs, 1)
+            return tape, objective(tape, probs, 1, None, None, 0.0, 0.0)[0]
 
         err = finite_diff_check(f, [p.attn_hidden, p.attn_rows,
                                     p.class_weight, p.class_bias])
@@ -214,7 +214,7 @@ class TestFloat32Normalization:
         # 53 classes, as in the NYT relation set. In each bag one class
         # stands out and the other 52 logits tie: summing such a float32 row
         # sequentially (as numpy does along a strided axis) errs the same way
-        # at every step and misses cross_entropy's 1e-6 check.
+        # at every step and misses the loss record's 1e-6 check.
         rng = np.random.default_rng(18)
         mlp, classes = 64, 53
         for trial in range(300):
@@ -226,4 +226,4 @@ class TestFloat32Normalization:
             selection[np.arange(bags), rng.integers(0, classes, bags)] = rng.uniform(0.1, 3, bags)
             probs = sa.classify(None, Node(selection), p)
             assert probs.value.dtype == np.float32 and probs.shape == (bags, classes)
-            ad.cross_entropy(None, probs, rng.integers(0, classes, bags))
+            objective(None, probs, rng.integers(0, classes, bags), None, None, 0.0, 0.0)

@@ -99,6 +99,80 @@ class TestTotalLoss:
             total_loss(None, [], fresh_model(cfg, ds))
 
 
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestLossRecord:
+    """The loss record pinned, bit for bit, to plain numpy that makes the
+    float operations of one op per term, in the order they were taped:
+    the summed cross-entropy, its scale by 1/B, the penalty, its scale by
+    coef/B and their sum, then L2, its scale and the sum; backward runs them
+    in reverse from a gradient of 1."""
+
+    @staticmethod
+    def reference(v, labels, attn, decayed, penalty_coef, l2_coef):
+        """Loss, parts and the gradients into probabilities, attentions and
+        decayed (None where a term is off) of the op-per-term chain."""
+        dtype, bags = v.dtype, len(labels)
+        rows = np.arange(bags)
+        p = v[rows, labels]
+        ce = np.array([[-np.log(np.maximum(p, ad.LOG_FLOOR)).sum()]], dtype=dtype)
+        loss = ce * (1.0 / bags)
+        parts = {"ce": loss.item(), "penalty": 0.0, "l2": 0.0}
+        if penalty_coef:
+            s = attn @ np.swapaxes(attn, -1, -2)
+            s -= np.eye(s.shape[-1], dtype=dtype)
+            penalty = np.array([[(s * s).sum()]], dtype=dtype) * (penalty_coef / bags)
+            loss = loss + penalty
+            parts["penalty"] = penalty.item()
+        if l2_coef:
+            # squared_norm is the blocked float64 sum that the L2 op took
+            l2 = np.array([[ad.squared_norm(decayed)]], dtype=dtype) * l2_coef
+            loss = loss + l2
+            parts["l2"] = l2.item()
+        g = np.ones_like(loss)
+        d_decayed = d_attn = None
+        if l2_coef:
+            d_decayed = np.zeros_like(decayed) + decayed * ((g * l2_coef) * 2.0)
+        if penalty_coef:
+            d_attn = (4.0 * (g * (penalty_coef / bags)).item()) * (s @ attn)
+        live = p >= ad.LOG_FLOOR
+        d_v = np.zeros_like(v)
+        d_v[rows[live], labels[live]] = -(g * (1.0 / bags)).item() / p[live]
+        return loss, parts, d_v, d_attn, d_decayed
+
+    @pytest.mark.parametrize("l2_coef", [0.0, 1e-3])
+    @pytest.mark.parametrize("penalty_coef", [0.0, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_op_chain_bit_for_bit(self, dtype, penalty_coef, l2_coef):
+        rng = np.random.default_rng(27)
+        logits = rng.normal(0, 3, (5, 5))   # 5 bags, so that 1/B rounds
+        logits[1, 0] = -60.0   # a probability under LOG_FLOOR: clamped, no gradient
+        v = softmax_rows(logits).astype(dtype)
+        labels = [2, 0, 4, 2, 1]
+        attn = softmax_rows(rng.normal(0, 2, (3, 2, 6))).astype(dtype)
+        decayed = rng.uniform(-1, 1, (7, 3)).astype(dtype)
+        nodes = [ad.Node(a.copy()) for a in (v, attn, decayed)]
+        tape = Tape()
+        loss, parts = tr.objective(tape, nodes[0], labels, nodes[1], nodes[2],
+                                   penalty_coef, l2_coef)
+        assert len(tape) == 1
+        ad.backward(tape, loss)
+        want_loss, want_parts, *want_grads = self.reference(v, np.array(labels), attn, decayed,
+                                                            penalty_coef, l2_coef)
+        assert v[1, 0] < ad.LOG_FLOOR
+        assert loss.value.dtype == dtype and np.array_equal(loss.value, want_loss)
+        assert parts == want_parts
+        for node, want in zip(nodes, want_grads):
+            if want is None:
+                assert node.grad is None
+            else:
+                assert node.grad.dtype == dtype
+                np.testing.assert_array_equal(node.grad, want)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = Parameter("p", np.array([[1.0, 2.0]]))

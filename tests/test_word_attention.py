@@ -5,6 +5,7 @@ import pytest
 
 from relattn import autodiff as ad
 from relattn import encoder as enc
+from relattn import training
 from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
 from relattn.config import ModelConfig
@@ -142,34 +143,30 @@ class TestPenalty:
     def test_one_hot_rows_on_distinct_columns(self):
         attn = np.zeros((2, 5))
         attn[0, 1] = attn[1, 3] = 1.0
-        assert wa.attention_penalty(None, Node(attn)).value.item() == 0.0
+        assert wa.attention_penalty(attn)[0].item() == 0.0
 
     def test_identical_rows_positive(self):
         row = np.random.default_rng(10).dirichlet(np.ones(5))
         attn = np.stack([row, row])
-        assert wa.attention_penalty(None, Node(attn)).value.item() > 0.0
+        assert wa.attention_penalty(attn)[0].item() > 0.0
 
     def test_single_row_closed_form(self):
         row = np.random.default_rng(11).dirichlet(np.ones(6))[None, :]
-        got = wa.attention_penalty(None, Node(row)).value.item()
+        got = wa.attention_penalty(row)[0].item()
         expected = ((row * row).sum() - 1.0) ** 2
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_descent_reaches_orthogonality(self):
-        # minimizing the penalty alone drives 2 rows of length 6 orthonormal
-        rng = np.random.default_rng(12)
-        attn = Parameter("attn", rng.normal(0.0, 0.5, (2, 6)))
+        # minimizing the penalty alone, by its own gradient, drives 2 rows of
+        # length 6 orthonormal
+        attn = np.random.default_rng(12).normal(0.0, 0.5, (2, 6))
         value = None
         for step in range(500):
-            attn.zero_grad()
-            tape = Tape()
-            loss = wa.attention_penalty(tape, attn)
-            value = loss.value.item()
-            if value < 1e-3:
+            value, grad = wa.attention_penalty(attn)
+            if value.item() < 1e-3:
                 break
-            backward(tape, loss)
-            attn.value -= 0.02 * attn.grad
-        assert value < 1e-3
+            attn -= 0.02 * grad(1.0)
+        assert value.item() < 1e-3
         assert step < 499
 
     def test_end_to_end_gradient(self):
@@ -179,12 +176,14 @@ class TestPenalty:
         probe = rng.uniform(-1, 1, (5, 1))
 
         def f():
+            # through the loss record: its one probability is 1, so the loss is
+            # the penalty of the attention rows plus L2 of the projected rows
             tape = Tape()
             attn = wa.word_attention_matrix(tape, hidden, p)
             weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
             rep = wa.flatten_project(tape, weighted, p)
-            loss = ad.add(tape, ad.sum_all(tape, ad.mul_const(tape, rep, probe)),
-                          wa.attention_penalty(tape, attn))
+            loss, _ = training.objective(tape, Node([[1.0]]), [0], attn,
+                                         ad.mul_const(tape, rep, probe), 1.0, 1.0)
             return tape, loss
 
         err = finite_diff_check(f, [p.attn_hidden, p.attn_rows, p.mlp_weight, p.mlp_bias])
