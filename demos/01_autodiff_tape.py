@@ -24,7 +24,9 @@ labels = [1, 3]
 
 
 def forward(t):
-    probs = ad.attention(t, x, w, b)   # one record: both products, tanh and softmax
+    # the attention record of both model levels: both products, tanh and
+    # softmax in one record, the five columns of x read as five rows
+    probs = ad.attention(t, x, w, b)
     # the training loss, one record: cross-entropy, penalty per row and L2
     return objective(t, probs, labels, w, b, penalty_coef=1.0, l2_coef=0.1)[0]
 

@@ -3,7 +3,9 @@
 Every graph value is a 2-D float array (scalars are 1x1 matrices), or a 3-D
 stack of them along a leading batch axis. Each operation computes its result
 eagerly and records one backward closure on an explicit :class:`Tape`, as
-the model's layer functions do with this module's helpers. :func:`backward`
+the model's layer functions do with this module's helpers. Besides three
+small ops, :func:`attention` is the one record of the structured
+self-attention of both levels, words and instances. :func:`backward`
 replays the tape in exact reverse execution order and *accumulates*
 gradients into the inputs, so leaves keep collecting contributions until
 they are zeroed. :func:`finite_diff_check` is the numerical oracle used to
@@ -337,59 +339,37 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
               valid: np.ndarray | None = None) -> Node:
-    """``softmax(W2 tanh(W1 X))`` of a 2-D ``x`` ``[d x N]``, each row over the
-    columns ``valid`` keeps (all if ``None``); a ``valid`` ``[B x 1 x N]``
-    gives ``[B x r x N]``, one matrix per mask. One record whose products
-    are taken as ``W1·X`` (:func:`packed_attention` takes ``X W1ᵀ``); backward
-    adds each weight's gradient pair as one :func:`grad_pair`, ``W2``'s and
-    then ``W1``'s with ``W1ᵀ·dZ`` into ``x``."""
-    h = _product(w1.value, x.value)
-    np.tanh(h, out=h)
-    z = _product(w2.value, h)
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if not valid.any(axis=-1).all():
-            raise ValueError("attention: every column is masked out")
-        z = np.where(valid, z, z.dtype.type(MASK_FILL))
-    p = _softmax(z)
-    out = Node(p)
-    if tape is not None:
-        def bwd() -> None:
-            dl = _softmax_grad(p, out.grad)
-            if dl.ndim == 3:   # the masks' matrices share the weights
-                dl = dl.sum(axis=0)
-            dz = grad_pair(lambda: _weight_grad(w2, dl, h), lambda: w2.value.T @ dl,
-                           dl, w2.shape[1])[1]
-            dz *= 1.0 - h * h
-            grad_pair(lambda: _weight_grad(w1, dz, x.value), lambda: _accum(x, w1.value.T @ dz),
-                      dz, w1.shape[1])
-        tape.record(out, bwd)
-    return out
-
-
-def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
-                     valid: np.ndarray | None = None) -> Node:
-    """:func:`attention` of each lane's ``[d x T]`` states up to rounding, in
-    one record that reads only the columns of ``x`` ``[n x d x T]`` that
-    ``valid`` ``[n x 1 x T]`` keeps (every column if ``None``), as one
-    block of rows ``X`` ``[P x d]``; ``X W1ᵀ`` is one :func:`_product`.
-    Backward adds into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into
-    the kept columns of ``x``, one :func:`grad_pair`."""
-    n, d, t = x.shape
-    keep = np.ones((n, t), bool) if valid is None else np.asarray(valid, dtype=bool)[:, 0]
-    if keep.shape != (n, t) or w1.shape[1] != d or w2.shape[1] != w1.shape[0]:
-        raise ShapeError(f"packed_attention: {w2.shape} x {w1.shape} x {x.shape}, "
-                         f"mask {np.shape(valid)}")
+    """``softmax(W2 tanh(W1 X))``, each row over the columns ``valid`` keeps,
+    in one record that reads only those columns, as one block of rows ``X``
+    ``[P x d]``; ``X W1ᵀ`` is one :func:`_product`. A stack ``x``
+    ``[n x d x T]`` under ``[n x 1 x T]`` masks gives ``[n x r x T]``. A 2-D
+    ``x`` ``[d x T]`` under a ``[T]`` mask gives ``[r x T]``, and under
+    ``[m x 1 x T]`` masks, which must keep disjoint columns, ``[m x r x T]``
+    of shared weights. Without ``valid`` every column is kept. Backward adds
+    into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into the kept
+    columns of ``x``, one :func:`grad_pair`."""
+    d, t = x.shape[-2:]
+    stack = x.value.ndim == 3
+    valid = (np.ones((len(x.value), 1, t) if stack else t, bool) if valid is None
+             else np.asarray(valid, dtype=bool))
+    keep = valid[:, 0] if valid.ndim == 3 else valid[None]   # [m x T], a row per matrix
+    fits = (valid.shape == (len(x.value), 1, t) if stack
+            else valid.shape == (t,) or valid.shape[1:] == (1, t))
+    if not fits or w1.shape[1] != d or w2.shape[1] != w1.shape[0]:
+        raise ShapeError(f"attention: {w2.shape} x {w1.shape} x {x.shape}, mask {valid.shape}")
     if not keep.any(axis=-1).all():
-        raise ValueError("packed_attention: every column is masked out")
-    kept = np.nonzero(keep)   # (lane, step) of each kept column, taken once
-    rows = x.value.swapaxes(1, 2)[kept]
+        raise ValueError("attention: every column is masked out")
+    if not stack and keep.sum(axis=0).max() > 1:
+        raise ValueError("attention: two masks keep one column of a 2-D x")
+    kept = np.nonzero(keep)   # (matrix, column) of each kept column, taken once
+    cols = kept if stack else kept[1]   # where each row of X lies in x
+    rows = np.swapaxes(x.value, -1, -2)[cols]
     h = _product(rows, w1.value.T)
     np.tanh(h, out=h)
-    z = np.full((n, w2.shape[0], t), MASK_FILL, rows.dtype)
+    z = np.full((len(keep), w2.shape[0], t), MASK_FILL, rows.dtype)
     z.swapaxes(1, 2)[kept] = h @ w2.value.T
     p = _softmax(z)
-    out = Node(p)
+    out = Node(p if valid.ndim == 3 else p[0])
     if tape is not None:
         def bwd() -> None:
             dl = _softmax_grad(p, out.grad).swapaxes(1, 2)[kept]   # [P x r]
@@ -399,7 +379,7 @@ def packed_attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
             grad = _ensure_grad(x)
 
             def into_x() -> None:
-                grad.swapaxes(1, 2)[kept] += dz @ w1.value
+                np.swapaxes(grad, -1, -2)[cols] += dz @ w1.value
             grad_pair(lambda: _accum(w1, dz.T @ rows), into_x, dz, d)
         tape.record(out, bwd)
     return out

@@ -83,8 +83,8 @@ def op_checks() -> list[CheckResult]:
     # two instances of 3 and 5 real columns, a gradient into each kept column
     states = Parameter("states", rng.uniform(-1, 1, (2, 4, 5)))
     kept = np.arange(5) < np.array([[[3]], [[5]]])
-    check("packed_attention", [states, w_hidden, w_rows],
-          lambda t: (t, sum_all(t, ad.mul_const(t, ad.packed_attention(
+    check("attention_stacked", [states, w_hidden, w_rows],
+          lambda t: (t, sum_all(t, ad.mul_const(t, ad.attention(
               t, states, w_hidden, w_rows, kept), attn_probe))))
 
     results.extend(pipeline_checks())

@@ -14,7 +14,8 @@ their true lengths that owns the packed layout; the encoder returns their
 states as ``[n x 2u x t_run]``, up to the longest true length, token-major in
 memory. Word attention then scores the real tokens of all instances at
 once, as one ``[P x 2u]`` block picked out by the plan's mask, and sentence
-attention runs once over all bags, each masked to its own instances. Each
+attention runs once over all bags, each masked to its own instances; both
+are the one ``autodiff.attention`` record. Each
 layer function adds one tape record, and the loss one more, so a
 ``training.total_loss`` pass without dropout records 10.
 """

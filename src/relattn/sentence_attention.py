@@ -1,11 +1,13 @@
 """Structured sentence-level attention over bags of instance representations.
 
 The word level's structured attention, applied across the instances of a
-bag by the same function: attention rows are averaged into a single selection
-weighting, which mixes the instance representations into one vector for
-relation classification. All bags of a batch run at once over its
-``[mlp x N]`` representations, each bag's rows masked to its own columns.
-Each function adds one tape record.
+bag by the same function and the same ``autodiff.attention`` record:
+attention rows are averaged into a single selection weighting, which mixes
+the instance representations into one vector for relation classification.
+All bags of a batch run at once over its ``[mlp x N]`` representations,
+read as ``N`` rows, each bag's rows masked to its own columns; the masks
+of :func:`stack_bag` are disjoint, as the record requires. Each function
+adds one tape record.
 """
 
 from __future__ import annotations

@@ -30,21 +30,23 @@ class WordAttentionParams:
 def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttentionParams,
                           valid_cols: np.ndarray | None = None) -> Node:
     """Structured self-attention ``softmax(W2 tanh(W1 X))`` of both levels
-    (Lin et al. 2017, arXiv:1703.03130); each row sums to 1 over the columns
-    ``valid_cols`` keeps. ``W1`` and ``W2`` are ``params.attn_hidden`` and ``params.attn_rows``.
+    (Lin et al. 2017, arXiv:1703.03130), one ``autodiff.attention`` record;
+    each row sums to 1 over the columns ``valid_cols`` keeps, every column
+    without a mask. ``W1`` and ``W2`` are ``params.attn_hidden`` and
+    ``params.attn_rows``.
 
     Word level: ``X`` is ``[(n x) 2u x T]`` encoder states, the result
     ``[(n x) r x T]``, and ``valid_cols`` (``[T]``, or ``[n x 1 x T]`` for a
-    batch) masks padded positions out; a batch is one
-    ``autodiff.packed_attention`` record over the positions the mask keeps,
-    every one without a mask. One instance, and the sentence level as
-    ``sentence_attention_matrix``, are one ``autodiff.attention`` record:
-    there ``X`` is ``[mlp x N]`` instance representations, the result
-    ``[(bags x) r x N]``, and ``valid_cols`` a ``stack_bag`` mask.
+    batch) masks padded positions out. Sentence level, as
+    ``sentence_attention_matrix``: ``X`` is ``[mlp x N]`` instance
+    representations, the result ``[bags x r x N]``, and ``valid_cols`` a
+    ``stack_bag`` mask.
+
+    A pass-through, kept by name: ``bench/tracing.py`` times and counts each
+    level by wrapping this name and its alias, and its gate test drops the
+    mask through ``valid_cols=None``, until in-package layer spans replace
+    that patching (ROADMAP item 9).
     """
-    if hidden.value.ndim == 3:
-        return ad.packed_attention(tape, hidden, params.attn_hidden, params.attn_rows,
-                                   valid_cols)
     return ad.attention(tape, hidden, params.attn_hidden, params.attn_rows, valid_cols)
 
 

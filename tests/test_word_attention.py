@@ -5,6 +5,7 @@ import pytest
 
 from relattn import autodiff as ad
 from relattn import encoder as enc
+from relattn import sentence_attention as sa
 from relattn import training
 from relattn import word_attention as wa
 from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
@@ -208,7 +209,8 @@ def encoded_batch(lengths, precision, seed=0):
 
 
 class TestPackedPath:
-    """The word level's packed record, pinned to the all-positions path."""
+    """The attention record of both levels, which scores only the kept
+    columns as one packed block of rows, pinned to the all-positions path."""
 
     LENGTHS = [3, 6, 1, 4]
 
@@ -242,35 +244,48 @@ class TestPackedPath:
         assert masked[0, :, 3:].max() == 0.0
 
     def test_forward_and_every_gradient_match_the_all_positions_path(self):
+        # the word level's stack of states, and the sentence level's 2-D
+        # representations under three bags' disjoint masks
         params, hidden, valid = encoded_batch(self.LENGTHS, "float64", seed=1)
-        probe = np.random.default_rng(2).uniform(-1, 1, (len(self.LENGTHS), 3, max(self.LENGTHS)))
-        states = Parameter("states", hidden.value)   # the encoder's token-major layout
-        hid, rws = (Parameter(p.name, p.value.copy()) for p in (params.attn_hidden,
-                                                                 params.attn_rows))
+        rng = np.random.default_rng(3)
+        inputs = [(hidden.value, params.attn_hidden.value, params.attn_rows.value, valid),
+                  (rng.uniform(-1, 1, (4, 6)), rng.uniform(-1.5, 1.5, (5, 4)),
+                   rng.uniform(-1.5, 1.5, (3, 5)), sa.stack_bag([1, 3, 2]))]
+        for probe_seed, (x, w1, w2, valid) in enumerate(inputs, start=2):
+            self.assert_matches_the_all_positions_path(x, w1, w2, valid, probe_seed)
+
+    @staticmethod
+    def assert_matches_the_all_positions_path(x, w1, w2, valid, probe_seed):
+        probe = np.random.default_rng(probe_seed).uniform(
+            -1, 1, (len(valid), len(w2), x.shape[-1]))
+        states = Parameter("states", x)   # the encoder's token-major layout, kept
+        hid, rws = Parameter("w1", w1.copy()), Parameter("w2", w2.copy())
         tape = Tape()
-        attn = ad.packed_attention(tape, states, hid, rws, valid)
+        attn = ad.attention(tape, states, hid, rws, valid)
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
 
-        # the all-positions path in plain numpy: every lane's logits at every
-        # step, padding masked out of the softmax
-        x, w1, w2 = hidden.value, params.attn_hidden.value, params.attn_rows.value
-        t1 = np.tanh(w1 @ x)
+        # the all-positions path in plain numpy: every matrix's logits at
+        # every column, masked columns out of the softmax; a 2-D x is shared
+        # by every mask's matrix, so its gradient sums over them
+        x3 = x if x.ndim == 3 else x[None]
+        t1 = np.tanh(w1 @ x3)
         z = np.where(valid, w2 @ t1, ad.MASK_FILL)
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
         d_z = p * (probe - (probe * p).sum(axis=-1, keepdims=True))
         d_t1 = (w2.T @ d_z) * (1.0 - t1 * t1)
-        want = [p, (d_t1 @ x.swapaxes(1, 2)).sum(axis=0), (d_z @ t1.swapaxes(1, 2)).sum(axis=0),
-                w1.T @ d_t1]
+        want = [p, (d_t1 @ x3.swapaxes(1, 2)).sum(axis=0), (d_z @ t1.swapaxes(1, 2)).sum(axis=0),
+                (w1.T @ d_t1).reshape(-1, *x.shape).sum(axis=0)]
 
-        # each gradient entry's sum of absolute terms, one term per real token
-        keep = valid[:, 0]
-        rows = np.swapaxes(x, 1, 2)[keep]
+        # each gradient entry's sum of absolute terms, one term per kept column
+        kept = np.nonzero(valid[:, 0])
+        cols = kept if x.ndim == 3 else kept[1]
+        rows = np.swapaxes(x, -1, -2)[cols]
         h = np.tanh(rows @ w1.T)
-        dl = np.swapaxes(d_z, 1, 2)[keep]
+        dl = np.swapaxes(d_z, 1, 2)[kept]
         dz = (dl @ w2) * (1.0 - h * h)
         states_terms = np.zeros_like(x)
-        np.swapaxes(states_terms, 1, 2)[keep] = np.abs(dz) @ np.abs(w1)
+        np.swapaxes(states_terms, -1, -2)[cols] = np.abs(dz) @ np.abs(w1)
         terms = [p, np.abs(dz).T @ np.abs(rows), np.abs(dl).T @ np.abs(h), states_terms]
         for got, want, bound in zip([attn.value, hid.grad, rws.grad, states.grad], want, terms):
             assert np.abs(want).max() > 0
