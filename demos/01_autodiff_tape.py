@@ -1,7 +1,7 @@
 """A walk through the reverse-mode tape.
 
 Builds a small expression from a few taped operations, replays the tape
-backward, and shows that the accumulated gradients agree with central
+backward once, consuming it, and shows that the accumulated gradients agree with central
 differences to many digits.
 """
 
@@ -37,12 +37,14 @@ print(f"  {len(tape)} operations recorded, loss = {loss.value.item():.6f}")
 
 print("\nbackward: replaying the tape in reverse, accumulating into the leaves")
 backward(tape, loss)
+print(f"  {len(tape)} operations left: each was dropped once it had run")
 print(f"  dloss/dw row 0: {np.array2string(w.grad[0], precision=5)}")
 print(f"  dloss/db row 0: {np.array2string(b.grad[0], precision=5)}")
 
-print("\ngradients accumulate until zeroed: a second backward doubles them")
+print("\ngradients accumulate until zeroed: a second pass on a new tape doubles them")
 before = w.grad[0, 0]
-backward(tape, loss)
+tape = Tape()
+backward(tape, forward(tape))
 print(f"  w.grad[0,0]: {before:.6f} -> {w.grad[0, 0]:.6f}")
 w.zero_grad()
 b.zero_grad()

@@ -1,4 +1,4 @@
-"""Dense-matrix reverse-mode differentiation on a replayable tape.
+"""Dense-matrix reverse-mode differentiation on a tape replayed once.
 
 Every graph value is a 2-D float array (scalars are 1x1 matrices), or a 3-D
 stack of them along a leading batch axis. Each operation computes its result
@@ -6,10 +6,11 @@ eagerly and records one backward closure on an explicit :class:`Tape`, as
 the model's layer functions do with this module's helpers. Besides three
 small ops, :func:`attention` is the one record of the structured
 self-attention of both levels, words and instances. :func:`backward`
-replays the tape in exact reverse execution order and *accumulates*
-gradients into the inputs, so leaves keep collecting contributions until
-they are zeroed. :func:`finite_diff_check` is the numerical oracle used to
-validate every backward rule.
+consumes the tape in exact reverse execution order, dropping each record
+once its rule has run, and *accumulates* gradients into the inputs, so
+leaves keep collecting contributions until they are zeroed.
+:func:`finite_diff_check` is the numerical oracle used to validate every
+backward rule.
 """
 
 from __future__ import annotations
@@ -106,12 +107,13 @@ class Parameter(Node):
 
 
 class Tape:
-    """Ordered record of executed operations, replayed strictly in reverse."""
+    """Ordered record of executed operations, replayed once, strictly in reverse."""
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "replayed")
 
     def __init__(self) -> None:
         self._records: list[tuple[Node, Callable[[], None]]] = []
+        self.replayed = False
 
     def record(self, out: Node, backward_fn: Callable[[], None]) -> None:
         self._records.append((out, backward_fn))
@@ -292,23 +294,28 @@ def _weight_grad(w: Node, g: np.ndarray, x: np.ndarray) -> None:
 def backward(tape: Tape, loss: Node) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-    Every record's output is a fresh intermediate Node, never a Parameter.
-    Their gradients are reset before the replay, so calling backward twice
-    on the same tape adds the same leaf contributions twice. Each record's
-    output gradient is released as soon as its rule has run, so
-    intermediate gradients cannot be read after the replay: every record
-    output holds ``grad is None``. Parameters, and leaf nodes that no record
+    Consumes the tape: it pops each record, last first, runs its rule only
+    if its output holds a gradient, and drops it, so the arrays a rule saved
+    die when it returns and each rule runs at most once; a rule may write
+    over what it saved. A second call on the same tape raises. Every
+    record's output is a fresh intermediate Node, never a Parameter, and its
+    gradient is released once its rule has run, so every record output ends
+    with ``grad is None``. Parameters, and leaf nodes that no record
     outputs, keep what they collected. Raises if ``loss`` is not scalar.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-    for out, _ in tape._records:
-        out.grad = None
+    if tape.replayed:
+        raise ValueError("backward: this tape was already replayed; record the forward again")
+    tape.replayed = True
+    records = tape._records
     _accum(loss, np.ones_like(loss.value))
-    for out, fn in reversed(tape._records):
+    while records:
+        out, fn = records.pop()
         if out.grad is not None:
             fn()
             out.grad = None
+        del out, fn   # the rule and what it saved die here
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +353,9 @@ def attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
     ``x`` ``[d x T]`` under a ``[T]`` mask gives ``[r x T]``, and under
     ``[m x 1 x T]`` masks, which must keep disjoint columns, ``[m x r x T]``
     of shared weights. Without ``valid`` every column is kept. Backward adds
-    into ``w2``, then ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into the kept
-    columns of ``x``, one :func:`grad_pair`."""
+    into ``w2``, forms ``1 − h²`` in the buffer of ``h = tanh(X W1ᵀ)``, then
+    adds ``dZᵀ·X`` into ``w1`` and ``dZ·W1`` into the kept columns of ``x``,
+    the latter by row blocks, one :func:`grad_pair`."""
     d, t = x.shape[-2:]
     stack = x.value.ndim == 3
     valid = (np.ones((len(x.value), 1, t) if stack else t, bool) if valid is None
@@ -375,11 +383,14 @@ def attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
             dl = _softmax_grad(p, out.grad).swapaxes(1, 2)[kept]   # [P x r]
             _accum(w2, dl.T @ h)
             dz = dl @ w2.value
-            dz *= 1.0 - h * h
-            grad = _ensure_grad(x)
+            np.multiply(h, h, out=h)   # h is read no more: 1 - h*h in its buffer
+            dz *= np.subtract(1.0, h, out=h)
+            grad = np.swapaxes(_ensure_grad(x), -1, -2)
 
             def into_x() -> None:
-                np.swapaxes(grad, -1, -2)[cols] += dz @ w1.value
+                dx = dz @ w1.value
+                for block in row_blocks(dx):   # one block of gather-add-scatter scratch
+                    grad[tuple(c[block] for c in cols) if stack else cols[block]] += dx[block]
             grad_pair(lambda: _accum(w1, dz.T @ rows), into_x, dz, d)
         tape.record(out, bwd)
     return out

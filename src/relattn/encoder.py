@@ -178,8 +178,9 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
     ``x`` holds the real tokens in the order of ``plan``, the one owner of
     the layout, and both directions run its one schedule. Returns the states
     ``[P x u]`` and the BPTT closure, which takes their gradient (a fresh
-    array, overwritten), runs over the saved gates and cells, adds the
-    weight gradients, each formed with one product, and returns dx.
+    array, overwritten), runs over the saved gates and cells, writing the
+    gate gradient over the gates, so it may run once; it adds the weight
+    gradients, each formed with one product, and returns dx.
     """
     w_in, w_rec, bias = direction.w_in.value, direction.w_rec.value, direction.bias.value
     u = w_rec.shape[1]
@@ -200,32 +201,41 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
 
     def bptt(dh: np.ndarray) -> np.ndarray:
         first = len(z) - len(plan.earlier)        # the rows of step 0
-        # every token's local derivatives at once, written into dz: those of
-        # i, f and g by the cell, that of o by the state; the loop then
-        # carries only the hidden and cell gradients from step to step and
-        # scales each step's rows of dz by them in place. One [P x u]
-        # scratch holds each second factor and then dh/dc; tanh(c) is taken
-        # twice so that no second one is needed
+        # every token's local derivatives at once, written over the gates in
+        # z, as the tape runs this closure once: those of i, f and g by the
+        # cell, that of o by the state; the loop then carries only the hidden
+        # and cell gradients from step to step and scales each step's rows of
+        # dz by them in place. Each product keeps the two operands of the
+        # formula in the comment beside it, in either order, as IEEE
+        # multiplication commutes. A copy of f serves the cell chain; one
+        # [P x u] scratch holds c_prev*f and then dh/dc, and t a product
+        # until the loop
         z3 = z.reshape(-1, 4, u)                  # [P x gate x u]
         i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
-        dz = np.empty_like(z3)
+        f_kept = f.copy()
         scratch = np.empty_like(cells)
-        np.multiply(g, i, out=dz[:, 0])
-        dz[:, 0] *= np.subtract(1.0, i, out=scratch)           # (g*i) * (1-i)
-        dz[:first, 1] = 0.0                       # step 0 starts from the zero cell
+        t = np.multiply(g, g)
+        np.subtract(1.0, t, out=t)
+        t *= i                                    # i * (1-g*g)
+        g *= i
+        np.subtract(1.0, i, out=i)
+        i *= g                                    # (g*i) * (1-i)
+        g[...] = t
         np.take(cells, plan.earlier, axis=0, out=scratch[first:], mode="clip")   # unbuffered
-        scratch[first:] *= f[first:]
-        np.subtract(1.0, f[first:], out=dz[first:, 1])
-        dz[first:, 1] *= scratch[first:]          # (c_prev*f) * (1-f)
-        np.multiply(g, g, out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
-        np.multiply(i, scratch, out=dz[:, 2])     # i * (1-g*g)
-        np.multiply(np.tanh(cells, out=scratch), o, out=dz[:, 3])
-        dz[:, 3] *= np.subtract(1.0, o, out=scratch)           # (tanh(c)*o) * (1-o)
+        scratch[first:] *= f_kept[first:]
+        np.subtract(1.0, f[first:], out=f[first:])
+        f[first:] *= scratch[first:]              # (c_prev*f) * (1-f)
+        f[:first] = 0.0                           # step 0 starts from the zero cell
         dh_dc = np.tanh(cells, out=scratch)
         dh_dc *= dh_dc
         np.subtract(1.0, dh_dc, out=dh_dc)
         dh_dc *= o                                # o * (1 - tanh(c)^2)
+        np.tanh(cells, out=t)
+        t *= o
+        np.subtract(1.0, o, out=o)
+        o *= t                                    # (tanh(c)*o) * (1-o)
+        del t
+        dz = z3
         # the cell gradient into the current step's lanes; the lanes that
         # end at a step get none from the step after, and stay zero
         dc = np.zeros((first, u), dtype=cells.dtype)
@@ -236,7 +246,7 @@ def _run_direction(x: np.ndarray, plan: BatchPlan, direction: LstmDirection
             dz[a:b, 3] *= dh[a:b]
             if m:
                 dh[p:p + m] += dz[a:b].reshape(m, -1) @ w_rec
-                dc_t *= f[a:b]
+                dc_t *= f_kept[a:b]
                 dc_t += 0.0                       # as if added to zeros: -0.0 becomes 0.0
         del dh, dc, dh_dc, scratch                # freed before the weight products
         dz = dz.reshape(z.shape)

@@ -52,15 +52,23 @@ def word_attention_matrix(tape: Tape | None, hidden: Node, params: WordAttention
 
 def weighted_sentence_matrix(tape: Tape | None, attention: Node, hidden: Node) -> Node:
     """One weighted combination of encoder states per attention row: ``[(n x) r x 2u]``.
-    One record; backward's two gradients are one ``autodiff.grad_pair``."""
+    One record; backward's two gradients are one ``autodiff.grad_pair``. The
+    first gradient into token-major states (the encoder's layout) is written
+    once, by the product itself, in the states' layout; any other is added."""
     out = Node(ad._product(attention.value, np.swapaxes(hidden.value, -1, -2)))
     if tape is not None:
+        def into_hidden(g: np.ndarray) -> None:
+            at = np.swapaxes(attention.value, -1, -2)
+            if hidden.grad is None and np.swapaxes(hidden.value, -1, -2).flags.c_contiguous:
+                hidden.grad = np.empty_like(hidden.value)
+                np.matmul(at, g, out=np.swapaxes(hidden.grad, -1, -2))
+            else:
+                ad._accum(hidden, np.swapaxes(at @ g, -1, -2))
+
         def bwd() -> None:
             g = out.grad
             ad.grad_pair(lambda: ad._accum(attention, g @ hidden.value),
-                         lambda: ad._accum(hidden, np.swapaxes(
-                             np.swapaxes(attention.value, -1, -2) @ g, -1, -2)),
-                         g, attention.shape[-1])
+                         lambda: into_hidden(g), g, attention.shape[-1])
         tape.record(out, bwd)
     return out
 

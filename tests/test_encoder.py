@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -228,6 +229,36 @@ def reference_bilstm(embedded, lengths, params):
     return np.concatenate(out, axis=1)
 
 
+def reference_gate_gradients(gates, cells, plan, w_rec, dh):
+    """The BPTT's gate gradient ``[P x 4u]`` from one direction's saved gates
+    and cells and its state gradient ``dh``, in a separate array, each
+    product's operands in the order of the formula beside it and the step
+    loop as in ``encoder._run_direction``: the float32 bits it must give."""
+    u = cells.shape[1]
+    first = len(gates) - len(plan.earlier)
+    z3 = gates.reshape(-1, 4, u)
+    i, f, g, o = z3[:, 0], z3[:, 1], z3[:, 2], z3[:, 3]
+    tanh_c = np.tanh(cells)
+    dz = np.empty_like(z3)
+    dz[:, 0] = (g * i) * (1.0 - i)
+    dz[:first, 1] = 0.0
+    dz[first:, 1] = (1.0 - f[first:]) * (cells[plan.earlier] * f[first:])
+    dz[:, 2] = i * (1.0 - g * g)
+    dz[:, 3] = (tanh_c * o) * (1.0 - o)
+    dh_dc = (1.0 - tanh_c * tanh_c) * o
+    dh, dc = dh.copy(), np.zeros((first, u), cells.dtype)
+    for a, b, p, m in reversed(plan.schedule):
+        dc_t = dc[:b - a]
+        dc_t += dh[a:b] * dh_dc[a:b]
+        dz[a:b, :3] *= dc_t[:, None]
+        dz[a:b, 3] *= dh[a:b]
+        if m:
+            dh[p:p + m] += dz[a:b].reshape(m, -1) @ w_rec
+            dc_t *= f[a:b]
+            dc_t += 0.0
+    return dz.reshape(gates.shape)
+
+
 class TestLstmStep:
     def step(self, gates, c_prev):
         # lstm_step takes the i, f and o pre-activations halved, as
@@ -389,18 +420,25 @@ class TestFusedDirection:
                   *(p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias))]
         return tape, loss, hidden, params
 
-    def test_second_backward_doubles_every_lstm_gradient(self):
-        # the backward closure must not write into the buffers it saved; the
-        # embedding tables are left out: their flat np.add.at still adds one
-        # entry at a time into what the first pass left, so a second pass
-        # need not give exactly twice the first
+    def test_backward_frees_each_directions_saved_gates(self, monkeypatch):
+        # the BPTT writes its gate gradient over the gates it saved, so it
+        # can run once; the replay drops the record, and with it the gates,
+        # as soon as the record's rule has run
+        real_run, saved = enc._run_direction, []
+
+        def noting_run(x, plan, direction):
+            states, bptt = real_run(x, plan, direction)
+            closure = dict(zip(bptt.__code__.co_freevars, bptt.__closure__))
+            saved.append(weakref.ref(closure["z"].cell_contents))
+            return states, bptt
+
+        monkeypatch.setattr(enc, "_run_direction", noting_run)
         tape, loss, _, params = self.encode_with_tape(tiny_config(time_steps=5), [3, 5, 1, 3])
+        assert len(saved) == 2 and all(ref() is not None for ref in saved)
         ad.backward(tape, loss)
-        once = [p.grad.copy() for p in params[3:]]
-        ad.backward(tape, loss)
-        for p, g in zip(params[3:], once):
-            assert np.abs(g).max() > 0, p.name
-            np.testing.assert_array_equal(p.grad, 2.0 * g, err_msg=p.name)
+        assert len(tape) == 0 and all(ref() is None for ref in saved)
+        for p in params:
+            assert np.abs(p.grad).max() > 0, p.name
 
     def test_float32_stays_float32(self, monkeypatch):
         cfg = tiny_config(time_steps=5, precision="float32")
@@ -611,6 +649,48 @@ class TestBilstm:
         ref = ref[:, :, :t_run]
         np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(fast[ref == 0.0], 0.0)
+
+        # the BPTT in float32, which writes the gate gradient over the saved
+        # gates: its dx and weight gradients are bit for bit those of the
+        # reference's separate gate gradient, zero for the forget gate at step 0
+        real_run, ran = enc._run_direction, []
+
+        def checked_run(x, plan, direction):
+            states, bptt = real_run(x, plan, direction)
+            saved = dict(zip(bptt.__code__.co_freevars,
+                             (cell.cell_contents for cell in bptt.__closure__)))
+            gates, cells = saved["z"].copy(), saved["cells"]
+            u = cells.shape[1]
+
+            def checked_bptt(dh):
+                want = reference_gate_gradients(gates, cells, plan, direction.w_rec.value, dh)
+                dx = bptt(dh)
+                first = len(gates) - len(plan.earlier)
+                assert not want[:first, u:2 * u].any()
+                earlier = saved["states"].take(plan.earlier, axis=0)
+                for got, expected in zip(
+                        (dx, direction.w_in.grad, direction.bias.grad, direction.w_rec.grad),
+                        (want @ direction.w_in.value, want.T @ saved["x"],
+                         want.sum(axis=0)[:, None], want[first:].T @ earlier)):
+                    np.testing.assert_array_equal(got, expected)
+                ran.append(direction)
+                return dx
+            return states, checked_bptt
+
+        cfg32 = dataclasses.replace(cfg, precision="float32")
+        lstm32 = enc.LstmParams(*(enc.LstmDirection(*(
+            Parameter(p.name, p.value.astype(np.float32)) for p in (d.w_in, d.w_rec, d.bias)))
+            for d in (lstm.fwd, lstm.bwd)))
+        tables32 = enc.EmbeddingTables(*(Parameter(p.name, p.value.astype(np.float32)) for p in (
+            tables.word, tables.head_position, tables.tail_position)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enc, "_run_direction", checked_run)
+            tape = Tape()
+            out = enc.bilstm_encode_batch(
+                tape, enc.embed_batch(tape, instances, plan, tables32, cfg32), plan, lstm32)
+            probe = rng.uniform(-1, 1, out.shape).astype(np.float32)
+            ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+        assert ran == [lstm32.fwd, lstm32.bwd]
 
     def test_steps_stop_at_longest_true_length(self, monkeypatch):
         cfg = tiny_config(time_steps=6)

@@ -253,6 +253,46 @@ class TestPackedPath:
                    rng.uniform(-1.5, 1.5, (3, 5)), sa.stack_bag([1, 3, 2]))]
         for probe_seed, (x, w1, w2, valid) in enumerate(inputs, start=2):
             self.assert_matches_the_all_positions_path(x, w1, w2, valid, probe_seed)
+        # in float32, bit for bit the row form's formulas, with dZ·W1 added
+        # over more than one row block: a token-major stack of 128-wide
+        # states and a 2-D [8 x 9000] under three bags' masks
+        lengths = rng.integers(1, 31, 40)
+        states = np.zeros((40, 30, 128), np.float32)
+        states[np.arange(30) < lengths[:, None]] = rng.uniform(-1, 1, (lengths.sum(), 128))
+        inputs = [(states.swapaxes(1, 2), (16, 128), enc.BatchPlan.of(lengths).valid),
+                  (rng.uniform(-1, 1, (8, 9000)).astype(np.float32), (16, 8),
+                   sa.stack_bag([3000, 4000, 2000]))]
+        for probe_seed, (x, w1_shape, valid) in enumerate(inputs, start=4):
+            w1 = rng.uniform(-0.5, 0.5, w1_shape).astype(np.float32)
+            w2 = rng.uniform(-1.5, 1.5, (3, 16)).astype(np.float32)
+            self.assert_matches_the_row_form_bit_for_bit(x, w1, w2, valid, probe_seed)
+
+    @staticmethod
+    def assert_matches_the_row_form_bit_for_bit(x, w1, w2, valid, probe_seed):
+        probe = np.random.default_rng(probe_seed).uniform(
+            -1, 1, (len(valid), len(w2), x.shape[-1])).astype(x.dtype)
+        states, hid, rws = Node(x), Parameter("w1", w1.copy()), Parameter("w2", w2.copy())
+        tape = Tape()
+        attn = ad.attention(tape, states, hid, rws, valid)
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+
+        # the row form's gradients, each product's operands in their first
+        # order, 1 - h*h a temporary and dZ·W1 added over all rows at once
+        kept = np.nonzero(valid[:, 0])
+        cols = kept if x.ndim == 3 else kept[1]
+        block = ad.ROW_BLOCK // x.shape[-2]
+        assert len(kept[0]) > block and len(kept[0]) % block   # a full block and a short one
+        rows = np.swapaxes(x, -1, -2)[cols]
+        h = np.tanh(rows @ w1.T)
+        p = attn.value   # [m x r x T] under [m x 1 x T] masks
+        dl = (p * (probe - (probe * p).sum(axis=-1, keepdims=True))).swapaxes(1, 2)[kept]
+        dz = dl @ w2
+        dz *= 1.0 - h * h
+        dx = np.zeros_like(x)
+        np.swapaxes(dx, -1, -2)[cols] += dz @ w1
+        for got, want in zip([hid.grad, rws.grad, states.grad], [dz.T @ rows, dl.T @ h, dx]):
+            assert got.dtype == np.float32 and np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
 
     @staticmethod
     def assert_matches_the_all_positions_path(x, w1, w2, valid, probe_seed):
