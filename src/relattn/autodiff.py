@@ -3,12 +3,13 @@
 Every graph value is a 2-D float array (scalars are 1x1 matrices), or a 3-D
 stack of them along a leading batch axis. Each operation computes its result
 eagerly and records one backward closure on an explicit :class:`Tape`, as
-the model's layer functions do with this module's helpers. Besides three
-small ops, :func:`attention` is the one record of the structured
-self-attention of both levels, words and instances. :func:`backward`
-consumes the tape in exact reverse execution order, dropping each record
-once its rule has run, and *accumulates* gradients into the inputs, so
-leaves keep collecting contributions until they are zeroed.
+the model's layer functions do with this module's helpers. This module
+records two ops: :func:`attention`, the one record of the structured
+self-attention of both levels, words and instances, and :func:`inner`, the
+scalar probe that reduces a test's graph. :func:`backward` consumes the
+tape in exact reverse execution order, dropping each record once its rule
+has run, and *accumulates* gradients into the inputs, so leaves keep
+collecting contributions until they are zeroed.
 :func:`finite_diff_check` is the numerical oracle used to validate every
 backward rule.
 """
@@ -322,19 +323,6 @@ def backward(tape: Tape, loss: Node) -> None:
 # primitive operations
 
 
-def mul_const(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
-    """Elementwise product with a non-differentiated array (masks, dropout) or
-    scalar."""
-    out = Node(a.value * const)
-    if out.shape != a.shape:
-        raise ShapeError("mul_const must not broadcast the node operand up")
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, out.grad * const)
-        tape.record(out, bwd)
-    return out
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -396,22 +384,18 @@ def attention(tape: Tape | None, x: Node, w1: Node, w2: Node,
     return out
 
 
-def mean_rows(tape: Tape | None, a: Node) -> Node:
-    """Column-wise mean over the rows (axis -2) of each matrix, kept as 1 row."""
-    rows = a.shape[-2]
-    out = Node(a.value.mean(axis=-2, keepdims=True))
+def inner(tape: Tape | None, a: Node, const: np.ndarray | float) -> Node:
+    """``⟨a, const⟩``, the sum of ``a * const``, as a ``[1 x 1]`` node of
+    ``a``'s dtype: the scalar probe by which tests and
+    :mod:`relattn.gradcheck` reduce a graph for :func:`backward`. ``const``
+    is an array or a scalar, not differentiated, and broadcasts to ``a``'s
+    shape, never ``a`` up to its own."""
+    if np.broadcast_shapes(a.shape, np.shape(const)) != a.shape:
+        raise ShapeError(f"inner: {np.shape(const)} does not broadcast to {a.shape}")
+    out = Node(np.array([[(a.value * const).sum()]], dtype=a.value.dtype))
     if tape is not None:
         def bwd() -> None:
-            _accum(a, np.broadcast_to(out.grad / rows, a.shape))
-        tape.record(out, bwd)
-    return out
-
-
-def sum_all(tape: Tape | None, a: Node) -> Node:
-    out = Node(np.array([[a.value.sum()]], dtype=a.value.dtype))
-    if tape is not None:
-        def bwd() -> None:
-            _accum(a, np.broadcast_to(out.grad, a.shape))
+            _accum(a, np.broadcast_to(out.grad * const, a.shape))
         tape.record(out, bwd)
     return out
 

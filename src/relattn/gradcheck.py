@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from . import word_attention as wa
-from .autodiff import Parameter, Tape, finite_diff_check, sum_all
+from .autodiff import Parameter, Tape, finite_diff_check
 from .config import ModelConfig
 from .data import Instance, SynthSpec, generate_synthetic
 from .model import Model
@@ -63,13 +63,13 @@ def op_checks() -> list[CheckResult]:
 
     a = _param(rng, "a", 3, 4)
     mask_arr = (rng.random((3, 4)) > 0.4).astype(float)
-    check("mul_const", [a], lambda t: (t, sum_all(t, ad.mul_const(t, a, mask_arr))))
-    check("mul_const_scalar", [a], lambda t: (t, ad.mul_const(t, sum_all(t, a), -2.5)))
+    check("inner", [a], lambda t: (t, ad.inner(t, a, mask_arr)))
+    check("inner_scalar", [a], lambda t: (t, ad.inner(t, a, -2.5)))
 
+    # a probe of one row per matrix, broadcast over each matrix's four rows
     batch = Parameter("batch", rng.uniform(-1, 1, (2, 4, 5)))
-    mean_probe = rng.uniform(-1, 1, (2, 1, 5))
-    check("mean_rows", [batch],
-          lambda t: (t, sum_all(t, ad.mul_const(t, ad.mean_rows(t, batch), mean_probe))))
+    row_probe = rng.uniform(-1, 1, (2, 1, 5))
+    check("inner_broadcast", [batch], lambda t: (t, ad.inner(t, batch, row_probe)))
 
     # two masks over five columns share the weights, a gradient into each column
     reps = _param(rng, "reps", 4, 5)
@@ -77,15 +77,13 @@ def op_checks() -> list[CheckResult]:
     bags = np.array([[[True, True, False, False, True]], [[False, False, True, True, False]]])
     attn_probe = rng.uniform(-1, 1, (2, 2, 5))
     check("attention", [reps, w_hidden, w_rows],
-          lambda t: (t, sum_all(t, ad.mul_const(t, ad.attention(
-              t, reps, w_hidden, w_rows, bags), attn_probe))))
+          lambda t: (t, ad.inner(t, ad.attention(t, reps, w_hidden, w_rows, bags), attn_probe)))
 
     # two instances of 3 and 5 real columns, a gradient into each kept column
     states = Parameter("states", rng.uniform(-1, 1, (2, 4, 5)))
     kept = np.arange(5) < np.array([[[3]], [[5]]])
     check("attention_stacked", [states, w_hidden, w_rows],
-          lambda t: (t, sum_all(t, ad.mul_const(t, ad.attention(
-              t, states, w_hidden, w_rows, kept), attn_probe))))
+          lambda t: (t, ad.inner(t, ad.attention(t, states, w_hidden, w_rows, kept), attn_probe)))
 
     results.extend(pipeline_checks())
     return results
@@ -133,7 +131,7 @@ def pipeline_checks() -> list[CheckResult]:
 
     def bilstm(tape):
         out = enc.bilstm_encode_batch(tape, packed, plan, model.lstm)
-        return tape, sum_all(tape, ad.mul_const(tape, out, lstm_probe))
+        return tape, ad.inner(tape, out, lstm_probe)
 
     check("bilstm", lstm + [packed], bilstm)
 
@@ -154,7 +152,7 @@ def pipeline_checks() -> list[CheckResult]:
         attn = wa.word_attention_matrix(tape, states, word, valid_cols=valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, states)
         rep = wa.flatten_project(tape, weighted, word)
-        return tape, sum_all(tape, ad.mul_const(tape, rep, probe))
+        return tape, ad.inner(tape, rep, probe)
 
     check("word_attention_pipeline", word_params + [states], word_pipeline)
 
@@ -188,7 +186,7 @@ def pipeline_checks() -> list[CheckResult]:
 
     def embedding(tape):
         out = enc.embed_batch(tape, instances, emb_plan, tables, cfg)
-        return tape, sum_all(tape, ad.mul_const(tape, out, emb_probe))
+        return tape, ad.inner(tape, out, emb_probe)
 
     check("embedding", table_params, embedding)
 

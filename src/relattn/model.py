@@ -17,7 +17,9 @@ once, as one ``[P x 2u]`` block picked out by the plan's mask, and sentence
 attention runs once over all bags, each masked to its own instances; both
 are the one ``autodiff.attention`` record. Each
 layer function adds one tape record, and the loss one more, so a
-``training.total_loss`` pass without dropout records 10.
+``training.total_loss`` pass records 9, with or without dropout: the MLP's
+record applies the dropout mask, and the selection's record averages the
+sentence attention's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import encoder as enc
 from . import sentence_attention as sa
 from . import word_attention as wa
@@ -155,12 +156,12 @@ class Model:
         hidden = enc.bilstm_encode_batch(tape, embedded, plan, self.lstm)   # [n x 2u x t_run]
         attn = wa.word_attention_matrix(tape, hidden, self.word_attn, valid_cols=plan.valid)
         weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
-        reps = wa.flatten_project(tape, weighted, self.word_attn)
+        keep = None
         if dropout_rng is not None and cfg.dropout > 0.0:
             # instance by instance, the same draws as one (mlp, 1) draw each
             keep = (dropout_rng.random((n, cfg.mlp_size)) >= cfg.dropout).T
-            reps = ad.mul_const(tape, reps, keep.astype(cfg.dtype) / (1.0 - cfg.dropout))
-        return reps, attn
+            keep = keep.astype(cfg.dtype) / (1.0 - cfg.dropout)
+        return wa.flatten_project(tape, weighted, self.word_attn, keep), attn
 
     def bag_outputs(self, tape: Tape | None, representations: Node, sizes) -> BagForward:
         """Sentence attention and class probabilities of every bag at once; bag
@@ -168,10 +169,9 @@ class Model:
         membership = sa.stack_bag(sizes)
         attention = sa.sentence_attention_matrix(tape, representations, self.sent_attn,
                                                  membership)
-        averaged = sa.average_attention(tape, attention)
-        selection = sa.selection_representation(tape, averaged, representations)
+        selection = sa.selection_representation(tape, attention, representations)
         probabilities = sa.classify(tape, selection, self.sent_attn)
-        return BagForward(attention, averaged, probabilities)
+        return BagForward(attention, Node(sa.average_attention(attention.value)), probabilities)
 
     def forward(self, tape: Tape | None, instance_lists: list[list[Instance]],
                 dropout_rng: np.random.Generator | None = None) -> BagForward:

@@ -6,8 +6,8 @@ attention rows are averaged into a single selection weighting, which mixes
 the instance representations into one vector for relation classification.
 All bags of a batch run at once over its ``[mlp x N]`` representations,
 read as ``N`` rows, each bag's rows masked to its own columns; the masks
-of :func:`stack_bag` are disjoint, as the record requires. Each function
-adds one tape record.
+of :func:`stack_bag` are disjoint, as the record requires. Each layer
+function adds one tape record; the row mean adds none.
 """
 
 from __future__ import annotations
@@ -42,21 +42,25 @@ def stack_bag(sizes) -> np.ndarray:
 sentence_attention_matrix = wa.word_attention_matrix
 
 
-def average_attention(tape: Tape | None, attention: Node) -> Node:
-    """Mean of each bag's attention rows: still a distribution over instances."""
-    return ad.mean_rows(tape, attention)
+def average_attention(attention: np.ndarray) -> np.ndarray:
+    """Mean of each bag's attention rows ``[(bags x) 1 x N]``, a distribution
+    over instances; tape-free, as :func:`selection_representation` takes it."""
+    return attention.mean(axis=-2, keepdims=True)
 
 
-def selection_representation(tape: Tape | None, averaged: Node, representations: Node) -> Node:
-    """Attention-weighted sum of each bag's representations: ``[bags x mlp]``.
-    One record; backward's two gradients are one ``autodiff.grad_pair``."""
+def selection_representation(tape: Tape | None, attention: Node, representations: Node) -> Node:
+    """Each bag's representations weighted by its :func:`average_attention`:
+    ``[bags x mlp]``. One record; backward's two gradients are one
+    ``autodiff.grad_pair``, and each attention row gets 1/rows of the mean's."""
     reps = representations.value
-    weights = averaged.value.reshape(-1, reps.shape[1])
+    averaged = average_attention(attention.value)
+    weights = averaged.reshape(-1, reps.shape[1])
     out = Node(ad._product(weights, reps.T))
     if tape is not None:
         def bwd() -> None:
-            g = out.grad
-            ad.grad_pair(lambda: ad._accum(averaged, (g @ reps).reshape(averaged.shape)),
+            g, rows = out.grad, attention.shape[-2]
+            ad.grad_pair(lambda: ad._accum(attention, np.broadcast_to(
+                             (g @ reps).reshape(averaged.shape) / rows, attention.shape)),
                          lambda: ad._accum(representations, (weights.T @ g).T),
                          g, weights.shape[1])
         tape.record(out, bwd)

@@ -326,11 +326,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tokens: list[str] | None = None
         rng_state: dict | None = None
         tensors: dict[str, np.ndarray] = {}
+        header: set[str] = set()   # the header lines read, a config line by its key
         while True:
             line = _read_line(fh, path)
             kind, _, rest = line.partition(" ")
             if kind == "end":
                 break
+            section = f"config {rest.partition(' ')[0]}" if kind == "config" else kind
+            if section in header and kind != "tensor":   # tensors are checked by name
+                raise CheckpointError(f"{path}: header line {section!r} appears twice")
+            header.add(section)
             if kind == "config":
                 key, _, value = rest.partition(" ")
                 config_values[key] = _read_json(value, path, kind)

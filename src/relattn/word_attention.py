@@ -73,21 +73,24 @@ def weighted_sentence_matrix(tape: Tape | None, attention: Node, hidden: Node) -
     return out
 
 
-def flatten_project(tape: Tape | None, weighted: Node, params: WordAttentionParams) -> Node:
+def flatten_project(tape: Tape | None, weighted: Node, params: WordAttentionParams,
+                    keep: np.ndarray | None = None) -> Node:
     """Concatenate each instance's weighted rows and project them through the
-    ReLU MLP, one column of ``[mlp x n]`` per instance. One record; backward's
-    weight gradient, by row blocks, and input gradient ``dZᵀ·W`` are one
-    ``autodiff.grad_pair``."""
+    ReLU MLP, one column of ``[mlp x n]`` per instance, times the scaled
+    dropout mask ``keep``, if given. One record; backward multiplies the output
+    gradient by ``keep``, then masks it by the ReLU; its weight gradient, by
+    row blocks, and input gradient ``dZᵀ·W`` are one ``autodiff.grad_pair``."""
     weight, bias = params.mlp_weight, params.mlp_bias
     rows, cols = weighted.shape[-2:]
     flat = weighted.value.reshape(-1, rows * cols).T   # row-major: row blocks stay contiguous
     y = ad._product(weight.value, flat)
     y += bias.value
     np.maximum(y, 0.0, out=y)
-    out = Node(y)
+    out = Node(y if keep is None else y * keep)
     if tape is not None:
         def bwd() -> None:
-            g = out.grad * (y > 0)   # subgradient 0 at exactly 0
+            g = out.grad if keep is None else out.grad * keep
+            g = g * (y > 0)   # subgradient 0 at exactly 0
             ad._accum(bias, g.sum(axis=1, keepdims=True))
             ad.grad_pair(lambda: ad._weight_grad(weight, g, flat),
                          lambda: ad._accum(weighted, (g.T @ weight.value).reshape(weighted.shape)),

@@ -117,10 +117,9 @@ class TestCriterion4DegenerateBag:
                 class_bias=Parameter("cb", rng.normal(size=(4, 1))),
             )
             rep = Node(rng.uniform(0, 1, (v, 1)))
-            averaged = sa.average_attention(
-                None, sa.sentence_attention_matrix(None, rep, sent, sa.stack_bag([1])))
-            selection = sa.selection_representation(None, averaged, rep)
-            np.testing.assert_array_equal(averaged.value, [[[1.0]]])
+            attn = sa.sentence_attention_matrix(None, rep, sent, sa.stack_bag([1]))
+            selection = sa.selection_representation(None, attn, rep)
+            np.testing.assert_array_equal(sa.average_attention(attn.value), [[[1.0]]])
             assert np.abs(selection.value - rep.value.T).max() < 1e-6
         report(4, "J=1: averaged attention exactly [1.0], selection equals the instance")
 
@@ -139,8 +138,8 @@ class TestCriterion4DegenerateBag:
             reps = [Node(rng.uniform(0, 1, (v, 1))) for _ in range(j)]
             stacked = Node(np.hstack([r.value for r in reps]))
             attn = sa.sentence_attention_matrix(None, stacked, sent, sa.stack_bag([j]))
-            averaged = sa.average_attention(None, attn)
-            selection = sa.selection_representation(None, averaged, stacked)
+            averaged = sa.average_attention(attn.value)
+            selection = sa.selection_representation(None, attn, stacked)
             probs = sa.classify(None, selection, sent).value.ravel()
 
             # independent plain-1-D attention path
@@ -153,7 +152,7 @@ class TestCriterion4DegenerateBag:
             ce = np.exp(cl - cl.max())
             expected = (ce / ce.sum()).ravel()
             worst = max(worst, np.abs(probs - expected).max(),
-                        np.abs(averaged.value.ravel() - weights).max())
+                        np.abs(averaged.ravel() - weights).max())
         assert worst < 1e-12
         report(4, f"single-row structured path equals 1-D attention, max diff {worst:.1e}")
 

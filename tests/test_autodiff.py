@@ -143,9 +143,34 @@ class TestElementwise:
     def test_relu_gradient_zero_at_zero(self):
         tape = Tape()
         p = param([[0.0, -1.0, 3.0]])
-        loss = ad.sum_all(tape, wa.flatten_project(tape, p, self.identity_mlp(3)))
+        loss = ad.inner(tape, wa.flatten_project(tape, p, self.identity_mlp(3)), 1.0)
         backward(tape, loss)
         np.testing.assert_array_equal(p.grad, [[0.0, 0.0, 1.0]])
+
+
+class TestInner:
+    """``inner``, the scalar probe: ``⟨a, const⟩`` as a ``[1 x 1]`` node."""
+
+    def test_value_is_the_sum_of_products_in_the_nodes_dtype(self):
+        rng = np.random.default_rng(33)
+        a = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+        const = rng.uniform(-1, 1, (3, 4))
+        out = ad.inner(None, Node(a), const)
+        assert out.shape == (1, 1) and out.value.dtype == np.float32
+        assert out.value.item() == np.float32((a * const).sum())
+
+    @pytest.mark.parametrize("const", [2.5, np.array([[[1.0, -2.0, 0.5, 3.0]]])],
+                             ids=["scalar", "row"])
+    def test_gradient_broadcasts_the_const(self, const):
+        a = Parameter("a", np.ones((2, 3, 4), np.float32))
+        tape = Tape()
+        backward(tape, ad.inner(tape, a, const))
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, np.broadcast_to(const, (2, 3, 4)))
+
+    def test_rejects_a_const_that_broadcasts_the_node_up(self):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            ad.inner(None, Node(np.ones((3, 4))), np.ones((2, 3, 4)))
 
 
 class TestFrobeniusPenalty:
@@ -203,7 +228,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         tape = Tape()
         w = param(np.random.default_rng(3).normal(size=(3, 4)), "w")
-        backward(tape, ad.sum_all(tape, w))
+        backward(tape, ad.inner(tape, w, 1.0))
         np.testing.assert_array_equal(w.grad, np.ones((3, 4)))
 
     def test_penalty_gradient_zero_at_identity(self):
@@ -215,9 +240,8 @@ class TestBackward:
     def test_rejects_non_scalar(self):
         tape = Tape()
         w = param(np.ones((2, 2)))
-        out = ad.mean_rows(tape, w)
         with pytest.raises(ValueError, match="scalar"):
-            backward(tape, out)
+            backward(tape, w)
 
     def test_backward_consumes_the_tape(self):
         # each rule runs with the records before it still on the tape and
@@ -228,8 +252,8 @@ class TestBackward:
         v = param(rng.normal(size=(3, 2)), "v")
         rows = param(rng.normal(size=(2, 3)), "rows")
         probe = rng.normal(size=(2, 2))
-        loss = ad.sum_all(tape, ad.mul_const(tape, ad.attention(tape, v, w, rows), probe))
-        assert len(tape) == 3
+        loss = ad.inner(tape, ad.attention(tape, v, w, rows), probe)
+        assert len(tape) == 2
         seen = []
 
         def noting(fn):
@@ -239,7 +263,7 @@ class TestBackward:
             return rule
         tape._records = [(out, noting(fn)) for out, fn in tape._records]
         backward(tape, loss)
-        assert seen == [2, 1, 0] and len(tape) == 0
+        assert seen == [1, 0] and len(tape) == 0
         assert all(np.abs(p.grad).max() > 0 for p in (w, v, rows))
 
     def test_second_backward_raises(self):
@@ -257,11 +281,11 @@ class TestBackward:
     def test_a_rules_saved_arrays_die_when_it_returns(self):
         # the second record's saved array is freed before the first rule runs
         tape = Tape()
-        x = param(np.ones((2, 2)), "x")
-        first = ad.mul_const(tape, x, 3.0)
-        saved = np.full((2, 2), 2.0)
+        x = param([[1.0, 2.0]], "x")
+        first = wa.flatten_project(tape, x, TestElementwise.identity_mlp(2))
+        saved = np.array([[2.0], [3.0]])
         alive = weakref.ref(saved)
-        second = ad.mul_const(tape, first, saved)
+        loss = ad.inner(tape, first, saved)
         del saved
         real_rule = tape._records[0][1]
 
@@ -269,14 +293,14 @@ class TestBackward:
             assert alive() is None
             real_rule()
         tape._records[0] = (first, rule)
-        backward(tape, ad.sum_all(tape, second))
-        np.testing.assert_array_equal(x.grad, np.full((2, 2), 6.0))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [[2.0, 3.0]])
 
     def test_unused_branch_gets_no_gradient(self):
         tape = Tape()
         w = param(np.ones((2, 2)), "w")
-        used = ad.sum_all(tape, w)
-        ad.mean_rows(tape, w)   # dangling op, not connected to the loss
+        used = ad.inner(tape, w, 1.0)
+        ad.inner(tape, w, 2.0)   # dangling op, not connected to the loss
         backward(tape, used)
         np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
@@ -287,11 +311,11 @@ class TestBackward:
         rows = param(rng.uniform(-1, 1, (2, 3)), "rows")
 
         def f():
-            # every term of the loss record: the mean of two probability rows
-            # is one, the penalty of w and L2 of v
+            # every term of the loss record: two probability rows, one per
+            # label, the penalty of w and L2 of v
             tape = Tape()
-            p = ad.mean_rows(tape, ad.attention(tape, v, w, rows))
-            return tape, loss_of(tape, p, [1], w, v, penalty_coef=1.0, l2_coef=0.5)
+            p = ad.attention(tape, v, w, rows)
+            return tape, loss_of(tape, p, [1, 0], w, v, penalty_coef=1.0, l2_coef=0.5)
 
         assert finite_diff_check(f, [w, v, rows]) < 1e-5
 
@@ -323,15 +347,13 @@ class TestFirstGradientCopy:
         rng = np.random.default_rng(20)
         w, v = param(rng.uniform(-1, 1, (3, 3)), "w"), param(rng.uniform(-1, 1, (3, 4)), "v")
         leaf = Node(rng.uniform(-1, 1, (3, 4)))
-        probe = rng.uniform(-1, 1, (3, 4))
         rows = param(rng.uniform(-1, 1, (3, 3)), "rows")
 
         def build(t):
             # the loss record hands x two gradients, as probabilities and as
-            # attention rows; the leaf reaches it through mul_const
+            # attention rows; the leaf is L2's input
             x = ad.attention(t, v, w, rows)
-            return loss_of(t, x, [0, 2, 3], x, ad.mul_const(t, leaf, probe),
-                           penalty_coef=1.0, l2_coef=1.0)
+            return loss_of(t, x, [0, 2, 3], x, leaf, penalty_coef=1.0, l2_coef=1.0)
 
         self.assert_matches_plain(monkeypatch, build, [w, v, rows, leaf])
 
@@ -340,11 +362,10 @@ class TestFirstGradientCopy:
         rng = np.random.default_rng(23)
         w = param(rng.uniform(-1, 1, (3, 3)), "w")
         v = Parameter("v", np.asfortranarray(rng.uniform(-1, 1, (3, 2))))
+        assert v.value.flags.f_contiguous and not v.value.flags.c_contiguous
 
         def build(t):
-            p = ad.mul_const(t, v, 1.5)
-            assert p.value.flags.f_contiguous and not p.value.flags.c_contiguous
-            return loss_of(t, Node([[0.5, 0.5]]), [0], w, p, penalty_coef=1.0, l2_coef=1.0)
+            return loss_of(t, Node([[0.5, 0.5]]), [0], w, v, penalty_coef=1.0, l2_coef=1.0)
 
         self.assert_matches_plain(monkeypatch, build, [w, v])
 
@@ -488,7 +509,7 @@ class TestGradientRelease:
         weighted = Node(rng.uniform(-1, 1, (33, 9, 600)).astype(np.float32))
         probe = rng.uniform(-1, 1, (1000, 33)).astype(np.float32)
         tape = Tape()
-        loss = ad.sum_all(tape, ad.mul_const(tape, wa.flatten_project(tape, weighted, mlp), probe))
+        loss = ad.inner(tape, wa.flatten_project(tape, weighted, mlp), probe)
         tracemalloc.start()
         try:
             backward(tape, loss)
@@ -754,8 +775,7 @@ class TestSplitSites:
             mlp, weighted = self.mlp(value, start.copy()), Node(x)
             calls = two_cores(on)
             tape = Tape()
-            loss = ad.sum_all(tape, ad.mul_const(tape, wa.flatten_project(tape, weighted, mlp),
-                                                 probe))
+            loss = ad.inner(tape, wa.flatten_project(tape, weighted, mlp), probe)
             backward(tape, loss)
             # the forward product's row halves, then the record's two
             # gradients; the weight's row blocks run in turn on its thread
@@ -773,7 +793,7 @@ class TestSplitSites:
         calls = two_cores(True)
         monkeypatch.setattr(ad, "CONCURRENT_MIN_PRODUCT", 2 * 30 * 20 * 40 + (not above))
         tape = Tape()
-        backward(tape, ad.sum_all(tape, wa.flatten_project(tape, weighted, mlp)))
+        backward(tape, ad.inner(tape, wa.flatten_project(tape, weighted, mlp), 1.0))
         assert calls == ([True] if above else [])
 
     @pytest.mark.parametrize("on", [False, True])
@@ -849,7 +869,7 @@ class TestSplitSites:
             tape = Tape()
             calls = two_cores(on)
             out = wa.weighted_sentence_matrix(tape, a, h)
-            backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            backward(tape, ad.inner(tape, out, probe))
             # one forward product, then the record's two gradients
             assert calls == ([True] if on else [])
             results.append((out.value, a.grad, h.grad))
@@ -869,14 +889,14 @@ class TestFiniteDiffCheck:
 
         def f():
             tape = Tape()
-            return tape, ad.mul_const(tape, ad.sum_all(tape, w), 0.0)
+            return tape, ad.inner(tape, w, 0.0)
 
         assert finite_diff_check(f, [w]) == 0.0
 
     def test_requires_float64(self):
         w = Parameter("w", np.ones((2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="float64"):
-            finite_diff_check(lambda: (t := Tape(), ad.sum_all(t, w)), [w])
+            finite_diff_check(lambda: (t := Tape(), ad.inner(t, w, 1.0)), [w])
 
     def test_detects_injected_sign_flip(self):
         # an op with a deliberately wrong backward rule must be flagged
@@ -892,7 +912,7 @@ class TestFiniteDiffCheck:
 
         def f():
             tape = Tape()
-            return tape, ad.sum_all(tape, broken_tanh(tape, w))
+            return tape, ad.inner(tape, broken_tanh(tape, w), 1.0)
 
         assert finite_diff_check(f, [w]) > 0.1
 
@@ -923,11 +943,8 @@ class TestGradcheckCoverage:
 
     A taped op is a public ``autodiff`` function that takes the tape first and
     returns a Node (``backward`` takes the tape too, but replays it). Its
-    entries are named ``<op>`` or ``<op>_<variant>``; ``sum_all`` needs none,
-    as every entry reduces its graph through it.
+    entries are named ``<op>`` or ``<op>_<variant>``.
     """
-
-    EXEMPT = {"sum_all"}
 
     @staticmethod
     def taped_ops():
@@ -951,13 +968,14 @@ class TestGradcheckCoverage:
                 for entry in entries}
 
     def test_taped_ops_found(self):
-        # equal, not a superset: one attention record serves both levels
-        assert self.taped_ops() == {"attention", "mul_const", "mean_rows", "sum_all"}
+        # equal, not a superset: one attention record serves both levels,
+        # and every other record belongs to a layer function
+        assert self.taped_ops() == {"attention", "inner"}
         assert "backward" not in self.taped_ops()
 
     def test_every_op_has_an_entry(self):
         covered = set(self.op_of_entry().values())
-        assert sorted(self.taped_ops() - self.EXEMPT - covered) == []
+        assert sorted(self.taped_ops() - covered) == []
 
     def test_every_entry_names_an_op(self):
         assert sorted(e for e, op in self.op_of_entry().items() if op is None) == []

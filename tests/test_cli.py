@@ -360,6 +360,12 @@ def _repeat_tensor(blob: bytes, name: str) -> bytes:
     return _before_end(blob, blob[start:end])
 
 
+def _header_line(blob: bytes, kind: bytes) -> bytes:
+    """The ``kind`` header line, with its newline."""
+    start = blob.index(b"\n" + kind + b" ") + 1
+    return blob[start:blob.index(b"\n", start) + 1]
+
+
 def _edit_list(blob: bytes, kind: bytes, i: int, j: int, swap: bool = False) -> bytes:
     """The ``kind`` header list with entry ``i`` copied over entry ``j``, or
     the two swapped; the list keeps its length."""
@@ -398,6 +404,9 @@ CORRUPTIONS = {
     "unknown_tensor": lambda blob: _before_end(
         blob, b"tensor extra 1 1\n" + np.zeros(1, dtype="<f4").tobytes()),
     "duplicate_tensor": lambda blob: _repeat_tensor(blob, "class_bias"),
+    # a second copy of a header line, valid on its own
+    "repeated_config_key": lambda blob: _before_end(blob, b"config seed 99\n"),
+    "repeated_section": lambda blob: _before_end(blob, _header_line(blob, b"relations")),
     # a version-1 header line, checked against the three relations
     "num_classes_disagrees_with_relations": lambda blob: blob.replace(
         b"\nrelations ", b"\nconfig num_classes 4\nrelations ", 1),

@@ -136,7 +136,7 @@ class TestEmbeddings:
         tape = Tape()
         out = enc.embed_batch(tape, instances, plan, tables, cfg)
         probe = rng.standard_normal(out.shape).astype(cfg.dtype)
-        ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+        ad.backward(tape, ad.inner(tape, out, probe))
 
         def bucket(distance):
             return min(max(distance, -md), md) + md
@@ -161,7 +161,7 @@ class TestEmbeddings:
         tape = Tape()
         out = embed_one(tape, make_instance([2, 3, 4]), tables, cfg)
         with pytest.raises(ValueError, match="not C-contiguous"):
-            ad.backward(tape, ad.sum_all(tape, out))
+            ad.backward(tape, ad.inner(tape, out, 1.0))
         for table in (tables.word, tables.head_position, tables.tail_position):
             assert not table.grad.any(), table.name
 
@@ -389,7 +389,7 @@ class TestFusedDirection:
             tape = Tape()
             out = enc.bilstm_encode_batch(tape, packed, plan, lstm)
             assert len(tape) == 1
-            return tape, ad.sum_all(tape, ad.mul_const(tape, out, probe))
+            return tape, ad.inner(tape, out, probe)
 
         params = [p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)] + [packed]
         # central differences at h=1e-5 carry up to ~1e-10 of roundoff on a
@@ -415,7 +415,7 @@ class TestFusedDirection:
         hidden = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
         assert len(tape) == 2
         probe = np.random.default_rng(seed + 2).uniform(-1, 1, hidden.shape).astype(cfg.dtype)
-        loss = ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
+        loss = ad.inner(tape, hidden, probe)
         params = [tables.word, tables.head_position, tables.tail_position,
                   *(p for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias))]
         return tape, loss, hidden, params
@@ -493,7 +493,7 @@ class TestFusedDirection:
             packed = Parameter("packed", rows)
             tape = Tape()
             out = enc.bilstm_encode_batch(tape, packed, plan, lstm)
-            ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            ad.backward(tape, ad.inner(tape, out, probe))
             grads = [[p.grad for p in (d.w_in, d.w_rec, d.bias)] for d in (lstm.fwd, lstm.bwd)]
             return out.value, packed.grad, grads
 
@@ -544,7 +544,7 @@ class TestBilstm:
             out = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
             probe = np.random.default_rng(t_steps).uniform(-1, 1, out.shape)
             if token_major:
-                ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+                ad.backward(tape, ad.inner(tape, out, probe))
             else:
                 out.grad = probe.copy()   # C-ordered [n x 2u x t_run]
                 for _, bwd in reversed(tape._records):
@@ -689,7 +689,7 @@ class TestBilstm:
             out = enc.bilstm_encode_batch(
                 tape, enc.embed_batch(tape, instances, plan, tables32, cfg32), plan, lstm32)
             probe = rng.uniform(-1, 1, out.shape).astype(np.float32)
-            ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+            ad.backward(tape, ad.inner(tape, out, probe))
         assert ran == [lstm32.fwd, lstm32.bwd]
 
     def test_steps_stop_at_longest_true_length(self, monkeypatch):
@@ -741,7 +741,7 @@ class TestBilstm:
                 tape = Tape()
                 embedded = enc.embed_batch(tape, batch, plan, tables, cfg)
                 hidden = enc.bilstm_encode_batch(tape, embedded, plan, lstm)
-                return tape, ad.sum_all(tape, ad.mul_const(tape, hidden, probe))
+                return tape, ad.inner(tape, hidden, probe)
 
             assert finite_diff_check(f, params) < 1e-5
 
@@ -780,7 +780,7 @@ class TestConcurrentDirections:
         monkeypatch.setattr(enc, "lstm_step", noting_step)
         tape = Tape()
         out = enc.bilstm_encode_batch(tape, packed, enc.BatchPlan.of(lengths), lstm)
-        ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, probe)))
+        ad.backward(tape, ad.inner(tape, out, probe))
         grads = [p.grad for d in (lstm.fwd, lstm.bwd) for p in (d.w_in, d.w_rec, d.bias)]
         return [out.value, packed.grad, *grads], threads
 
@@ -843,7 +843,7 @@ class TestConcurrentDirections:
         with pytest.raises(WorkerError, match=stage):
             tape = Tape()
             out = enc.bilstm_encode_batch(tape, packed, enc.BatchPlan.of([3, 2]), lstm)
-            ad.backward(tape, ad.sum_all(tape, out))
+            ad.backward(tape, ad.inner(tape, out, 1.0))
         assert threading.active_count() == running
 
     # one direction's multiply-adds over 528 tokens of width 60 are

@@ -310,8 +310,8 @@ class TestNoProductOfAMatrixWithAStack:
 LAYER_FUNCTIONS = [(enc, "embed_batch"), (enc, "bilstm_encode_batch"),
                    (wa, "word_attention_matrix"), (wa, "weighted_sentence_matrix"),
                    (wa, "flatten_project"), (sa, "sentence_attention_matrix"),
-                   (sa, "average_attention"), (sa, "selection_representation"),
-                   (sa, "classify"), (training, "objective")]
+                   (sa, "selection_representation"), (sa, "classify"),
+                   (training, "objective")]
 
 
 class TestTapeRecords:
@@ -346,14 +346,16 @@ class TestTapeRecords:
 
     @pytest.mark.parametrize("profile", ["synth", "nyt"])
     def test_one_record_per_layer_function(self, profile, monkeypatch):
-        # the sentence level's attention runs the 2-D record, and the loss is
-        # one record: a pass without dropout records 10 entries. The loss
-        # takes the penalty through the module attribute, which records nothing
+        # the sentence level's attention runs the 2-D record, the selection's
+        # record averages its rows, and the loss is one record: a pass records
+        # 9 entries. The loss takes the penalty through the module attribute,
+        # which records nothing
         added, records, penalties = self.records(profile, monkeypatch)
         assert added == {name: [1] for _, name in LAYER_FUNCTIONS}
-        assert records == 10 and penalties == 1
+        assert records == 9 and penalties == 1
 
-    def test_dropout_adds_one_record(self, monkeypatch):
+    def test_dropout_adds_no_record(self, monkeypatch):
+        # the MLP's record applies the mask
         added, records, _ = self.records("synth", monkeypatch, dropout=0.3)
         assert added == {name: [1] for _, name in LAYER_FUNCTIONS}
-        assert records == 11
+        assert records == 9

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from relattn import autodiff as ad
 from relattn import sentence_attention as sa
-from relattn.autodiff import Node, Parameter, Tape, finite_diff_check
+from relattn.autodiff import Node, Parameter, Tape, backward, finite_diff_check
 from relattn.training import objective
 
 
@@ -27,8 +28,8 @@ def random_reps(j, v, seed):
 def full_forward(reps, params):
     membership = sa.stack_bag([reps.shape[1]])
     attn = sa.sentence_attention_matrix(None, reps, params, membership)
-    averaged = sa.average_attention(None, attn)
-    selection = sa.selection_representation(None, averaged, reps)
+    averaged = sa.average_attention(attn.value)
+    selection = sa.selection_representation(None, attn, reps)
     probs = sa.classify(None, selection, params)
     return attn, averaged, selection, probs
 
@@ -83,16 +84,16 @@ class TestAttentionMatrix:
 class TestAverage:
     def test_single_row_passes_through(self):
         row = np.random.default_rng(6).dirichlet(np.ones(4))[None, :]
-        np.testing.assert_array_equal(sa.average_attention(None, Node(row)).value, row)
+        np.testing.assert_array_equal(sa.average_attention(row), row)
 
     def test_two_one_hot_rows(self):
-        attn = Node(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(sa.average_attention(None, attn).value, [[0.5, 0.5]])
+        attn = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(sa.average_attention(attn), [[0.5, 0.5]])
 
     def test_identical_rows_unchanged(self):
         row = np.random.default_rng(7).dirichlet(np.ones(5))
-        attn = Node(np.stack([row, row, row]))
-        np.testing.assert_allclose(sa.average_attention(None, attn).value, row[None, :],
+        attn = np.stack([row, row, row])
+        np.testing.assert_allclose(sa.average_attention(attn), row[None, :],
                                    atol=1e-15)
 
     def test_mean_still_sums_to_one(self):
@@ -101,8 +102,8 @@ class TestAverage:
             j = seed % 5 + 1
             attn = sa.sentence_attention_matrix(None, random_reps(j, 5, seed + 100), p,
                                                 sa.stack_bag([j]))
-            avg = sa.average_attention(None, attn)
-            assert avg.value.sum() == pytest.approx(1.0, abs=1e-6)
+            avg = sa.average_attention(attn.value)
+            assert avg.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSelection:
@@ -110,21 +111,60 @@ class TestSelection:
         reps = random_reps(1, 5, 8)
         _, averaged, selection, _ = full_forward(reps, params_for(2, 3, 5, 2, seed=8))
         np.testing.assert_allclose(selection.value, reps.value.T, atol=1e-6)
-        np.testing.assert_array_equal(averaged.value, [[[1.0]]])
+        np.testing.assert_array_equal(averaged, [[[1.0]]])
 
     def test_one_hot_picks_column(self):
         stacked = random_reps(3, 4, 9)
-        averaged = Node(np.array([[0.0, 0.0, 1.0]]))
-        out = sa.selection_representation(None, averaged, stacked).value
+        attention = Node(np.array([[0.0, 0.0, 1.0]]))   # one row, its own mean
+        out = sa.selection_representation(None, attention, stacked).value
         np.testing.assert_array_equal(out, stacked.value[:, 2:3].T)
 
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(10)
         stacked = random_reps(3, 4, 10)
-        averaged = Node(rng.dirichlet(np.ones(3))[None, :])
-        out = sa.selection_representation(None, averaged, stacked).value
-        np.testing.assert_allclose(out.ravel(), averaged.value[0] @ stacked.value.T,
+        attention = Node(rng.dirichlet(np.ones(3), size=2))
+        out = sa.selection_representation(None, attention, stacked).value
+        np.testing.assert_allclose(out.ravel(), attention.value.mean(axis=0) @ stacked.value.T,
                                    atol=1e-12)
+
+
+class TestSelectionRecord:
+    """The selection record with the row mean folded in, pinned bit for bit to
+    plain numpy that makes the float operations of the two records it
+    replaced: the mean of each bag's attention rows, then the weighted sum of
+    the representations. Backward runs them in reverse from a probe: the
+    averaged row's gradient, then its division by the row count, the same
+    in every row."""
+
+    @staticmethod
+    def reference(attention, reps, probe):
+        """Output and the gradients into attention and representations."""
+        averaged = attention.mean(axis=-2, keepdims=True)
+        weights = averaged.reshape(-1, reps.shape[1])
+        out = weights @ reps.T
+        d_averaged = (probe @ reps).reshape(averaged.shape)
+        d_attention = np.broadcast_to(d_averaged / attention.shape[-2], attention.shape)
+        return out, d_attention, (weights.T @ probe).T
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_op_chain_bit_for_bit(self, dtype):
+        # three rows, so a division by the row count rounds
+        rng = np.random.default_rng(32)
+        sizes = [2, 3, 1]
+        attention = rng.uniform(0, 1, (len(sizes), 3, sum(sizes)))
+        attention = (attention * sa.stack_bag(sizes)).astype(dtype)
+        reps = rng.uniform(-1, 1, (5, sum(sizes))).astype(dtype)
+        probe = rng.uniform(-1, 1, (len(sizes), 5)).astype(dtype)
+        nodes = [Node(attention.copy()), Node(reps.copy())]
+        tape = Tape()
+        out = sa.selection_representation(tape, *nodes)
+        assert len(tape) == 1
+        backward(tape, ad.inner(tape, out, probe))
+        want_out, *want_grads = self.reference(attention, reps, probe)
+        assert out.value.dtype == dtype and np.array_equal(out.value, want_out)
+        for node, want in zip(nodes, want_grads):
+            assert node.grad.dtype == dtype
+            np.testing.assert_array_equal(node.grad, want)
 
 
 class TestClassify:
@@ -165,7 +205,7 @@ class TestInvariants:
             perm = rng.permutation(j)
             _, averaged, _, probs = full_forward(reps, p)
             _, averaged_p, _, probs_p = full_forward(Node(reps.value[:, perm]), p)
-            np.testing.assert_allclose(averaged_p.value.ravel(), averaged.value.ravel()[perm],
+            np.testing.assert_allclose(averaged_p.ravel(), averaged.ravel()[perm],
                                        atol=1e-6)
             np.testing.assert_allclose(probs_p.value, probs.value, atol=1e-6)
 
@@ -189,7 +229,7 @@ class TestInvariants:
             ce = np.exp(class_logits - class_logits.max())
             expected_probs = (ce / ce.sum()).ravel()
 
-            np.testing.assert_allclose(averaged.value.ravel(), weights, atol=1e-12)
+            np.testing.assert_allclose(averaged.ravel(), weights, atol=1e-12)
             np.testing.assert_allclose(probs.value.ravel(), expected_probs, atol=1e-12)
 
     def test_gradient_through_bag_level(self):
@@ -199,8 +239,7 @@ class TestInvariants:
         def f():
             tape = Tape()
             attn = sa.sentence_attention_matrix(tape, reps, p, sa.stack_bag([3]))
-            averaged = sa.average_attention(tape, attn)
-            selection = sa.selection_representation(tape, averaged, reps)
+            selection = sa.selection_representation(tape, attn, reps)
             probs = sa.classify(tape, selection, p)
             return tape, objective(tape, probs, 1, None, None, 0.0, 0.0)[0]
 

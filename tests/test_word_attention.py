@@ -140,6 +140,60 @@ class TestFlattenProject:
                 assert np.abs(pre2 - pre).max() > 1e-3
 
 
+class TestMlpRecord:
+    """The MLP record with dropout folded in, pinned bit for bit to plain numpy
+    that makes the float operations of the two records it replaced: the ReLU
+    MLP, then the product by the scaled mask. Backward runs them in reverse
+    from a probe: the product's gradient, copied into a buffer laid out like
+    the ReLU output, then the ReLU's mask and the MLP's three gradients.
+    The mask is transposed, as the model draws it, so a gradient laid out
+    like the mask would sum its rows in another order."""
+
+    @staticmethod
+    def reference(weighted, weight, bias, keep, probe):
+        """Output and the gradients into bias, weight and weighted states."""
+        rows, cols = weighted.shape[-2:]
+        flat = weighted.reshape(-1, rows * cols).T
+        y = weight @ flat
+        y += bias
+        np.maximum(y, 0.0, out=y)
+        out = y if keep is None else y * keep
+        d_y = np.empty_like(y)
+        np.copyto(d_y, probe if keep is None else probe * keep)
+        g = d_y * (y > 0)
+        return (out, np.zeros_like(bias) + g.sum(axis=1, keepdims=True),
+                np.zeros_like(weight) + g @ flat.T, (g.T @ weight).reshape(weighted.shape))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_op_chain_bit_for_bit(self, dtype, dropout):
+        rng = np.random.default_rng(31)
+        n, mlp = 12, 7   # from 8 entries on, numpy sums a contiguous row pairwise
+        p = params_for(2, 3, 6, mlp, seed=31)
+        for param in (p.mlp_weight, p.mlp_bias):
+            param.value = param.value.astype(dtype)
+            param.grad = np.zeros_like(param.value)
+        weighted = rng.uniform(-1, 1, (n, 2, 6)).astype(dtype)
+        probe = rng.uniform(-1, 1, (mlp, n)).astype(dtype)
+        keep = None
+        if dropout:
+            # drawn as the model draws it: one row per instance, transposed
+            keep = (rng.random((n, mlp)) >= dropout).T.astype(dtype) / (1.0 - dropout)
+            assert 0 < np.count_nonzero(keep) < keep.size and keep.flags.f_contiguous
+        node = Node(weighted.copy())
+        tape = Tape()
+        out = wa.flatten_project(tape, node, p, keep)
+        assert len(tape) == 1
+        backward(tape, ad.inner(tape, out, probe))
+        want_out, *want_grads = self.reference(weighted, p.mlp_weight.value, p.mlp_bias.value,
+                                               keep, probe)
+        assert 0 < np.count_nonzero(want_out) < want_out.size   # some units dead
+        assert out.value.dtype == dtype and np.array_equal(out.value, want_out)
+        for got, want in zip((p.mlp_bias.grad, p.mlp_weight.grad, node.grad), want_grads):
+            assert got.dtype == dtype and np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPenalty:
     def test_one_hot_rows_on_distinct_columns(self):
         attn = np.zeros((2, 5))
@@ -178,13 +232,13 @@ class TestPenalty:
 
         def f():
             # through the loss record: its one probability is 1, so the loss is
-            # the penalty of the attention rows plus L2 of the projected rows
+            # the penalty of the attention rows plus L2 of the projected rows,
+            # each scaled by the probe as a dropout mask would scale it
             tape = Tape()
             attn = wa.word_attention_matrix(tape, hidden, p)
             weighted = wa.weighted_sentence_matrix(tape, attn, hidden)
-            rep = wa.flatten_project(tape, weighted, p)
-            loss, _ = training.objective(tape, Node([[1.0]]), [0], attn,
-                                         ad.mul_const(tape, rep, probe), 1.0, 1.0)
+            rep = wa.flatten_project(tape, weighted, p, probe)
+            loss, _ = training.objective(tape, Node([[1.0]]), [0], attn, rep, 1.0, 1.0)
             return tape, loss
 
         err = finite_diff_check(f, [p.attn_hidden, p.attn_rows, p.mlp_weight, p.mlp_bias])
@@ -223,7 +277,7 @@ class TestPackedPath:
         tape = Tape()
         attn = wa.word_attention_matrix(tape, hidden, params, valid_cols=None)
         assert len(tape) == 1
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, masked)))
+        backward(tape, ad.inner(tape, attn, masked))
         assert attn.shape == masked.shape
         padding = ~np.broadcast_to(valid, masked.shape)
         assert (masked[padding] == 0.0).all() and (attn.value[padding] > 0.0).all()
@@ -274,7 +328,7 @@ class TestPackedPath:
         states, hid, rws = Node(x), Parameter("w1", w1.copy()), Parameter("w2", w2.copy())
         tape = Tape()
         attn = ad.attention(tape, states, hid, rws, valid)
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+        backward(tape, ad.inner(tape, attn, probe))
 
         # the row form's gradients, each product's operands in their first
         # order, 1 - h*h a temporary and dZ·W1 added over all rows at once
@@ -302,7 +356,7 @@ class TestPackedPath:
         hid, rws = Parameter("w1", w1.copy()), Parameter("w2", w2.copy())
         tape = Tape()
         attn = ad.attention(tape, states, hid, rws, valid)
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+        backward(tape, ad.inner(tape, attn, probe))
 
         # the all-positions path in plain numpy: every matrix's logits at
         # every column, masked columns out of the softmax; a 2-D x is shared
@@ -343,7 +397,7 @@ class TestPackedPath:
             tape = Tape()
             attn = wa.word_attention_matrix(tape, states, wa.WordAttentionParams(
                 w1, w2, params.mlp_weight, params.mlp_bias), valid_cols=valid)
-            backward(tape, ad.sum_all(tape, ad.mul_const(tape, attn, probe)))
+            backward(tape, ad.inner(tape, attn, probe))
             # the forward product's row halves, then the record's gradient pair
             assert calls == ([True, True] if on else [])
             results.append((attn.value, w1.grad, w2.grad, states.grad))
